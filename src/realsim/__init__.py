@@ -17,6 +17,7 @@ from .encoding import (
     EncodedState,
     GaugeOrbit,
     Layout,
+    LogicalAncilla,
     Povm,
     PureState,
     apply_kraus,
@@ -29,6 +30,8 @@ from .encoding import (
     encode_state,
     encoded_povm_probabilities,
     gauge_orbit,
+    local_xz,
+    logical_states,
     povm_probabilities,
     real_inner_product,
     xz,
@@ -44,18 +47,7 @@ from .linalg import (
     random_state,
     random_unitary,
 )
-from .multipartite import (
-    LiftedOperator,
-    LogicalAncilla,
-    PartitionedSystem,
-    StabilizerReport,
-    encode_multipartite_state,
-    lift_local_operator,
-    local_xz,
-    logical_encode_operator,
-    logical_states,
-    stabilizer_check,
-)
+from .multipartite import PartitionedSystem, StabilizerReport, lift_local_operator, stabilizer_check
 from .applications import (
     BellResult,
     BellScenario,

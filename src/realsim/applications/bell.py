@@ -14,13 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..encoding import PureState
+from ..encoding import Layout, PureState, encode_state
 from ..linalg import dagger, random_hermitian
-from ..multipartite import PartitionedSystem, encode_multipartite_state, lift_local_operator
+from ..multipartite import PartitionedSystem, lift_local_operator
 
 OBSERVABLE_TOL = 1e-8
-MODE_AGREEMENT_TOL = 1e-10
-REALNESS_AUDIT_TOL = 1e-13
 MODES = ("complex", "real_encoded")
 
 
@@ -95,14 +93,6 @@ def _apply_local(vec: np.ndarray, op: np.ndarray, dims: tuple[int, ...], party: 
     return t.reshape(-1)
 
 
-def _assert_real(mat: np.ndarray) -> None:
-    # hard audit: nothing on the encoded side may grow an imaginary part
-    if np.iscomplexobj(mat):
-        worst = float(np.max(np.abs(mat.imag)))
-        if worst > REALNESS_AUDIT_TOL:
-            raise ValueError(f"encoded-side matrix has imaginary entries up to {worst}")
-
-
 def bell_value(scenario: BellScenario, state: PureState, mode: str) -> float:
     """Value of the Bell expression on a state, in the requested mode."""
     if mode not in MODES:
@@ -126,19 +116,10 @@ def _value_complex(scenario: BellScenario, vec: np.ndarray) -> float:
 
 
 def _value_encoded(scenario: BellScenario, state: PureState) -> float:
-    k = scenario.parties
-    enc = encode_multipartite_state(state, k)
     system = scenario.system
-    lifts = []
-    for j in range(k):
-        row = []
-        for o in scenario.observables[j]:
-            mat = lift_local_operator(o, system, k, j).matrix
-            _assert_real(mat)
-            row.append(mat)
-        lifts.append(row)
-    _assert_real(enc.amplitudes)
-    v = enc.amplitudes
+    lifts = [[lift_local_operator(o, system, j).matrix for o in family]
+             for j, family in enumerate(scenario.observables)]
+    v = encode_state(state, Layout(scenario.parties)).amplitudes
     total = 0.0
     for settings, coeff in scenario.coefficients.items():
         w = v

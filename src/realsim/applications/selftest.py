@@ -16,11 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..encoding import PureState, real_inner_product
+from ..encoding import Layout, PureState, encode_state, real_inner_product
 from ..linalg import is_unitary, kron
-from ..multipartite import PartitionedSystem, encode_multipartite_state, lift_local_operator
-
-STAT_TOL = 1e-12
+from ..multipartite import PartitionedSystem, lift_local_operator
 
 _S2 = np.sqrt(0.5)
 _PROBE_STATES = (
@@ -31,7 +29,6 @@ _PROBE_STATES = (
     np.array([_S2, 1j * _S2]),
     np.array([_S2, -1j * _S2]),
 )
-_PROBE_LABELS = ("z+", "z-", "x+", "x-", "y+", "y-")
 
 
 @dataclass(frozen=True)
@@ -94,9 +91,9 @@ def selftest_counterexample(t_gate: np.ndarray | None = None) -> SelfTestTranscr
     )
 
     system = PartitionedSystem((2, 2))
-    enc0 = encode_multipartite_state(PureState(phi_plus, (2, 2)), 2)
-    gate_a = lift_local_operator(t, system, 2, 0).matrix
-    gate_b = lift_local_operator(t.conj(), system, 2, 1).matrix
+    enc0 = encode_state(PureState(phi_plus, (2, 2)), Layout(2))
+    gate_a = lift_local_operator(t, system, 0).matrix
+    gate_b = lift_local_operator(t.conj(), system, 1).matrix
     states_simulated = (
         enc0.amplitudes,
         gate_a @ enc0.amplitudes,
@@ -104,8 +101,8 @@ def selftest_counterexample(t_gate: np.ndarray | None = None) -> SelfTestTranscr
     )
 
     povm = probe_povm()
-    lifted_a = [lift_local_operator(e, system, 2, 0).matrix for e in povm]
-    lifted_b = [lift_local_operator(e, system, 2, 1).matrix for e in povm]
+    lifted_a = [lift_local_operator(e, system, 0).matrix for e in povm]
+    lifted_b = [lift_local_operator(e, system, 1).matrix for e in povm]
 
     stats_logical = np.zeros((3, 6, 6))
     stats_simulated = np.zeros((3, 6, 6))

@@ -17,10 +17,8 @@ from .applications.bell import chsh_scenario, mermin3_scenario, optimize_bell
 from .applications.selftest import selftest_counterexample
 from .dynamics import REALNESS_TOL, Hamiltonian, trajectory
 from .encoding import (
-    SINGLE_ANCILLA,
     DensityOperator,
     Layout,
-    PureState,
     decode_state,
     encode_density,
     encode_operator,
@@ -29,7 +27,7 @@ from .encoding import (
     povm_probabilities,
 )
 from .formats import FormatError
-from .multipartite import encode_multipartite_state, stabilizer_check
+from .multipartite import stabilizer_check
 
 
 def _leq(name: str, measured, tolerance) -> dict:
@@ -41,15 +39,9 @@ def _leq(name: str, measured, tolerance) -> dict:
     }
 
 
-def _encode_any(state: PureState, k: int):
-    if k > 1:
-        return encode_multipartite_state(state, k)
-    return encode_state(state)
-
-
 def cmd_encode(args):
     state = formats.load_state(args.state)
-    enc = _encode_any(state, args.k)
+    enc = encode_state(state, Layout(args.k))
     decoded = decode_state(enc)
     results = {
         "source_dims": list(state.factor_dims),
@@ -66,9 +58,8 @@ def cmd_encode(args):
 def cmd_evolve(args):
     h = Hamiltonian(formats.load_matrix(args.hamiltonian))
     state = formats.load_state(args.state)
-    layout = Layout(args.k) if args.k > 1 else SINGLE_ANCILLA
     sign = 1 if args.sign == "plus" else -1
-    res = trajectory(h, state, args.t_max, args.steps, layout, sign, strict=False)
+    res = trajectory(h, state, args.t_max, args.steps, Layout(args.k), sign, strict=False)
     results = {
         "times": [float(t) for t in res.times],
         "max_imag": res.max_imag,
@@ -200,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("encode", help="encode a complex state file into real amplitudes")
     sp.add_argument("state", help="complex vector JSON file")
-    sp.add_argument("--k", type=int, default=1, help="ancilla qubits, one per party when > 1 (default 1)")
+    sp.add_argument("--k", type=int, default=1, help="ancilla qubits, 1 to 12, one per party when > 1 (default 1)")
     common(sp)
 
     sp = sub.add_parser("evolve", help="evolve a state under a Hamiltonian on both sides")
@@ -210,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, default=64, help="grid points (default 64)")
     sp.add_argument("--sign", choices=("plus", "minus"), default="plus",
                     help="sign convention: plus evolves with exp(+iHt), minus with exp(-iHt) (default plus)")
-    sp.add_argument("--k", type=int, default=1, help="ancilla qubits, one per party when > 1 (default 1)")
+    sp.add_argument("--k", type=int, default=1, help="ancilla qubits, 1 to 12, one per party when > 1 (default 1)")
     common(sp)
 
     sp = sub.add_parser("measure", help="POVM statistics, complex versus encoded")

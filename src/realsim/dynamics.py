@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import SINGLE_ANCILLA, XZ, EncodedState, Layout, PureState, encode_operator, encode_state
+from .encoding import SINGLE_ANCILLA, EncodedState, Layout, PureState, encode_operator, encode_state, local_xz
 from .linalg import dagger, kron, matexp
-from .multipartite import encode_multipartite_state, local_xz, logical_encode_operator
 
 REALNESS_TOL = 1e-11
 AGREEMENT_TOL = 1e-10
@@ -26,7 +25,6 @@ class Hamiltonian:
     """Hermitian generator of time evolution, hbar = 1."""
 
     matrix: np.ndarray
-    time_unit: str = "dimensionless"
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex)
@@ -66,12 +64,8 @@ def _check_sign(sign: int) -> int:
 
 
 def _parts(h: Hamiltonian, layout: Layout, xz_qubit: int):
-    if layout.k == 1:
-        h_enc = encode_operator(h.matrix).matrix
-        j = kron(np.eye(h.dim), XZ)
-    else:
-        h_enc = logical_encode_operator(h.matrix, layout.k, xz_qubit)
-        j = kron(np.eye(h.dim), local_xz(layout.k, xz_qubit))
+    h_enc = encode_operator(h.matrix, layout, xz_qubit).matrix
+    j = kron(np.eye(h.dim), local_xz(layout.k, xz_qubit))
     return j, h_enc
 
 
@@ -85,12 +79,6 @@ def commutation_check(h: Hamiltonian, layout: Layout = SINGLE_ANCILLA, xz_qubit:
     """Whether the ancilla rotation commutes with the encoded Hamiltonian."""
     j, h_enc = _parts(h, layout, xz_qubit)
     return bool(np.max(np.abs(j @ h_enc - h_enc @ j)) <= COMMUTE_TOL)
-
-
-def _encode_for_layout(psi: PureState, layout: Layout) -> EncodedState:
-    if layout.k == 1:
-        return encode_state(psi)
-    return encode_multipartite_state(psi, layout.k)
 
 
 def evolve(h: Hamiltonian, t: float, psi: PureState, layout: Layout = SINGLE_ANCILLA,
@@ -112,10 +100,10 @@ def evolve(h: Hamiltonian, t: float, psi: PureState, layout: Layout = SINGLE_ANC
     u_real = matexp((sign * float(t)) * g.astype(complex))
     propagator_imag = float(np.max(np.abs(u_real.imag)))
 
-    enc0 = _encode_for_layout(psi, layout)
+    enc0 = encode_state(psi, layout)
     v = u_real @ enc0.amplitudes.astype(complex)
     max_imag = float(np.max(np.abs(v.imag)))
-    target = _encode_for_layout(evolved, layout)
+    target = encode_state(evolved, layout)
     deviation = float(np.linalg.norm(v - target.amplitudes))
 
     if strict and propagator_imag > REALNESS_TOL:

@@ -8,6 +8,11 @@ a + i b becomes the 2x2 block a*I + b*XZ at the matching position.  Here
 XZ = [[0, -1], [1, 0]] is the quarter-turn rotation standing in for
 multiplication by i; the map is an algebra homomorphism, and encoded
 inner products recover the real part of the complex ones.
+
+`Layout(k)` spreads the ancilla over k qubits, one per party: a rides
+with the logical |0_L> and b with |1_L> of a two-dimensional codespace,
+and XZ on any one of the k qubits acts as the logical i.  k = 1 is the
+single ancilla described above.
 """
 
 from __future__ import annotations
@@ -39,21 +44,15 @@ class Layout:
     """Ancilla arrangement: k ancilla qubits appended after the system.
 
     k = 1 is the plain single-ancilla encoding.  For k > 1 the ancillas
-    carry the two-dimensional logical subspace built in `multipartite`,
-    and party_assignment records which ancilla qubit each party holds.
+    carry the two-dimensional logical codespace of `logical_states`, one
+    qubit per party.
     """
 
     k: int = 1
-    party_assignment: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if not 1 <= self.k <= 12:
             raise ValueError(f"ancilla count k={self.k} out of range [1, 12]")
-        pa = self.party_assignment
-        pa = tuple(range(self.k)) if pa is None else tuple(int(q) for q in pa)
-        if sorted(pa) != list(range(self.k)):
-            raise ValueError(f"party_assignment {pa} is not a permutation of 0..{self.k - 1}")
-        object.__setattr__(self, "party_assignment", pa)
 
     @property
     def ancilla_dim(self) -> int:
@@ -61,6 +60,53 @@ class Layout:
 
 
 SINGLE_ANCILLA = Layout(1)
+
+
+@dataclass(frozen=True)
+class LogicalAncilla:
+    """Orthonormal basis (zero_state, one_state) of the k-qubit codespace."""
+
+    zero_state: np.ndarray
+    one_state: np.ndarray
+
+
+def logical_states(k: int) -> LogicalAncilla:
+    """Codespace basis on k qubits, indexed by Hamming weight.
+
+    zero_state is supported on even-weight bitstrings with amplitude
+    (-1)^(h/2) / sqrt(2^(k-1)); one_state on odd-weight bitstrings with
+    amplitude (-1)^((h-1)/2) / sqrt(2^(k-1)).  For k = 1 these are |0>
+    and |1>, the single-ancilla encoding.
+    """
+    dim = Layout(k).ancilla_dim
+    amp = 1.0 / np.sqrt(2.0 ** (k - 1))
+    zero = np.zeros(dim)
+    one = np.zeros(dim)
+    for y in range(dim):
+        h = y.bit_count()
+        if h % 2 == 0:
+            zero[y] = amp * (-1.0) ** (h // 2)
+        else:
+            one[y] = amp * (-1.0) ** ((h - 1) // 2)
+    zero.setflags(write=False)
+    one.setflags(write=False)
+    return LogicalAncilla(zero, one)
+
+
+def local_xz(k: int, qubit: int) -> np.ndarray:
+    """XZ on one ancilla qubit, identity on the other k - 1.
+
+    Every such operator acts as the logical quarter turn on the codespace.
+    Qubit 0 is the most significant.  XZ maps |0> to |1> and |1> to -|0>,
+    so the matrix is the identity with that qubit's bit flipped in the row
+    index and a minus sign on the columns where the bit is set.
+    """
+    dim = Layout(k).ancilla_dim
+    if not 0 <= qubit < k:
+        raise ValueError(f"qubit index {qubit} out of range for k={k}")
+    y = np.arange(dim)
+    bit = dim >> (qubit + 1)
+    return np.eye(dim)[y ^ bit] * np.where(y & bit, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -224,37 +270,39 @@ class Povm:
         return self.elements[0].shape[0]
 
 
-def encode_state(psi: PureState) -> EncodedState:
-    """Map sum (a_x + i b_x)|x> to sum a_x |x>|0> + b_x |x>|1>."""
-    out = np.empty(2 * psi.dim)
-    out[0::2] = psi.amplitudes.real
-    out[1::2] = psi.amplitudes.imag
-    return EncodedState(out, psi.dim)
+def encode_state(psi: PureState, layout: Layout = SINGLE_ANCILLA) -> EncodedState:
+    """Map sum (a_x + i b_x)|x> to sum a_x |x>|0_L> + b_x |x>|1_L>.
+
+    With k > 1 ancilla qubits the state must expose one tensor factor per
+    party; the single ancilla serves any factorization.
+    """
+    if layout.k > 1 and len(psi.factor_dims) != layout.k:
+        raise ValueError(f"state has {len(psi.factor_dims)} factors, expected one per party with k={layout.k}")
+    logical = logical_states(layout.k)
+    enc = np.outer(psi.amplitudes.real, logical.zero_state) + np.outer(psi.amplitudes.imag, logical.one_state)
+    return EncodedState(enc.ravel(), psi.dim, layout)
 
 
 def decode_state(enc: EncodedState) -> np.ndarray:
     """Read the complex amplitudes back out of an encoded state."""
     pairs = enc.amplitudes.reshape(enc.source_dim, enc.layout.ancilla_dim)
-    if enc.layout.k == 1:
-        return pairs[:, 0] + 1j * pairs[:, 1]
-    # project onto the logical codespace basis
-    from .multipartite import logical_states
-
     logical = logical_states(enc.layout.k)
     return pairs @ logical.zero_state + 1j * (pairs @ logical.one_state)
 
 
-def encode_operator(m) -> EncodedOperator:
-    """Per-entry block substitution a + i b -> a*I + b*XZ.
+def encode_operator(m, layout: Layout = SINGLE_ANCILLA, xz_qubit: int = 0) -> EncodedOperator:
+    """Per-entry substitution a + i b -> a*I + b*(XZ on ancilla qubit xz_qubit).
 
-    The result is an algebra homomorphism image: sums, products and
-    daggers commute with the encoding.
+    The result is an algebra homomorphism image on the codespace: sums,
+    products and daggers commute with the encoding.  Any single ancilla
+    qubit realizes the logical XZ, so one designated qubit carries the
+    whole imaginary part.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"encode_operator requires a square matrix, got shape {m.shape}")
-    mat = kron(m.real, np.eye(2)) + kron(m.imag, XZ)
-    return EncodedOperator(mat, m.shape[0])
+    mat = kron(m.real, np.eye(layout.ancilla_dim)) + kron(m.imag, local_xz(layout.k, xz_qubit))
+    return EncodedOperator(mat, m.shape[0], layout)
 
 
 def encode_density(rho: DensityOperator) -> np.ndarray:

@@ -21,10 +21,15 @@ class FormatError(ValueError):
 
 
 def load_json(path: str):
+    """Parse a JSON file; NaN and Infinity literals are rejected, not read."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
+
+    def reject(literal):
+        raise FormatError(f"{path}: non-finite number {literal} is not allowed")
+
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: malformed JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
 
@@ -40,7 +45,21 @@ def _require_keys(obj, required: tuple[str, ...], optional: tuple[str, ...] = ()
         raise FormatError(f"{where} has unknown keys {unknown}")
 
 
+def _int_list(value, where: str) -> tuple[int, ...]:
+    if not isinstance(value, list) or any(not isinstance(v, int) or isinstance(v, bool) for v in value):
+        raise FormatError(f"{where} must be a list of integers")
+    return tuple(value)
+
+
+def _number(value, where: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise FormatError(f"{where} must be a number")
+    return float(value)
+
+
 def _pairs_to_complex(entries, where: str) -> np.ndarray:
+    if not isinstance(entries, list):
+        raise FormatError(f"{where} must be a list of [re, im] pairs")
     out = []
     for i, pair in enumerate(entries):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
@@ -114,23 +133,27 @@ def load_scenario(path: str) -> BellScenario:
     if not isinstance(parties, int) or isinstance(parties, bool):
         raise FormatError(f"{path}.parties must be an integer")
     observables = obj["observables"]
-    if not isinstance(observables, list) or len(observables) != parties:
-        raise FormatError(f"{path}.observables must list one family per party")
+    if not isinstance(observables, list) or len(observables) != parties \
+            or any(not isinstance(family, list) for family in observables):
+        raise FormatError(f"{path}.observables must list one family of matrices per party")
     families = tuple(
         tuple(parse_matrix(o, where=f"{path}.observables[{j}][{s}]") for s, o in enumerate(family))
         for j, family in enumerate(observables)
     )
+    if not isinstance(obj["coefficients"], list):
+        raise FormatError(f"{path}.coefficients must be a list")
     coeffs = {}
     for i, entry in enumerate(obj["coefficients"]):
-        _require_keys(entry, ("settings", "value"), where=f"{path}.coefficients[{i}]")
-        coeffs[tuple(entry["settings"])] = float(entry["value"])
+        where = f"{path}.coefficients[{i}]"
+        _require_keys(entry, ("settings", "value"), where=where)
+        coeffs[_int_list(entry["settings"], f"{where}.settings")] = _number(entry["value"], f"{where}.value")
     return BellScenario(
         parties,
-        tuple(obj["settings_per_party"]),
+        _int_list(obj["settings_per_party"], f"{path}.settings_per_party"),
         families,
         coeffs,
-        float(obj["classical_bound"]),
-        float(obj["quantum_target"]) if "quantum_target" in obj else None,
+        _number(obj["classical_bound"], f"{path}.classical_bound"),
+        _number(obj["quantum_target"], f"{path}.quantum_target") if "quantum_target" in obj else None,
     )
 
 

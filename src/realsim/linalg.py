@@ -34,17 +34,6 @@ def kron(a, b, max_dim: int = DEFAULT_MAX_DIM):
     return np.kron(a, b)
 
 
-def kron_all(factors, max_dim: int = DEFAULT_MAX_DIM):
-    """Left-to-right Kronecker chain; the first factor is most significant."""
-    factors = list(factors)
-    if not factors:
-        raise ValueError("kron_all needs at least one factor")
-    out = np.asarray(factors[0])
-    for f in factors[1:]:
-        out = kron(out, f, max_dim=max_dim)
-    return out
-
-
 def matexp(a: np.ndarray) -> np.ndarray:
     """Matrix exponential via scaling-and-squaring (Pade degree 13)."""
     a = np.asarray(a)

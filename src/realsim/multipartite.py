@@ -13,17 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import XZ, EncodedState, Layout, PureState
+from .encoding import EncodedOperator, Layout, encode_operator, local_xz, logical_states
 from .linalg import kron
-
-
-@dataclass(frozen=True)
-class LogicalAncilla:
-    """Orthonormal basis (zero_state, one_state) of the k-qubit codespace."""
-
-    k: int
-    zero_state: np.ndarray
-    one_state: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -48,17 +39,6 @@ class PartitionedSystem:
 
 
 @dataclass(frozen=True)
-class LiftedOperator:
-    """Real operator local to one party's system factor and ancilla qubit."""
-
-    matrix: np.ndarray
-    party: int
-    source: np.ndarray
-    system: PartitionedSystem
-    k: int
-
-
-@dataclass(frozen=True)
 class StabilizerReport:
     k: int
     generator_error: float
@@ -66,93 +46,24 @@ class StabilizerReport:
     passed: bool
 
 
-def logical_states(k: int) -> LogicalAncilla:
-    """Codespace basis on k qubits, indexed by Hamming weight.
-
-    zero_state is supported on even-weight bitstrings with amplitude
-    (-1)^(h/2) / sqrt(2^(k-1)); one_state on odd-weight bitstrings with
-    amplitude (-1)^((h-1)/2) / sqrt(2^(k-1)).  For k = 1 these are |0>
-    and |1> and everything degrades to the single-ancilla encoding.
-    """
-    if not 1 <= k <= 12:
-        raise ValueError(f"k={k} out of range [1, 12]")
-    amp = 1.0 / np.sqrt(2.0 ** (k - 1))
-    zero = np.zeros(2 ** k)
-    one = np.zeros(2 ** k)
-    for y in range(2 ** k):
-        h = y.bit_count()
-        if h % 2 == 0:
-            zero[y] = amp * (-1.0) ** (h // 2)
-        else:
-            one[y] = amp * (-1.0) ** ((h - 1) // 2)
-    zero.setflags(write=False)
-    one.setflags(write=False)
-    return LogicalAncilla(k, zero, one)
-
-
-def local_xz(k: int, qubit: int) -> np.ndarray:
-    """XZ on one ancilla qubit, identity on the other k - 1."""
-    if not 1 <= k <= 12:
-        raise ValueError(f"k={k} out of range [1, 12]")
-    if not 0 <= qubit < k:
-        raise ValueError(f"qubit index {qubit} out of range for k={k}")
-    return kron(np.eye(2 ** qubit), kron(XZ, np.eye(2 ** (k - 1 - qubit))))
-
-
-def encode_multipartite_state(psi: PureState, k: int) -> EncodedState:
-    """Encode with the k-qubit logical ancilla appended after the system.
-
-    The state must expose one tensor factor per party; real parts ride on
-    the logical zero, imaginary parts on the logical one.
-    """
-    if len(psi.factor_dims) != k:
-        raise ValueError(f"state has {len(psi.factor_dims)} factors, expected one per party with k={k}")
-    logical = logical_states(k)
-    enc = kron(psi.amplitudes.real, logical.zero_state) + kron(psi.amplitudes.imag, logical.one_state)
-    return EncodedState(enc, psi.dim, Layout(k))
-
-
-def _embed(op: np.ndarray, system: PartitionedSystem, party: int) -> np.ndarray:
-    before = int(np.prod(system.party_dims[:party]))
-    after = int(np.prod(system.party_dims[party + 1:]))
-    return kron(np.eye(before), kron(op, np.eye(after)))
-
-
-def lift_local_operator(m, system: PartitionedSystem, k: int, party: int,
-                        layout: Layout | None = None) -> LiftedOperator:
+def lift_local_operator(m, system: PartitionedSystem, party: int) -> EncodedOperator:
     """Lift a per-party complex operator to the encoded space.
 
-    The real part acts with identity on the ancilla block; the imaginary
-    part applies XZ to the party's own ancilla qubit.  Lifts of different
-    parties therefore act on disjoint factors and commute.
+    This is the logical encoding of the operator embedded in the whole
+    system, with the party's own ancilla qubit carrying the imaginary
+    part.  Lifts of different parties therefore act on disjoint factors
+    and commute.
     """
-    if k != system.parties:
-        raise ValueError(f"k={k} does not match {system.parties} parties")
     if not 0 <= party < system.parties:
         raise ValueError(f"party index {party} out of range for {system.parties} parties")
     m = np.asarray(m, dtype=complex)
     d = system.party_dims[party]
     if m.shape != (d, d):
         raise ValueError(f"operator shape {m.shape} does not match party dimension {d}")
-    layout = Layout(k) if layout is None else layout
-    qubit = layout.party_assignment[party]
-    mat = kron(_embed(m.real, system, party), np.eye(2 ** k)) \
-        + kron(_embed(m.imag, system, party), local_xz(k, qubit))
-    return LiftedOperator(mat, party, m, system, k)
-
-
-def logical_encode_operator(m, k: int, xz_qubit: int = 0) -> np.ndarray:
-    """Encode a possibly nonlocal operator against the logical ancilla.
-
-    Any single ancilla qubit realizes the logical XZ on the codespace, so
-    one designated qubit carries the whole imaginary part.  On encoded
-    states the result agrees with the sum of per-party lifts whenever the
-    operator splits into local terms.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"logical_encode_operator requires a square matrix, got shape {m.shape}")
-    return kron(m.real, np.eye(2 ** k)) + kron(m.imag, local_xz(k, xz_qubit))
+    before = int(np.prod(system.party_dims[:party]))
+    after = int(np.prod(system.party_dims[party + 1:]))
+    embedded = kron(np.eye(before), kron(m, np.eye(after)))
+    return encode_operator(embedded, Layout(system.parties), party)
 
 
 def stabilizer_check(k: int, tol: float = 1e-12) -> StabilizerReport:

@@ -23,6 +23,7 @@ from realsim.applications.bell import (
 from realsim.applications.selftest import selftest_counterexample
 from realsim.encoding import (
     DensityOperator,
+    Layout,
     PureState,
     encode_density,
     encode_operator,
@@ -34,7 +35,6 @@ from realsim.encoding import (
 )
 from realsim.multipartite import (
     PartitionedSystem,
-    encode_multipartite_state,
     lift_local_operator,
     local_xz,
     logical_states,
@@ -185,17 +185,17 @@ def test_local_operations_preserve_joint_statistics():
             phi = psi
             for party, u in enumerate(unitaries):
                 phi = embed_complex(u, dims, party) @ phi
-            enc = encode_multipartite_state(PureState(psi, dims), parties)
+            enc = encode_state(PureState(psi, dims), Layout(parties))
             v = enc.amplitudes
             for party, u in enumerate(unitaries):
-                v = lift_local_operator(u, system, parties, party).matrix @ v
+                v = lift_local_operator(u, system, party).matrix @ v
 
             for outcome in np.ndindex(*(len(p) for p in povms)):
                 element = np.eye(1, dtype=complex)
                 w = v
                 for party, a in enumerate(outcome):
                     element = np.kron(element, povms[party][a])
-                    w = lift_local_operator(povms[party][a], system, parties, party).matrix @ w
+                    w = lift_local_operator(povms[party][a], system, party).matrix @ w
                 p_complex = float(np.vdot(phi, element @ phi).real)
                 worst = max(worst, abs(float(v @ w) - p_complex))
     elapsed = time.perf_counter() - start

@@ -127,9 +127,9 @@ class TestLiftedObservableLocality:
         scenario = chsh_scenario()
         system = scenario.system
         for a in scenario.observables[0]:
-            la = lift_local_operator(a, system, 2, 0).matrix
+            la = lift_local_operator(a, system, 0).matrix
             for b in scenario.observables[1]:
-                lb = lift_local_operator(b, system, 2, 1).matrix
+                lb = lift_local_operator(b, system, 1).matrix
                 assert np.abs(la @ lb - lb @ la).max() <= 1e-12
 
 

@@ -80,6 +80,16 @@ class TestEncode:
         code, _, _ = run(capsys, ["encode", circular_state, "--bogus"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["encode", "evolve"])
+    @pytest.mark.parametrize("k", ["0", "-3", "13"])
+    def test_out_of_range_k_rejected(self, capsys, tmp_path, circular_state, command, k):
+        ham = write(tmp_path, "ham.json", matrix_obj(np.diag([1.0, -1.0])))
+        files = [circular_state] if command == "encode" else [ham, circular_state]
+        code, out, err = run(capsys, [command, *files, "--k", k])
+        assert code == 2
+        assert out == ""
+        assert "out of range" in err
+
     def test_digest_tracks_input_content(self, capsys, tmp_path, circular_state):
         other = write(tmp_path, "other.json", {"dims": [2], "amplitudes": [[0.0, S], [S, 0.0]]})
         _, out1, _ = run(capsys, ["encode", circular_state])
@@ -126,6 +136,16 @@ class TestMeasure:
         assert np.allclose(report["results"]["probabilities"], [0.5, 0.5], atol=1e-12)
         assert np.allclose(report["results"]["encoded_probabilities"], [0.5, 0.5], atol=1e-12)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_povm_entry_rejected(self, capsys, tmp_path, circular_state, literal):
+        path = tmp_path / "povm.json"
+        text = json.dumps({"elements": [matrix_obj(np.diag([1.0, 0.0])), matrix_obj(np.diag([0.0, 1.0]))]})
+        path.write_text(text.replace("[0.0, 0.0]", f"[{literal}, 0.0]", 1))
+        code, out, err = run(capsys, ["measure", circular_state, str(path)])
+        assert code == 2
+        assert out == ""
+        assert f"non-finite number {literal}" in err
+
     def test_density_matrix_statistics(self, capsys, tmp_path, z_basis_povm):
         rho = write(tmp_path, "rho.json", matrix_obj([[0.75, 0.0], [0.0, 0.25]]))
         code, out, _ = run(capsys, ["measure", rho, z_basis_povm])
@@ -170,6 +190,30 @@ class TestBell:
         assert code == 0
         report = report_of(out)
         assert abs(report["results"]["value_complex"] - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("field,value,named", [
+        ("settings_per_party", 5, "settings_per_party"),
+        ("coefficients", 5, "coefficients"),
+        ("coefficients", [{"settings": 3, "value": 1.0}], "coefficients[0].settings"),
+        ("observables", [5, 5], "observables"),
+        ("observables", [[{"rows": 2, "cols": 2, "entries": 5}], [{"rows": 2, "cols": 2, "entries": 5}]],
+         "observables[0][0].entries"),
+    ])
+    def test_mistyped_scenario_field_rejected(self, capsys, tmp_path, field, value, named):
+        z = matrix_obj(np.diag([1.0, -1.0]))
+        obj = {
+            "parties": 2,
+            "settings_per_party": [1, 1],
+            "observables": [[z], [z]],
+            "coefficients": [{"settings": [0, 0], "value": 1.0}],
+            "classical_bound": 1.0,
+        }
+        obj[field] = value
+        scenario = write(tmp_path, "scenario.json", obj)
+        code, out, err = run(capsys, ["bell", "--scenario-file", scenario, "--seed", "3"])
+        assert code == 2
+        assert out == ""
+        assert f"{named} must" in err
 
 
 class TestSelftest:

@@ -21,7 +21,6 @@ from realsim.encoding import (
     encode_state,
     encoded_povm_probabilities,
 )
-from realsim.multipartite import encode_multipartite_state
 
 S = 1.0 / np.sqrt(2.0)
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

@@ -8,9 +8,6 @@ from hypothesis import strategies as st
 from helpers import eig_expm_hermitian, series_expm
 from realsim import linalg
 
-X = np.array([[0.0, 1.0], [1.0, 0.0]])
-Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-
 
 class TestKron:
     def test_identity_factor(self):
@@ -28,11 +25,6 @@ class TestKron:
         u = np.array([1.0, 2.0])
         v = np.array([0.0, 1.0, -1.0])
         assert np.array_equal(linalg.kron(u, v), np.kron(u, v))
-
-    def test_kron_all_associates(self):
-        mats = [np.eye(2), X, Z]
-        direct = np.kron(np.kron(mats[0], mats[1]), mats[2])
-        assert np.array_equal(linalg.kron_all(mats), direct)
 
     def test_size_cap(self):
         big = np.eye(100)

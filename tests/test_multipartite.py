@@ -3,15 +3,13 @@
 import numpy as np
 import pytest
 
-from helpers import random_povm
+from helpers import block_encode, interleave, random_povm
 from realsim import linalg
 from realsim.encoding import Layout, PureState, encode_operator, encode_state
 from realsim.multipartite import (
     PartitionedSystem,
-    encode_multipartite_state,
     lift_local_operator,
     local_xz,
-    logical_encode_operator,
     logical_states,
     stabilizer_check,
 )
@@ -107,32 +105,32 @@ class TestLocalXZ:
 class TestEncodeMultipartiteState:
     def test_real_state_rides_on_logical_zero(self):
         psi = multi_state([0.0, 1.0, 0.0, 0.0], (2, 2))
-        enc = encode_multipartite_state(psi, 2)
+        enc = encode_state(psi, Layout(2))
         logical = logical_states(2)
         expected = np.kron([0.0, 1.0, 0.0, 0.0], logical.zero_state)
         assert np.allclose(enc.amplitudes, expected, atol=1e-15)
 
     def test_matches_indexwise_reference(self):
         psi = linalg.random_state(8, seed=3)
-        enc = encode_multipartite_state(multi_state(psi, (2, 2, 2)), 3)
+        enc = encode_state(multi_state(psi, (2, 2, 2)), Layout(3))
         assert np.allclose(enc.amplitudes, reference_multipartite_encoding(psi, 3), atol=1e-14)
 
     def test_unit_norm_and_layout(self):
         psi = linalg.random_state(6, seed=4)
-        enc = encode_multipartite_state(multi_state(psi, (2, 3)), 2)
+        enc = encode_state(multi_state(psi, (2, 3)), Layout(2))
         assert abs(np.linalg.norm(enc.amplitudes) - 1.0) <= 1e-12
         assert enc.layout == Layout(2)
 
     def test_party_count_must_match(self):
         psi = multi_state(linalg.random_state(4, seed=5), (2, 2))
         with pytest.raises(ValueError):
-            encode_multipartite_state(psi, 3)
+            encode_state(psi, Layout(3))
 
 
 class TestLiftLocalOperator:
     def test_identity_lifts_to_identity(self):
         system = PartitionedSystem((2, 2))
-        lifted = lift_local_operator(np.eye(2), system, 2, 0)
+        lifted = lift_local_operator(np.eye(2), system, 0)
         assert np.array_equal(lifted.matrix, np.eye(16))
 
     @pytest.mark.parametrize("dims,party", [((2, 2), 0), ((2, 2), 1), ((2, 3), 1), ((2, 2, 2), 2)])
@@ -143,11 +141,11 @@ class TestLiftLocalOperator:
         d = dims[party]
         m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         psi = linalg.random_state(system.total_dim, seed=17)
-        enc = encode_multipartite_state(multi_state(psi, dims), k)
+        enc = encode_state(multi_state(psi, dims), Layout(k))
         moved = embed_complex(m, dims, party) @ psi
         moved /= np.linalg.norm(moved)
-        got = lift_local_operator(m, system, k, party).matrix @ enc.amplitudes
-        want = encode_multipartite_state(multi_state(moved, dims), k).amplitudes
+        got = lift_local_operator(m, system, party).matrix @ enc.amplitudes
+        want = encode_state(multi_state(moved, dims), Layout(k)).amplitudes
         got /= np.linalg.norm(got)
         assert np.abs(got - want).max() <= 1e-13
 
@@ -156,8 +154,8 @@ class TestLiftLocalOperator:
         rng = np.random.default_rng(20)
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        la = lift_local_operator(a, system, 2, 0).matrix
-        lb = lift_local_operator(b, system, 2, 1).matrix
+        la = lift_local_operator(a, system, 0).matrix
+        lb = lift_local_operator(b, system, 1).matrix
         assert np.abs(la @ lb - lb @ la).max() <= 1e-12
 
     def test_same_party_composition_on_codespace(self):
@@ -166,36 +164,36 @@ class TestLiftLocalOperator:
         m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         n = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         psi = linalg.random_state(4, seed=22)
-        enc = encode_multipartite_state(multi_state(psi, (2, 2)), 2)
-        lm = lift_local_operator(m, system, 2, 0).matrix
-        ln = lift_local_operator(n, system, 2, 0).matrix
-        lmn = lift_local_operator(m @ n, system, 2, 0).matrix
+        enc = encode_state(multi_state(psi, (2, 2)), Layout(2))
+        lm = lift_local_operator(m, system, 0).matrix
+        ln = lift_local_operator(n, system, 0).matrix
+        lmn = lift_local_operator(m @ n, system, 0).matrix
         assert np.abs(lm @ (ln @ enc.amplitudes) - lmn @ enc.amplitudes).max() <= 1e-12
 
     def test_shape_mismatch_rejected(self):
         system = PartitionedSystem((2, 3))
         with pytest.raises(ValueError):
-            lift_local_operator(np.eye(2), system, 2, 1)
+            lift_local_operator(np.eye(2), system, 1)
         with pytest.raises(ValueError):
-            lift_local_operator(np.eye(2), system, 3, 0)
+            lift_local_operator(np.eye(2), system, 2)
 
 
 class TestLogicalEncodeOperator:
     def test_single_qubit_matches_plain_encoding(self):
         rng = np.random.default_rng(30)
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert np.allclose(
-            logical_encode_operator(m, 1), encode_operator(m).matrix, atol=1e-15
-        )
+        assert np.array_equal(encode_operator(m, Layout(1)).matrix, block_encode(m))
+        psi = linalg.random_state(3, seed=35)
+        assert np.array_equal(encode_state(PureState(psi), Layout(1)).amplitudes, interleave(psi))
 
     def test_action_matches_complex_side(self):
         rng = np.random.default_rng(31)
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         u, _ = np.linalg.qr(m)
         psi = linalg.random_state(4, seed=32)
-        enc = encode_multipartite_state(multi_state(psi, (2, 2)), 2)
-        got = logical_encode_operator(u, 2) @ enc.amplitudes
-        want = encode_multipartite_state(multi_state(u @ psi, (2, 2)), 2).amplitudes
+        enc = encode_state(multi_state(psi, (2, 2)), Layout(2))
+        got = encode_operator(u, Layout(2)).matrix @ enc.amplitudes
+        want = encode_state(multi_state(u @ psi, (2, 2)), Layout(2)).amplitudes
         assert np.abs(got - want).max() <= 1e-13
 
     def test_sum_of_local_terms_agrees_on_codespace(self):
@@ -205,11 +203,11 @@ class TestLogicalEncodeOperator:
         b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         total = np.kron(a, np.eye(2)) + np.kron(np.eye(2), b)
         psi = linalg.random_state(4, seed=34)
-        enc = encode_multipartite_state(multi_state(psi, (2, 2)), 2)
-        whole = logical_encode_operator(total, 2) @ enc.amplitudes
+        enc = encode_state(multi_state(psi, (2, 2)), Layout(2))
+        whole = encode_operator(total, Layout(2)).matrix @ enc.amplitudes
         parts = (
-            lift_local_operator(a, system, 2, 0).matrix
-            + lift_local_operator(b, system, 2, 1).matrix
+            lift_local_operator(a, system, 0).matrix
+            + lift_local_operator(b, system, 1).matrix
         ) @ enc.amplitudes
         assert np.abs(whole - parts).max() <= 1e-12
 
@@ -256,14 +254,14 @@ class TestStatisticsLocality:
                 element = np.kron(element, povms[party][a])
             complex_probs[outcome] = float(np.vdot(phi, element @ phi).real)
 
-        enc = encode_multipartite_state(multi_state(psi, dims), k)
+        enc = encode_state(multi_state(psi, dims), Layout(k))
         v = enc.amplitudes
         for party, u in enumerate(unitaries):
-            v = lift_local_operator(u, system, k, party).matrix @ v
+            v = lift_local_operator(u, system, party).matrix @ v
         worst = 0.0
         for outcome, p in complex_probs.items():
             w = v
             for party, a in enumerate(outcome):
-                w = lift_local_operator(povms[party][a], system, k, party).matrix @ w
+                w = lift_local_operator(povms[party][a], system, party).matrix @ w
             worst = max(worst, abs(float(v @ w) - p))
         assert worst <= 1e-12
