@@ -8,7 +8,7 @@ goes through with purely real matrices.
 
 __version__ = "0.1.0"
 
-from .dynamics import EvolutionResult, Hamiltonian, commutation_check, evolve, generator, trajectory
+from .dynamics import EvolutionResult, Hamiltonian, commutation_check, evolve, generator, propagator, trajectory
 from .encoding import (
     SINGLE_ANCILLA,
     XZ,

@@ -162,6 +162,15 @@ def complex_pairs(v) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
 
 
+class _Unwritable(ValueError):
+    """A report value that cannot be written, with the keys that lead to it."""
+
+    def __init__(self, reason: str, keys: tuple[str, ...] = ()):
+        super().__init__(f"{'.'.join(keys)}: {reason}" if keys else reason)
+        self.reason = reason
+        self.keys = keys
+
+
 def _write(value, out: list) -> None:
     if value is None:
         out.append("null")
@@ -176,7 +185,7 @@ def _write(value, out: list) -> None:
     elif isinstance(value, (float, np.floating)):
         f = float(value)
         if not np.isfinite(f):
-            raise ValueError(f"cannot serialize non-finite number {f}")
+            raise _Unwritable(f"cannot serialize non-finite number {f}")
         out.append(format(f, ".17g"))
     elif isinstance(value, dict):
         out.append("{")
@@ -187,7 +196,10 @@ def _write(value, out: list) -> None:
                 out.append(",")
             out.append(json.dumps(k))
             out.append(":")
-            _write(v, out)
+            try:
+                _write(v, out)
+            except _Unwritable as e:
+                raise _Unwritable(e.reason, (k,) + e.keys) from None
         out.append("}")
     elif isinstance(value, (list, tuple)):
         out.append("[")
@@ -199,7 +211,7 @@ def _write(value, out: list) -> None:
     elif isinstance(value, np.ndarray):
         _write(value.tolist(), out)
     else:
-        raise ValueError(f"cannot serialize {type(value).__name__} in a report")
+        raise _Unwritable(f"cannot serialize {type(value).__name__} in a report")
 
 
 def dumps(value) -> str:

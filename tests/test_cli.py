@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from realsim import dynamics
 from realsim.cli import main
 
 S = 0.7071067811865476
@@ -119,7 +120,48 @@ class TestEvolve:
         assert code == 1
         report = report_of(out)
         failed = {a["name"] for a in report["assertions"] if not a["passed"]}
-        assert failed and failed <= {"matches_complex_evolution", "group_law"}
+        assert failed and failed <= {"matches_complex_evolution", "matches_dense_expm"}
+
+    def test_report_names_the_propagator_checks(self, capsys, tmp_path, circular_state):
+        ham = write(tmp_path, "ham.json", matrix_obj([[0.0, -1.0j], [1.0j, 0.0]]))
+        code, out, _ = run(capsys, ["evolve", ham, circular_state, "--steps", "3"])
+        assert code == 0
+        report = report_of(out)
+        assert [a["name"] for a in report["assertions"]] == [
+            "propagator_orthogonal", "matches_complex_evolution", "matches_dense_expm"]
+        assert report["assertions"][0]["tolerance"] == 1e-11
+        assert report["results"]["orthogonality_error"] <= 1e-11
+        assert report["results"]["expm_error"] <= 1e-10
+
+    def test_perturbed_eigenvectors_fail_the_orthogonality_check(self, capsys, tmp_path, circular_state,
+                                                                  monkeypatch):
+        # Scaling the cached eigenvectors of H' by 1 + 2e-11 moves U^T U off the identity by about
+        # 8e-11, while the states and the dense comparison stay within the 1e-10 default tolerance.
+        spectrum = dynamics.Hamiltonian.encoded_spectrum
+
+        def perturbed(h, layout=dynamics.SINGLE_ANCILLA):
+            lam, v = spectrum(h, layout)
+            return lam, v * (1.0 + 2e-11)
+
+        monkeypatch.setattr(dynamics.Hamiltonian, "encoded_spectrum", perturbed)
+        ham = write(tmp_path, "ham.json", matrix_obj([[0.3, -1.0j], [1.0j, -0.2]]))
+        code, out, _ = run(capsys, ["evolve", ham, circular_state, "--steps", "5"])
+        assert code == 1
+        failed = {a["name"] for a in report_of(out)["assertions"] if not a["passed"]}
+        assert failed == {"propagator_orthogonal"}
+
+    def test_overflowing_hamiltonian_is_rejected_without_a_traceback(self, tmp_path, circular_state):
+        # A finite H = diag(1e300, -1e300) makes the dense exponential NaN; the report cannot hold it.
+        ham = write(tmp_path, "ham.json", matrix_obj(np.diag([1e300, -1e300])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "realsim", "evolve", ham, circular_state, "--steps", "3"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and "expm_error" in proc.stderr
 
     def test_non_hermitian_rejected(self, capsys, tmp_path, circular_state):
         ham = write(tmp_path, "ham.json", matrix_obj([[0.0, 1.0], [0.0, 0.0]]))

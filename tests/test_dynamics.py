@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from helpers import eig_expm_hermitian
-from realsim import linalg
+from realsim import dynamics, linalg
 from realsim.dynamics import (
     EvolutionResult,
     Hamiltonian,
     commutation_check,
     evolve,
     generator,
+    propagator,
+    propagator_errors,
     trajectory,
 )
 from realsim.encoding import (
@@ -21,6 +23,7 @@ from realsim.encoding import (
     encode_state,
     encoded_povm_probabilities,
 )
+from realsim.encoding import local_xz as encoding_local_xz
 
 S = 1.0 / np.sqrt(2.0)
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -84,7 +87,7 @@ class TestEvolve:
         res = evolve(Hamiltonian(Z), np.pi / 2, state([S, S]))
         assert np.allclose(res.complex_states[0].amplitudes, [1j * S, -1j * S], atol=1e-14)
         assert np.allclose(res.encoded_states[0].amplitudes, [0.0, S, 0.0, -S], atol=1e-14)
-        assert res.max_imag <= 1e-11
+        assert res.orthogonality_error <= 1e-11
         assert res.max_deviation <= 1e-10
 
     def test_agreement_across_random_cases(self):
@@ -95,7 +98,7 @@ class TestEvolve:
             psi = state(linalg.random_state(dim, seed=int(rng.integers(2**32))))
             t = float(rng.uniform(-10.0, 10.0))
             res = evolve(h, t, psi)
-            assert res.max_imag <= 1e-11
+            assert res.orthogonality_error <= 1e-11
             assert res.max_deviation <= 1e-10
 
     def test_physics_sign_convention(self):
@@ -132,9 +135,9 @@ class TestTrajectory:
         h = Hamiltonian(np.kron(Z, Z))
         psi = state(linalg.random_state(4, seed=30), dims=(2, 2))
         res = trajectory(h, psi, t_max=4.0, steps=17, layout=Layout(2))
-        assert res.max_imag <= 1e-11
+        assert res.orthogonality_error <= 1e-11
         assert res.max_deviation <= 1e-10
-        assert res.group_law_error <= 1e-10
+        assert res.expm_error <= 1e-10
         assert res.encoded_states[0].layout == Layout(2)
 
     def test_energy_conserved_on_both_sides(self):
@@ -154,7 +157,15 @@ class TestTrajectory:
     def test_group_law_holds(self):
         h = Hamiltonian(linalg.random_hermitian(3, seed=33))
         res = trajectory(h, state(linalg.random_state(3, seed=34)), t_max=2.0, steps=5)
-        assert res.group_law_error <= 1e-10
+        assert res.expm_error <= 1e-10
+        assert np.abs(propagator(h, 0.7) @ propagator(h, 1.3) - propagator(h, 2.0)).max() <= 1e-10
+
+    def test_overflowing_hamiltonian_fails_the_strict_gate(self):
+        # Finite entries, but the dense exponential of the generator comes out NaN;
+        # NaN must fail a tolerance gate, not slip past it.
+        h = Hamiltonian(np.diag([1e300, -1e300]))
+        with pytest.raises(ValueError, match="dense exponential"):
+            trajectory(h, state([S, 1j * S]), t_max=1.0, steps=3, strict=True)
 
     def test_too_few_steps_rejected(self):
         with pytest.raises(ValueError):
@@ -163,3 +174,72 @@ class TestTrajectory:
     def test_times_form_the_requested_grid(self):
         res = trajectory(Hamiltonian(Z), state([S, S]), t_max=1.0, steps=5)
         assert res.times == (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+class TestSpectralPropagator:
+    """The spectral U(t) against the dense scaling-and-squaring exponential."""
+
+    @staticmethod
+    def cases():
+        """Random H with n from 2 to 8 and |t| <= 10, for k = 1, 2, 3 and both signs."""
+        rng = np.random.default_rng(40)
+        for k in (1, 2, 3):
+            for sign in (1, -1):
+                for _ in range(4):
+                    h = Hamiltonian(linalg.random_hermitian(int(rng.integers(2, 9)), seed=int(rng.integers(2**32))))
+                    yield h, Layout(k), float(rng.uniform(-10.0, 10.0)), sign
+
+    def test_matches_the_dense_exponential(self):
+        worst = 0.0
+        for h, layout, t, sign in self.cases():
+            dense = linalg.matexp(sign * t * generator(h, layout))
+            worst = max(worst, float(np.abs(propagator(h, t, layout, sign) - dense).max()))
+        assert worst <= 1e-12
+
+    def test_real_and_orthogonal(self):
+        for h, layout, t, sign in self.cases():
+            u = propagator(h, t, layout, sign)
+            assert not np.iscomplexobj(u)
+            assert np.abs(u.T @ u - np.eye(u.shape[0])).max() <= 1e-11
+
+    @pytest.mark.parametrize("which", ["dense", "spectral"])
+    def test_group_law(self, which):
+        rng = np.random.default_rng(41)
+        for h, layout, _, sign in self.cases():
+            g = sign * generator(h, layout)
+
+            def u(t):
+                return linalg.matexp(t * g) if which == "dense" else propagator(h, t, layout, sign)
+
+            t1, t2 = rng.uniform(-5.0, 5.0, size=2)
+            assert np.abs(u(t1) @ u(t2) - u(t1 + t2)).max() <= 1e-10
+
+    def test_spectrum_is_computed_once_per_layout(self):
+        h = Hamiltonian(linalg.random_hermitian(4, seed=42))
+        psi = state(linalg.random_state(4, seed=43), dims=(2, 2))
+        trajectory(h, psi, t_max=1.0, steps=4, layout=Layout(2))
+        assert h.spectrum is h.spectrum
+        assert h.encoded_spectrum(Layout(2)) is h.encoded_spectrum(Layout(2))
+        assert h.encoded_spectrum(Layout(1))[1].shape == (8, 8)
+        assert not h.encoded_spectrum(Layout(2))[1].flags.writeable
+
+    def test_symmetric_x_in_place_of_j_fails_the_dense_check(self, monkeypatch):
+        # cos(tH') + J sin(tH') equals exp(tJH') only because J^2 = -I.  With the
+        # symmetric bit flip X (X^2 = +I) in place of XZ the spectral formula and
+        # the dense exponential part ways, and the dense comparison says so.
+        h = Hamiltonian(linalg.random_hermitian(3, seed=44))
+        assert propagator_errors(h, 1.3)[1] <= 1e-10
+        monkeypatch.setattr(dynamics, "local_xz", lambda k, q: np.abs(encoding_local_xz(k, q)))
+        assert not propagator_errors(h, 1.3)[1] <= 1e-10
+
+    def test_perturbed_eigenvectors_fail_the_orthogonality_gate(self):
+        h = Hamiltonian(linalg.random_hermitian(3, seed=45))
+        psi = state(linalg.random_state(3, seed=46))
+        assert trajectory(h, psi, t_max=2.0, steps=5).orthogonality_error <= 1e-11
+        lam, v = h.encoded_spectrum()
+        h._encoded_spectra[Layout(1)] = (lam, v * (1.0 + 2e-11))
+        res = trajectory(h, psi, t_max=2.0, steps=5, strict=False)
+        assert not res.orthogonality_error <= 1e-11
+        assert res.max_deviation <= 1e-10 and res.expm_error <= 1e-10
+        with pytest.raises(ValueError, match="orthogonal"):
+            trajectory(h, psi, t_max=2.0, steps=5, strict=True)

@@ -35,6 +35,12 @@ class TestDumps:
         with pytest.raises(ValueError):
             formats.dumps({"x": float("nan")})
 
+    def test_non_finite_error_names_the_keys(self):
+        with pytest.raises(ValueError, match=r"^results\.expm_error: cannot serialize non-finite number nan$"):
+            formats.dumps({"command": "evolve", "results": {"times": [0.0, 1.0], "expm_error": float("nan")}})
+        with pytest.raises(ValueError, match=r"^m: cannot serialize non-finite number inf$"):
+            formats.dumps({"m": [[1.0, float("inf")]]})
+
     def test_integers_stay_integers(self):
         assert formats.dumps({"n": 3}) == '{"n":3}'
 

@@ -49,9 +49,9 @@ JOBS = {
     "encode_k2": (["encode", "pair.json", "--k", "2"],
                   "48f4422ec2a5468d11d9514efc348fd76587babf732df800aeaaf5846e4823fe"),
     "evolve_k1": (["evolve", "ham_y.json", "qubit.json", "--t-max", "1.5", "--steps", "5"],
-                  "d0a4530e86a786e630200adfdb0aea8dbb7ef44d4ab49b87a7ab8d641623e15d"),
+                  "b74beb21f11de0347a65ccfcfca136fb6ebc7ca7c86142bc7fd95ea7f95e256f"),
     "evolve_k2": (["evolve", "ham_pair.json", "pair.json", "--t-max", "0.5", "--steps", "4", "--k", "2"],
-                  "33f46fcbf442e6e9366203e40ded7b6c4bbb4acf15f52afec6c2498ab8c2cfaf"),
+                  "bd10a528bbb5e3d74677863e4c23cd4c494609e92780347d40d23cd49990e990"),
     "measure_pure": (["measure", "qubit.json", "povm.json"],
                      "21a2ac77893aab43fb8dcaeadd49fa5aecbde29f03ae9be88e4c89f0bb1a6318"),
     "measure_density": (["measure", "rho.json", "povm.json"],
