@@ -140,8 +140,8 @@ class TestEvolve:
         spectrum = dynamics.Hamiltonian.encoded_spectrum
 
         def perturbed(h, layout=dynamics.SINGLE_ANCILLA):
-            lam, v = spectrum(h, layout)
-            return lam, v * (1.0 + 2e-11)
+            lam, v, jv = spectrum(h, layout)
+            return lam, v * (1.0 + 2e-11), jv * (1.0 + 2e-11)
 
         monkeypatch.setattr(dynamics.Hamiltonian, "encoded_spectrum", perturbed)
         ham = write(tmp_path, "ham.json", matrix_obj([[0.3, -1.0j], [1.0j, -0.2]]))
@@ -149,6 +149,15 @@ class TestEvolve:
         assert code == 1
         failed = {a["name"] for a in report_of(out)["assertions"] if not a["passed"]}
         assert failed == {"propagator_orthogonal"}
+
+    def test_input_norm_off_one_passes_the_orthogonality_check(self, capsys, tmp_path):
+        # Ten-digit amplitudes give norm 1 + 1.9e-11: accepted as a state (within 1e-10), and the
+        # propagator keeps that norm, so the 1e-11 orthogonality gate must not count it.
+        psi = write(tmp_path, "state.json", {"dims": [2], "amplitudes": [[0.7071067812, 0.0], [0.7071067812, 0.0]]})
+        ham = write(tmp_path, "ham.json", matrix_obj([[0.3, -1.0j], [1.0j, -0.2]]))
+        code, out, _ = run(capsys, ["evolve", ham, psi, "--steps", "5"])
+        assert code == 0
+        assert report_of(out)["results"]["orthogonality_error"] <= 1e-11
 
     def test_overflowing_hamiltonian_is_rejected_without_a_traceback(self, tmp_path, circular_state):
         # A finite H = diag(1e300, -1e300) makes the dense exponential NaN; the report cannot hold it.

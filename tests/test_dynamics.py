@@ -221,25 +221,41 @@ class TestSpectralPropagator:
         assert h.spectrum is h.spectrum
         assert h.encoded_spectrum(Layout(2)) is h.encoded_spectrum(Layout(2))
         assert h.encoded_spectrum(Layout(1))[1].shape == (8, 8)
-        assert not h.encoded_spectrum(Layout(2))[1].flags.writeable
+        assert not any(a.flags.writeable for a in h.encoded_spectrum(Layout(2)))
+
+    def test_cached_j_v_is_the_ancilla_rotation_of_v(self):
+        for h, layout, _, _ in self.cases():
+            _, v, jv = h.encoded_spectrum(layout)
+            j = np.kron(np.eye(h.dim), encoding_local_xz(layout.k, 0))
+            assert np.array_equal(jv, j @ v)
 
     def test_symmetric_x_in_place_of_j_fails_the_dense_check(self, monkeypatch):
         # cos(tH') + J sin(tH') equals exp(tJH') only because J^2 = -I.  With the
         # symmetric bit flip X (X^2 = +I) in place of XZ the spectral formula and
         # the dense exponential part ways, and the dense comparison says so.
-        h = Hamiltonian(linalg.random_hermitian(3, seed=44))
-        assert propagator_errors(h, 1.3)[1] <= 1e-10
+        m = linalg.random_hermitian(3, seed=44)
+        assert propagator_errors(Hamiltonian(m), 1.3)[1] <= 1e-10
         monkeypatch.setattr(dynamics, "local_xz", lambda k, q: np.abs(encoding_local_xz(k, q)))
-        assert not propagator_errors(h, 1.3)[1] <= 1e-10
+        assert not propagator_errors(Hamiltonian(m), 1.3)[1] <= 1e-10
 
     def test_perturbed_eigenvectors_fail_the_orthogonality_gate(self):
         h = Hamiltonian(linalg.random_hermitian(3, seed=45))
         psi = state(linalg.random_state(3, seed=46))
         assert trajectory(h, psi, t_max=2.0, steps=5).orthogonality_error <= 1e-11
-        lam, v = h.encoded_spectrum()
-        h._encoded_spectra[Layout(1)] = (lam, v * (1.0 + 2e-11))
+        lam, v, jv = h.encoded_spectrum()
+        h._encoded_spectra[Layout(1)] = (lam, v * (1.0 + 2e-11), jv * (1.0 + 2e-11))
         res = trajectory(h, psi, t_max=2.0, steps=5, strict=False)
         assert not res.orthogonality_error <= 1e-11
         assert res.max_deviation <= 1e-10 and res.expm_error <= 1e-10
         with pytest.raises(ValueError, match="orthogonal"):
             trajectory(h, psi, t_max=2.0, steps=5, strict=True)
+
+    def test_input_norm_off_one_is_not_counted_against_the_propagator(self):
+        # PureState accepts a norm within 1e-10 of 1 and never renormalizes; a
+        # norm of 1 + 1.9e-11 is kept by the propagator and passes the 1e-11 gate.
+        h = Hamiltonian(linalg.random_hermitian(2, seed=47))
+        psi = state([0.7071067812, 0.7071067812])
+        assert np.linalg.norm(psi.amplitudes) - 1.0 > 1e-11
+        res = trajectory(h, psi, t_max=2.0, steps=5, strict=True)
+        assert res.orthogonality_error <= 1e-11
+        assert evolve(h, 1.0, psi, strict=True).orthogonality_error <= 1e-11
