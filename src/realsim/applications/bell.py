@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..encoding import Layout, PureState, encode_state
-from ..linalg import dagger, random_hermitian
+from ..linalg import DEFAULT_MAX_DIM, dagger, random_hermitian
 from ..multipartite import PartitionedSystem, lift_local_operator
 
 OBSERVABLE_TOL = 1e-8
@@ -52,10 +52,10 @@ class BellScenario:
                     raise ValueError(f"observable must be square, got shape {o.shape}")
                 if o.shape[0] != np.asarray(family[0]).shape[0]:
                     raise ValueError(f"party {j} observables disagree on dimension")
-                if np.max(np.abs(o - dagger(o))) > OBSERVABLE_TOL:
+                if not np.max(np.abs(o - dagger(o))) <= OBSERVABLE_TOL:
                     raise ValueError("observable is not Hermitian")
                 w = np.linalg.eigvalsh(o)
-                if np.max(np.abs(np.abs(w) - 1.0)) > OBSERVABLE_TOL:
+                if not np.max(np.abs(np.abs(w) - 1.0)) <= OBSERVABLE_TOL:
                     raise ValueError("observable eigenvalues must all be +-1")
                 o.setflags(write=False)
                 fixed.append(o)
@@ -85,6 +85,7 @@ class BellResult:
     value_real_encoded: float
     settings_used: dict
     optimizer_trace: tuple[tuple[int, float], ...]
+    restarts: tuple[tuple[int, float, int], ...]
 
 
 def _apply_local(vec: np.ndarray, op: np.ndarray, dims: tuple[int, ...], party: int) -> np.ndarray:
@@ -130,78 +131,118 @@ def _value_encoded(scenario: BellScenario, state: PureState) -> float:
 
 
 def _sign_round(m: np.ndarray) -> np.ndarray:
-    """Nearest +-1-valued observable: round each eigenvalue to its sign."""
+    """Nearest +-1-valued observables of a stack of Hermitian matrices:
+    round each eigenvalue to its sign."""
     w, vec = np.linalg.eigh(m)
     signs = np.where(w >= 0.0, 1.0, -1.0)
-    return (vec * signs) @ vec.conj().T
+    return (vec * signs[..., None, :]) @ np.swapaxes(vec.conj(), -1, -2)
 
 
-def _bell_operator(scenario: BellScenario, obs) -> np.ndarray:
-    dim = int(np.prod(scenario.party_dims))
-    out = np.zeros((dim, dim), dtype=complex)
+def _coefficient_tensor(scenario: BellScenario) -> np.ndarray:
+    c = np.zeros(scenario.settings_per_party)
     for settings, coeff in scenario.coefficients.items():
-        term = obs[0][settings[0]]
-        for j in range(1, scenario.parties):
-            term = np.kron(term, obs[j][settings[j]])
-        out += coeff * term
-    return out
+        c[settings] = coeff
+    return c
 
 
-def _partial_outer(a: np.ndarray, b: np.ndarray, dims: tuple[int, ...], party: int) -> np.ndarray:
-    """Trace |a><b| over every factor except one: M[i,i'] = sum a[.,i,.] b*[.,i',.]."""
-    before = int(np.prod(dims[:party]))
-    after = int(np.prod(dims[party + 1:]))
-    d = dims[party]
-    aa = a.reshape(before, d, after)
-    bb = b.reshape(before, d, after)
-    return np.einsum("aib,ajb->ij", aa, bb.conj())
+def _contract(c: np.ndarray, families) -> np.ndarray:
+    """sum_s c[b, s] kron_l families[l][r, s_l] for every restart r and batch entry b.
+
+    c has shape (B, S_0, ..., S_m-1) and is shared by all restarts; family l
+    has shape (R, S_l, d_l, d_l).  The parties are summed out one at a time,
+    so no array ever holds one operator per setting combination.  Returns
+    shape (R, B, D, D) with D = prod(d_l), factors in family order.
+    """
+    batch = c.shape[0]
+    t = c.reshape(1, batch, c.shape[1], -1)
+    dims = []
+    for a in families:
+        r, s, d, _ = a.shape
+        t = np.swapaxes(t.reshape(t.shape[0], batch, s, -1), -1, -2) @ a.reshape(r, 1, s, d * d)
+        dims.append(d)
+    m = len(dims)
+    t = t.reshape(t.shape[0], batch, *(d for d in dims for _ in range(2)))
+    rows = [2 + 2 * l for l in range(m)]
+    t = t.transpose(0, 1, *rows, *(i + 1 for i in rows))
+    size = int(np.prod(dims))
+    return t.reshape(t.shape[0], batch, size, size)
 
 
-def _effective_operator(state: np.ndarray, obs, scenario: BellScenario, party: int, setting: int) -> np.ndarray:
+def _bell_operators(c: np.ndarray, obs) -> np.ndarray:
+    """Bell operator of every restart, shape (R, D, D)."""
+    return _contract(c[None], obs)[:, 0]
+
+
+def _effective_operators(c: np.ndarray, obs, states: np.ndarray, dims: tuple[int, ...], party: int) -> np.ndarray:
+    """Hermitian effective operator of every setting of one party, every restart.
+
+    For setting t it is the part M_t of the Bell operator with the state
+    traced out on every other party, so that <B> = sum_t Tr(A_t M_t).  It
+    does not read the party's own observables.  Shape (R, S_party, d, d).
+    """
+    k = _contract(np.moveaxis(c, party, 0), obs[:party] + obs[party + 1:])
+    r, d = states.shape[0], dims[party]
+    psi = states.reshape(r, int(np.prod(dims[:party])), d, -1)
+    psi = np.swapaxes(psi, 2, 3).reshape(r, 1, -1, d)
+    x = np.swapaxes(psi.conj(), -1, -2) @ k @ psi
+    return (np.swapaxes(x, -1, -2) + x.conj()) / 2.0
+
+
+def _sweep(c: np.ndarray, obs, states: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
+    """Sign-round every party's observables in turn, each from the others' latest."""
+    obs = list(obs)
+    for j in range(len(dims)):
+        obs[j] = _sign_round(_effective_operators(c, obs, states, dims, j))
+    return obs
+
+
+def _initial_observables(scenario: BellScenario, seeds) -> list[np.ndarray]:
+    """Restart r draws its observables from SeedSequence(seeds[r]), party by party."""
+    dims, settings = scenario.party_dims, scenario.settings_per_party
+    drawn = []
+    for seed in seeds:
+        children = iter(np.random.SeedSequence(seed).spawn(sum(settings)))
+        drawn.append([[random_hermitian(d, next(children)) for _ in range(s)] for d, s in zip(dims, settings)])
+    return [_sign_round(np.array([row[j] for row in drawn])) for j in range(scenario.parties)]
+
+
+def _seesaw(scenario: BellScenario, seeds, iterations: int):
+    """Run the see-saw for every seed in lock-step on stacked observables.
+
+    Each restart stops on its own when its value changes by less than
+    1e-13 and then drops out of the active set.  Returns one
+    (value, state, observables, trace) per seed, in seed order.
+    """
     dims = scenario.party_dims
-    d = dims[party]
-    m = np.zeros((d, d), dtype=complex)
-    for settings, coeff in scenario.coefficients.items():
-        if settings[party] != setting:
-            continue
-        chi = state
-        for l, s in enumerate(settings):
-            if l == party:
-                continue
-            chi = _apply_local(chi, obs[l][s], dims, l)
-        m += coeff * _partial_outer(chi, state, dims, party)
-    return (m + m.conj().T) / 2.0
+    c = _coefficient_tensor(scenario)
+    obs = _initial_observables(scenario, seeds)
+    runs = [None] * len(seeds)
+    traces = [[] for _ in seeds]
+    active = np.arange(len(seeds))
 
+    # Reads obs and active as they stand, before the active set shrinks.
+    def finished(i, w, v):
+        return float(w[i, -1]), v[i, :, -1], tuple(tuple(o[i]) for o in obs), traces[active[i]]
 
-def _seesaw(scenario: BellScenario, seed: int, iterations: int):
-    dims = scenario.party_dims
-    ss = np.random.SeedSequence(seed)
-    children = iter(ss.spawn(sum(scenario.settings_per_party)))
-    obs = [[_sign_round(random_hermitian(dims[j], next(children)))
-            for _ in range(scenario.settings_per_party[j])]
-           for j in range(scenario.parties)]
-    trace = []
-    value = None
-    state = None
     for it in range(iterations):
-        w, vec = np.linalg.eigh(_bell_operator(scenario, obs))
-        state = vec[:, -1]
-        new_value = float(w[-1])
-        trace.append((it, new_value))
-        if value is not None and abs(new_value - value) < 1e-13:
-            value = new_value
+        w, v = np.linalg.eigh(_bell_operators(c, obs))
+        for row, value in zip(active, w[:, -1]):
+            traces[row].append((it, float(value)))
+        done = np.zeros(active.size, dtype=bool) if it == 0 else np.abs(w[:, -1] - values) < 1e-13
+        for i in np.flatnonzero(done):
+            runs[active[i]] = finished(i, w, v)
+        if done.all():
             break
-        value = new_value
-        for j in range(scenario.parties):
-            for t in range(scenario.settings_per_party[j]):
-                obs[j][t] = _sign_round(_effective_operator(state, obs, scenario, j, t))
+        going = ~done
+        active, values, states = active[going], w[going, -1], v[going, :, -1]
+        obs = _sweep(c, [o[going] for o in obs], states, dims)
     else:
         # sync the value with the last observable update
-        w, vec = np.linalg.eigh(_bell_operator(scenario, obs))
-        state = vec[:, -1]
-        value = float(w[-1])
-        trace.append((iterations, value))
-    return value, state, obs, trace
+        w, v = np.linalg.eigh(_bell_operators(c, obs))
+        for i, row in enumerate(active):
+            traces[row].append((iterations, float(w[i, -1])))
+            runs[row] = finished(i, w, v)
+    return runs
 
 
 def optimize_bell(scenario: BellScenario, seeds, iterations: int = 100) -> BellResult:
@@ -209,24 +250,25 @@ def optimize_bell(scenario: BellScenario, seeds, iterations: int = 100) -> BellR
 
     For fixed observables the best state is the top eigenvector of the
     Bell operator; for a fixed state the best observable per setting is
-    the sign rounding of its effective operator.  Deterministic given the
-    seed list.
+    the sign rounding of its effective operator.  All restarts advance
+    together on stacked arrays, in chunks whose Bell operators hold at
+    most DEFAULT_MAX_DIM**2 entries.  Deterministic given the seed list.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValueError("optimize_bell needs at least one seed")
     if iterations < 1:
         raise ValueError(f"iterations must be positive, got {iterations}")
-    best = None
-    for seed in seeds:
-        value, state, obs, trace = _seesaw(scenario, seed, int(iterations))
-        if best is None or value > best[0]:
-            best = (value, state, obs, trace, seed)
-    _, state, obs, trace, seed = best
+    chunk = max(1, DEFAULT_MAX_DIM ** 2 // int(np.prod(scenario.party_dims)) ** 2)
+    runs = []
+    for start in range(0, len(seeds), chunk):
+        runs.extend(_seesaw(scenario, seeds[start:start + chunk], int(iterations)))
+    best = int(np.argmax([run[0] for run in runs]))
+    _, state, obs, trace = runs[best]
     tuned = BellScenario(
         scenario.parties,
         scenario.settings_per_party,
-        tuple(tuple(row) for row in obs),
+        obs,
         scenario.coefficients,
         scenario.classical_bound,
         scenario.quantum_target,
@@ -235,8 +277,9 @@ def optimize_bell(scenario: BellScenario, seeds, iterations: int = 100) -> BellR
     return BellResult(
         bell_value(tuned, pure, "complex"),
         bell_value(tuned, pure, "real_encoded"),
-        {"seed": seed, "state": state, "observables": tuple(tuple(row) for row in obs)},
+        {"seed": seeds[best], "state": state, "observables": obs},
         tuple((int(i), float(v)) for i, v in trace),
+        tuple((seed, value, trace[-1][0]) for seed, (value, _, _, trace) in zip(seeds, runs)),
     )
 
 

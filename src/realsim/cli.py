@@ -120,6 +120,7 @@ def cmd_bell(args):
     if args.mode in ("real_encoded", "both"):
         results["value_real_encoded"] = result.value_real_encoded
     results["optimizer_trace"] = [[i, v] for i, v in result.optimizer_trace]
+    results["restarts"] = [[seed, v, n] for seed, v, n in result.restarts]
     assertions = []
     if args.mode == "both":
         assertions.append(_leq("modes_agree", abs(result.value_complex - result.value_real_encoded), 1e-10))

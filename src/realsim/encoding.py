@@ -155,11 +155,13 @@ class EncodedState:
         amps = np.array(amps, dtype=float)
         if amps.ndim != 1:
             raise ValueError("encoded amplitudes must form a 1-d vector")
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("encoded amplitudes must be finite")
         expected = int(self.source_dim) * self.layout.ancilla_dim
         if amps.size != expected:
             raise ValueError(f"encoded dimension {amps.size} does not match source_dim {self.source_dim} with k={self.layout.k}")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"encoded norm {norm} is not 1 within {NORM_TOL}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -188,6 +190,8 @@ class EncodedOperator:
         expected = int(self.source_dim) * self.layout.ancilla_dim
         if mat.shape != (expected, expected):
             raise ValueError(f"encoded operator shape {mat.shape} does not match source_dim {self.source_dim} with k={self.layout.k}")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("encoded operator entries must be finite")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "source_dim", int(self.source_dim))
@@ -203,13 +207,15 @@ class DensityOperator:
         mat = np.array(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
-        if np.max(np.abs(mat - dagger(mat))) > NORM_TOL:
+        if not np.all(np.isfinite(mat.view(float))):
+            raise ValueError("density matrix entries must be finite")
+        if not np.max(np.abs(mat - dagger(mat))) <= NORM_TOL:
             raise ValueError("density matrix is not Hermitian")
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > NORM_TOL:
+        if not abs(tr - 1.0) <= NORM_TOL:
             raise ValueError(f"density matrix trace {tr} is not 1")
         floor = float(np.linalg.eigvalsh((mat + dagger(mat)) / 2.0).min())
-        if floor < -PSD_TOL:
+        if not floor >= -PSD_TOL:
             raise ValueError(f"density matrix has eigenvalue {floor} below the PSD floor")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -246,6 +252,8 @@ class Povm:
             e = np.array(e, dtype=complex)
             if e.ndim != 2 or e.shape[0] != e.shape[1]:
                 raise ValueError(f"POVM element must be square, got shape {e.shape}")
+            if not np.all(np.isfinite(e.view(float))):
+                raise ValueError("POVM element entries must be finite")
             e.setflags(write=False)
             elems.append(e)
         if not elems:
@@ -255,13 +263,13 @@ class Povm:
         for e in elems:
             if e.shape[0] != dim:
                 raise ValueError("POVM elements must share one dimension")
-            if np.max(np.abs(e - dagger(e))) > PSD_TOL:
+            if not np.max(np.abs(e - dagger(e))) <= PSD_TOL:
                 raise ValueError("POVM element is not Hermitian")
             floor = float(np.linalg.eigvalsh((e + dagger(e)) / 2.0).min())
-            if floor < -PSD_TOL:
+            if not floor >= -PSD_TOL:
                 raise ValueError(f"POVM element has eigenvalue {floor} below the PSD floor")
             total += e
-        if np.max(np.abs(total - np.eye(dim))) > NORM_TOL:
+        if not np.max(np.abs(total - np.eye(dim))) <= NORM_TOL:
             raise ValueError("POVM elements do not sum to the identity")
         object.__setattr__(self, "elements", tuple(elems))
 

@@ -97,3 +97,64 @@ def block_encode(m) -> np.ndarray:
             out[2 * r + 1, 2 * c] = b
             out[2 * r + 1, 2 * c + 1] = a
     return out
+
+
+def apply_local(vec, op, dims, party) -> np.ndarray:
+    """Apply a single-party operator to a state vector on a tensor product."""
+    t = np.asarray(vec).reshape(dims)
+    t = np.moveaxis(np.tensordot(op, t, axes=([1], [party])), 0, party)
+    return t.reshape(-1)
+
+
+def bell_operator(coefficients, obs, dims) -> np.ndarray:
+    """Reference Bell operator, one Kronecker product per coefficient term."""
+    dim = int(np.prod(dims))
+    out = np.zeros((dim, dim), dtype=complex)
+    for settings, coeff in coefficients.items():
+        term = obs[0][settings[0]]
+        for j in range(1, len(dims)):
+            term = np.kron(term, obs[j][settings[j]])
+        out += coeff * term
+    return out
+
+
+def partial_outer(a, b, dims, party) -> np.ndarray:
+    """Trace |a><b| over every factor except one: M[i,i'] = sum a[.,i,.] b*[.,i',.]."""
+    before = int(np.prod(dims[:party]))
+    after = int(np.prod(dims[party + 1:]))
+    d = dims[party]
+    aa = np.asarray(a).reshape(before, d, after)
+    bb = np.asarray(b).reshape(before, d, after)
+    return np.einsum("aib,ajb->ij", aa, bb.conj())
+
+
+def effective_operator(state, obs, coefficients, dims, party, setting) -> np.ndarray:
+    """Reference see-saw effective operator of one party's setting, term by term."""
+    d = dims[party]
+    m = np.zeros((d, d), dtype=complex)
+    for settings, coeff in coefficients.items():
+        if settings[party] != setting:
+            continue
+        chi = state
+        for l, s in enumerate(settings):
+            if l == party:
+                continue
+            chi = apply_local(chi, obs[l][s], dims, l)
+        m += coeff * partial_outer(chi, state, dims, party)
+    return (m + m.conj().T) / 2.0
+
+
+
+def seesaw_sweep(state, obs, coefficients, dims) -> list:
+    """Reference observable update of one see-saw iteration, setting by setting.
+
+    Parties are updated in turn, each from the others' latest observables;
+    every new observable is the eigenvalue-sign rounding of its effective
+    operator.
+    """
+    obs = [list(family) for family in obs]
+    for j in range(len(dims)):
+        for t in range(len(obs[j])):
+            w, v = np.linalg.eigh(effective_operator(state, obs, coefficients, dims, j, t))
+            obs[j][t] = (v * np.where(w >= 0.0, 1.0, -1.0)) @ v.conj().T
+    return obs

@@ -1,9 +1,13 @@
 """Bell scenarios: two evaluation routes, see-saw maximization."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+import helpers
 from realsim import linalg
+from realsim.applications import bell
 from realsim.applications.bell import (
     BellScenario,
     bell_value,
@@ -17,6 +21,7 @@ from realsim.encoding import PureState
 from realsim.multipartite import lift_local_operator
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 Z = np.diag([1.0, -1.0]).astype(complex)
 
 TSIRELSON = 2.8284271247461903  # 2 sqrt 2
@@ -41,6 +46,40 @@ def random_two_party_scenario(seed):
         (a, b): float(rng.uniform(-1.0, 1.0)) for a in range(2) for b in range(2)
     }
     return BellScenario(2, (2, 2), obs, coeffs, classical_bound=2.0)
+
+
+def rotated_mermin_scenario(parties, seed):
+    """Mermin expression Re prod_j (X_j + i Y_j), each party's pair turned
+    by its own random unitary; the quantum maximum stays 2^(parties-1)."""
+    families = []
+    for j in range(parties):
+        u = linalg.random_unitary(2, seed=seed + j)
+        families.append(tuple(u @ o @ u.conj().T for o in (X, Y)))
+    coeffs = {s: float((-1) ** (sum(s) // 2))
+              for s in itertools.product((0, 1), repeat=parties) if sum(s) % 2 == 0}
+    return BellScenario(parties, (2,) * parties, tuple(families), coeffs,
+                        float(2 ** (parties // 2)), float(2 ** (parties - 1)))
+
+
+def qutrit_qubit_scenario():
+    """A qutrit party with 3 settings next to a qubit party with 2.
+
+    The XOR game sum c_xy <A_x B_y> with rows (1, 1), (1, -1), (1, 0) has
+    quantum maximum max_theta 2 cos(theta/2) + 2 sin(theta/2) + 1 = 1 + 2 sqrt 2
+    by Tsirelson's vector characterization; qubit strategies on a
+    two-dimensional subspace of the qutrit reach it.  Classically it is 3.
+    """
+    a = tuple(random_pm_observable(3, seed) for seed in (20, 21, 22))
+    coeffs = {(0, 0): 1.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): -1.0, (2, 0): 1.0}
+    return BellScenario(2, (3, 2), (a, (Z, X)), coeffs, 3.0, 1.0 + TSIRELSON)
+
+
+SCENARIOS = {
+    "chsh": chsh_scenario,
+    "mermin3": mermin3_scenario,
+    "mermin4_rotated": lambda: rotated_mermin_scenario(4, 40),
+    "qutrit_qubit": qutrit_qubit_scenario,
+}
 
 
 class TestScenarioValidation:
@@ -163,3 +202,83 @@ class TestOptimizeBell:
     def test_iteration_count_validated(self):
         with pytest.raises(ValueError):
             optimize_bell(chsh_scenario(), seeds=[1], iterations=0)
+
+
+class TestBatchedSeesaw:
+    """The stacked contractions against the term-by-term oracle in tests/helpers."""
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_contractions_match_the_term_by_term_oracle(self, name):
+        scenario = SCENARIOS[name]()
+        dims = scenario.party_dims
+        c = bell._coefficient_tensor(scenario)
+        obs = bell._initial_observables(scenario, range(6))
+        ops = bell._bell_operators(c, obs)
+        states = np.linalg.eigh(ops)[1][:, :, -1]
+        for r in range(6):
+            family = [o[r] for o in obs]
+            want = helpers.bell_operator(scenario.coefficients, family, dims)
+            assert np.abs(ops[r] - want).max() <= 1e-13
+        for j in range(scenario.parties):
+            eff = bell._effective_operators(c, obs, states, dims, j)
+            assert eff.shape == (6, scenario.settings_per_party[j], dims[j], dims[j])
+            for r in range(6):
+                family = [o[r] for o in obs]
+                for t in range(scenario.settings_per_party[j]):
+                    want = helpers.effective_operator(states[r], family, scenario.coefficients, dims, j, t)
+                    assert np.abs(eff[r, t] - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("name", ["chsh", "mermin3", "mermin4_rotated"])
+    def test_sweep_updates_parties_in_turn_like_the_reference(self, name):
+        # Observables with both signs in their spectrum and generic states
+        # keep every effective operator away from a zero eigenvalue, where
+        # sign rounding would turn last-digit differences into different
+        # observables.  That rules out the qutrit-qubit scenario: a state
+        # of Schmidt rank 2 leaves every qutrit effective operator with a
+        # zero eigenvalue.
+        scenario = SCENARIOS[name]()
+        dims, settings = scenario.party_dims, scenario.settings_per_party
+        c = bell._coefficient_tensor(scenario)
+        obs = [np.array([[random_pm_observable(d, 1000 * r + 10 * j + t) for t in range(s)] for r in range(3)])
+               for j, (d, s) in enumerate(zip(dims, settings))]
+        states = np.array([linalg.random_state(int(np.prod(dims)), seed=r) for r in range(3)])
+        swept = bell._sweep(c, obs, states, dims)
+        for r in range(3):
+            want = helpers.seesaw_sweep(states[r], [o[r] for o in obs], scenario.coefficients, dims)
+            for j in range(scenario.parties):
+                assert np.abs(swept[j][r] - np.array(want[j])).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_every_restart_trace_is_non_decreasing(self, name):
+        runs = bell._seesaw(SCENARIOS[name](), list(range(10)), 100)
+        for value, _, _, trace in runs:
+            values = [v for _, v in trace]
+            assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+            assert trace[-1][1] == value
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_reaches_the_target_from_seeds_0_to_9(self, name):
+        scenario = SCENARIOS[name]()
+        result = optimize_bell(scenario, seeds=range(10))
+        assert result.value_complex >= scenario.quantum_target - 1e-6
+        assert result.value_real_encoded >= scenario.quantum_target - 1e-6
+        assert result.value_complex <= scenario.quantum_target + 1e-9
+
+    def test_restarts_report_every_seed(self):
+        result = optimize_bell(mermin3_scenario(), seeds=[5, 6, 7, 8])
+        assert [seed for seed, _, _ in result.restarts] == [5, 6, 7, 8]
+        assert abs(max(v for _, v, _ in result.restarts) - result.value_complex) <= 1e-9
+        assert all(n >= 1 for _, _, n in result.restarts)
+        assert result.settings_used["seed"] == 5 + int(np.argmax([v for _, v, _ in result.restarts]))
+
+    def test_chunked_restarts_give_the_same_best_value(self, monkeypatch):
+        scenario = SCENARIOS["mermin4_rotated"]()
+        whole = optimize_bell(scenario, seeds=range(7))
+        chunks = []
+        seesaw = bell._seesaw
+        monkeypatch.setattr(bell, "_seesaw", lambda sc, seeds, it: chunks.append(len(seeds)) or seesaw(sc, seeds, it))
+        monkeypatch.setattr(bell, "DEFAULT_MAX_DIM", 2 * 16)  # four restarts per chunk at D = 16
+        chunked = optimize_bell(scenario, seeds=range(7))
+        assert chunks == [4, 3]
+        assert f"{chunked.value_complex:.9g}" == f"{whole.value_complex:.9g}"
+        assert len(chunked.restarts) == 7

@@ -219,6 +219,15 @@ class TestBell:
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
 
+    def test_report_lists_every_restart_after_the_trace(self, capsys):
+        code, out, _ = run(capsys, ["bell", "--scenario", "mermin3", "--seed", "4", "--restarts", "3"])
+        assert code == 0
+        results = report_of(out)["results"]
+        assert list(results)[-2:] == ["optimizer_trace", "restarts"]
+        assert [seed for seed, _, _ in results["restarts"]] == [4, 5, 6]
+        assert abs(max(v for _, v, _ in results["restarts"]) - results["value_complex"]) <= 1e-9
+        assert all(n >= 1 for _, _, n in results["restarts"])
+
     def test_seed_is_mandatory(self, capsys):
         code, _, err = run(capsys, ["bell", "--scenario", "chsh"])
         assert code == 2

@@ -9,6 +9,7 @@ from helpers import block_encode, interleave, random_density, random_povm
 from realsim import encoding, linalg
 from realsim.encoding import (
     DensityOperator,
+    EncodedOperator,
     EncodedState,
     Povm,
     PureState,
@@ -356,3 +357,14 @@ class TestEncodedContainers:
     def test_encoded_state_rejects_wrong_size(self):
         with pytest.raises(ValueError):
             EncodedState(np.array([1.0, 0.0, 0.0]), source_dim=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("build", [
+        lambda x: EncodedState(np.full(2, x), source_dim=1),
+        lambda x: EncodedOperator(np.full((2, 2), x), source_dim=1),
+        lambda x: DensityOperator(np.full((2, 2), x)),
+        lambda x: Povm((np.full((2, 2), x),)),
+    ], ids=["EncodedState", "EncodedOperator", "DensityOperator", "Povm"])
+    def test_non_finite_entries_rejected(self, build, bad):
+        with pytest.raises(ValueError, match="finite"):
+            build(bad)

@@ -57,7 +57,7 @@ JOBS = {
     "measure_density": (["measure", "rho.json", "povm.json"],
                         "8d399106138dd16b577b0b87e846372ab7a39e887b0d1edebeefdbb2fd943820"),
     "bell_chsh": (["bell", "--scenario", "chsh", "--restarts", "2", "--seed", "3"],
-                  "c8672be2bc286bc8d2cb6d42d3caab9ec6919e953c0e8a5726c5fc7d39d3b4b3"),
+                  "e0bb23d8208f42e044303b773328a22da0ec39ffa4b8851be52010de9a8323d2"),
     "selftest": (["selftest"],
                  "550d2ee7e9da57001d44e102dbf834b6a2efd5efc362daa857f399a607dfa4e6"),
     "stabilizer_k3": (["stabilizer", "--k", "3"],
