@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..encoding import Layout, PureState, encode_state
-from ..linalg import DEFAULT_MAX_DIM, dagger, random_hermitian
+from ..linalg import DEFAULT_MAX_DIM, OBSERVABLE_TOL, SEESAW_STOP_TOL, is_hermitian, random_hermitian
 from ..multipartite import PartitionedSystem, lift_local_operator
 
-OBSERVABLE_TOL = 1e-8
 MODES = ("complex", "real_encoded")
 
 
@@ -52,7 +51,7 @@ class BellScenario:
                     raise ValueError(f"observable must be square, got shape {o.shape}")
                 if o.shape[0] != np.asarray(family[0]).shape[0]:
                     raise ValueError(f"party {j} observables disagree on dimension")
-                if not np.max(np.abs(o - dagger(o))) <= OBSERVABLE_TOL:
+                if not is_hermitian(o, OBSERVABLE_TOL):
                     raise ValueError("observable is not Hermitian")
                 w = np.linalg.eigvalsh(o)
                 if not np.max(np.abs(np.abs(w) - 1.0)) <= OBSERVABLE_TOL:
@@ -210,7 +209,7 @@ def _seesaw(scenario: BellScenario, seeds, iterations: int):
     """Run the see-saw for every seed in lock-step on stacked observables.
 
     Each restart stops on its own when its value changes by less than
-    1e-13 and then drops out of the active set.  Returns one
+    SEESAW_STOP_TOL and then drops out of the active set.  Returns one
     (value, state, observables, trace) per seed, in seed order.
     """
     dims = scenario.party_dims
@@ -228,7 +227,7 @@ def _seesaw(scenario: BellScenario, seeds, iterations: int):
         w, v = np.linalg.eigh(_bell_operators(c, obs))
         for row, value in zip(active, w[:, -1]):
             traces[row].append((it, float(value)))
-        done = np.zeros(active.size, dtype=bool) if it == 0 else np.abs(w[:, -1] - values) < 1e-13
+        done = np.zeros(active.size, dtype=bool) if it == 0 else np.abs(w[:, -1] - values) < SEESAW_STOP_TOL
         for i in np.flatnonzero(done):
             runs[active[i]] = finished(i, w, v)
         if done.all():

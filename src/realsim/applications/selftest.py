@@ -79,7 +79,7 @@ def selftest_counterexample(t_gate: np.ndarray | None = None) -> SelfTestTranscr
     t = np.array([[1.0, 0.0], [0.0, 1.0j]] if t_gate is None else t_gate, dtype=complex)
     if t.shape != (2, 2):
         raise ValueError(f"t_gate must be 2x2, got shape {t.shape}")
-    if not is_unitary(t, 1e-10):
+    if not is_unitary(t):
         raise ValueError("t_gate must be unitary")
 
     phi_plus = np.zeros(4, dtype=complex)

@@ -19,11 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .encoding import SINGLE_ANCILLA, EncodedState, Layout, PureState, encode_operator, encode_state, local_xz
-from .linalg import dagger, kron, matexp
-
-ORTHOGONALITY_TOL = 1e-11
-AGREEMENT_TOL = 1e-10
-COMMUTE_TOL = 1e-12
+from .linalg import AGREEMENT_TOL, EXACT_TOL, ORTHOGONALITY_TOL, is_hermitian, kron, matexp
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -47,7 +43,9 @@ class Hamiltonian:
         mat = np.array(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"Hamiltonian must be square, got shape {mat.shape}")
-        if np.max(np.abs(mat - dagger(mat))) > 1e-10:
+        if not np.all(np.isfinite(mat.view(float))):
+            raise ValueError("Hamiltonian entries must be finite")
+        if not is_hermitian(mat):
             raise ValueError("Hamiltonian is not Hermitian")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -120,7 +118,7 @@ def generator(h: Hamiltonian, layout: Layout = SINGLE_ANCILLA, xz_qubit: int = 0
 def commutation_check(h: Hamiltonian, layout: Layout = SINGLE_ANCILLA, xz_qubit: int = 0) -> bool:
     """Whether the ancilla rotation commutes with the encoded Hamiltonian."""
     j, h_enc = _parts(h, layout, xz_qubit)
-    return bool(np.max(np.abs(j @ h_enc - h_enc @ j)) <= COMMUTE_TOL)
+    return bool(np.max(np.abs(j @ h_enc - h_enc @ j)) <= EXACT_TOL)
 
 
 def propagator(h: Hamiltonian, t: float, layout: Layout = SINGLE_ANCILLA, sign: int = 1) -> np.ndarray:
@@ -165,7 +163,7 @@ def evolve(h: Hamiltonian, t: float, psi: PureState, layout: Layout = SINGLE_ANC
     lam, v, jv = h.encoded_spectrum(layout)
     d = v.T @ enc0.amplitudes
     out = v @ (np.cos(lam * t) * d) + sign * (jv @ (np.sin(lam * t) * d))
-    # Measured against the input's own norm, which PureState lets differ from 1 by up to encoding.NORM_TOL.
+    # Measured against the input's own norm, which PureState lets differ from 1 by up to INPUT_TOL.
     drift = abs(float(np.linalg.norm(out)) - float(np.linalg.norm(enc0.amplitudes)))
     deviation = float(np.linalg.norm(out - encode_state(evolved, layout).amplitudes))
 

@@ -21,11 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, is_unitary, kron
-
-NORM_TOL = 1e-10
-EQ_TOL = 1e-12
-PSD_TOL = 1e-8
+from .linalg import EXACT_TOL, INPUT_TOL, PSD_TOL, dagger, is_hermitian, is_identity, is_psd, is_unitary, kron
 
 XZ = np.array([[0.0, -1.0], [1.0, 0.0]])
 XZ.setflags(write=False)
@@ -127,8 +123,8 @@ class PureState:
         if int(np.prod(dims)) != amps.size:
             raise ValueError(f"factor_dims {dims} do not multiply to dimension {amps.size}")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm {norm} is not 1 within {NORM_TOL}; inputs are never renormalized")
+        if not abs(norm - 1.0) <= INPUT_TOL:
+            raise ValueError(f"state norm {norm} is not 1 within {INPUT_TOL}; inputs are never renormalized")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "factor_dims", dims)
@@ -161,8 +157,8 @@ class EncodedState:
         if amps.size != expected:
             raise ValueError(f"encoded dimension {amps.size} does not match source_dim {self.source_dim} with k={self.layout.k}")
         norm = float(np.linalg.norm(amps))
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValueError(f"encoded norm {norm} is not 1 within {NORM_TOL}")
+        if not abs(norm - 1.0) <= INPUT_TOL:
+            raise ValueError(f"encoded norm {norm} is not 1 within {INPUT_TOL}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "source_dim", int(self.source_dim))
@@ -209,14 +205,13 @@ class DensityOperator:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
         if not np.all(np.isfinite(mat.view(float))):
             raise ValueError("density matrix entries must be finite")
-        if not np.max(np.abs(mat - dagger(mat))) <= NORM_TOL:
+        if not is_hermitian(mat):
             raise ValueError("density matrix is not Hermitian")
         tr = complex(np.trace(mat))
-        if not abs(tr - 1.0) <= NORM_TOL:
+        if not abs(tr - 1.0) <= INPUT_TOL:
             raise ValueError(f"density matrix trace {tr} is not 1")
-        floor = float(np.linalg.eigvalsh((mat + dagger(mat)) / 2.0).min())
-        if not floor >= -PSD_TOL:
-            raise ValueError(f"density matrix has eigenvalue {floor} below the PSD floor")
+        if not is_psd(mat):
+            raise ValueError(f"density matrix has an eigenvalue below the PSD floor -{PSD_TOL}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -236,7 +231,7 @@ class GaugeOrbit:
         if self.phi1.dim != self.phi2.dim or self.phi1.source_dim != self.phi2.source_dim:
             raise ValueError("orbit members must share dimensions")
         overlap = float(np.dot(self.phi1.amplitudes, self.phi2.amplitudes))
-        if abs(overlap) > NORM_TOL:
+        if not abs(overlap) <= INPUT_TOL:
             raise ValueError(f"orbit members are not orthogonal, overlap {overlap}")
 
 
@@ -254,22 +249,15 @@ class Povm:
                 raise ValueError(f"POVM element must be square, got shape {e.shape}")
             if not np.all(np.isfinite(e.view(float))):
                 raise ValueError("POVM element entries must be finite")
+            if not is_psd(e):
+                raise ValueError(f"POVM element is not Hermitian with eigenvalues above -{PSD_TOL}")
             e.setflags(write=False)
             elems.append(e)
         if not elems:
             raise ValueError("POVM needs at least one element")
-        dim = elems[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for e in elems:
-            if e.shape[0] != dim:
-                raise ValueError("POVM elements must share one dimension")
-            if not np.max(np.abs(e - dagger(e))) <= PSD_TOL:
-                raise ValueError("POVM element is not Hermitian")
-            floor = float(np.linalg.eigvalsh((e + dagger(e)) / 2.0).min())
-            if not floor >= -PSD_TOL:
-                raise ValueError(f"POVM element has eigenvalue {floor} below the PSD floor")
-            total += e
-        if not np.max(np.abs(total - np.eye(dim))) <= NORM_TOL:
+        if len({e.shape for e in elems}) > 1:
+            raise ValueError("POVM elements must share one dimension")
+        if not is_identity(sum(elems)):
             raise ValueError("POVM elements do not sum to the identity")
         object.__setattr__(self, "elements", tuple(elems))
 
@@ -338,7 +326,7 @@ def real_inner_product(psi: PureState, phi: PureState) -> float:
         raise ValueError(f"dimension mismatch: {psi.dim} vs {phi.dim}")
     enc = float(np.dot(encode_state(psi).amplitudes, encode_state(phi).amplitudes))
     direct = float(np.vdot(psi.amplitudes, phi.amplitudes).real)
-    if abs(enc - direct) > EQ_TOL:
+    if not abs(enc - direct) <= EXACT_TOL:
         raise ValueError(f"encoded inner product {enc} deviates from the complex real part {direct}")
     return enc
 
@@ -390,12 +378,10 @@ def _channel_matrices(channel, dim: int | None = None) -> list[np.ndarray]:
     if not ks:
         raise ValueError("channel needs at least one Kraus operator")
     d = ks[0].shape[0] if dim is None else dim
-    total = np.zeros((d, d), dtype=complex)
     for k in ks:
         if k.ndim != 2 or k.shape != (d, d):
             raise ValueError(f"Kraus operator shape {k.shape} does not match dimension {d}")
-        total += dagger(k) @ k
-    if np.max(np.abs(total - np.eye(d))) > NORM_TOL:
+    if not is_identity(sum(dagger(k) @ k for k in ks)):
         raise ValueError("Kraus operators do not compose a trace-preserving channel")
     return ks
 
@@ -424,9 +410,7 @@ def conjugation_operator(dim: int) -> EncodedOperator:
 def encode_antiunitary(u) -> EncodedOperator:
     """Encoding of psi -> u conj(psi) for a unitary u."""
     u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"encode_antiunitary requires a square matrix, got shape {u.shape}")
-    if not is_unitary(u, NORM_TOL):
+    if not is_unitary(u):
         raise ValueError("encode_antiunitary requires a unitary matrix")
     n = u.shape[0]
     return EncodedOperator(encode_operator(u).matrix @ conjugation_operator(n).matrix, n)

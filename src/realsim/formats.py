@@ -21,7 +21,7 @@ class FormatError(ValueError):
 
 
 def load_json(path: str):
-    """Parse a JSON file; NaN and Infinity literals are rejected, not read."""
+    """Parse a JSON file; NaN, Infinity and integers beyond the double range are rejected, not read."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
 
@@ -29,7 +29,7 @@ def load_json(path: str):
         raise FormatError(f"{path}: non-finite number {literal} is not allowed")
 
     try:
-        return json.loads(text, parse_constant=reject)
+        return json.loads(text, parse_constant=reject, parse_int=lambda s: reject(s) if np.isinf(float(s)) else int(s))
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: malformed JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
 

@@ -12,9 +12,17 @@ from scipy.linalg import expm as _expm
 
 DEFAULT_MAX_DIM = 4096
 
-UNITARY_TOL = 1e-10
-HERMITIAN_TOL = 1e-10
-PSD_TOL = 1e-8
+# Every tolerance in the package.  The encoding is an exact algebra homomorphism, so each of these
+# bounds says how much rounding counts as equal.  Gates read `x <= tol`, so NaN fails them.
+EXACT_TOL = 1e-12  # identities a few operations deep: round trips, probabilities, inner products, stabilizers
+ORTHOGONALITY_TOL = 1e-11  # norm change and |U^T U - I| of the encoded propagator
+AGREEMENT_TOL = 1e-10  # one result by two algorithms: evolution against the complex side and dense expm, Bell modes
+INPUT_TOL = 1e-10  # input admission: norms, traces, Hermiticity, unitarity, completeness; inputs are never repaired
+RANK_TOL = 1e-10  # singular values counted as zero; the stabilizer matrices have integer entries
+PSD_TOL = 1e-8  # eigenvalue floor of density matrices and POVM elements, and POVM Hermiticity: 8-digit inputs
+OBSERVABLE_TOL = 1e-8  # Hermiticity and +-1 spectrum of Bell observables, also 8-digit inputs
+SEESAW_STOP_TOL = 1e-13  # a see-saw restart stops when its value moves by less than this
+REACH_TOL = 1e-6  # how far below its quantum target a see-saw optimum may stop
 
 
 def _require_square(a: np.ndarray, who: str) -> None:
@@ -50,13 +58,19 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
 
 
-def is_unitary(a, tol: float = UNITARY_TOL) -> bool:
+def is_identity(a, tol: float = INPUT_TOL) -> bool:
+    a = np.asarray(a)
+    _require_square(a, "is_identity")
+    return bool(np.max(np.abs(a - np.eye(a.shape[0]))) <= tol)
+
+
+def is_unitary(a, tol: float = INPUT_TOL) -> bool:
     a = np.asarray(a)
     _require_square(a, "is_unitary")
-    return bool(np.max(np.abs(dagger(a) @ a - np.eye(a.shape[0]))) <= tol)
+    return is_identity(dagger(a) @ a, tol)
 
 
-def is_hermitian(a, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(a, tol: float = INPUT_TOL) -> bool:
     a = np.asarray(a)
     _require_square(a, "is_hermitian")
     return bool(np.max(np.abs(a - dagger(a))) <= tol)

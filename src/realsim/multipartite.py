@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import EncodedOperator, Layout, encode_operator, local_xz, logical_states
-from .linalg import kron
+from .linalg import EXACT_TOL, RANK_TOL, kron
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def lift_local_operator(m, system: PartitionedSystem, party: int) -> EncodedOper
     return encode_operator(embedded, Layout(system.parties), party)
 
 
-def stabilizer_check(k: int, tol: float = 1e-12) -> StabilizerReport:
+def stabilizer_check(k: int) -> StabilizerReport:
     """Verify the codespace is the joint +1 eigenspace of -(XZ)_j (XZ)_l.
 
     Checks the generator action on both basis states for every pair
@@ -85,6 +85,6 @@ def stabilizer_check(k: int, tol: float = 1e-12) -> StabilizerReport:
                 worst = max(worst, float(np.max(np.abs(g @ v - v))))
     generators = [-(local_xz(k, 0) @ local_xz(k, j)) for j in range(1, k)]
     stacked = np.vstack([g - np.eye(2 ** k) for g in generators])
-    rank = int(np.linalg.matrix_rank(stacked, tol=1e-10))
+    rank = int(np.linalg.matrix_rank(stacked, tol=RANK_TOL))
     dim = 2 ** k - rank
-    return StabilizerReport(k, worst, dim, worst <= tol and dim == 2)
+    return StabilizerReport(k, worst, dim, worst <= EXACT_TOL and dim == 2)

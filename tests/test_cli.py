@@ -1,11 +1,19 @@
 """End-to-end command-line runs against temporary job files."""
 
+import contextlib
+import copy
+import io
 import json
+import pathlib
 import subprocess
 import sys
+import tempfile
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realsim import dynamics
 from realsim.cli import main
@@ -90,6 +98,14 @@ class TestEncode:
         assert code == 2
         assert out == ""
         assert "out of range" in err
+
+    def test_input_norm_off_one_passes_norm_preserved(self, capsys, tmp_path):
+        # Ten-digit amplitudes give norm 1 + 1.9e-11, admitted within 1e-10; the encoding keeps that norm.
+        psi = write(tmp_path, "state.json", {"dims": [2], "amplitudes": [[0.7071067812, 0.0], [0.7071067812, 0.0]]})
+        code, out, _ = run(capsys, ["encode", psi])
+        assert code == 0
+        norm = {a["name"]: a for a in report_of(out)["assertions"]}["norm_preserved"]
+        assert norm["passed"] and norm["measured"] <= 1e-15 and norm["tolerance"] == 1e-12
 
     def test_digest_tracks_input_content(self, capsys, tmp_path, circular_state):
         other = write(tmp_path, "other.json", {"dims": [2], "amplitudes": [[0.0, S], [S, 0.0]]})
@@ -196,6 +212,19 @@ class TestMeasure:
         assert code == 2
         assert out == ""
         assert f"non-finite number {literal}" in err
+
+    @pytest.mark.parametrize("state", [
+        {"dims": [2], "amplitudes": [[0.6, 0.0], [0.0, 0.80000000006]]},  # <psi|psi> = 1 + 9.6e-11
+        matrix_obj([[0.5 + 9e-11, 0.25j], [-0.25j, 0.5]]),                 # tr rho = 1 + 9e-11
+    ])
+    def test_input_norm_off_one_passes_the_normalization_checks(self, capsys, tmp_path, z_basis_povm, state):
+        # The probabilities sum to the admitted input's own normalization, not to 1.
+        path = write(tmp_path, "psi.json", state)
+        code, out, _ = run(capsys, ["measure", path, z_basis_povm])
+        assert code == 0
+        checks = {a["name"]: a for a in report_of(out)["assertions"]}
+        for name in ("complex_normalized", "encoded_normalized"):
+            assert checks[name]["measured"] <= 1e-15 and checks[name]["tolerance"] == 1e-10
 
     def test_density_matrix_statistics(self, capsys, tmp_path, z_basis_povm):
         rho = write(tmp_path, "rho.json", matrix_obj([[0.75, 0.0], [0.0, 0.25]]))
@@ -311,6 +340,28 @@ class TestStabilizer:
         assert "out of range" in err
 
 
+class TestTolFlag:
+    def test_evolve_reports_the_tolerance_it_is_given(self, capsys, tmp_path, circular_state):
+        ham = write(tmp_path, "ham.json", matrix_obj(np.diag([1.0, -1.0])))
+        code, out, _ = run(capsys, ["evolve", ham, circular_state, "--steps", "3", "--tol", "1e-9"])
+        assert code == 0
+        tolerances = {a["name"]: a["tolerance"] for a in report_of(out)["assertions"]}
+        assert tolerances == {"propagator_orthogonal": 1e-11, "matches_complex_evolution": 1e-9,
+                              "matches_dense_expm": 1e-9}
+
+    @pytest.mark.parametrize("argv", [
+        ["encode", "STATE"], ["measure", "STATE", "POVM"], ["bell", "--seed", "1"], ["selftest"],
+        ["stabilizer", "--k", "3"],
+    ])
+    def test_no_other_subcommand_takes_tol(self, capsys, circular_state, z_basis_povm, argv):
+        argv = [{"STATE": circular_state, "POVM": z_basis_povm}.get(a, a) for a in argv]
+        code, out, err = run(capsys, [*argv, "--tol", "1e-9"])
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --tol" in err and "usage:" in err
+        assert "Traceback" not in err
+
+
 class TestDiagnostics:
     def test_verbose_table_goes_to_stderr(self, capsys, circular_state):
         code, out, err = run(capsys, ["encode", circular_state, "--verbose"])
@@ -327,3 +378,132 @@ class TestDiagnostics:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["command"] == "encode"
+
+
+
+def _operator(rng, n, kind):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "hermitian":
+        return (g + g.conj().T) / 2.0
+    u = np.linalg.qr(g)[0]
+    if kind == "unitary":
+        return u
+    if kind == "observable":
+        return (u * rng.choice([-1.0, 1.0], n)) @ u.conj().T
+    return g
+
+
+def _vector_obj(rng, dims):
+    v = rng.standard_normal(int(np.prod(dims))) + 1j * rng.standard_normal(int(np.prod(dims)))
+    v = v / np.linalg.norm(v)
+    return {"dims": list(dims), "amplitudes": [[float(z.real), float(z.imag)] for z in v]}
+
+
+def kind(usual):
+    """Mostly the kind of matrix the file needs, sometimes another."""
+    return st.one_of(st.just(usual), st.sampled_from(["hermitian", "unitary", "observable", "arbitrary"]))
+
+
+EXTREMES = st.sampled_from([1e300, -1e300, 10 ** 400, -(10 ** 400), 5e-324, 2 ** 63])
+JUNK = st.one_of(
+    EXTREMES,
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(-2.0, 2.0), st.text(max_size=2),
+    st.sampled_from([[], {}, [0.5], [[0.5, 0.0]], float("nan")]),
+)
+
+
+@st.composite
+def job_files(draw, command):
+    """Well-formed job files for one command (mostly), and its command line."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dims = draw(st.sampled_from([[1], [2], [3], [4], [2, 2]]))
+    n = int(np.prod(dims))
+    k = ["--k", str(draw(st.integers(1, 2)))]
+    if command == "encode":
+        return {"state.json": _vector_obj(rng, dims)}, ["encode", "state.json", *k]
+    if command == "evolve":
+        h = _operator(rng, draw(st.one_of(st.just(n), st.integers(1, 4))), draw(kind("hermitian")))
+        files = {"h.json": matrix_obj(h), "state.json": _vector_obj(rng, dims)}
+        return files, ["evolve", "h.json", "state.json", "--steps", "3", *k]
+    if command == "measure":
+        if draw(st.booleans()):
+            state = _vector_obj(rng, dims)
+        else:
+            g = _operator(rng, n, draw(kind("arbitrary")))
+            state = matrix_obj(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+        u = _operator(rng, n, draw(kind("unitary")))
+        povm = {"elements": [matrix_obj(np.outer(u[:, i], u[:, i].conj())) for i in range(n)]}
+        return {"state.json": state, "povm.json": povm}, ["measure", "state.json", "povm.json"]
+    if command == "bell":
+        settings_per_party = draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))
+        scenario = {
+            "parties": len(settings_per_party),
+            "settings_per_party": settings_per_party,
+            "observables": [[matrix_obj(_operator(rng, 2, draw(kind("observable")))) for _ in range(s)]
+                            for s in settings_per_party],
+            "coefficients": [{"settings": [0] * len(settings_per_party), "value": draw(st.floats(-2.0, 2.0))}],
+            "classical_bound": 1.0,
+            "quantum_target": 1.0,
+        }
+        return {"scenario.json": scenario}, ["bell", "--scenario-file", "scenario.json", "--seed", "1",
+                                            "--restarts", "2", "--iterations", "4"]
+    gate = _operator(rng, draw(st.sampled_from([2, 2, 1, 3])), draw(kind("unitary")))
+    return {"gate.json": matrix_obj(gate)}, ["selftest", "gate.json"]
+
+
+def _paths(obj, prefix=()):
+    yield prefix
+    children = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in children:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def malformed(draw, files):
+    """The files with up to three keys or list items deleted, added or given junk values."""
+    files = copy.deepcopy(files)
+
+    def junk():  # a copy: sampled_from hands out the same list each time, and it may be mutated below
+        return copy.deepcopy(draw(JUNK))
+
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(sorted(files)))
+        path = draw(st.sampled_from(list(_paths(files[name]))))
+        if not path:
+            files[name] = junk()
+            continue
+        parent = files[name]
+        for key in path[:-1]:
+            parent = parent[key]
+        action = draw(st.sampled_from(["delete", "replace", "insert"]))
+        if action == "delete":
+            del parent[path[-1]]
+        elif action == "replace":
+            parent[path[-1]] = junk()
+        elif isinstance(parent, dict):
+            parent["extra"] = junk()
+        else:
+            parent.insert(path[-1], junk())
+    return files
+
+
+class TestExitCodeContract:
+    """Every job file, however malformed, ends in exit 0, 1 or 2 without a traceback."""
+
+    @pytest.mark.parametrize("command", ["encode", "evolve", "measure", "bell", "selftest"])
+    @settings(max_examples=20, deadline=timedelta(seconds=2))
+    @given(data=st.data())
+    def test_malformed_job_files(self, command, data):
+        files, argv = data.draw(job_files(command))
+        files = data.draw(malformed(files))
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, obj in files.items():
+                (pathlib.Path(tmp) / name).write_text(json.dumps(obj))
+            argv = [str(pathlib.Path(tmp) / a) if a in files else a for a in argv]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code in (0, 1):
+            json.loads(out.getvalue())

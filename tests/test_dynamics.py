@@ -43,6 +43,14 @@ class TestHamiltonian:
         with pytest.raises(ValueError):
             Hamiltonian(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # A NaN matrix is not "Hermitian within 1e-10"; without the check its spectrum came out NaN.
+        with pytest.raises(ValueError, match="must be finite"):
+            Hamiltonian(np.full((2, 2), bad))
+        with pytest.raises(ValueError, match="must be finite"):
+            Hamiltonian(np.array([[1.0, 0.0], [0.0, bad]]))
+
 
 class TestGenerator:
     def test_scalar_case_is_the_quarter_turn(self):

@@ -52,6 +52,19 @@ class TestLoadJson:
         with pytest.raises(formats.FormatError, match=r"line 1 column"):
             formats.load_json(str(path))
 
+    @pytest.mark.parametrize("literal", ["1" + "0" * 400, "-" + "9" * 320], ids=["1e400", "-1e320"])
+    def test_integer_beyond_the_double_range_rejected(self, tmp_path, literal):
+        # complex() and float() raise OverflowError on such an integer, which is not an input error type.
+        path = tmp_path / "big.json"
+        path.write_text('{"dims": [1], "amplitudes": [[%s, 0]]}' % literal)
+        with pytest.raises(formats.FormatError, match="non-finite number"):
+            formats.load_state(str(path))
+
+    def test_ordinary_integers_are_still_integers(self, tmp_path):
+        path = write(tmp_path, "v.json", {"dims": [2], "amplitudes": [[1, 0], [0, 0]]})
+        assert formats.load_json(path)["dims"] == [2]
+        assert formats.load_state(path).factor_dims == (2,)
+
 
 class TestVector:
     def test_round_trip(self, tmp_path):

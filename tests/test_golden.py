@@ -45,23 +45,23 @@ FILES = {
 
 JOBS = {
     "encode_k1": (["encode", "qubit.json"],
-                  "28864406a6919f734c1e23af0d615643e5ce59e7802a4bd0152e3346c6fa706e"),
+                  "974f50e0d4147f6bedf5b073898961c876ba981a98a4feb81498a809e48bb454"),
     "encode_k2": (["encode", "pair.json", "--k", "2"],
-                  "48f4422ec2a5468d11d9514efc348fd76587babf732df800aeaaf5846e4823fe"),
+                  "bf31e417672681f6c9194ebb9c017801e553adcac41fa2b531f557f926ac13db"),
     "evolve_k1": (["evolve", "ham_y.json", "qubit.json", "--t-max", "1.5", "--steps", "5"],
                   "b74beb21f11de0347a65ccfcfca136fb6ebc7ca7c86142bc7fd95ea7f95e256f"),
     "evolve_k2": (["evolve", "ham_pair.json", "pair.json", "--t-max", "0.5", "--steps", "4", "--k", "2"],
                   "bd10a528bbb5e3d74677863e4c23cd4c494609e92780347d40d23cd49990e990"),
     "measure_pure": (["measure", "qubit.json", "povm.json"],
-                     "21a2ac77893aab43fb8dcaeadd49fa5aecbde29f03ae9be88e4c89f0bb1a6318"),
+                     "26da12a800521f05abdb6a823efbea42d42bdf32aa1ee1a682b111e7da55a96b"),
     "measure_density": (["measure", "rho.json", "povm.json"],
-                        "8d399106138dd16b577b0b87e846372ab7a39e887b0d1edebeefdbb2fd943820"),
+                        "282233891220a1a1af622daa69707bb6e643abf07d9ab9caf425bb286b86b2ca"),
     "bell_chsh": (["bell", "--scenario", "chsh", "--restarts", "2", "--seed", "3"],
-                  "e0bb23d8208f42e044303b773328a22da0ec39ffa4b8851be52010de9a8323d2"),
+                  "7d57de08b1b7db246c26c4ac801eb3c4619382804536ff7e1b0c727ffc43e3a2"),
     "selftest": (["selftest"],
-                 "550d2ee7e9da57001d44e102dbf834b6a2efd5efc362daa857f399a607dfa4e6"),
+                 "f03885ae72ec904cf09f7b9ebdde46a6139c41372ab8e12a4e92c1a8d4759b4a"),
     "stabilizer_k3": (["stabilizer", "--k", "3"],
-                      "914209a3c8f78afb82e66438fe89212ae838e62f0d739d1f680c477ee1b5d9a4"),
+                      "5f506e7603e6408ea81252cfe80df0f981a37aad3e359601b168028ad88e4f42"),
 }
 
 

@@ -1,5 +1,8 @@
 """Kernel layer: products, exponentials, predicates, seeded sampling."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +128,29 @@ class TestPredicates:
         assert not linalg.is_psd(np.diag([1.0, -1.0]))
         # Hermiticity is part of the definition here, not a separate check.
         assert not linalg.is_psd(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_is_identity(self):
+        assert linalg.is_identity(np.eye(3) + 1e-11)
+        assert not linalg.is_identity(np.eye(3) + 1e-9)
+        assert not linalg.is_identity(np.diag([1.0, 1.0, 2.0]))
+
+    @pytest.mark.parametrize("predicate", [linalg.is_identity, linalg.is_unitary, linalg.is_hermitian, linalg.is_psd])
+    def test_nan_fails_every_predicate(self, predicate):
+        assert not predicate(np.full((2, 2), np.nan))
+        assert not predicate(np.array([[1.0, 0.0], [0.0, np.nan]]))
+
+
+def test_every_tolerance_lives_in_the_linalg_table():
+    # A small float literal outside linalg.py is a tolerance that escaped the table.
+    root = pathlib.Path(linalg.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "linalg.py" and path.parent == root:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float) and 0 < abs(node.value) < 1e-3:
+                found.append(f"{path.relative_to(root)}:{node.lineno}: {node.value!r}")
+    assert not found
 
 
 class TestSampling:
