@@ -37,6 +37,7 @@ from .encoding import (
     xz,
 )
 from .linalg import (
+    apply_on_axis,
     dagger,
     is_hermitian,
     is_psd,
@@ -47,7 +48,7 @@ from .linalg import (
     random_state,
     random_unitary,
 )
-from .multipartite import PartitionedSystem, StabilizerReport, lift_local_operator, stabilizer_check
+from .multipartite import StabilizerReport, apply_lift, stabilizer_check
 from .applications import (
     BellResult,
     BellScenario,

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..encoding import Layout, PureState, encode_state
-from ..linalg import DEFAULT_MAX_DIM, OBSERVABLE_TOL, SEESAW_STOP_TOL, is_hermitian, random_hermitian
-from ..multipartite import PartitionedSystem, lift_local_operator
+from ..linalg import DEFAULT_MAX_DIM, OBSERVABLE_TOL, SEESAW_STOP_TOL, apply_on_axis, is_hermitian, random_hermitian
+from ..multipartite import apply_lift
 
 MODES = ("complex", "real_encoded")
 
@@ -51,6 +51,8 @@ class BellScenario:
                     raise ValueError(f"observable must be square, got shape {o.shape}")
                 if o.shape[0] != np.asarray(family[0]).shape[0]:
                     raise ValueError(f"party {j} observables disagree on dimension")
+                if o.shape[0] < 2:
+                    raise ValueError(f"party {j} has dimension {o.shape[0]}; every party needs dimension >= 2")
                 if not is_hermitian(o, OBSERVABLE_TOL):
                     raise ValueError("observable is not Hermitian")
                 w = np.linalg.eigvalsh(o)
@@ -65,6 +67,12 @@ class BellScenario:
             if len(key) != self.parties or any(not 0 <= key[j] < settings[j] for j in range(self.parties)):
                 raise ValueError(f"coefficient key {key} is outside the setting ranges")
             coeffs[key] = float(value)
+            if not np.isfinite(coeffs[key]):
+                raise ValueError(f"coefficient {key} must be finite, got {value}")
+        for name in ("classical_bound", "quantum_target"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(float(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
         object.__setattr__(self, "settings_per_party", settings)
         object.__setattr__(self, "observables", tuple(obs))
         object.__setattr__(self, "coefficients", coeffs)
@@ -72,10 +80,6 @@ class BellScenario:
     @property
     def party_dims(self) -> tuple[int, ...]:
         return tuple(family[0].shape[0] for family in self.observables)
-
-    @property
-    def system(self) -> PartitionedSystem:
-        return PartitionedSystem(self.party_dims)
 
 
 @dataclass(frozen=True)
@@ -87,45 +91,27 @@ class BellResult:
     restarts: tuple[tuple[int, float, int], ...]
 
 
-def _apply_local(vec: np.ndarray, op: np.ndarray, dims: tuple[int, ...], party: int) -> np.ndarray:
-    t = vec.reshape(dims)
-    t = np.moveaxis(np.tensordot(op, t, axes=([1], [party])), 0, party)
-    return t.reshape(-1)
-
-
 def bell_value(scenario: BellScenario, state: PureState, mode: str) -> float:
     """Value of the Bell expression on a state, in the requested mode."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if tuple(state.factor_dims) != scenario.party_dims:
         raise ValueError(f"state factors {state.factor_dims} do not match party dimensions {scenario.party_dims}")
-    if mode == "complex":
-        return _value_complex(scenario, state.amplitudes)
-    return _value_encoded(scenario, state)
-
-
-def _value_complex(scenario: BellScenario, vec: np.ndarray) -> float:
     dims = scenario.party_dims
-    total = 0.0
-    for settings, coeff in scenario.coefficients.items():
-        w = vec
-        for j, s in enumerate(settings):
-            w = _apply_local(w, scenario.observables[j][s], dims, j)
-        total += coeff * float(np.vdot(vec, w).real)
-    return total
-
-
-def _value_encoded(scenario: BellScenario, state: PureState) -> float:
-    system = scenario.system
-    lifts = [[lift_local_operator(o, system, j).matrix for o in family]
-             for j, family in enumerate(scenario.observables)]
+    if mode == "complex":
+        return _value(scenario, state.amplitudes, lambda o, w, j: apply_on_axis(o, w.reshape(dims), j).reshape(-1))
     v = encode_state(state, Layout(scenario.parties)).amplitudes
+    return _value(scenario, v, lambda o, w, j: apply_lift(o, w, dims, j))
+
+
+def _value(scenario: BellScenario, v: np.ndarray, apply) -> float:
+    """sum_s c_s <v| A_s |v>, each term applying party j's observable as apply(o, w, j)."""
     total = 0.0
     for settings, coeff in scenario.coefficients.items():
         w = v
         for j, s in enumerate(settings):
-            w = lifts[j][s] @ w
-        total += coeff * float(np.dot(v, w))
+            w = apply(scenario.observables[j][s], w, j)
+        total += coeff * float(np.vdot(v, w).real)
     return total
 
 

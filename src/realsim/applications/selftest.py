@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..encoding import Layout, PureState, encode_state, real_inner_product
-from ..linalg import is_unitary, kron
-from ..multipartite import PartitionedSystem, lift_local_operator
+from ..linalg import apply_on_axis, is_unitary
+from ..multipartite import apply_lift
 
 _S2 = np.sqrt(0.5)
 _PROBE_STATES = (
@@ -84,36 +84,28 @@ def selftest_counterexample(t_gate: np.ndarray | None = None) -> SelfTestTranscr
 
     phi_plus = np.zeros(4, dtype=complex)
     phi_plus[0] = phi_plus[3] = _S2
+    after_a = apply_on_axis(t, phi_plus.reshape(2, 2), 0)
     states_logical = (
         phi_plus,
-        kron(t, np.eye(2)) @ phi_plus,
-        kron(t, t.conj()) @ phi_plus,
+        after_a.reshape(-1),
+        apply_on_axis(t.conj(), after_a, 1).reshape(-1),
     )
 
-    system = PartitionedSystem((2, 2))
-    enc0 = encode_state(PureState(phi_plus, (2, 2)), Layout(2))
-    gate_a = lift_local_operator(t, system, 0).matrix
-    gate_b = lift_local_operator(t.conj(), system, 1).matrix
-    states_simulated = (
-        enc0.amplitudes,
-        gate_a @ enc0.amplitudes,
-        gate_b @ (gate_a @ enc0.amplitudes),
-    )
+    enc0 = encode_state(PureState(phi_plus, (2, 2)), Layout(2)).amplitudes
+    enc_a = apply_lift(t, enc0, (2, 2), 0)
+    states_simulated = (enc0, enc_a, apply_lift(t.conj(), enc_a, (2, 2), 1))
 
-    povm = probe_povm()
-    lifted_a = [lift_local_operator(e, system, 0).matrix for e in povm]
-    lifted_b = [lift_local_operator(e, system, 1).matrix for e in povm]
-
+    # The probe elements are Hermitian, so their lifts are symmetric, and the two
+    # parties' elements commute: <z| A_a B_b |z> = (A_a z)^dagger (B_b z), from one
+    # stacked application per party.
+    povm = np.array(probe_povm())
     stats_logical = np.zeros((3, 6, 6))
     stats_simulated = np.zeros((3, 6, 6))
-    for stage in range(3):
-        zl = states_logical[stage]
-        zs = states_simulated[stage]
-        for a in range(6):
-            for b in range(6):
-                joint = kron(povm[a], povm[b])
-                stats_logical[stage, a, b] = float(np.vdot(zl, joint @ zl).real)
-                stats_simulated[stage, a, b] = float(zs @ (lifted_a[a] @ (lifted_b[b] @ zs)))
+    for stage, (zl, zs) in enumerate(zip(states_logical, states_simulated)):
+        za = apply_on_axis(povm, zl.reshape(2, 2), 0).reshape(6, 4)
+        zb = apply_on_axis(povm, zl.reshape(2, 2), 1).reshape(6, 4)
+        stats_logical[stage] = (za.conj() @ zb.T).real
+        stats_simulated[stage] = apply_lift(povm, zs, (2, 2), 0) @ apply_lift(povm, zs, (2, 2), 1).T
     gap = float(np.max(np.abs(stats_logical - stats_simulated)))
 
     plus = np.array([_S2, _S2], dtype=complex)

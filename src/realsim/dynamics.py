@@ -18,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .encoding import SINGLE_ANCILLA, EncodedState, Layout, PureState, encode_operator, encode_state, local_xz
-from .linalg import AGREEMENT_TOL, EXACT_TOL, ORTHOGONALITY_TOL, is_hermitian, kron, matexp
+from .encoding import SINGLE_ANCILLA, XZ, EncodedState, Layout, PureState, encode_operator, encode_state, local_xz
+from .linalg import AGREEMENT_TOL, EXACT_TOL, ORTHOGONALITY_TOL, apply_on_axis, is_hermitian, kron, matexp
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -97,10 +97,11 @@ def _apply_j(x: np.ndarray, layout: Layout) -> np.ndarray:
     """J applied to each column of the matrix x.
 
     J is the identity on the system times XZ on ancilla qubit 0; it acts
-    on the ancilla index of x reshaped to (n, 2^k, columns) and is never
-    built.
+    on that qubit's axis of x reshaped to (n, 2, 2^(k-1), columns) and is
+    never built.
     """
-    return (local_xz(layout.k, 0) @ x.reshape(-1, layout.ancilla_dim, x.shape[1])).reshape(x.shape)
+    t = x.reshape(-1, 2, layout.ancilla_dim // 2, x.shape[1])
+    return apply_on_axis(XZ, t, 1).reshape(x.shape)
 
 
 def _parts(h: Hamiltonian, layout: Layout, xz_qubit: int):

@@ -54,7 +54,10 @@ def _int_list(value, where: str) -> tuple[int, ...]:
 def _number(value, where: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise FormatError(f"{where} must be a number")
-    return float(value)
+    number = float(value)
+    if not np.isfinite(number):
+        raise FormatError(f"{where} must be finite, got {value}")
+    return number
 
 
 def _pairs_to_complex(entries, where: str) -> np.ndarray:

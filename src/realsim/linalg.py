@@ -1,5 +1,6 @@
-"""Dense linear algebra kernel: tensor products, matrix exponentials,
-structural predicates, and seeded random sampling.
+"""Dense linear algebra kernel: tensor products, operators applied along
+one tensor axis, matrix exponentials, structural predicates, and seeded
+random sampling.
 
 Everything downstream treats matrices and vectors as plain numpy arrays,
 complex128 on the complex side and float64 on the encoded side.
@@ -8,7 +9,6 @@ complex128 on the complex side and float64 on the encoded side.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm as _expm
 
 DEFAULT_MAX_DIM = 4096
 
@@ -42,15 +42,29 @@ def kron(a, b, max_dim: int = DEFAULT_MAX_DIM):
     return np.kron(a, b)
 
 
+def apply_on_axis(op, t: np.ndarray, axis: int) -> np.ndarray:
+    """Apply a (d, d) operator, or a stack (S, d, d) of them, along one axis of the tensor t.
+
+    One operator returns an array shaped like t; a stack returns shape
+    (S, *t.shape), entry s holding op[s] applied.
+    """
+    op = np.asarray(op)
+    lead = op.ndim - 2
+    return np.moveaxis(np.tensordot(op, t, axes=([-1], [axis])), lead, lead + axis)
+
+
 def matexp(a: np.ndarray) -> np.ndarray:
     """Matrix exponential via scaling-and-squaring (Pade degree 13)."""
+    # scipy is imported here, not at module level: only the dense expm cross-check needs it.
+    from scipy.linalg import expm
+
     a = np.asarray(a)
     _require_square(a, "matexp")
     if np.iscomplexobj(a):
         a = a.astype(np.complex128, copy=False)
     else:
         a = a.astype(np.float64, copy=False)
-    return _expm(a)
+    return expm(a)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

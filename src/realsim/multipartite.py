@@ -13,29 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import EncodedOperator, Layout, encode_operator, local_xz, logical_states
-from .linalg import EXACT_TOL, RANK_TOL, kron
-
-
-@dataclass(frozen=True)
-class PartitionedSystem:
-    """Tensor factorization of the system across parties."""
-
-    party_dims: tuple[int, ...]
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.party_dims)
-        if not dims or any(d < 2 for d in dims):
-            raise ValueError("party_dims must be nonempty with every dimension >= 2")
-        object.__setattr__(self, "party_dims", dims)
-
-    @property
-    def total_dim(self) -> int:
-        return int(np.prod(self.party_dims))
-
-    @property
-    def parties(self) -> int:
-        return len(self.party_dims)
+from .encoding import XZ, local_xz, logical_states
+from .linalg import EXACT_TOL, RANK_TOL, apply_on_axis
 
 
 @dataclass(frozen=True)
@@ -46,24 +25,26 @@ class StabilizerReport:
     passed: bool
 
 
-def lift_local_operator(m, system: PartitionedSystem, party: int) -> EncodedOperator:
-    """Lift a per-party complex operator to the encoded space.
+def apply_lift(m, x: np.ndarray, dims: tuple[int, ...], party: int) -> np.ndarray:
+    """Apply the lift Re m (x) I + Im m (x) XZ_party of one party's operator.
 
-    This is the logical encoding of the operator embedded in the whole
-    system, with the party's own ancilla qubit carrying the imaginary
-    part.  Lifts of different parties therefore act on disjoint factors
-    and commute.
+    x holds states encoded with Layout(len(dims)) along its leading axis:
+    one vector, or the columns of a matrix.  It is read as its
+    (d_0, ..., d_{n-1}, 2, ..., 2) tensor; m acts on the party's system
+    axis and XZ on the party's ancilla qubit, so the lift touches nothing
+    else and its matrix is never built.  m is one (d, d) operator or a
+    stack (S, d, d); a stack returns shape (S, *x.shape).
     """
-    if not 0 <= party < system.parties:
-        raise ValueError(f"party index {party} out of range for {system.parties} parties")
+    n = len(dims)
+    if not 0 <= party < n:
+        raise ValueError(f"party index {party} out of range for {n} parties")
     m = np.asarray(m, dtype=complex)
-    d = system.party_dims[party]
-    if m.shape != (d, d):
-        raise ValueError(f"operator shape {m.shape} does not match party dimension {d}")
-    before = int(np.prod(system.party_dims[:party]))
-    after = int(np.prod(system.party_dims[party + 1:]))
-    embedded = kron(np.eye(before), kron(m, np.eye(after)))
-    return encode_operator(embedded, Layout(system.parties), party)
+    if m.ndim not in (2, 3) or m.shape[-2:] != (dims[party], dims[party]):
+        raise ValueError(f"operator shape {m.shape} does not match party dimension {dims[party]}")
+    x = np.asarray(x)
+    t = x.reshape(*dims, *(2,) * n, *x.shape[1:])
+    out = apply_on_axis(m.real, t, party) + apply_on_axis(m.imag, apply_on_axis(XZ, t, n + party), party)
+    return out.reshape(*m.shape[:-2], *x.shape)
 
 
 def stabilizer_check(k: int) -> StabilizerReport:

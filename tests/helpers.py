@@ -106,6 +106,24 @@ def apply_local(vec, op, dims, party) -> np.ndarray:
     return t.reshape(-1)
 
 
+def lift_local_operator(m, dims, party) -> np.ndarray:
+    """Reference dense lift of one party's operator: Re M (x) I + Im M (x) XZ_party.
+
+    M is m embedded in the whole system and XZ_party is XZ on ancilla qubit
+    `party` of len(dims), qubit 0 the most significant; both are built from
+    Kronecker products.
+    """
+    m = np.asarray(m, dtype=complex)
+    k = len(dims)
+
+    def embed(a, before, after):
+        return np.kron(np.eye(before), np.kron(a, np.eye(after)))
+
+    before, after = int(np.prod(dims[:party])), int(np.prod(dims[party + 1:]))
+    xz = embed(np.array([[0.0, -1.0], [1.0, 0.0]]), 2 ** party, 2 ** (k - party - 1))
+    return np.kron(embed(m.real, before, after), np.eye(2 ** k)) + np.kron(embed(m.imag, before, after), xz)
+
+
 def bell_operator(coefficients, obs, dims) -> np.ndarray:
     """Reference Bell operator, one Kronecker product per coefficient term."""
     dim = int(np.prod(dims))

@@ -18,7 +18,7 @@ from realsim.applications.bell import (
     phi_plus_state,
 )
 from realsim.encoding import PureState
-from realsim.multipartite import lift_local_operator
+from realsim.multipartite import apply_lift
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -106,6 +106,14 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             BellScenario(2, (2, 1), ((Z,), (Z,)), {(0, 0): 1.0}, 2.0)
 
+    def test_numbers_must_be_finite(self):
+        with pytest.raises(ValueError, match="coefficient"):
+            BellScenario(2, (1, 1), ((Z,), (Z,)), {(0, 0): np.inf}, 2.0)
+        with pytest.raises(ValueError, match="classical_bound"):
+            BellScenario(2, (1, 1), ((Z,), (Z,)), {(0, 0): 1.0}, np.nan)
+        with pytest.raises(ValueError, match="quantum_target"):
+            BellScenario(2, (1, 1), ((Z,), (Z,)), {(0, 0): 1.0}, 2.0, -np.inf)
+
 
 class TestBellValue:
     def test_aligned_measurement_on_product_state(self):
@@ -164,11 +172,11 @@ class TestBellValue:
 class TestLiftedObservableLocality:
     def test_cross_party_lifts_commute(self):
         scenario = chsh_scenario()
-        system = scenario.system
+        dims = scenario.party_dims
         for a in scenario.observables[0]:
-            la = lift_local_operator(a, system, 0).matrix
+            la = apply_lift(a, np.eye(16), dims, 0)
             for b in scenario.observables[1]:
-                lb = lift_local_operator(b, system, 1).matrix
+                lb = apply_lift(b, np.eye(16), dims, 1)
                 assert np.abs(la @ lb - lb @ la).max() <= 1e-12
 
 

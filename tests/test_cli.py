@@ -3,7 +3,9 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -15,7 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realsim import dynamics
+import realsim
+from realsim import cli, dynamics, multipartite
+from realsim.applications import bell, selftest
 from realsim.cli import main
 
 S = 0.7071067811865476
@@ -304,6 +308,81 @@ class TestBell:
         assert out == ""
         assert f"{named} must" in err
 
+    @pytest.mark.parametrize("field,named", [
+        ("coefficients", "coefficients[0].value"),
+        ("classical_bound", "classical_bound"),
+        ("quantum_target", "quantum_target"),
+    ])
+    def test_non_finite_scenario_number_rejected(self, tmp_path, field, named):
+        # The JSON literal 1e400 parses to inf; it must be rejected before the see-saw runs on it.
+        z = matrix_obj(np.diag([1.0, -1.0]))
+        obj = {
+            "parties": 2,
+            "settings_per_party": [1, 1],
+            "observables": [[z], [z]],
+            "coefficients": [{"settings": [0, 0], "value": 1.0}],
+            "classical_bound": 1.0,
+            "quantum_target": 1.0,
+        }
+        if field == "coefficients":
+            obj["coefficients"][0]["value"] = 12345.5
+        else:
+            obj[field] = 12345.5
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(obj).replace("12345.5", "1e400"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "realsim", "bell", "--scenario-file", str(scenario), "--seed", "3"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"{named} must be finite" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("mode", ["both", "complex", "real_encoded"])
+    def test_one_dimensional_party_rejected_in_every_mode(self, capsys, tmp_path, mode):
+        scenario = write(
+            tmp_path,
+            "scenario.json",
+            {
+                "parties": 2,
+                "settings_per_party": [1, 1],
+                "observables": [[matrix_obj(np.diag([1.0, -1.0]))], [matrix_obj([[1.0]])]],
+                "coefficients": [{"settings": [0, 0], "value": 1.0}],
+                "classical_bound": 1.0,
+            },
+        )
+        code, out, err = run(capsys, ["bell", "--scenario-file", scenario, "--seed", "3", "--mode", mode])
+        assert code == 2
+        assert out == ""
+        assert "party 1 has dimension 1" in err
+
+    def test_seven_party_mermin_reaches_its_target_in_both_modes(self, capsys, tmp_path):
+        # Re prod_j (X_j + i Y_j) on seven qubits: quantum maximum 2^6.  The encoded state has
+        # 2^14 entries, past the 4096 cap of a dense whole-system lift.
+        x = matrix_obj([[0.0, 1.0], [1.0, 0.0]])
+        y = matrix_obj([[0.0, -1.0j], [1.0j, 0.0]])
+        terms = [s for s in itertools.product((0, 1), repeat=7) if sum(s) % 2 == 0]
+        scenario = write(
+            tmp_path,
+            "mermin7.json",
+            {
+                "parties": 7,
+                "settings_per_party": [2] * 7,
+                "observables": [[x, y]] * 7,
+                "coefficients": [{"settings": list(s), "value": float((-1) ** (sum(s) // 2))} for s in terms],
+                "classical_bound": 8.0,
+                "quantum_target": 64.0,
+            },
+        )
+        code, out, _ = run(capsys, ["bell", "--scenario-file", scenario, "--seed", "1", "--restarts", "4"])
+        assert code == 0
+        report = report_of(out)
+        assert {a["name"] for a in report["assertions"] if a["passed"]} == {
+            "modes_agree", "reaches_target_complex", "reaches_target_real_encoded"}
+        assert abs(report["results"]["value_real_encoded"] - 64.0) <= 1e-6
+
 
 class TestSelftest:
     def test_default_gate(self, capsys):
@@ -338,6 +417,45 @@ class TestStabilizer:
         code, _, err = run(capsys, ["stabilizer", "--k", "9"])
         assert code == 2
         assert "out of range" in err
+
+
+class TestLiftFaults:
+    """A lift kernel that drops Im m fails exactly the assertions that guard each rewritten path."""
+
+    @pytest.fixture
+    def real_part_only(self, monkeypatch):
+        kernel = multipartite.apply_lift
+
+        def dropped(m, x, dims, party):
+            return kernel(np.asarray(m).real, x, dims, party)
+
+        for module in (cli, bell, selftest):
+            monkeypatch.setattr(module, "apply_lift", dropped)
+
+    def failed(self, out):
+        return {a["name"] for a in report_of(out)["assertions"] if not a["passed"]}
+
+    def test_bell(self, capsys, real_part_only):
+        code, out, _ = run(capsys, ["bell", "--scenario", "mermin3", "--seed", "4", "--restarts", "3"])
+        assert code == 1
+        assert self.failed(out) == {"modes_agree", "reaches_target_real_encoded"}
+
+    @pytest.mark.parametrize("state", [
+        {"dims": [2], "amplitudes": [[S, 0.0], [0.0, S]]},
+        matrix_obj([[0.5, -0.5j], [0.5j, 0.5]]),
+    ])
+    def test_measure_with_complex_povm(self, capsys, tmp_path, real_part_only, state):
+        # Projectors on (|0> +- i|1>)/sqrt2: their real parts are both I/2.
+        povm = write(tmp_path, "povm.json", {"elements": [
+            matrix_obj([[0.5, -0.5j], [0.5j, 0.5]]), matrix_obj([[0.5, 0.5j], [-0.5j, 0.5]])]})
+        code, out, _ = run(capsys, ["measure", write(tmp_path, "state.json", state), povm])
+        assert code == 1
+        assert self.failed(out) == {"encoded_matches_complex"}
+
+    def test_selftest(self, capsys, real_part_only):
+        code, out, _ = run(capsys, ["selftest"])
+        assert code == 1
+        assert self.failed(out) == {"statistics_match"}
 
 
 class TestTolFlag:
@@ -378,6 +496,31 @@ class TestDiagnostics:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["command"] == "encode"
+
+    def test_only_evolve_imports_scipy(self, tmp_path):
+        write(tmp_path, "state.json", {"dims": [2], "amplitudes": [[S, 0.0], [0.0, S]]})
+        write(tmp_path, "povm.json", {"elements": [matrix_obj(np.diag([1.0, 0.0])), matrix_obj(np.diag([0.0, 1.0]))]})
+        write(tmp_path, "ham.json", matrix_obj(np.diag([1.0, -1.0])))
+        script = """
+import contextlib, io, json, sys
+import realsim
+from realsim.cli import main
+
+def loaded(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    return "scipy" in sys.modules
+
+jobs = [["encode", "state.json"], ["measure", "state.json", "povm.json"], ["bell", "--seed", "1", "--restarts", "2"],
+        ["selftest"], ["stabilizer", "--k", "3"]]
+print(json.dumps([loaded(argv) for argv in jobs] + [loaded(["evolve", "ham.json", "state.json", "--steps", "3"])]))
+"""
+        src = pathlib.Path(realsim.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=env)
+        assert proc.returncode == 0, proc.stderr
+        # The last job, evolve, runs the dense expm check and so must load scipy.
+        assert json.loads(proc.stdout) == [False] * 5 + [True]
 
 
 

@@ -59,7 +59,7 @@ JOBS = {
     "bell_chsh": (["bell", "--scenario", "chsh", "--restarts", "2", "--seed", "3"],
                   "7d57de08b1b7db246c26c4ac801eb3c4619382804536ff7e1b0c727ffc43e3a2"),
     "selftest": (["selftest"],
-                 "f03885ae72ec904cf09f7b9ebdde46a6139c41372ab8e12a4e92c1a8d4759b4a"),
+                 "492c7f13a99a3cddf96ec5f04b08163d5558aac0a8b53bc8ef1dfcb759e0c8d4"),
     "stabilizer_k3": (["stabilizer", "--k", "3"],
                       "5f506e7603e6408ea81252cfe80df0f981a37aad3e359601b168028ad88e4f42"),
 }

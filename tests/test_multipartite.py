@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from helpers import block_encode, interleave, random_povm
+from helpers import block_encode, interleave, lift_local_operator, random_povm
 from realsim import linalg
 from realsim.encoding import Layout, PureState, encode_operator, encode_state
 from realsim.multipartite import (
-    PartitionedSystem,
-    lift_local_operator,
+    apply_lift,
     local_xz,
     logical_states,
     stabilizer_check,
@@ -129,53 +128,63 @@ class TestEncodeMultipartiteState:
 
 class TestLiftLocalOperator:
     def test_identity_lifts_to_identity(self):
-        system = PartitionedSystem((2, 2))
-        lifted = lift_local_operator(np.eye(2), system, 0)
-        assert np.array_equal(lifted.matrix, np.eye(16))
+        assert np.array_equal(apply_lift(np.eye(2), np.eye(16), (2, 2), 0), np.eye(16))
 
     @pytest.mark.parametrize("dims,party", [((2, 2), 0), ((2, 2), 1), ((2, 3), 1), ((2, 2, 2), 2)])
     def test_action_matches_complex_side(self, dims, party):
-        system = PartitionedSystem(dims)
         k = len(dims)
         rng = np.random.default_rng(10 * party + k)
         d = dims[party]
         m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        psi = linalg.random_state(system.total_dim, seed=17)
+        psi = linalg.random_state(int(np.prod(dims)), seed=17)
         enc = encode_state(multi_state(psi, dims), Layout(k))
         moved = embed_complex(m, dims, party) @ psi
         moved /= np.linalg.norm(moved)
-        got = lift_local_operator(m, system, party).matrix @ enc.amplitudes
+        got = apply_lift(m, enc.amplitudes, dims, party)
         want = encode_state(multi_state(moved, dims), Layout(k)).amplitudes
         got /= np.linalg.norm(got)
         assert np.abs(got - want).max() <= 1e-13
 
+    @pytest.mark.parametrize("dims", [(2, 4), (3, 3), (4, 2, 3), (2, 3, 2, 4)])
+    def test_matches_the_dense_oracle(self, dims):
+        # One operator on a vector, a stack of three on the columns of a matrix, at every party.
+        rng = np.random.default_rng(sum(dims) + len(dims))
+        size = int(np.prod(dims)) * 2 ** len(dims)
+        vec = rng.standard_normal(size)
+        cols = rng.standard_normal((size, 3))
+        for party, d in enumerate(dims):
+            stack = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+            dense = [lift_local_operator(m, dims, party) for m in stack]
+            assert np.abs(apply_lift(stack[0], vec, dims, party) - dense[0] @ vec).max() <= linalg.EXACT_TOL
+            got = apply_lift(stack, cols, dims, party)
+            assert got.shape == (3, size, 3)
+            assert max(np.abs(g - l @ cols).max() for g, l in zip(got, dense)) <= linalg.EXACT_TOL
+
     def test_different_parties_commute(self):
-        system = PartitionedSystem((2, 3))
+        dims = (2, 3)
         rng = np.random.default_rng(20)
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        la = lift_local_operator(a, system, 0).matrix
-        lb = lift_local_operator(b, system, 1).matrix
+        la = apply_lift(a, np.eye(24), dims, 0)
+        lb = apply_lift(b, np.eye(24), dims, 1)
         assert np.abs(la @ lb - lb @ la).max() <= 1e-12
 
     def test_same_party_composition_on_codespace(self):
-        system = PartitionedSystem((2, 2))
+        dims = (2, 2)
         rng = np.random.default_rng(21)
         m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         n = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         psi = linalg.random_state(4, seed=22)
-        enc = encode_state(multi_state(psi, (2, 2)), Layout(2))
-        lm = lift_local_operator(m, system, 0).matrix
-        ln = lift_local_operator(n, system, 0).matrix
-        lmn = lift_local_operator(m @ n, system, 0).matrix
-        assert np.abs(lm @ (ln @ enc.amplitudes) - lmn @ enc.amplitudes).max() <= 1e-12
+        v = encode_state(multi_state(psi, dims), Layout(2)).amplitudes
+        composed = apply_lift(m, apply_lift(n, v, dims, 0), dims, 0)
+        assert np.abs(composed - apply_lift(m @ n, v, dims, 0)).max() <= 1e-12
 
     def test_shape_mismatch_rejected(self):
-        system = PartitionedSystem((2, 3))
+        v = np.zeros(24)
         with pytest.raises(ValueError):
-            lift_local_operator(np.eye(2), system, 1)
+            apply_lift(np.eye(2), v, (2, 3), 1)
         with pytest.raises(ValueError):
-            lift_local_operator(np.eye(2), system, 2)
+            apply_lift(np.eye(2), v, (2, 3), 2)
 
 
 class TestLogicalEncodeOperator:
@@ -197,7 +206,6 @@ class TestLogicalEncodeOperator:
         assert np.abs(got - want).max() <= 1e-13
 
     def test_sum_of_local_terms_agrees_on_codespace(self):
-        system = PartitionedSystem((2, 2))
         rng = np.random.default_rng(33)
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -205,10 +213,7 @@ class TestLogicalEncodeOperator:
         psi = linalg.random_state(4, seed=34)
         enc = encode_state(multi_state(psi, (2, 2)), Layout(2))
         whole = encode_operator(total, Layout(2)).matrix @ enc.amplitudes
-        parts = (
-            lift_local_operator(a, system, 0).matrix
-            + lift_local_operator(b, system, 1).matrix
-        ) @ enc.amplitudes
+        parts = apply_lift(a, enc.amplitudes, (2, 2), 0) + apply_lift(b, enc.amplitudes, (2, 2), 1)
         assert np.abs(whole - parts).max() <= 1e-12
 
 
@@ -237,10 +242,9 @@ class TestStabilizer:
 class TestStatisticsLocality:
     @pytest.mark.parametrize("dims,seed", [((2, 2), 40), ((2, 3), 41), ((2, 2, 2), 42)])
     def test_local_rotations_and_measurements_agree(self, dims, seed):
-        system = PartitionedSystem(dims)
         k = len(dims)
         rng = np.random.default_rng(seed)
-        psi = linalg.random_state(system.total_dim, seed=int(rng.integers(2**32)))
+        psi = linalg.random_state(int(np.prod(dims)), seed=int(rng.integers(2**32)))
         unitaries = [linalg.random_unitary(d, seed=int(rng.integers(2**32))) for d in dims]
         povms = [random_povm(d, 2, int(rng.integers(2**32))) for d in dims]
 
@@ -257,11 +261,11 @@ class TestStatisticsLocality:
         enc = encode_state(multi_state(psi, dims), Layout(k))
         v = enc.amplitudes
         for party, u in enumerate(unitaries):
-            v = lift_local_operator(u, system, party).matrix @ v
+            v = apply_lift(u, v, dims, party)
         worst = 0.0
         for outcome, p in complex_probs.items():
             w = v
             for party, a in enumerate(outcome):
-                w = lift_local_operator(povms[party][a], system, party).matrix @ w
+                w = apply_lift(povms[party][a], w, dims, party)
             worst = max(worst, abs(float(v @ w) - p))
         assert worst <= 1e-12
