@@ -21,6 +21,7 @@ from .encoding import (
     Povm,
     PureState,
     apply_kraus,
+    apply_lift,
     conjugation_operator,
     decode_state,
     encode_antiunitary,
@@ -37,7 +38,6 @@ from .encoding import (
     xz,
 )
 from .linalg import (
-    apply_on_axis,
     dagger,
     is_hermitian,
     is_psd,
@@ -48,7 +48,7 @@ from .linalg import (
     random_state,
     random_unitary,
 )
-from .multipartite import StabilizerReport, apply_lift, stabilizer_check
+from .multipartite import StabilizerReport, stabilizer_check
 from .applications import (
     BellResult,
     BellScenario,

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..encoding import Layout, PureState, encode_state
+from ..encoding import Layout, PureState, apply_lift, encode_state
 from ..linalg import DEFAULT_MAX_DIM, OBSERVABLE_TOL, SEESAW_STOP_TOL, apply_on_axis, is_hermitian, random_hermitian
-from ..multipartite import apply_lift
 
 MODES = ("complex", "real_encoded")
 

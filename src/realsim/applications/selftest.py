@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..encoding import Layout, PureState, encode_state, real_inner_product
+from ..encoding import Layout, PureState, apply_lift, encode_state, real_inner_product
 from ..linalg import apply_on_axis, is_unitary
-from ..multipartite import apply_lift
 
 _S2 = np.sqrt(0.5)
 _PROBE_STATES = (

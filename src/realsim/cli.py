@@ -16,10 +16,18 @@ from . import __version__, formats
 from .applications.bell import chsh_scenario, mermin3_scenario, optimize_bell
 from .applications.selftest import selftest_counterexample
 from .dynamics import Hamiltonian, trajectory
-from .encoding import DensityOperator, Layout, decode_state, encode_density, encode_state, povm_probabilities
+from .encoding import (
+    DensityOperator,
+    Layout,
+    decode_state,
+    encode_density,
+    encode_state,
+    encoded_povm_probabilities,
+    povm_probabilities,
+)
 from .formats import FormatError
 from .linalg import AGREEMENT_TOL, EXACT_TOL, INPUT_TOL, ORTHOGONALITY_TOL, REACH_TOL
-from .multipartite import apply_lift, stabilizer_check
+from .multipartite import stabilizer_check
 
 
 def _leq(name: str, measured, tolerance) -> dict:
@@ -73,15 +81,12 @@ def cmd_measure(args):
     state = formats.load_state_or_density(args.state)
     povm = formats.load_povm(args.povm)
     probs = povm_probabilities(state, povm)
-    elements, dims = np.array(povm.elements), (povm.dim,)
     # Probabilities sum to the input's own normalization, which may differ from 1 by up to INPUT_TOL.
     if isinstance(state, DensityOperator):
-        # Tr(E' rho') from the lift applied to the columns of rho'.
-        encoded_probs = np.trace(apply_lift(elements, encode_density(state), dims, 0), axis1=1, axis2=2)
+        encoded_probs = encoded_povm_probabilities(encode_density(state), povm)
         total = float(np.trace(state.matrix).real)
     else:
-        v = encode_state(state).amplitudes
-        encoded_probs = apply_lift(elements, v, dims, 0) @ v
+        encoded_probs = encoded_povm_probabilities(encode_state(state), povm)
         total = float(np.vdot(state.amplitudes, state.amplitudes).real)
     results = {
         "probabilities": [float(p) for p in probs],

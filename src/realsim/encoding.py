@@ -12,7 +12,8 @@ inner products recover the real part of the complex ones.
 `Layout(k)` spreads the ancilla over k qubits, one per party: a rides
 with the logical |0_L> and b with |1_L> of a two-dimensional codespace,
 and XZ on any one of the k qubits acts as the logical i.  k = 1 is the
-single ancilla described above.
+single ancilla described above.  `apply_lift` applies one party's
+operator to an encoded vector without building its encoding.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EXACT_TOL, INPUT_TOL, PSD_TOL, dagger, is_hermitian, is_identity, is_psd, is_unitary, kron
+from .linalg import EXACT_TOL, INPUT_TOL, PSD_TOL, apply_on_axis, dagger, is_hermitian, is_identity, is_psd, is_unitary, kron
 
 XZ = np.array([[0.0, -1.0], [1.0, 0.0]])
 XZ.setflags(write=False)
@@ -301,6 +302,28 @@ def encode_operator(m, layout: Layout = SINGLE_ANCILLA, xz_qubit: int = 0) -> En
     return EncodedOperator(mat, m.shape[0], layout)
 
 
+def apply_lift(m, x: np.ndarray, dims: tuple[int, ...], party: int) -> np.ndarray:
+    """Apply the lift Re m (x) I + Im m (x) XZ_party of one party's operator.
+
+    x holds states encoded with Layout(len(dims)) along its leading axis:
+    one vector, or the columns of a matrix.  It is read as its
+    (d_0, ..., d_{n-1}, 2, ..., 2) tensor; m acts on the party's system
+    axis and XZ on the party's ancilla qubit, so the lift touches nothing
+    else and its matrix is never built.  m is one (d, d) operator or a
+    stack (S, d, d); a stack returns shape (S, *x.shape).
+    """
+    n = len(dims)
+    if not 0 <= party < n:
+        raise ValueError(f"party index {party} out of range for {n} parties")
+    m = np.asarray(m, dtype=complex)
+    if m.ndim not in (2, 3) or m.shape[-2:] != (dims[party], dims[party]):
+        raise ValueError(f"operator shape {m.shape} does not match party dimension {dims[party]}")
+    x = np.asarray(x)
+    t = x.reshape(*dims, *(2,) * n, *x.shape[1:])
+    out = apply_on_axis(m.real, t, party) + apply_on_axis(m.imag, apply_on_axis(XZ, t, n + party), party)
+    return out.reshape(*m.shape[:-2], *x.shape)
+
+
 def encode_density(rho: DensityOperator) -> np.ndarray:
     """Encoded density operator: half the operator encoding of rho.
 
@@ -345,32 +368,29 @@ def povm_probabilities(state, povm: Povm) -> np.ndarray:
     raise ValueError(f"expected PureState or DensityOperator, got {type(state).__name__}")
 
 
-def encoded_povm_probabilities(encoded, encoded_povm) -> np.ndarray:
+def encoded_povm_probabilities(encoded, povm: Povm) -> np.ndarray:
     """Outcome distribution computed entirely on the encoded side.
 
-    Accepts an EncodedState or an encoded density matrix as produced by
-    encode_density, and a list of EncodedOperator elements.
+    encoded is an EncodedState, in any layout, or a real encoded density
+    matrix as produced by encode_density.  Each element E acts through
+    apply_lift, so its encoding E' is never built: v.(E'v) for a state,
+    Tr(E' rho') over the columns of rho' for a density matrix.
     """
-    elems = list(encoded_povm)
-    if not elems:
-        raise ValueError("encoded POVM needs at least one element")
-    for e in elems:
-        if not isinstance(e, EncodedOperator):
-            raise ValueError(f"expected EncodedOperator elements, got {type(e).__name__}")
-        if e.source_dim != elems[0].source_dim or e.layout != elems[0].layout:
-            raise ValueError("encoded POVM elements disagree on layout")
+    d = povm.dim
     if isinstance(encoded, EncodedState):
-        if encoded.source_dim != elems[0].source_dim or encoded.layout != elems[0].layout:
-            raise ValueError("encoded state layout does not match the encoded POVM")
+        if encoded.source_dim != d:
+            raise ValueError(f"encoded state dimension {encoded.source_dim} does not match POVM dimension {d}")
+        # Ancilla qubits past the first carry no imaginary part: the lift is the identity on them.
         v = encoded.amplitudes
-        return np.array([float(v @ (e.matrix @ v)) for e in elems])
+        lifted = apply_lift(povm.elements, v.reshape(2 * d, -1), (d,), 0)
+        return lifted.reshape(len(povm.elements), -1) @ v
     rho = np.asarray(encoded)
     if np.iscomplexobj(rho) and np.any(rho.imag != 0.0):
         raise ValueError("encoded density matrix must be real")
     rho = rho.real if np.iscomplexobj(rho) else rho
-    if rho.shape != elems[0].matrix.shape:
-        raise ValueError(f"encoded density shape {rho.shape} does not match the encoded POVM")
-    return np.array([float(np.trace(e.matrix @ rho)) for e in elems])
+    if rho.shape != (2 * d, 2 * d):
+        raise ValueError(f"encoded density shape {rho.shape} does not match POVM dimension {d}")
+    return np.trace(apply_lift(povm.elements, rho, (d,), 0), axis1=1, axis2=2)
 
 
 def _channel_matrices(channel, dim: int | None = None) -> list[np.ndarray]:

@@ -1,10 +1,11 @@
-"""Logical ancilla spread over k qubits and local lifting of party operators.
+"""Logical ancilla spread over k qubits, one per party, and its stabilizer check.
 
 Storing the encoding ancilla in a k-qubit stabilizer subspace lets each
 party act on its own qubit: XZ applied to any single ancilla qubit
 performs the logical XZ on the shared two-dimensional codespace, so a
 per-party complex operator lifts to a real operator touching only that
-party's system factor and that party's ancilla qubit.
+party's system factor and that party's ancilla qubit
+(`encoding.apply_lift`).  `stabilizer_check` pins that codespace down.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import XZ, local_xz, logical_states
-from .linalg import EXACT_TOL, RANK_TOL, apply_on_axis
+from .encoding import local_xz, logical_states
+from .linalg import EXACT_TOL, RANK_TOL
 
 
 @dataclass(frozen=True)
@@ -23,28 +24,6 @@ class StabilizerReport:
     generator_error: float
     fixed_subspace_dim: int
     passed: bool
-
-
-def apply_lift(m, x: np.ndarray, dims: tuple[int, ...], party: int) -> np.ndarray:
-    """Apply the lift Re m (x) I + Im m (x) XZ_party of one party's operator.
-
-    x holds states encoded with Layout(len(dims)) along its leading axis:
-    one vector, or the columns of a matrix.  It is read as its
-    (d_0, ..., d_{n-1}, 2, ..., 2) tensor; m acts on the party's system
-    axis and XZ on the party's ancilla qubit, so the lift touches nothing
-    else and its matrix is never built.  m is one (d, d) operator or a
-    stack (S, d, d); a stack returns shape (S, *x.shape).
-    """
-    n = len(dims)
-    if not 0 <= party < n:
-        raise ValueError(f"party index {party} out of range for {n} parties")
-    m = np.asarray(m, dtype=complex)
-    if m.ndim not in (2, 3) or m.shape[-2:] != (dims[party], dims[party]):
-        raise ValueError(f"operator shape {m.shape} does not match party dimension {dims[party]}")
-    x = np.asarray(x)
-    t = x.reshape(*dims, *(2,) * n, *x.shape[1:])
-    out = apply_on_axis(m.real, t, party) + apply_on_axis(m.imag, apply_on_axis(XZ, t, n + party), party)
-    return out.reshape(*m.shape[:-2], *x.shape)
 
 
 def stabilizer_check(k: int) -> StabilizerReport:

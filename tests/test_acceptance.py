@@ -32,9 +32,9 @@ from realsim.encoding import (
     povm_probabilities,
     real_inner_product,
     Povm,
+    apply_lift,
 )
 from realsim.multipartite import (
-    apply_lift,
     local_xz,
     logical_states,
     stabilizer_check,
@@ -65,17 +65,17 @@ def test_encoded_statistics_match_complex_statistics():
         psi = linalg.random_state(dim, seed=int(rng.integers(2**32)))
         u = linalg.random_unitary(dim, seed=int(rng.integers(2**32)))
         povm = Povm(tuple(helpers.random_povm(dim, n_el, int(rng.integers(2**32)))))
-        elements = [encode_operator(e) for e in povm.elements]
         if case % 3 == 0:
             rho = DensityOperator(helpers.random_density(dim, int(rng.integers(2**32))))
             moved = DensityOperator(u @ rho.matrix @ u.conj().T)
             direct = povm_probabilities(moved, povm)
             u_enc = encode_operator(u).matrix
-            encoded = encoded_povm_probabilities(u_enc @ encode_density(rho) @ u_enc.T, elements)
+            encoded = encoded_povm_probabilities(u_enc @ encode_density(rho) @ u_enc.T, povm)
         else:
             moved = PureState(u @ psi)
             direct = povm_probabilities(moved, povm)
             v = encode_operator(u).matrix @ encode_state(PureState(psi)).amplitudes
+            elements = [encode_operator(e) for e in povm.elements]
             encoded = np.array([float(v @ (e.matrix @ v)) for e in elements])
         worst = max(worst, float(np.abs(direct - encoded).max()))
     elapsed = time.perf_counter() - start

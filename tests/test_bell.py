@@ -17,8 +17,7 @@ from realsim.applications.bell import (
     optimize_bell,
     phi_plus_state,
 )
-from realsim.encoding import PureState
-from realsim.multipartite import apply_lift
+from realsim.encoding import PureState, apply_lift
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import realsim
-from realsim import cli, dynamics, multipartite
+from realsim import dynamics, encoding
 from realsim.applications import bell, selftest
 from realsim.cli import main
 
@@ -424,12 +424,12 @@ class TestLiftFaults:
 
     @pytest.fixture
     def real_part_only(self, monkeypatch):
-        kernel = multipartite.apply_lift
+        kernel = encoding.apply_lift
 
         def dropped(m, x, dims, party):
             return kernel(np.asarray(m).real, x, dims, party)
 
-        for module in (cli, bell, selftest):
+        for module in (encoding, bell, selftest):
             monkeypatch.setattr(module, "apply_lift", dropped)
 
     def failed(self, out):

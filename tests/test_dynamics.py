@@ -134,7 +134,7 @@ class TestTrajectory:
     def test_rabi_oscillation_probabilities(self):
         # Under exp(i X t) from |0> the survival probability is cos(t)^2.
         res = trajectory(Hamiltonian(X), state([1.0, 0.0]), t_max=2 * np.pi, steps=33)
-        povm = [encode_operator(np.diag([1.0, 0.0])), encode_operator(np.diag([0.0, 1.0]))]
+        povm = Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
         for t, enc in zip(res.times, res.encoded_states):
             p = encoded_povm_probabilities(enc, povm)
             assert abs(p[0] - np.cos(t) ** 2) <= 1e-12
@@ -239,12 +239,17 @@ class TestSpectralPropagator:
 
     def test_symmetric_x_in_place_of_j_fails_the_dense_check(self, monkeypatch):
         # cos(tH') + J sin(tH') equals exp(tJH') only because J^2 = -I.  With the
-        # symmetric bit flip X (X^2 = +I) in place of XZ the spectral formula and
-        # the dense exponential part ways, and the dense comparison says so.
+        # symmetric bit flip X (X^2 = +I) in place of XZ, in both the cached J V and
+        # the dense generator, the spectral formula and the dense exponential part
+        # ways, and the dense comparison says so.
         m = linalg.random_hermitian(3, seed=44)
         assert propagator_errors(Hamiltonian(m), 1.3)[1] <= 1e-10
+        monkeypatch.setattr(dynamics, "XZ", np.abs(dynamics.XZ))
         monkeypatch.setattr(dynamics, "local_xz", lambda k, q: np.abs(encoding_local_xz(k, q)))
-        assert not propagator_errors(Hamiltonian(m), 1.3)[1] <= 1e-10
+        h = Hamiltonian(m)
+        _, v, jv = h.encoded_spectrum()
+        assert np.array_equal(jv, np.kron(np.eye(3), np.abs(encoding_local_xz(1, 0))) @ v)
+        assert not propagator_errors(h, 1.3)[1] <= 1e-10
 
     def test_perturbed_eigenvectors_fail_the_orthogonality_gate(self):
         h = Hamiltonian(linalg.random_hermitian(3, seed=45))

@@ -11,6 +11,7 @@ from realsim.encoding import (
     DensityOperator,
     EncodedOperator,
     EncodedState,
+    Layout,
     Povm,
     PureState,
     conjugation_operator,
@@ -258,7 +259,7 @@ class TestMeasurement:
         psi = state(linalg.random_state(6, seed=50))
         povm = Povm(tuple(random_povm(6, 3, seed=51)))
         direct = povm_probabilities(psi, povm)
-        encoded = encoded_povm_probabilities(encode_state(psi), encoded_elements(povm))
+        encoded = encoded_povm_probabilities(encode_state(psi), povm)
         assert np.abs(direct - encoded).max() <= 1e-12
         assert abs(encoded.sum() - 1.0) <= 1e-12
 
@@ -266,8 +267,17 @@ class TestMeasurement:
         rho = DensityOperator(random_density(4, seed=52))
         povm = Povm(tuple(random_povm(4, 4, seed=53)))
         direct = povm_probabilities(rho, povm)
-        encoded = encoded_povm_probabilities(encode_density(rho), encoded_elements(povm))
+        encoded = encoded_povm_probabilities(encode_density(rho), povm)
         assert np.abs(direct - encoded).max() <= 1e-12
+
+    def test_multi_qubit_layout_statistics_match_the_dense_encoding(self):
+        psi = PureState(linalg.random_state(6, seed=56), factor_dims=(2, 3))
+        povm = Povm(tuple(random_povm(6, 3, seed=57)))
+        enc = encode_state(psi, Layout(2))
+        dense = np.array([enc.amplitudes @ encode_operator(e, Layout(2)).matrix @ enc.amplitudes for e in povm.elements])
+        encoded = encoded_povm_probabilities(enc, povm)
+        assert np.abs(encoded - dense).max() <= linalg.EXACT_TOL
+        assert np.abs(encoded - povm_probabilities(psi, povm)).max() <= 1e-12
 
     def test_encoded_elements_still_complete(self):
         povm = Povm(tuple(random_povm(3, 3, seed=54)))
@@ -282,9 +292,11 @@ class TestMeasurement:
 
     def test_layout_mismatch_rejected(self):
         psi = state(linalg.random_state(2, seed=55))
-        wrong_dim = [encode_operator(np.eye(3, dtype=complex) / 3)] * 3
+        wrong_dim = Povm((np.eye(3, dtype=complex) / 3,) * 3)
         with pytest.raises(ValueError):
             encoded_povm_probabilities(encode_state(psi), wrong_dim)
+        with pytest.raises(ValueError):
+            encoded_povm_probabilities(encode_density(DensityOperator(np.eye(2) / 2)), wrong_dim)
 
 
 class TestChannels:

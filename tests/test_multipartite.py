@@ -5,9 +5,8 @@ import pytest
 
 from helpers import block_encode, interleave, lift_local_operator, random_povm
 from realsim import linalg
-from realsim.encoding import Layout, PureState, encode_operator, encode_state
+from realsim.encoding import Layout, PureState, apply_lift, encode_operator, encode_state
 from realsim.multipartite import (
-    apply_lift,
     local_xz,
     logical_states,
     stabilizer_check,
