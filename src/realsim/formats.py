@@ -9,6 +9,8 @@ are emitted with 17 significant digits so doubles round-trip exactly.
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain
 
 import numpy as np
 
@@ -61,9 +63,27 @@ def _number(value, where: str) -> float:
 
 
 def _pairs_to_complex(entries, where: str) -> np.ndarray:
+    """[[re, im], ...] as one complex vector.
+
+    Shape and types are checked in whole-list passes and the numbers
+    converted in one array call; the per-pair scan runs only to name the
+    first bad pair.
+    """
     if not isinstance(entries, list):
         raise FormatError(f"{where} must be a list of [re, im] pairs")
-    out = []
+    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}):
+        _raise_on_first_bad_pair(entries, where)  # returns only for tuple pairs, which JSON never gives
+    flat = list(chain.from_iterable(entries))
+    if not set(map(type, flat)) <= {int, float}:  # bool, str, None and lists are other types
+        _raise_on_first_bad_pair(entries, where)  # returns only for number subclasses, which JSON never gives
+    values = np.array(flat, dtype=float).view(complex)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise FormatError(f"{where}[{int(np.argmin(finite))}] must be finite")
+    return values
+
+
+def _raise_on_first_bad_pair(entries: list, where: str) -> None:
     for i, pair in enumerate(entries):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise FormatError(f"{where}[{i}] must be a [re, im] pair")
@@ -71,8 +91,6 @@ def _pairs_to_complex(entries, where: str) -> np.ndarray:
         if not isinstance(re, (int, float)) or not isinstance(im, (int, float)) \
                 or isinstance(re, bool) or isinstance(im, bool):
             raise FormatError(f"{where}[{i}] must hold two numbers")
-        out.append(complex(re, im))
-    return np.array(out, dtype=complex)
 
 
 def parse_vector(obj, where: str = "vector") -> tuple[np.ndarray, tuple[int, ...]]:
@@ -204,6 +222,8 @@ def _write(value, out: list) -> None:
             except _Unwritable as e:
                 raise _Unwritable(e.reason, (k,) + e.keys) from None
         out.append("}")
+    elif type(value) is list and set(map(type, value)) == {float} and all(map(math.isfinite, value)):
+        out.append("[" + ",".join([format(x, ".17g") for x in value]) + "]")
     elif isinstance(value, (list, tuple)):
         out.append("[")
         for i, v in enumerate(value):

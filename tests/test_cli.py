@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import realsim
-from realsim import dynamics, encoding
+from realsim import dynamics, encoding, multipartite
 from realsim.applications import bell, selftest
 from realsim.cli import main
 
@@ -64,6 +64,10 @@ def report_of(out):
     report = json.loads(out)
     assert set(report) == {"command", "inputs_digest", "results", "assertions", "versions"}
     return report
+
+
+def failed_assertions(out):
+    return {a["name"] for a in report_of(out)["assertions"] if not a["passed"]}
 
 
 class TestEncode:
@@ -432,13 +436,10 @@ class TestLiftFaults:
         for module in (encoding, bell, selftest):
             monkeypatch.setattr(module, "apply_lift", dropped)
 
-    def failed(self, out):
-        return {a["name"] for a in report_of(out)["assertions"] if not a["passed"]}
-
     def test_bell(self, capsys, real_part_only):
         code, out, _ = run(capsys, ["bell", "--scenario", "mermin3", "--seed", "4", "--restarts", "3"])
         assert code == 1
-        assert self.failed(out) == {"modes_agree", "reaches_target_real_encoded"}
+        assert failed_assertions(out) == {"modes_agree", "reaches_target_real_encoded"}
 
     @pytest.mark.parametrize("state", [
         {"dims": [2], "amplitudes": [[S, 0.0], [0.0, S]]},
@@ -450,12 +451,82 @@ class TestLiftFaults:
             matrix_obj([[0.5, -0.5j], [0.5j, 0.5]]), matrix_obj([[0.5, 0.5j], [-0.5j, 0.5]])]})
         code, out, _ = run(capsys, ["measure", write(tmp_path, "state.json", state), povm])
         assert code == 1
-        assert self.failed(out) == {"encoded_matches_complex"}
+        assert failed_assertions(out) == {"encoded_matches_complex"}
 
     def test_selftest(self, capsys, real_part_only):
         code, out, _ = run(capsys, ["selftest"])
         assert code == 1
-        assert self.failed(out) == {"statistics_match"}
+        assert failed_assertions(out) == {"statistics_match"}
+
+
+class TestAssertionFaults:
+    """Faults in one layer each, for the assertions no other test fails."""
+
+    def test_see_saw_that_never_moves_misses_the_complex_target(self, capsys, monkeypatch):
+        monkeypatch.setattr(bell, "_sweep", lambda c, obs, states, dims: obs)
+        code, out, _ = run(capsys, ["bell", "--scenario", "chsh", "--mode", "complex", "--seed", "3",
+                                    "--restarts", "2"])
+        assert code == 1
+        assert failed_assertions(out) == {"reaches_target_complex"}
+
+    def test_sign_flip_in_the_logical_zero_breaks_the_generator_action(self, capsys, monkeypatch):
+        exact = multipartite.logical_states
+
+        def flipped(k):
+            logical = exact(k)
+            zero = logical.zero_state.copy()
+            zero[np.flatnonzero(zero)[-1]] *= -1.0
+            return encoding.LogicalAncilla(zero, logical.one_state)
+
+        monkeypatch.setattr(multipartite, "logical_states", flipped)
+        code, out, _ = run(capsys, ["stabilizer", "--k", "3"])
+        assert code == 1
+        assert failed_assertions(out) == {"generator_action"}
+
+    def test_rank_tolerance_above_every_singular_value_breaks_the_codespace_dimension(self, capsys, monkeypatch):
+        monkeypatch.setattr(multipartite, "RANK_TOL", 1e3)
+        code, out, _ = run(capsys, ["stabilizer", "--k", "3"])
+        assert code == 1
+        assert failed_assertions(out) == {"codespace_dimension_is_2"}
+
+
+class TestOverflowingMatrixEntry:
+    """A literal such as 1e400 parses to inf; the parser names its field before any layer sees it."""
+
+    def run_with_overflow(self, tmp_path, argv, name, obj):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj).replace("12345.5", "1e400"))
+        argv = [str(path) if a == name else a for a in argv]
+        return subprocess.run([sys.executable, "-m", "realsim", *argv], capture_output=True, text=True)
+
+    def assert_rejected(self, proc, field):
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and f"{field} must be finite" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_scenario_observable(self, tmp_path):
+        z = matrix_obj(np.diag([1.0, -1.0]))
+        bad = matrix_obj(np.diag([12345.5, -1.0]))
+        obj = {
+            "parties": 2,
+            "settings_per_party": [1, 1],
+            "observables": [[z], [bad]],
+            "coefficients": [{"settings": [0, 0], "value": 1.0}],
+            "classical_bound": 1.0,
+        }
+        proc = self.run_with_overflow(tmp_path, ["bell", "--scenario-file", "s.json", "--seed", "1"], "s.json", obj)
+        self.assert_rejected(proc, "s.json.observables[1][0].entries[0]")
+
+    def test_povm_element(self, tmp_path, circular_state):
+        obj = {"elements": [matrix_obj(np.diag([1.0, 0.0])), matrix_obj([[0.0, 0.0], [0.0, 1.0 + 12345.5j]])]}
+        proc = self.run_with_overflow(tmp_path, ["measure", circular_state, "p.json"], "p.json", obj)
+        self.assert_rejected(proc, "p.json.elements[1].entries[3]")
+
+    def test_state_amplitude(self, tmp_path):
+        obj = {"dims": [2], "amplitudes": [[S, 0.0], [0.0, 12345.5]]}
+        proc = self.run_with_overflow(tmp_path, ["encode", "v.json"], "v.json", obj)
+        self.assert_rejected(proc, "v.json.amplitudes[1]")
 
 
 class TestTolFlag:

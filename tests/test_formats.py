@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from realsim import formats
 from realsim.encoding import DensityOperator, PureState
@@ -13,6 +15,34 @@ def write(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def pairs_to_complex_by_pair(entries, where):
+    """Pair-by-pair reference parser: the bulk path must match its values and its messages."""
+    if not isinstance(entries, list):
+        raise formats.FormatError(f"{where} must be a list of [re, im] pairs")
+    out = []
+    for i, pair in enumerate(entries):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise formats.FormatError(f"{where}[{i}] must be a [re, im] pair")
+        re, im = pair
+        if not isinstance(re, (int, float)) or not isinstance(im, (int, float)) \
+                or isinstance(re, bool) or isinstance(im, bool):
+            raise formats.FormatError(f"{where}[{i}] must hold two numbers")
+        out.append(complex(re, im))
+    return np.array(out, dtype=complex)
+
+
+JSON_NUMBERS = st.one_of(
+    st.integers(-(10 ** 300), 10 ** 300),
+    st.integers(-(2 ** 70), 2 ** 70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0, -0.0, 5e-324, -5e-324, 1e308, -1e308]),
+)
+PAIRS = st.lists(st.lists(JSON_NUMBERS, min_size=2, max_size=2), max_size=30)
+# Values that are not numbers, and entries that are not [re, im] pairs.
+BAD_NUMBERS = st.sampled_from([True, False, "1.0", None, [1.0], [], {"re": 1.0}])
+BAD_PAIRS = st.sampled_from([[1.0], [1.0, 2.0, 3.0], [], "ab", {"re": 1.0, "im": 0.0}, None, 1.0, True])
 
 
 class TestDumps:
@@ -43,6 +73,74 @@ class TestDumps:
 
     def test_integers_stay_integers(self):
         assert formats.dumps({"n": 3}) == '{"n":3}'
+
+
+class TestBulkPairs:
+    @given(PAIRS)
+    def test_values_equal_the_pairwise_conversion_bit_for_bit(self, pairs):
+        got = formats._pairs_to_complex(pairs, "x")
+        want = pairs_to_complex_by_pair(pairs, "x")
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @given(PAIRS.filter(bool), st.data())
+    def test_bad_number_message_is_the_pairwise_one(self, pairs, data):
+        i = data.draw(st.integers(0, len(pairs) - 1))
+        pairs[i][data.draw(st.integers(0, 1))] = data.draw(BAD_NUMBERS)
+        self.assert_same_error(pairs)
+
+    @given(PAIRS.filter(bool), st.data())
+    def test_bad_pair_message_is_the_pairwise_one(self, pairs, data):
+        pairs[data.draw(st.integers(0, len(pairs) - 1))] = data.draw(BAD_PAIRS)
+        self.assert_same_error(pairs)
+
+    def assert_same_error(self, pairs):
+        with pytest.raises(formats.FormatError) as want:
+            pairs_to_complex_by_pair(pairs, "m.entries")
+        with pytest.raises(formats.FormatError) as got:
+            formats._pairs_to_complex(pairs, "m.entries")
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_first_non_finite_pair_is_named(self, part):
+        pairs = [[1.0, 0.0], [0.0, 1.0], [2.0, 2.0], [3.0, 3.0]]
+        pairs[2][part] = float("inf")
+        pairs[3][part] = float("-inf")
+        with pytest.raises(formats.FormatError, match=r"^m\.entries\[2\] must be finite$"):
+            formats._pairs_to_complex(pairs, "m.entries")
+
+    def test_a_type_fault_is_named_before_a_non_finite_number(self):
+        with pytest.raises(formats.FormatError, match=r"^v\[1\] must hold two numbers$"):
+            formats._pairs_to_complex([[float("inf"), 0.0], [True, 0.0]], "v")
+
+    def test_tuple_pairs_and_float_subclasses_still_parse(self):
+        pairs = [(1.0, np.float64(-0.5)), [np.float64(2.0), 3]]
+        assert formats._pairs_to_complex(pairs, "v").tolist() == [1.0 - 0.5j, 2.0 + 3.0j]
+
+
+class TestBulkFloatLists:
+    FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([-0.0, 5e-324, 1e308]))
+
+    @given(st.lists(FLOATS, max_size=40))
+    def test_float_list_equals_the_element_wise_writer(self, values):
+        assert formats.dumps(values) == "[" + ",".join(formats.dumps(x) for x in values) + "]"
+
+    @given(st.lists(st.one_of(FLOATS, FLOATS.map(np.float64)), max_size=40))
+    def test_float64_mixes_equal_the_element_wise_writer(self, values):
+        report = {"results": {"encoded_amplitudes": values}}
+        expected = '{"results":{"encoded_amplitudes":[' + ",".join(formats.dumps(x) for x in values) + "]}}"
+        assert formats.dumps(report) == expected
+
+    def test_integers_in_a_list_stay_integers(self):
+        assert formats.dumps([1, 2.0]) == "[1,2]"
+
+    def test_empty_list(self):
+        assert formats.dumps([]) == "[]"
+
+    def test_non_finite_value_in_a_float_list_names_the_key(self):
+        report = {"results": {"encoded_amplitudes": [0.5, float("nan"), 0.25]}}
+        with pytest.raises(ValueError, match=r"^results\.encoded_amplitudes: cannot serialize non-finite number nan$"):
+            formats.dumps(report)
 
 
 class TestLoadJson:

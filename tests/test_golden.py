@@ -8,6 +8,7 @@ depend on where the files live.
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -33,6 +34,24 @@ def matrix_obj(m):
     }
 
 
+def seeded_state(seed, n):
+    # Normalized with math.fsum on Python floats, so the file bytes do not depend on the BLAS build.
+    rng = np.random.default_rng(seed)
+    re, im = rng.standard_normal(n).tolist(), rng.standard_normal(n).tolist()
+    norm = math.sqrt(math.fsum(x * x for x in re + im))
+    return {"dims": [n], "amplitudes": [[x / norm, y / norm] for x, y in zip(re, im)]}
+
+
+def seeded_povm(seed, n, count):
+    # E_i = U diag(w_i) U^dagger with U a Householder reflection and each weight row summing to 1.
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    u = np.eye(n) - 2.0 * np.outer(v, v.conj()) / np.vdot(v, v).real
+    weights = rng.dirichlet(np.ones(count), size=n)
+    elements = [(u * weights[:, i]) @ u.conj().T for i in range(count)]
+    return {"elements": [matrix_obj((e + e.conj().T) / 2.0) for e in elements]}
+
+
 FILES = {
     "qubit.json": {"dims": [2], "amplitudes": [[S, 0.0], [0.0, S]]},
     "pair.json": {"dims": [2, 2], "amplitudes": [[H, 0.0], [0.0, H], [0.0, -H], [H, 0.0]]},
@@ -41,11 +60,17 @@ FILES = {
                                 + np.kron(np.eye(2), [[1.0, 0.0], [0.0, -1.0]])),
     "rho.json": matrix_obj([[0.75, 0.25j], [-0.25j, 0.25]]),
     "povm.json": {"elements": [matrix_obj([[H, H], [H, H]]), matrix_obj([[H, -H], [-H, H]])]},
+    # Long [re, im] and float lists: a bulk parser or writer fault that spares short lists still moves a hash.
+    "state_n256.json": seeded_state(5, 256),
+    "state_n8.json": seeded_state(6, 8),
+    "povm_8x8.json": seeded_povm(7, 8, 4),
 }
 
 JOBS = {
     "encode_k1": (["encode", "qubit.json"],
                   "974f50e0d4147f6bedf5b073898961c876ba981a98a4feb81498a809e48bb454"),
+    "encode_n256": (["encode", "state_n256.json"],
+                    "f9fb81f5ac6d283f984d98d6603062346c92248c7aa6b5126a25757ee750adc4"),
     "encode_k2": (["encode", "pair.json", "--k", "2"],
                   "bf31e417672681f6c9194ebb9c017801e553adcac41fa2b531f557f926ac13db"),
     "evolve_k1": (["evolve", "ham_y.json", "qubit.json", "--t-max", "1.5", "--steps", "5"],
@@ -54,6 +79,8 @@ JOBS = {
                   "bd10a528bbb5e3d74677863e4c23cd4c494609e92780347d40d23cd49990e990"),
     "measure_pure": (["measure", "qubit.json", "povm.json"],
                      "26da12a800521f05abdb6a823efbea42d42bdf32aa1ee1a682b111e7da55a96b"),
+    "measure_povm_8x8": (["measure", "state_n8.json", "povm_8x8.json"],
+                         "8f2558a7d7f87098bf99fc772a90670339fcb5b89117ce6a47535ba8883385e7"),
     "measure_density": (["measure", "rho.json", "povm.json"],
                         "282233891220a1a1af622daa69707bb6e643abf07d9ab9caf425bb286b86b2ca"),
     "bell_chsh": (["bell", "--scenario", "chsh", "--restarts", "2", "--seed", "3"],
