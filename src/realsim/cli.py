@@ -60,7 +60,7 @@ def cmd_evolve(args):
     h = Hamiltonian(formats.load_matrix(args.hamiltonian))
     state = formats.load_state(args.state)
     sign = 1 if args.sign == "plus" else -1
-    res = trajectory(h, state, args.t_max, args.steps, Layout(args.k), sign, strict=False)
+    res = trajectory(h, state, args.t_max, args.steps, Layout(args.k), sign)
     results = {
         "times": [float(t) for t in res.times],
         "orthogonality_error": res.orthogonality_error,
@@ -100,6 +100,9 @@ def cmd_measure(args):
     return results, assertions, [args.state, args.povm]
 
 
+_SCENARIOS = {"chsh": chsh_scenario, "mermin3": mermin3_scenario}
+
+
 def cmd_bell(args):
     if args.seed is None:
         raise FormatError("--seed is required: bell restarts are stochastic and never seeded from the clock")
@@ -107,12 +110,8 @@ def cmd_bell(args):
     if args.scenario_file is not None:
         scenario = formats.load_scenario(args.scenario_file)
         files.append(args.scenario_file)
-    elif args.scenario == "chsh":
-        scenario = chsh_scenario()
-    elif args.scenario == "mermin3":
-        scenario = mermin3_scenario()
     else:
-        raise FormatError("choose a built-in --scenario or give --scenario-file")
+        scenario = _SCENARIOS[args.scenario]()
     seeds = [args.seed + i for i in range(args.restarts)]
     result = optimize_bell(scenario, seeds, args.iterations)
     results = {"classical_bound": scenario.classical_bound}
@@ -210,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("povm", help="POVM JSON file ({\"elements\": [matrix, ...]})")
 
     sp = sub.add_parser("bell", help="optimize a Bell expression by seeded see-saw restarts")
-    sp.add_argument("--scenario", choices=("chsh", "mermin3"), default="chsh",
+    sp.add_argument("--scenario", choices=tuple(_SCENARIOS), default="chsh",
                     help="built-in scenario (default chsh)")
     sp.add_argument("--scenario-file", default=None, help="scenario JSON file, overrides --scenario")
     sp.add_argument("--mode", choices=("complex", "real_encoded", "both"), default="both",

@@ -23,7 +23,7 @@ class FormatError(ValueError):
 
 
 def load_json(path: str):
-    """Parse a JSON file; NaN, Infinity and integers beyond the double range are rejected, not read."""
+    """Parse a JSON file; NaN and Infinity are rejected, not read."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
 
@@ -31,9 +31,11 @@ def load_json(path: str):
         raise FormatError(f"{path}: non-finite number {literal} is not allowed")
 
     try:
-        return json.loads(text, parse_constant=reject, parse_int=lambda s: reject(s) if np.isinf(float(s)) else int(s))
+        return json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: malformed JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+    except ValueError as e:  # an integer literal longer than Python's int conversion limit
+        raise FormatError(f"{path}: {e}") from e
 
 
 def _require_keys(obj, required: tuple[str, ...], optional: tuple[str, ...] = (), where: str = "object") -> None:
@@ -53,10 +55,18 @@ def _int_list(value, where: str) -> tuple[int, ...]:
     return tuple(value)
 
 
+def _float(value, where: str) -> float:
+    """float(value); an integer beyond the double range is rejected here, where it would become a float."""
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the double range
+        raise FormatError(f"{where} must be finite: non-finite number, an integer beyond the double range") from None
+
+
 def _number(value, where: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise FormatError(f"{where} must be a number")
-    number = float(value)
+    number = _float(value, where)
     if not np.isfinite(number):
         raise FormatError(f"{where} must be finite, got {value}")
     return number
@@ -76,7 +86,10 @@ def _pairs_to_complex(entries, where: str) -> np.ndarray:
     flat = list(chain.from_iterable(entries))
     if not set(map(type, flat)) <= {int, float}:  # bool, str, None and lists are other types
         _raise_on_first_bad_pair(entries, where)  # returns only for number subclasses, which JSON never gives
-    values = np.array(flat, dtype=float).view(complex)
+    try:
+        values = np.array(flat, dtype=float).view(complex)
+    except OverflowError:  # a float literal beyond the double range parses to inf, an integer one does not
+        values = np.array([_float(x, f"{where}[{i // 2}]") for i, x in enumerate(flat)]).view(complex)
     finite = np.isfinite(values)
     if not finite.all():
         raise FormatError(f"{where}[{int(np.argmin(finite))}] must be finite")

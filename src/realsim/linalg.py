@@ -81,7 +81,8 @@ def is_identity(a, tol: float = INPUT_TOL) -> bool:
 def is_unitary(a, tol: float = INPUT_TOL) -> bool:
     a = np.asarray(a)
     _require_square(a, "is_unitary")
-    return is_identity(dagger(a) @ a, tol)
+    # A unitary's entries have modulus at most 1; testing that first keeps a^dagger a from overflowing.
+    return bool(np.max(np.abs(a)) <= 1.0 + tol) and is_identity(dagger(a) @ a, tol)
 
 
 def is_hermitian(a, tol: float = INPUT_TOL) -> bool:

@@ -10,6 +10,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import warnings
 from datetime import timedelta
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import realsim
-from realsim import dynamics, encoding, multipartite
+from realsim import cli, dynamics, encoding, multipartite
 from realsim.applications import bell, selftest
 from realsim.cli import main
 
@@ -344,6 +345,31 @@ class TestBell:
         assert f"{named} must be finite" in proc.stderr
         assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("field,named", [
+        ("coefficients", "coefficients[0].value"),
+        ("classical_bound", "classical_bound"),
+        ("quantum_target", "quantum_target"),
+    ])
+    def test_integer_beyond_the_double_range_rejected(self, capsys, tmp_path, field, named):
+        # 10**400 is a valid JSON integer that no double holds; float() of it raises OverflowError.
+        z = matrix_obj(np.diag([1.0, -1.0]))
+        obj = {
+            "parties": 2,
+            "settings_per_party": [1, 1],
+            "observables": [[z], [z]],
+            "coefficients": [{"settings": [0, 0], "value": 1.0}],
+            "classical_bound": 1.0,
+            "quantum_target": 1.0,
+        }
+        if field == "coefficients":
+            obj["coefficients"][0]["value"] = 10 ** 400
+        else:
+            obj[field] = 10 ** 400
+        code, out, err = run(capsys, ["bell", "--scenario-file", write(tmp_path, "s.json", obj), "--seed", "3"])
+        assert code == 2
+        assert out == ""
+        assert f"s.json.{named} must be finite: non-finite number" in err
+
     @pytest.mark.parametrize("mode", ["both", "complex", "real_encoded"])
     def test_one_dimensional_party_rejected_in_every_mode(self, capsys, tmp_path, mode):
         scenario = write(
@@ -489,6 +515,62 @@ class TestAssertionFaults:
         assert code == 1
         assert failed_assertions(out) == {"codespace_dimension_is_2"}
 
+    @staticmethod
+    def patch(monkeypatch, name, fault):
+        """Replace an encoding function and the CLI's binding of it."""
+        for module in (encoding, cli):
+            monkeypatch.setattr(module, name, fault)
+
+    def test_out_of_codespace_leak_breaks_only_norm_preservation(self, capsys, tmp_path, monkeypatch):
+        # 5e-6 on |x=0>|00> and on |x=0>|11> is orthogonal to the Layout(2) codespace: the norm
+        # grows by 2.5e-11, which EncodedState admits (INPUT_TOL) and decoding projects away.
+        exact = encoding.encode_state
+
+        def leaky(psi, layout=encoding.SINGLE_ANCILLA):
+            amps = exact(psi, layout).amplitudes.copy()
+            amps[[0, 3]] += 5e-6
+            return encoding.EncodedState(amps, psi.dim, layout)
+
+        self.patch(monkeypatch, "encode_state", leaky)
+        psi = write(tmp_path, "psi.json", {"dims": [2, 2], "amplitudes": [[0.5, 0.0], [0.0, 0.5], [0.5, 0.0], [0.0, -0.5]]})
+        code, out, _ = run(capsys, ["encode", psi, "--k", "2"])
+        assert code == 1
+        assert failed_assertions(out) == {"norm_preserved"}
+
+    def test_conjugating_encoder_breaks_only_the_round_trip(self, capsys, circular_state, monkeypatch):
+        # Writing -b on the ancilla's |1> encodes conj(psi): same norm, wrong decoding.
+        exact = encoding.encode_state
+
+        def conjugating(psi, layout=encoding.SINGLE_ANCILLA):
+            amps = exact(psi, layout).amplitudes * np.tile([1.0, -1.0], psi.dim)
+            return encoding.EncodedState(amps, psi.dim, layout)
+
+        self.patch(monkeypatch, "encode_state", conjugating)
+        code, out, _ = run(capsys, ["encode", circular_state])
+        assert code == 1
+        assert failed_assertions(out) == {"round_trip"}
+
+    def test_complex_probabilities_without_the_conjugate_are_not_normalized(self, capsys, circular_state,
+                                                                            z_basis_povm, monkeypatch):
+        # psi^T E psi in place of <psi|E|psi> gives +-1/2 on (|0> + i|1>)/sqrt2: a sum of 0.
+        def unconjugated(state, povm):
+            v = state.amplitudes
+            return np.array([float(np.dot(v, e @ v).real) for e in povm.elements])
+
+        self.patch(monkeypatch, "povm_probabilities", unconjugated)
+        code, out, _ = run(capsys, ["measure", circular_state, z_basis_povm])
+        assert code == 1
+        assert failed_assertions(out) == {"encoded_matches_complex", "complex_normalized"}
+
+    def test_encoded_density_without_its_half_is_not_normalized(self, capsys, tmp_path, z_basis_povm,
+                                                                  monkeypatch):
+        # The operator encoding of rho has trace 2; encode_density halves it.
+        self.patch(monkeypatch, "encode_density", lambda rho: encoding.encode_operator(rho.matrix).matrix)
+        rho = write(tmp_path, "rho.json", matrix_obj([[0.75, 0.25j], [-0.25j, 0.25]]))
+        code, out, _ = run(capsys, ["measure", rho, z_basis_povm])
+        assert code == 1
+        assert failed_assertions(out) == {"encoded_matches_complex", "encoded_normalized"}
+
 
 class TestOverflowingMatrixEntry:
     """A literal such as 1e400 parses to inf; the parser names its field before any layer sees it."""
@@ -527,6 +609,27 @@ class TestOverflowingMatrixEntry:
         obj = {"dims": [2], "amplitudes": [[S, 0.0], [0.0, 12345.5]]}
         proc = self.run_with_overflow(tmp_path, ["encode", "v.json"], "v.json", obj)
         self.assert_rejected(proc, "v.json.amplitudes[1]")
+
+
+class TestHugeFiniteEntries:
+    """Entries near 1e300 are finite but overflow a square; the input is rejected without a numpy warning."""
+
+    def run_without_warnings(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return run(capsys, argv)
+
+    def test_state_amplitude(self, capsys, tmp_path):
+        psi = write(tmp_path, "psi.json", {"dims": [2], "amplitudes": [[1e300, 0.0], [0.5, 0.0]]})
+        code, out, err = self.run_without_warnings(capsys, ["encode", psi])
+        assert (code, out) == (2, "")
+        assert err == "error: state norm inf is not 1 within 1e-10; inputs are never renormalized\n"
+
+    @pytest.mark.parametrize("gate", [[[1e300, 0.0], [0.0, 1.0]], [[-1e300, 1e300], [1e300, 1e300]]])
+    def test_selftest_gate(self, capsys, tmp_path, gate):
+        code, out, err = self.run_without_warnings(capsys, ["selftest", write(tmp_path, "g.json", matrix_obj(gate))])
+        assert (code, out) == (2, "")
+        assert "must be unitary" in err
 
 
 class TestTolFlag:

@@ -109,6 +109,12 @@ class TestBulkPairs:
         with pytest.raises(formats.FormatError, match=r"^m\.entries\[2\] must be finite$"):
             formats._pairs_to_complex(pairs, "m.entries")
 
+    @pytest.mark.parametrize("big", [10 ** 400, -(10 ** 309)])
+    def test_integer_beyond_the_double_range_names_its_pair(self, big):
+        pairs = [[1.0, 0.0], [0, big], [float("inf"), 0.0]]
+        with pytest.raises(formats.FormatError, match=r"^m\.entries\[1\] must be finite: non-finite number"):
+            formats._pairs_to_complex(pairs, "m.entries")
+
     def test_a_type_fault_is_named_before_a_non_finite_number(self):
         with pytest.raises(formats.FormatError, match=r"^v\[1\] must hold two numbers$"):
             formats._pairs_to_complex([[float("inf"), 0.0], [True, 0.0]], "v")
@@ -156,6 +162,13 @@ class TestLoadJson:
         path = tmp_path / "big.json"
         path.write_text('{"dims": [1], "amplitudes": [[%s, 0]]}' % literal)
         with pytest.raises(formats.FormatError, match="non-finite number"):
+            formats.load_state(str(path))
+
+    def test_integer_past_the_conversion_limit_names_the_file(self, tmp_path):
+        # Recent Pythons refuse to read an integer literal of more than 4300 digits, with a ValueError.
+        path = tmp_path / "huge.json"
+        path.write_text('{"dims": [1], "amplitudes": [[%s, 0]]}' % ("1" * 5000))
+        with pytest.raises(formats.FormatError, match=r"huge\.json"):
             formats.load_state(str(path))
 
     def test_ordinary_integers_are_still_integers(self, tmp_path):
