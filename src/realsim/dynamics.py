@@ -8,7 +8,7 @@ H' and J^2 = -I, so the real orthogonal propagator is
 
 and one real eigendecomposition of H' gives it at every time.  The
 complex side uses its own eigendecomposition of H, so the two sides are
-computed independently and compared, over a whole time grid in one pass.
+computed independently and compared at every time of a grid.
 J is never built: XZ acts along one ancilla axis.  The functions return
 what they measure and raise only on malformed arguments; the caller (the
 CLI's assertions) judges the measurements.
@@ -16,7 +16,7 @@ CLI's assertions) judges the measurements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -140,44 +140,36 @@ def propagator_errors(h: Hamiltonian, t: float, layout: Layout = SINGLE_ANCILLA,
     return orthogonality, dense
 
 
-def _run(h: Hamiltonian, psi: PureState, times: tuple[float, ...], layout: Layout, sign: int) -> EvolutionResult:
-    """Evolve psi to every time on both sides in one pass and compare.
+def evolve(h: Hamiltonian, t: float, psi: PureState, layout: Layout = SINGLE_ANCILLA,
+           sign: int = 1) -> EvolutionResult:
+    """Evolve one time step on both sides and compare.
 
-    At time t the complex side is W (e^{i s w t} * c) with c = W^dagger psi,
-    and the encoded side V (cos(lambda t) * d) + s (J V) (sin(lambda t) * d)
-    with d = V^T psi', in real arithmetic only; c and d are computed once.
+    sign +1 evolves with exp(+iHt), sign -1 with exp(-iHt).  The complex
+    side is W (e^{i s w t} * W^dagger psi) from the spectrum of H; the
+    encoded side is V (cos(lambda t) * d) + s (J V) (sin(lambda t) * d)
+    with d = V^T psi' from the spectrum of H', in real arithmetic only.
     """
     sign = _check_sign(sign)
     if h.dim != psi.dim:
         raise ValueError(f"Hamiltonian dimension {h.dim} does not match state dimension {psi.dim}")
+    t = float(t)
     w, vecs = h.spectrum
-    c = vecs.conj().T @ psi.amplitudes
+    evolved = PureState(vecs @ (np.exp((1j * sign * t) * w) * (vecs.conj().T @ psi.amplitudes)), psi.factor_dims)
+
     enc0 = encode_state(psi, layout)
     lam, v, jv = h.encoded_spectrum(layout)
     d = v.T @ enc0.amplitudes
-    # Drift is measured against the input's own norm, which PureState lets differ from 1 by up to INPUT_TOL.
-    norm0 = float(np.linalg.norm(enc0.amplitudes))
-    complex_states, encoded_states, drifts, deviations = [], [], [], []
-    for t in times:
-        evolved = PureState(vecs @ (np.exp((1j * sign * t) * w) * c), psi.factor_dims)
-        out = v @ (np.cos(lam * t) * d) + sign * (jv @ (np.sin(lam * t) * d))
-        drifts.append(abs(float(np.linalg.norm(out)) - norm0))
-        deviations.append(float(np.linalg.norm(out - encode_state(evolved, layout).amplitudes)))
-        complex_states.append(evolved)
-        encoded_states.append(EncodedState(out, enc0.source_dim, enc0.layout))
-    return EvolutionResult(times, tuple(complex_states), tuple(encoded_states),
-                           float(np.max(drifts)), float(np.max(deviations)))
-
-
-def evolve(h: Hamiltonian, t: float, psi: PureState, layout: Layout = SINGLE_ANCILLA,
-           sign: int = 1) -> EvolutionResult:
-    """Evolve one time step on both sides and compare; sign +1 evolves with exp(+iHt), sign -1 with exp(-iHt)."""
-    return _run(h, psi, (float(t),), layout, sign)
+    out = v @ (np.cos(lam * t) * d) + sign * (jv @ (np.sin(lam * t) * d))
+    # Measured against the input's own norm, which PureState lets differ from 1 by up to INPUT_TOL.
+    drift = abs(float(np.linalg.norm(out)) - float(np.linalg.norm(enc0.amplitudes)))
+    deviation = float(np.linalg.norm(out - encode_state(evolved, layout).amplitudes))
+    enc = EncodedState(out, enc0.source_dim, enc0.layout)
+    return EvolutionResult((t,), (evolved,), (enc,), drift, deviation)
 
 
 def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64,
                layout: Layout = SINGLE_ANCILLA, sign: int = 1) -> EvolutionResult:
-    """Evolve on a uniform time grid and check the propagator once.
+    """Evolve on a uniform time grid, one `evolve` per point, and check the propagator once.
 
     The grid is linspace(0, t_max, steps).  U(t_max) is built from the
     spectrum of H', checked for orthogonality, and compared with the
@@ -186,7 +178,8 @@ def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64,
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
     times = tuple(float(t) for t in np.linspace(0.0, float(t_max), int(steps)))
-    res = _run(h, psi, times, layout, sign)
+    results = [evolve(h, t, psi, layout, sign) for t in times]
     orthogonality, dense = propagator_errors(h, t_max, layout, sign)
-    return replace(res, orthogonality_error=float(np.max([orthogonality, res.orthogonality_error])),
-                   expm_error=dense)
+    return EvolutionResult(times, tuple(r.complex_states[0] for r in results), tuple(r.encoded_states[0] for r in results),
+                           float(np.max([orthogonality] + [r.orthogonality_error for r in results])),
+                           float(np.max([r.max_deviation for r in results])), dense)

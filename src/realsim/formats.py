@@ -34,6 +34,8 @@ def load_json(path: str):
         return json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: malformed JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+    except FormatError:  # from reject, already naming the file
+        raise
     except ValueError as e:  # an integer literal longer than Python's int conversion limit
         raise FormatError(f"{path}: {e}") from e
 
@@ -89,7 +91,9 @@ def _pairs_to_complex(entries, where: str) -> np.ndarray:
     try:
         values = np.array(flat, dtype=float).view(complex)
     except OverflowError:  # a float literal beyond the double range parses to inf, an integer one does not
-        values = np.array([_float(x, f"{where}[{i // 2}]") for i, x in enumerate(flat)]).view(complex)
+        for i, x in enumerate(flat):
+            _float(x, f"{where}[{i // 2}]")  # raises at the first such integer, naming its pair
+        raise
     finite = np.isfinite(values)
     if not finite.all():
         raise FormatError(f"{where}[{int(np.argmin(finite))}] must be finite")

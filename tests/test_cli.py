@@ -220,7 +220,7 @@ class TestMeasure:
         code, out, err = run(capsys, ["measure", circular_state, str(path)])
         assert code == 2
         assert out == ""
-        assert f"non-finite number {literal}" in err
+        assert err == f"error: {path}: non-finite number {literal} is not allowed\n"
 
     @pytest.mark.parametrize("state", [
         {"dims": [2], "amplitudes": [[0.6, 0.0], [0.0, 0.80000000006]]},  # <psi|psi> = 1 + 9.6e-11

@@ -1,6 +1,7 @@
 """JSON job files and the deterministic report serializer."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -163,6 +164,13 @@ class TestLoadJson:
         path.write_text('{"dims": [1], "amplitudes": [[%s, 0]]}' % literal)
         with pytest.raises(formats.FormatError, match="non-finite number"):
             formats.load_state(str(path))
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literal_names_the_file_once(self, tmp_path, literal):
+        path = tmp_path / "v.json"
+        path.write_text('{"dims": [1], "amplitudes": [[%s, 0]]}' % literal)
+        with pytest.raises(formats.FormatError, match=rf"^{re.escape(str(path))}: non-finite number {literal} is not allowed$"):
+            formats.load_json(str(path))
 
     def test_integer_past_the_conversion_limit_names_the_file(self, tmp_path):
         # Recent Pythons refuse to read an integer literal of more than 4300 digits, with a ValueError.
