@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..encoding import Layout, PureState, apply_lift, encode_state
-from ..linalg import DEFAULT_MAX_DIM, OBSERVABLE_TOL, SEESAW_STOP_TOL, apply_on_axis, is_hermitian, random_hermitian
+from ..linalg import DEFAULT_MAX_DIM, OBSERVABLE_TOL, SEESAW_STOP_TOL, admit, apply_on_axis, is_hermitian, random_hermitian
 
 MODES = ("complex", "real_encoded")
 
@@ -45,9 +45,7 @@ class BellScenario:
                 raise ValueError(f"party {j} has {len(family)} observables, expected {settings[j]}")
             fixed = []
             for o in family:
-                o = np.array(o, dtype=complex)
-                if o.ndim != 2 or o.shape[0] != o.shape[1]:
-                    raise ValueError(f"observable must be square, got shape {o.shape}")
+                o = admit(o, "observable", square=True)
                 if o.shape[0] != np.asarray(family[0]).shape[0]:
                     raise ValueError(f"party {j} observables disagree on dimension")
                 if o.shape[0] < 2:
@@ -57,7 +55,6 @@ class BellScenario:
                 w = np.linalg.eigvalsh(o)
                 if not np.max(np.abs(np.abs(w) - 1.0)) <= OBSERVABLE_TOL:
                     raise ValueError("observable eigenvalues must all be +-1")
-                o.setflags(write=False)
                 fixed.append(o)
             obs.append(tuple(fixed))
         coeffs = {}
@@ -169,7 +166,7 @@ def _effective_operators(c: np.ndarray, obs, states: np.ndarray, dims: tuple[int
     psi = states.reshape(r, int(np.prod(dims[:party])), d, -1)
     psi = np.swapaxes(psi, 2, 3).reshape(r, 1, -1, d)
     x = np.swapaxes(psi.conj(), -1, -2) @ k @ psi
-    return (np.swapaxes(x, -1, -2) + x.conj()) / 2.0
+    return np.swapaxes(x, -1, -2) / 2.0 + x.conj() / 2.0  # halving first is exact and cannot overflow
 
 
 def _sweep(c: np.ndarray, obs, states: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:

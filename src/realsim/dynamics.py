@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .encoding import SINGLE_ANCILLA, XZ, EncodedState, Layout, PureState, encode_operator, encode_state
-from .linalg import EXACT_TOL, apply_on_axis, is_hermitian, matexp
+from .linalg import EXACT_TOL, admit, apply_on_axis, is_hermitian, matexp
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -43,14 +43,9 @@ class Hamiltonian:
     _encoded_spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"Hamiltonian must be square, got shape {mat.shape}")
-        if not np.all(np.isfinite(mat.view(float))):
-            raise ValueError("Hamiltonian entries must be finite")
+        mat = admit(self.matrix, "Hamiltonian", square=True)
         if not is_hermitian(mat):
             raise ValueError("Hamiltonian is not Hermitian")
-        mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
     @property

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EXACT_TOL, INPUT_TOL, PSD_TOL, apply_on_axis, dagger, is_hermitian, is_identity, is_psd, is_unitary, kron
+from .linalg import EXACT_TOL, INPUT_TOL, PSD_TOL, admit, apply_on_axis, dagger, is_hermitian, is_identity, is_psd, is_unitary, kron
 
 XZ = np.array([[0.0, -1.0], [1.0, 0.0]])
 XZ.setflags(write=False)
@@ -106,6 +106,13 @@ def local_xz(k: int, qubit: int) -> np.ndarray:
     return np.eye(dim)[y ^ bit] * np.where(y & bit, -1.0, 1.0)
 
 
+def _require_unit_norm(amps: np.ndarray, what: str) -> None:
+    with np.errstate(over="ignore"):  # amplitudes beyond ~1e154 give norm inf, which the test below rejects
+        norm = float(np.linalg.norm(amps))
+    if not abs(norm - 1.0) <= INPUT_TOL:
+        raise ValueError(f"{what} norm {norm} is not 1 within {INPUT_TOL}; inputs are never renormalized")
+
+
 @dataclass(frozen=True)
 class PureState:
     """Unit-norm complex state vector with its tensor-factor dimensions."""
@@ -114,20 +121,13 @@ class PureState:
     factor_dims: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex)
+        amps = admit(self.amplitudes, "amplitudes")
         if amps.ndim != 1 or amps.size == 0:
             raise ValueError("amplitudes must form a nonempty 1-d vector")
-        if not np.all(np.isfinite(amps.view(float))):
-            raise ValueError("amplitudes must be finite")
-        dims = self.factor_dims
-        dims = (amps.size,) if dims is None else tuple(int(d) for d in dims)
+        dims = (amps.size,) if self.factor_dims is None else tuple(int(d) for d in self.factor_dims)
         if int(np.prod(dims)) != amps.size:
             raise ValueError(f"factor_dims {dims} do not multiply to dimension {amps.size}")
-        with np.errstate(over="ignore"):  # amplitudes beyond ~1e154 give norm inf, which the test below rejects
-            norm = float(np.linalg.norm(amps))
-        if not abs(norm - 1.0) <= INPUT_TOL:
-            raise ValueError(f"state norm {norm} is not 1 within {INPUT_TOL}; inputs are never renormalized")
-        amps.setflags(write=False)
+        _require_unit_norm(amps, "state")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "factor_dims", dims)
 
@@ -145,23 +145,11 @@ class EncodedState:
     layout: Layout = SINGLE_ANCILLA
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes)
-        if np.iscomplexobj(amps):
-            if np.any(amps.imag != 0.0):
-                raise ValueError("encoded amplitudes must have imaginary part exactly zero")
-            amps = amps.real
-        amps = np.array(amps, dtype=float)
-        if amps.ndim != 1:
-            raise ValueError("encoded amplitudes must form a 1-d vector")
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("encoded amplitudes must be finite")
+        amps = admit(self.amplitudes, "encoded amplitudes", float)
         expected = int(self.source_dim) * self.layout.ancilla_dim
-        if amps.size != expected:
-            raise ValueError(f"encoded dimension {amps.size} does not match source_dim {self.source_dim} with k={self.layout.k}")
-        norm = float(np.linalg.norm(amps))
-        if not abs(norm - 1.0) <= INPUT_TOL:
-            raise ValueError(f"encoded norm {norm} is not 1 within {INPUT_TOL}")
-        amps.setflags(write=False)
+        if amps.shape != (expected,):
+            raise ValueError(f"encoded amplitudes shape {amps.shape} does not match source_dim {self.source_dim} with k={self.layout.k}")
+        _require_unit_norm(amps, "encoded")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "source_dim", int(self.source_dim))
 
@@ -179,18 +167,10 @@ class EncodedOperator:
     layout: Layout = SINGLE_ANCILLA
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix)
-        if np.iscomplexobj(mat):
-            if np.any(mat.imag != 0.0):
-                raise ValueError("encoded operator entries must have imaginary part exactly zero")
-            mat = mat.real
-        mat = np.array(mat, dtype=float)
+        mat = admit(self.matrix, "encoded operator", float)
         expected = int(self.source_dim) * self.layout.ancilla_dim
         if mat.shape != (expected, expected):
             raise ValueError(f"encoded operator shape {mat.shape} does not match source_dim {self.source_dim} with k={self.layout.k}")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("encoded operator entries must be finite")
-        mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "source_dim", int(self.source_dim))
 
@@ -202,19 +182,15 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {mat.shape}")
-        if not np.all(np.isfinite(mat.view(float))):
-            raise ValueError("density matrix entries must be finite")
+        mat = admit(self.matrix, "density matrix", square=True)
         if not is_hermitian(mat):
             raise ValueError("density matrix is not Hermitian")
-        tr = complex(np.trace(mat))
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge diagonal sums to inf or NaN, which fails the test
+            tr = complex(np.trace(mat))
         if not abs(tr - 1.0) <= INPUT_TOL:
             raise ValueError(f"density matrix trace {tr} is not 1")
         if not is_psd(mat):
             raise ValueError(f"density matrix has an eigenvalue below the PSD floor -{PSD_TOL}")
-        mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
     @property
@@ -244,24 +220,17 @@ class Povm:
     elements: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        elems = []
-        for e in self.elements:
-            e = np.array(e, dtype=complex)
-            if e.ndim != 2 or e.shape[0] != e.shape[1]:
-                raise ValueError(f"POVM element must be square, got shape {e.shape}")
-            if not np.all(np.isfinite(e.view(float))):
-                raise ValueError("POVM element entries must be finite")
-            if not is_psd(e):
-                raise ValueError(f"POVM element is not Hermitian with eigenvalues above -{PSD_TOL}")
-            e.setflags(write=False)
-            elems.append(e)
+        elems = tuple(admit(e, "POVM element", square=True) for e in self.elements)
+        if not all(map(is_psd, elems)):
+            raise ValueError(f"POVM element is not Hermitian with eigenvalues above -{PSD_TOL}")
         if not elems:
             raise ValueError("POVM needs at least one element")
         if len({e.shape for e in elems}) > 1:
             raise ValueError("POVM elements must share one dimension")
-        if not is_identity(sum(elems)):
-            raise ValueError("POVM elements do not sum to the identity")
-        object.__setattr__(self, "elements", tuple(elems))
+        with np.errstate(over="ignore", invalid="ignore"):  # huge elements sum to inf or NaN, which is_identity rejects
+            if not is_identity(sum(elems)):
+                raise ValueError("POVM elements do not sum to the identity")
+        object.__setattr__(self, "elements", elems)
 
     @property
     def dim(self) -> int:
@@ -296,9 +265,7 @@ def encode_operator(m, layout: Layout = SINGLE_ANCILLA, xz_qubit: int = 0) -> En
     qubit realizes the logical XZ, so one designated qubit carries the
     whole imaginary part.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"encode_operator requires a square matrix, got shape {m.shape}")
+    m = admit(m, "encode_operator input", square=True)
     mat = kron(m.real, np.eye(layout.ancilla_dim)) + kron(m.imag, local_xz(layout.k, xz_qubit))
     return EncodedOperator(mat, m.shape[0], layout)
 
@@ -385,25 +352,23 @@ def encoded_povm_probabilities(encoded, povm: Povm) -> np.ndarray:
         v = encoded.amplitudes
         lifted = apply_lift(povm.elements, v.reshape(2 * d, -1), (d,), 0)
         return lifted.reshape(len(povm.elements), -1) @ v
-    rho = np.asarray(encoded)
-    if np.iscomplexobj(rho) and np.any(rho.imag != 0.0):
-        raise ValueError("encoded density matrix must be real")
-    rho = rho.real if np.iscomplexobj(rho) else rho
+    rho = admit(encoded, "encoded density matrix", float)
     if rho.shape != (2 * d, 2 * d):
         raise ValueError(f"encoded density shape {rho.shape} does not match POVM dimension {d}")
     return np.trace(apply_lift(povm.elements, rho, (d,), 0), axis1=1, axis2=2)
 
 
 def _channel_matrices(channel, dim: int | None = None) -> list[np.ndarray]:
-    ks = [np.asarray(k, dtype=complex) for k in channel]
+    ks = [admit(k, "Kraus operator", square=True) for k in channel]
     if not ks:
         raise ValueError("channel needs at least one Kraus operator")
     d = ks[0].shape[0] if dim is None else dim
     for k in ks:
-        if k.ndim != 2 or k.shape != (d, d):
+        if k.shape != (d, d):
             raise ValueError(f"Kraus operator shape {k.shape} does not match dimension {d}")
-    if not is_identity(sum(dagger(k) @ k for k in ks)):
-        raise ValueError("Kraus operators do not compose a trace-preserving channel")
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf or NaN, which is_identity rejects
+        if not is_identity(sum(dagger(k) @ k for k in ks)):
+            raise ValueError("Kraus operators do not compose a trace-preserving channel")
     return ks
 
 

@@ -1,6 +1,6 @@
-"""Dense linear algebra kernel: tensor products, operators applied along
-one tensor axis, matrix exponentials, structural predicates, and seeded
-random sampling.
+"""Dense linear algebra kernel: input admission, tensor products,
+operators applied along one tensor axis, matrix exponentials, structural
+predicates, and seeded random sampling.
 
 Everything downstream treats matrices and vectors as plain numpy arrays,
 complex128 on the complex side and float64 on the encoded side.
@@ -25,9 +25,30 @@ SEESAW_STOP_TOL = 1e-13  # a see-saw restart stops when its value moves by less 
 REACH_TOL = 1e-6  # how far below its quantum target a see-saw optimum may stop
 
 
-def _require_square(a: np.ndarray, who: str) -> None:
+def _require_square(a: np.ndarray, what: str) -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{who} requires a square matrix, got shape {a.shape}")
+        raise ValueError(f"{what} must be square, got shape {a.shape}")
+
+
+def admit(a, what: str, dtype=complex, square: bool = False) -> np.ndarray:
+    """Read-only copy of an input array as `dtype`: the one way a container takes in an array.
+
+    A real dtype takes a complex array only if its imaginary part is
+    exactly zero; `square` asks for a square matrix; every entry must be
+    finite.  Each error names `what`.
+    """
+    a = np.asarray(a)
+    if np.iscomplexobj(a) and not np.issubdtype(dtype, np.complexfloating):
+        if np.any(a.imag != 0.0):
+            raise ValueError(f"{what} must have imaginary part exactly zero")
+        a = a.real
+    a = np.array(a, dtype=dtype)
+    if square:
+        _require_square(a, what)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
+    a.setflags(write=False)
+    return a
 
 
 def kron(a, b, max_dim: int = DEFAULT_MAX_DIM):
@@ -59,7 +80,7 @@ def matexp(a: np.ndarray) -> np.ndarray:
     from scipy.linalg import expm
 
     a = np.asarray(a)
-    _require_square(a, "matexp")
+    _require_square(a, "matexp input")
     if np.iscomplexobj(a):
         a = a.astype(np.complex128, copy=False)
     else:
@@ -74,30 +95,31 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 def is_identity(a, tol: float = INPUT_TOL) -> bool:
     a = np.asarray(a)
-    _require_square(a, "is_identity")
+    _require_square(a, "is_identity input")
     return bool(np.max(np.abs(a - np.eye(a.shape[0]))) <= tol)
 
 
 def is_unitary(a, tol: float = INPUT_TOL) -> bool:
     a = np.asarray(a)
-    _require_square(a, "is_unitary")
+    _require_square(a, "is_unitary input")
     # A unitary's entries have modulus at most 1; testing that first keeps a^dagger a from overflowing.
     return bool(np.max(np.abs(a)) <= 1.0 + tol) and is_identity(dagger(a) @ a, tol)
 
 
 def is_hermitian(a, tol: float = INPUT_TOL) -> bool:
     a = np.asarray(a)
-    _require_square(a, "is_hermitian")
-    return bool(np.max(np.abs(a - dagger(a))) <= tol)
+    _require_square(a, "is_hermitian input")
+    # Halving is exact and keeps a - a^dagger from overflowing near the largest double.
+    return bool(np.max(np.abs(a / 2.0 - dagger(a) / 2.0)) <= tol / 2.0)
 
 
 def is_psd(a, tol: float = PSD_TOL) -> bool:
     """Positive semi-definiteness: Hermitian with eigenvalue floor >= -tol."""
     a = np.asarray(a)
-    _require_square(a, "is_psd")
+    _require_square(a, "is_psd input")
     if not is_hermitian(a, tol):
         return False
-    floor = float(np.linalg.eigvalsh((a + dagger(a)) / 2.0).min())
+    floor = float(np.linalg.eigvalsh(a / 2.0 + dagger(a) / 2.0).min())
     return floor >= -tol
 
 

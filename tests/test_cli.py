@@ -612,7 +612,7 @@ class TestOverflowingMatrixEntry:
 
 
 class TestHugeFiniteEntries:
-    """Entries near 1e300 are finite but overflow a square; the input is rejected without a numpy warning."""
+    """Entries near the largest double are finite but overflow a square or a sum; no numpy warning reaches stderr."""
 
     def run_without_warnings(self, capsys, argv):
         with warnings.catch_warnings():
@@ -630,6 +630,30 @@ class TestHugeFiniteEntries:
         code, out, err = self.run_without_warnings(capsys, ["selftest", write(tmp_path, "g.json", matrix_obj(gate))])
         assert (code, out) == (2, "")
         assert "must be unitary" in err
+
+    def test_bell_coefficient(self, capsys, tmp_path):
+        z = matrix_obj(np.diag([1.0, -1.0]))
+        scenario = write(tmp_path, "s.json", {
+            "parties": 2, "settings_per_party": [1, 1], "observables": [[z], [z]],
+            "coefficients": [{"settings": [0, 0], "value": 1e308}], "classical_bound": 1.0,
+        })
+        code, out, err = self.run_without_warnings(
+            capsys, ["bell", "--scenario-file", scenario, "--seed", "1", "--restarts", "2"])
+        # Both modes reach about 1e308; their rounding differences dwarf the absolute agreement tolerance.
+        assert (code, err) == (1, "")
+        assert failed_assertions(out) == {"modes_agree"}
+
+    def test_density_trace(self, capsys, tmp_path, z_basis_povm):
+        rho = write(tmp_path, "rho.json", matrix_obj(np.diag([1.7e308, 1.7e308])))
+        code, out, err = self.run_without_warnings(capsys, ["measure", rho, z_basis_povm])
+        assert (code, out) == (2, "")
+        assert err == "error: density matrix trace (inf+0j) is not 1\n"
+
+    def test_povm_completeness(self, capsys, tmp_path, circular_state):
+        povm = write(tmp_path, "p.json", {"elements": [matrix_obj(np.diag([1.7e308, 0.0]))] * 2})
+        code, out, err = self.run_without_warnings(capsys, ["measure", circular_state, povm])
+        assert (code, out) == (2, "")
+        assert err == "error: POVM elements do not sum to the identity\n"
 
 
 class TestTolFlag:
@@ -721,7 +745,7 @@ def kind(usual):
     return st.one_of(st.just(usual), st.sampled_from(["hermitian", "unitary", "observable", "arbitrary"]))
 
 
-EXTREMES = st.sampled_from([1e300, -1e300, 10 ** 400, -(10 ** 400), 5e-324, 2 ** 63])
+EXTREMES = st.sampled_from([1e300, -1e300, 1.7e308, -1.7e308, 10 ** 400, -(10 ** 400), 5e-324, 2 ** 63])
 JUNK = st.one_of(
     EXTREMES,
     st.none(), st.booleans(), st.integers(-3, 3), st.floats(-2.0, 2.0), st.text(max_size=2),

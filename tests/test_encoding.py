@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from helpers import block_encode, interleave, random_density, random_povm
 from realsim import encoding, linalg
+from realsim.applications.bell import BellScenario
+from realsim.dynamics import Hamiltonian
 from realsim.encoding import (
     DensityOperator,
     EncodedOperator,
@@ -28,6 +30,7 @@ from realsim.encoding import (
 )
 
 S = 1.0 / np.sqrt(2.0)
+Z = np.diag([1.0, -1.0])
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -334,6 +337,11 @@ class TestChannels:
         with pytest.raises(ValueError):
             encoding.apply_kraus([0.5 * np.eye(2, dtype=complex)], rho)
 
+    def test_kraus_completeness_overflow_rejected(self):
+        # K^dagger K overflows to inf on a finite entry near the largest double; the sum then fails the identity test.
+        with pytest.raises(ValueError, match="trace-preserving"):
+            encode_kraus([np.diag([1.7e308, 1.0])])
+
 
 class TestConjugation:
     def test_conjugation_flips_imaginary_parts(self):
@@ -376,7 +384,46 @@ class TestEncodedContainers:
         lambda x: EncodedOperator(np.full((2, 2), x), source_dim=1),
         lambda x: DensityOperator(np.full((2, 2), x)),
         lambda x: Povm((np.full((2, 2), x),)),
-    ], ids=["EncodedState", "EncodedOperator", "DensityOperator", "Povm"])
+        lambda x: PureState(np.full(2, x)),
+        lambda x: Hamiltonian(np.full((2, 2), x)),
+        lambda x: BellScenario(2, (1, 1), ((Z,), (np.diag([x, -1.0]),)), {(0, 0): 1.0}, 1.0),
+        lambda x: encoding.apply_kraus([np.diag([x, 1.0])], DensityOperator(np.eye(2) / 2)),
+        lambda x: encode_kraus([np.diag([x, 1.0])]),
+        lambda x: encode_operator(np.full((2, 2), x)),
+        lambda x: encoded_povm_probabilities(np.full((2, 2), x), Povm((np.eye(1),))),
+    ], ids=["EncodedState", "EncodedOperator", "DensityOperator", "Povm", "PureState", "Hamiltonian",
+            "BellScenario", "apply_kraus", "encode_kraus", "encode_operator", "encoded_povm_probabilities"])
     def test_non_finite_entries_rejected(self, build, bad):
         with pytest.raises(ValueError, match="finite"):
             build(bad)
+
+    @pytest.mark.parametrize("source, stored", [
+        (lambda: np.array([S, S * 1j]), lambda a: PureState(a).amplitudes),
+        (lambda: np.array([S, S]), lambda a: EncodedState(a, source_dim=1).amplitudes),
+        (lambda: np.eye(2), lambda a: EncodedOperator(a, source_dim=1).matrix),
+        (lambda: np.eye(2) / 2, lambda a: DensityOperator(a).matrix),
+        (lambda: np.diag([1.0, 0.0]), lambda a: Povm((a, np.diag([0.0, 1.0]))).elements[0]),
+        (lambda: np.diag([1.0, -1.0]), lambda a: Hamiltonian(a).matrix),
+        (lambda: np.diag([1.0, -1.0]), lambda a: BellScenario(2, (1, 1), ((Z,), (a,)), {(0, 0): 1.0}, 1.0).observables[1][0]),
+    ], ids=["PureState", "EncodedState", "EncodedOperator", "DensityOperator", "Povm", "Hamiltonian", "BellScenario"])
+    def test_every_stored_array_is_a_read_only_copy(self, source, stored):
+        a = source()
+        kept = stored(a)
+        assert not kept.flags.writeable
+        assert not np.shares_memory(a, kept)
+        a[0] = 0.0
+        assert not np.array_equal(kept, a)
+
+    @pytest.mark.parametrize("build", [
+        lambda: EncodedState(np.array([1.0, 1e-300j]), source_dim=1),
+        lambda: EncodedOperator(np.eye(2) + 1e-300j, source_dim=1),
+        lambda: encoded_povm_probabilities(np.eye(2) / 2 + 1e-300j, Povm((np.eye(1),))),
+    ], ids=["EncodedState", "EncodedOperator", "encoded_povm_probabilities"])
+    def test_real_containers_reject_an_imaginary_part(self, build):
+        with pytest.raises(ValueError, match="imaginary part exactly zero"):
+            build()
+
+    def test_encoded_norm_overflow_rejected(self):
+        # 1e300 squared overflows; the norm is inf and fails the unit-norm test without a numpy warning.
+        with pytest.raises(ValueError, match=r"^encoded norm inf is not 1"):
+            EncodedState(np.array([1e300, 0.0]), source_dim=1)

@@ -139,6 +139,38 @@ class TestPredicates:
         assert not predicate(np.full((2, 2), np.nan))
         assert not predicate(np.array([[1.0, 0.0], [0.0, np.nan]]))
 
+    def test_entries_near_the_largest_double(self):
+        # a - a^dagger and a + a^dagger would overflow here; the predicates halve first.
+        big = 1.7e308
+        assert not linalg.is_hermitian(np.array([[0.0, big], [-big, 0.0]]))
+        assert linalg.is_hermitian(np.array([[big, big], [big, -big]]))
+        assert linalg.is_psd(np.diag([big, big]))
+        assert not linalg.is_psd(np.diag([big, -big]))
+
+
+class TestAdmit:
+    def test_read_only_copy(self):
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        kept = linalg.admit(a, "m")
+        assert kept.dtype == complex and np.array_equal(kept, a)
+        assert not kept.flags.writeable and not np.shares_memory(a, kept)
+
+    def test_real_dtype_drops_a_zero_imaginary_part(self):
+        kept = linalg.admit(np.array([1.0 + 0.0j, -2.0]), "v", float)
+        assert kept.dtype == float and np.array_equal(kept, [1.0, -2.0])
+
+    @pytest.mark.parametrize("a, kwargs, message", [
+        (np.array([1.0, 1j]), {"dtype": float}, "^v must have imaginary part exactly zero$"),
+        (np.ones((2, 3)), {"square": True}, r"^v must be square, got shape \(2, 3\)$"),
+        (np.ones(2), {"square": True}, r"^v must be square, got shape \(2,\)$"),
+        (np.array([1.0, np.nan]), {}, "^v must be finite$"),
+        (np.array([1.0, complex(0.0, np.inf)]), {}, "^v must be finite$"),
+        (np.array([1.0, -np.inf]), {"dtype": float}, "^v must be finite$"),
+    ])
+    def test_rejections_name_the_input(self, a, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            linalg.admit(a, "v", **kwargs)
+
 
 def test_every_tolerance_lives_in_the_linalg_table():
     # A small float literal outside linalg.py is a tolerance that escaped the table.
