@@ -8,12 +8,11 @@ goes through with purely real matrices.
 
 __version__ = "0.1.0"
 
-from .dynamics import EvolutionResult, Hamiltonian, commutation_check, evolve, generator, propagator, trajectory
+from .dynamics import EvolutionResult, Hamiltonian, evolve, generator, propagator, trajectory
 from .encoding import (
     SINGLE_ANCILLA,
     XZ,
     DensityOperator,
-    EncodedOperator,
     EncodedState,
     GaugeOrbit,
     Layout,
@@ -35,7 +34,6 @@ from .encoding import (
     logical_states,
     povm_probabilities,
     real_inner_product,
-    xz,
 )
 from .linalg import (
     dagger,
@@ -49,16 +47,14 @@ from .linalg import (
     random_unitary,
 )
 from .multipartite import StabilizerReport, stabilizer_check
-from .applications import (
+from .applications.bell import (
     BellResult,
     BellScenario,
-    InnerProductWitness,
-    SelfTestTranscript,
     bell_value,
     chsh_scenario,
     ghz3_state,
     mermin3_scenario,
     optimize_bell,
     phi_plus_state,
-    selftest_counterexample,
 )
+from .applications.selftest import InnerProductWitness, SelfTestTranscript, selftest_counterexample

@@ -1,27 +1,1 @@
 """Worked demonstrations built on the real encoding."""
-
-from .bell import (
-    BellResult,
-    BellScenario,
-    bell_value,
-    chsh_scenario,
-    ghz3_state,
-    mermin3_scenario,
-    optimize_bell,
-    phi_plus_state,
-)
-from .selftest import InnerProductWitness, SelfTestTranscript, selftest_counterexample
-
-__all__ = [
-    "BellResult",
-    "BellScenario",
-    "bell_value",
-    "chsh_scenario",
-    "ghz3_state",
-    "mermin3_scenario",
-    "optimize_bell",
-    "phi_plus_state",
-    "InnerProductWitness",
-    "SelfTestTranscript",
-    "selftest_counterexample",
-]

@@ -231,13 +231,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _digest(command: str, options: dict, paths: list) -> str:
+    """sha256 of the command, its options and its files' contents; an option naming a file counts as null."""
     file_hashes = []
     for path in paths:
         with open(path, "rb") as fh:
             file_hashes.append(hashlib.sha256(fh.read()).hexdigest())
     payload = formats.dumps({
         "command": command,
-        "options": {k: options[k] for k in sorted(options)},
+        "options": {k: None if options[k] in paths else options[k] for k in sorted(options)},
         "files": file_hashes,
     })
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

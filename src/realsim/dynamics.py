@@ -9,20 +9,21 @@ H' and J^2 = -I, so the real orthogonal propagator is
 and one real eigendecomposition of H' gives it at every time.  The
 complex side uses its own eigendecomposition of H, so the two sides are
 computed independently and compared at every time of a grid.
-J is never built: XZ acts along one ancilla axis.  The functions return
-what they measure and raise only on malformed arguments; the caller (the
-CLI's assertions) judges the measurements.
+J is never built: encoding's `apply_xz` acts on one ancilla axis.
+The functions return what they measure and raise only on malformed
+arguments; the caller (the CLI's assertions) judges the measurements.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .encoding import SINGLE_ANCILLA, XZ, EncodedState, Layout, PureState, encode_operator, encode_state
-from .linalg import EXACT_TOL, admit, apply_on_axis, is_hermitian, matexp
+from .encoding import SINGLE_ANCILLA, EncodedState, Layout, PureState, apply_xz, encode_operator, encode_state
+from .linalg import admit, is_hermitian, matexp
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -60,8 +61,8 @@ class Hamiltonian:
     def encoded_spectrum(self, layout: Layout = SINGLE_ANCILLA) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Eigenvalues lambda, real orthogonal eigenvectors V and J V for H' = encode_operator(H, layout)."""
         if layout not in self._encoded_spectra:
-            lam, v = np.linalg.eigh(encode_operator(self.matrix, layout).matrix)
-            self._encoded_spectra[layout] = _read_only(lam, v, _apply_j(v, layout))
+            lam, v = np.linalg.eigh(encode_operator(self.matrix, layout))
+            self._encoded_spectra[layout] = _read_only(lam, v, apply_xz(v, layout))
         return self._encoded_spectra[layout]
 
 
@@ -91,35 +92,24 @@ def _check_sign(sign: int) -> int:
     return int(sign)
 
 
-def _apply_j(x: np.ndarray, layout: Layout, qubit: int = 0) -> np.ndarray:
-    """J applied to each column of the matrix x.
-
-    J is the identity on the system times XZ on ancilla qubit `qubit`
-    (qubit 0 the most significant); it acts on that qubit's axis of x
-    reshaped to (rest, 2, 2^(k-1-qubit), columns) and is never built.
-    """
-    t = x.reshape(-1, 2, layout.ancilla_dim >> (qubit + 1), x.shape[1])
-    return apply_on_axis(XZ, t, 1).reshape(x.shape)
+def _phases(w: np.ndarray, t: float) -> np.ndarray:
+    """The phases t w of eigenvalues w; near the largest double eigh can return inf, or t w overflow."""
+    # Every |t w| is finite if the largest is; in Python floats it overflows to inf, or 0 * inf is NaN, without a warning.
+    if not math.isfinite(abs(t) * float(np.abs(w).max())):
+        raise ValueError(f"dynamics: phases t*w of the spectrum are not finite at t={t}")
+    return t * w
 
 
 def generator(h: Hamiltonian, layout: Layout = SINGLE_ANCILLA, xz_qubit: int = 0) -> np.ndarray:
     """Real antisymmetric generator J H' of the encoded evolution."""
-    return _apply_j(encode_operator(h.matrix, layout, xz_qubit).matrix, layout, xz_qubit)
-
-
-def commutation_check(h: Hamiltonian, layout: Layout = SINGLE_ANCILLA, xz_qubit: int = 0) -> bool:
-    """Whether the ancilla rotation commutes with the encoded Hamiltonian; H'J = -(J H'^T)^T as J^T = -J."""
-    h_enc = encode_operator(h.matrix, layout, xz_qubit).matrix
-    jh = _apply_j(h_enc, layout, xz_qubit)
-    hj = -_apply_j(h_enc.T, layout, xz_qubit).T
-    return bool(np.max(np.abs(jh - hj)) <= EXACT_TOL)
+    return apply_xz(encode_operator(h.matrix, layout, xz_qubit), layout, xz_qubit)
 
 
 def propagator(h: Hamiltonian, t: float, layout: Layout = SINGLE_ANCILLA, sign: int = 1) -> np.ndarray:
     """Dense real U(t) = exp(sign t J H') = cos(t H') + sign J sin(t H') from the spectrum of H'."""
     sign = _check_sign(sign)
     lam, v, jv = h.encoded_spectrum(layout)
-    phase = lam * float(t)
+    phase = _phases(lam, float(t))
     return (v * np.cos(phase)) @ v.T + sign * (jv * np.sin(phase)) @ v.T
 
 
@@ -149,12 +139,13 @@ def evolve(h: Hamiltonian, t: float, psi: PureState, layout: Layout = SINGLE_ANC
         raise ValueError(f"Hamiltonian dimension {h.dim} does not match state dimension {psi.dim}")
     t = float(t)
     w, vecs = h.spectrum
-    evolved = PureState(vecs @ (np.exp((1j * sign * t) * w) * (vecs.conj().T @ psi.amplitudes)), psi.factor_dims)
+    evolved = PureState(vecs @ (np.exp((1j * sign) * _phases(w, t)) * (vecs.conj().T @ psi.amplitudes)), psi.factor_dims)
 
     enc0 = encode_state(psi, layout)
     lam, v, jv = h.encoded_spectrum(layout)
     d = v.T @ enc0.amplitudes
-    out = v @ (np.cos(lam * t) * d) + sign * (jv @ (np.sin(lam * t) * d))
+    phase = _phases(lam, t)
+    out = v @ (np.cos(phase) * d) + sign * (jv @ (np.sin(phase) * d))
     # Measured against the input's own norm, which PureState lets differ from 1 by up to INPUT_TOL.
     drift = abs(float(np.linalg.norm(out)) - float(np.linalg.norm(enc0.amplitudes)))
     deviation = float(np.linalg.norm(out - encode_state(evolved, layout).amplitudes))

@@ -31,11 +31,6 @@ _Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 _Z.setflags(write=False)
 
 
-def xz() -> np.ndarray:
-    """The 2x2 block that plays the role of multiplication by i."""
-    return XZ.copy()
-
-
 @dataclass(frozen=True)
 class Layout:
     """Ancilla arrangement: k ancilla qubits appended after the system.
@@ -159,23 +154,6 @@ class EncodedState:
 
 
 @dataclass(frozen=True)
-class EncodedOperator:
-    """Real matrix acting on encoded states."""
-
-    matrix: np.ndarray
-    source_dim: int
-    layout: Layout = SINGLE_ANCILLA
-
-    def __post_init__(self):
-        mat = admit(self.matrix, "encoded operator", float)
-        expected = int(self.source_dim) * self.layout.ancilla_dim
-        if mat.shape != (expected, expected):
-            raise ValueError(f"encoded operator shape {mat.shape} does not match source_dim {self.source_dim} with k={self.layout.k}")
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "source_dim", int(self.source_dim))
-
-
-@dataclass(frozen=True)
 class DensityOperator:
     """Hermitian, unit-trace, positive semi-definite complex matrix."""
 
@@ -257,17 +235,27 @@ def decode_state(enc: EncodedState) -> np.ndarray:
     return pairs @ logical.zero_state + 1j * (pairs @ logical.one_state)
 
 
-def encode_operator(m, layout: Layout = SINGLE_ANCILLA, xz_qubit: int = 0) -> EncodedOperator:
+def encode_operator(m, layout: Layout = SINGLE_ANCILLA, xz_qubit: int = 0) -> np.ndarray:
     """Per-entry substitution a + i b -> a*I + b*(XZ on ancilla qubit xz_qubit).
 
-    The result is an algebra homomorphism image on the codespace: sums,
-    products and daggers commute with the encoding.  Any single ancilla
-    qubit realizes the logical XZ, so one designated qubit carries the
-    whole imaginary part.
+    Returns the real (n 2^k, n 2^k) matrix.  It is an algebra homomorphism
+    image on the codespace: sums, products and daggers commute with the
+    encoding.  Any single ancilla qubit realizes the logical XZ, so one
+    designated qubit carries the whole imaginary part.
     """
     m = admit(m, "encode_operator input", square=True)
-    mat = kron(m.real, np.eye(layout.ancilla_dim)) + kron(m.imag, local_xz(layout.k, xz_qubit))
-    return EncodedOperator(mat, m.shape[0], layout)
+    return kron(m.real, np.eye(layout.ancilla_dim)) + kron(m.imag, local_xz(layout.k, xz_qubit))
+
+
+def apply_xz(x: np.ndarray, layout: Layout, qubit: int = 0) -> np.ndarray:
+    """J applied to each column of the matrix x.
+
+    J is the identity on the system times XZ on ancilla qubit `qubit`
+    (qubit 0 the most significant); it acts on that qubit's axis of x
+    reshaped to (rest, 2, 2^(k-1-qubit), columns) and is never built.
+    """
+    t = x.reshape(-1, 2, layout.ancilla_dim >> (qubit + 1), x.shape[1])
+    return apply_on_axis(XZ, t, 1).reshape(x.shape)
 
 
 def apply_lift(m, x: np.ndarray, dims: tuple[int, ...], party: int) -> np.ndarray:
@@ -298,7 +286,7 @@ def encode_density(rho: DensityOperator) -> np.ndarray:
     The factor 2 restores unit trace; ranks double, so a pure state maps
     to the rank-2 average over its phase orbit.
     """
-    return encode_operator(rho.matrix).matrix / 2.0
+    return encode_operator(rho.matrix) / 2.0
 
 
 def gauge_orbit(psi: PureState) -> GaugeOrbit:
@@ -381,22 +369,21 @@ def apply_kraus(channel, rho: DensityOperator) -> DensityOperator:
     return DensityOperator(out)
 
 
-def encode_kraus(channel) -> list[EncodedOperator]:
+def encode_kraus(channel) -> list[np.ndarray]:
     """Encode every Kraus operator; the real channel acts by conjugation."""
     return [encode_operator(k) for k in _channel_matrices(channel)]
 
 
-def conjugation_operator(dim: int) -> EncodedOperator:
+def conjugation_operator(dim: int) -> np.ndarray:
     """Entry-wise complex conjugation: Z on the ancilla qubit."""
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
-    return EncodedOperator(kron(np.eye(dim), _Z), dim)
+    return kron(np.eye(dim), _Z)
 
 
-def encode_antiunitary(u) -> EncodedOperator:
+def encode_antiunitary(u) -> np.ndarray:
     """Encoding of psi -> u conj(psi) for a unitary u."""
     u = np.asarray(u, dtype=complex)
     if not is_unitary(u):
         raise ValueError("encode_antiunitary requires a unitary matrix")
-    n = u.shape[0]
-    return EncodedOperator(encode_operator(u).matrix @ conjugation_operator(n).matrix, n)
+    return encode_operator(u) @ conjugation_operator(u.shape[0])

@@ -69,14 +69,14 @@ def test_encoded_statistics_match_complex_statistics():
             rho = DensityOperator(helpers.random_density(dim, int(rng.integers(2**32))))
             moved = DensityOperator(u @ rho.matrix @ u.conj().T)
             direct = povm_probabilities(moved, povm)
-            u_enc = encode_operator(u).matrix
+            u_enc = encode_operator(u)
             encoded = encoded_povm_probabilities(u_enc @ encode_density(rho) @ u_enc.T, povm)
         else:
             moved = PureState(u @ psi)
             direct = povm_probabilities(moved, povm)
-            v = encode_operator(u).matrix @ encode_state(PureState(psi)).amplitudes
+            v = encode_operator(u) @ encode_state(PureState(psi)).amplitudes
             elements = [encode_operator(e) for e in povm.elements]
-            encoded = np.array([float(v @ (e.matrix @ v)) for e in elements])
+            encoded = np.array([float(v @ (e @ v)) for e in elements])
         worst = max(worst, float(np.abs(direct - encoded).max()))
     elapsed = time.perf_counter() - start
     report(
@@ -110,10 +110,10 @@ def test_operator_encoding_is_an_algebra_homomorphism():
     for _ in range(200):
         m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         n = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        em, en = encode_operator(m).matrix, encode_operator(n).matrix
-        worst = max(worst, float(np.abs(encode_operator(m + n).matrix - (em + en)).max()))
-        worst = max(worst, float(np.abs(encode_operator(m @ n).matrix - em @ en).max()))
-        worst = max(worst, float(np.abs(encode_operator(m.conj().T).matrix - em.T).max()))
+        em, en = encode_operator(m), encode_operator(n)
+        worst = max(worst, float(np.abs(encode_operator(m + n) - (em + en)).max()))
+        worst = max(worst, float(np.abs(encode_operator(m @ n) - em @ en).max()))
+        worst = max(worst, float(np.abs(encode_operator(m.conj().T) - em.T).max()))
         worst = max(worst, float(np.abs(em - helpers.block_encode(m)).max()))
     report(
         worst <= 1e-12,

@@ -289,6 +289,24 @@ class TestBell:
         report = report_of(out)
         assert abs(report["results"]["value_complex"] - 1.0) <= 1e-9
 
+    def test_scenario_file_digest_hashes_content_not_path(self, capsys, tmp_path):
+        z = matrix_obj(np.diag([1.0, -1.0]))
+        obj = {"parties": 2, "settings_per_party": [1, 1], "observables": [[z], [z]],
+               "coefficients": [{"settings": [0, 0], "value": 1.0}], "classical_bound": 1.0}
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b" / "c").mkdir(parents=True)
+        first = write(tmp_path / "a", "s.json", obj)
+        moved = write(tmp_path / "b" / "c", "s.json", obj)
+        obj["coefficients"][0]["value"] = 0.5
+        changed = write(tmp_path / "b", "s.json", obj)
+        digests = []
+        for scenario in (first, moved, changed):
+            code, out, _ = run(capsys, ["bell", "--scenario-file", scenario, "--seed", "3", "--restarts", "2"])
+            assert code == 0
+            digests.append(report_of(out)["inputs_digest"])
+        assert digests[0] == digests[1]
+        assert digests[2] != digests[0]
+
     @pytest.mark.parametrize("field,value,named", [
         ("settings_per_party", 5, "settings_per_party"),
         ("coefficients", 5, "coefficients"),
@@ -565,7 +583,7 @@ class TestAssertionFaults:
     def test_encoded_density_without_its_half_is_not_normalized(self, capsys, tmp_path, z_basis_povm,
                                                                   monkeypatch):
         # The operator encoding of rho has trace 2; encode_density halves it.
-        self.patch(monkeypatch, "encode_density", lambda rho: encoding.encode_operator(rho.matrix).matrix)
+        self.patch(monkeypatch, "encode_density", lambda rho: encoding.encode_operator(rho.matrix))
         rho = write(tmp_path, "rho.json", matrix_obj([[0.75, 0.25j], [-0.25j, 0.25]]))
         code, out, _ = run(capsys, ["measure", rho, z_basis_povm])
         assert code == 1
@@ -654,6 +672,18 @@ class TestHugeFiniteEntries:
         code, out, err = self.run_without_warnings(capsys, ["measure", circular_state, povm])
         assert (code, out) == (2, "")
         assert err == "error: POVM elements do not sum to the identity\n"
+
+    @pytest.mark.parametrize("h, argv, t", [
+        # eigh returns an infinite eigenvalue, so t*w is NaN at t = 0
+        ([[1.7e308, 1.7e308], [1.7e308, 1.7e308]], [], "0.0"),
+        # finite eigenvalues, but t*w overflows once t exceeds about 1.06
+        (np.diag([1.7e308, -1.7e308]), ["--t-max", "5"], "2.5"),
+    ], ids=["infinite_eigenvalue", "phase_overflow"])
+    def test_evolve_phases(self, capsys, tmp_path, circular_state, h, argv, t):
+        ham = write(tmp_path, "h.json", matrix_obj(h))
+        code, out, err = self.run_without_warnings(capsys, ["evolve", ham, circular_state, "--steps", "3", *argv])
+        assert (code, out) == (2, "")
+        assert err == f"error: dynamics: phases t*w of the spectrum are not finite at t={t}\n"
 
 
 class TestTolFlag:
@@ -765,7 +795,8 @@ def job_files(draw, command):
     if command == "evolve":
         h = _operator(rng, draw(st.one_of(st.just(n), st.integers(1, 4))), draw(kind("hermitian")))
         files = {"h.json": matrix_obj(h), "state.json": _vector_obj(rng, dims)}
-        return files, ["evolve", "h.json", "state.json", "--steps", "3", *k]
+        t_max = ["--t-max", str(draw(st.sampled_from([1, 5])))]
+        return files, ["evolve", "h.json", "state.json", "--steps", "3", *t_max, *k]
     if command == "measure":
         if draw(st.booleans()):
             state = _vector_obj(rng, dims)

@@ -11,7 +11,6 @@ from realsim.applications.bell import BellScenario
 from realsim.dynamics import Hamiltonian
 from realsim.encoding import (
     DensityOperator,
-    EncodedOperator,
     EncodedState,
     Layout,
     Povm,
@@ -45,16 +44,16 @@ def encoded_elements(povm: Povm) -> list:
 
 class TestBuildingBlocks:
     def test_xz_entries(self):
-        assert np.array_equal(encoding.xz(), np.array([[0.0, -1.0], [1.0, 0.0]]))
+        assert np.array_equal(encoding.XZ, np.array([[0.0, -1.0], [1.0, 0.0]]))
 
     def test_xz_squares_to_minus_identity(self):
-        j = encoding.xz()
-        assert np.array_equal(j @ j, -np.eye(2))
+        assert np.array_equal(encoding.XZ @ encoding.XZ, -np.eye(2))
 
-    def test_xz_returns_a_copy(self):
-        j = encoding.xz()
-        j[0, 0] = 99.0
-        assert encoding.xz()[0, 0] == 0.0
+    def test_xz_is_read_only(self):
+        assert not encoding.XZ.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            encoding.XZ[0, 0] = 99.0
+        assert encoding.XZ[0, 0] == 0.0
 
 
 class TestPureState:
@@ -104,24 +103,24 @@ class TestEncodeState:
 class TestEncodeOperator:
     def test_identity(self):
         enc = encode_operator(np.eye(3))
-        assert np.array_equal(enc.matrix, np.eye(6))
+        assert np.array_equal(enc, np.eye(6))
 
     def test_scalar_i_becomes_quarter_turn(self):
         enc = encode_operator(np.array([[1.0j]]))
-        assert np.array_equal(enc.matrix, encoding.xz())
+        assert np.array_equal(enc, encoding.XZ)
 
     def test_matches_blockwise_reference(self):
         rng = np.random.default_rng(7)
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert np.allclose(encode_operator(m).matrix, block_encode(m), atol=1e-15)
+        assert np.allclose(encode_operator(m), block_encode(m), atol=1e-15)
 
     def test_additive(self):
         rng = np.random.default_rng(8)
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         n = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         gap = np.abs(
-            encode_operator(m + n).matrix
-            - (encode_operator(m).matrix + encode_operator(n).matrix)
+            encode_operator(m + n)
+            - (encode_operator(m) + encode_operator(n))
         ).max()
         assert gap <= 1e-12
 
@@ -130,8 +129,8 @@ class TestEncodeOperator:
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         n = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         gap = np.abs(
-            encode_operator(m @ n).matrix
-            - encode_operator(m).matrix @ encode_operator(n).matrix
+            encode_operator(m @ n)
+            - encode_operator(m) @ encode_operator(n)
         ).max()
         assert gap <= 1e-12
 
@@ -139,26 +138,37 @@ class TestEncodeOperator:
         rng = np.random.default_rng(10)
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         gap = np.abs(
-            encode_operator(m).matrix.T - encode_operator(m.conj().T).matrix
+            encode_operator(m).T - encode_operator(m.conj().T)
         ).max()
         assert gap <= 1e-12
 
     def test_action_commutes_with_state_encoding(self):
         u = linalg.random_unitary(4, seed=11)
         psi = linalg.random_state(4, seed=12)
-        via_operator = encode_operator(u).matrix @ encode_state(state(psi)).amplitudes
+        via_operator = encode_operator(u) @ encode_state(state(psi)).amplitudes
         direct = encode_state(state(u @ psi)).amplitudes
         assert np.allclose(via_operator, direct, atol=1e-13)
 
     def test_unitarity_preserved(self):
         u = linalg.random_unitary(5, seed=13)
-        m = encode_operator(u).matrix
+        m = encode_operator(u)
         assert np.allclose(m @ m.T, np.eye(10), atol=1e-12)
 
     def test_trace_doubles_real_part(self):
         rng = np.random.default_rng(14)
         m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        assert abs(np.trace(encode_operator(m).matrix) - 2 * np.trace(m).real) <= 1e-12
+        assert abs(np.trace(encode_operator(m)) - 2 * np.trace(m).real) <= 1e-12
+
+    def test_encoders_return_real_arrays(self):
+        n = 3
+        u = linalg.random_unitary(n, seed=15)
+        single = [encode_density(DensityOperator(random_density(n, seed=16))), conjugation_operator(n),
+                  encode_antiunitary(u), *encode_kraus([u])]
+        layouts = [encode_operator(u, Layout(k), q) for k in (1, 2, 3) for q in range(k)]
+        for out in single + layouts:
+            assert type(out) is np.ndarray and out.dtype == np.float64
+        assert all(out.shape == (2 * n, 2 * n) for out in single)
+        assert [out.shape for out in layouts] == [(n * 2 ** k, n * 2 ** k) for k in (1, 2, 3) for _ in range(k)]
 
     @settings(deadline=None, max_examples=40)
     @given(seeds)
@@ -166,9 +176,9 @@ class TestEncodeOperator:
         rng = np.random.default_rng(seed)
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         n = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        em, en = encode_operator(m).matrix, encode_operator(n).matrix
-        assert np.abs(encode_operator(m @ n).matrix - em @ en).max() <= 1e-12
-        assert np.abs(encode_operator(m + n).matrix - (em + en)).max() <= 1e-12
+        em, en = encode_operator(m), encode_operator(n)
+        assert np.abs(encode_operator(m @ n) - em @ en).max() <= 1e-12
+        assert np.abs(encode_operator(m + n) - (em + en)).max() <= 1e-12
 
 
 class TestEncodeDensity:
@@ -277,14 +287,14 @@ class TestMeasurement:
         psi = PureState(linalg.random_state(6, seed=56), factor_dims=(2, 3))
         povm = Povm(tuple(random_povm(6, 3, seed=57)))
         enc = encode_state(psi, Layout(2))
-        dense = np.array([enc.amplitudes @ encode_operator(e, Layout(2)).matrix @ enc.amplitudes for e in povm.elements])
+        dense = np.array([enc.amplitudes @ encode_operator(e, Layout(2)) @ enc.amplitudes for e in povm.elements])
         encoded = encoded_povm_probabilities(enc, povm)
         assert np.abs(encoded - dense).max() <= linalg.EXACT_TOL
         assert np.abs(encoded - povm_probabilities(psi, povm)).max() <= 1e-12
 
     def test_encoded_elements_still_complete(self):
         povm = Povm(tuple(random_povm(3, 3, seed=54)))
-        total = sum(e.matrix for e in encoded_elements(povm))
+        total = sum(encoded_elements(povm))
         assert np.allclose(total, np.eye(6), atol=1e-10)
 
     def test_povm_validation(self):
@@ -328,7 +338,7 @@ class TestChannels:
         rho = DensityOperator(random_density(2, seed=61))
         complex_out = encoding.apply_kraus(kraus, rho)
         enc_in = encode_density(rho)
-        enc_out = sum(k.matrix @ enc_in @ k.matrix.T for k in encode_kraus(kraus))
+        enc_out = sum(k @ enc_in @ k.T for k in encode_kraus(kraus))
         expected = encode_density(complex_out)
         assert np.abs(enc_out - expected).max() <= 1e-12
 
@@ -347,12 +357,12 @@ class TestConjugation:
     def test_conjugation_flips_imaginary_parts(self):
         psi = state([S, S * 1.0j])
         conj = conjugation_operator(2)
-        got = conj.matrix @ encode_state(psi).amplitudes
+        got = conj @ encode_state(psi).amplitudes
         want = encode_state(state([S, -S * 1.0j])).amplitudes
         assert np.allclose(got, want, atol=1e-14)
 
     def test_conjugation_is_a_real_involution(self):
-        c = conjugation_operator(4).matrix
+        c = conjugation_operator(4)
         assert not np.iscomplexobj(c)
         assert np.array_equal(c @ c, np.eye(8))
 
@@ -360,7 +370,7 @@ class TestConjugation:
         u = linalg.random_unitary(3, seed=70)
         psi = linalg.random_state(3, seed=71)
         a = encode_antiunitary(u)
-        got = a.matrix @ encode_state(state(psi)).amplitudes
+        got = a @ encode_state(state(psi)).amplitudes
         want = encode_state(state(u @ psi.conj())).amplitudes
         assert np.allclose(got, want, atol=1e-13)
 
@@ -381,7 +391,6 @@ class TestEncodedContainers:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("build", [
         lambda x: EncodedState(np.full(2, x), source_dim=1),
-        lambda x: EncodedOperator(np.full((2, 2), x), source_dim=1),
         lambda x: DensityOperator(np.full((2, 2), x)),
         lambda x: Povm((np.full((2, 2), x),)),
         lambda x: PureState(np.full(2, x)),
@@ -391,7 +400,7 @@ class TestEncodedContainers:
         lambda x: encode_kraus([np.diag([x, 1.0])]),
         lambda x: encode_operator(np.full((2, 2), x)),
         lambda x: encoded_povm_probabilities(np.full((2, 2), x), Povm((np.eye(1),))),
-    ], ids=["EncodedState", "EncodedOperator", "DensityOperator", "Povm", "PureState", "Hamiltonian",
+    ], ids=["EncodedState", "DensityOperator", "Povm", "PureState", "Hamiltonian",
             "BellScenario", "apply_kraus", "encode_kraus", "encode_operator", "encoded_povm_probabilities"])
     def test_non_finite_entries_rejected(self, build, bad):
         with pytest.raises(ValueError, match="finite"):
@@ -400,12 +409,11 @@ class TestEncodedContainers:
     @pytest.mark.parametrize("source, stored", [
         (lambda: np.array([S, S * 1j]), lambda a: PureState(a).amplitudes),
         (lambda: np.array([S, S]), lambda a: EncodedState(a, source_dim=1).amplitudes),
-        (lambda: np.eye(2), lambda a: EncodedOperator(a, source_dim=1).matrix),
         (lambda: np.eye(2) / 2, lambda a: DensityOperator(a).matrix),
         (lambda: np.diag([1.0, 0.0]), lambda a: Povm((a, np.diag([0.0, 1.0]))).elements[0]),
         (lambda: np.diag([1.0, -1.0]), lambda a: Hamiltonian(a).matrix),
         (lambda: np.diag([1.0, -1.0]), lambda a: BellScenario(2, (1, 1), ((Z,), (a,)), {(0, 0): 1.0}, 1.0).observables[1][0]),
-    ], ids=["PureState", "EncodedState", "EncodedOperator", "DensityOperator", "Povm", "Hamiltonian", "BellScenario"])
+    ], ids=["PureState", "EncodedState", "DensityOperator", "Povm", "Hamiltonian", "BellScenario"])
     def test_every_stored_array_is_a_read_only_copy(self, source, stored):
         a = source()
         kept = stored(a)
@@ -416,9 +424,8 @@ class TestEncodedContainers:
 
     @pytest.mark.parametrize("build", [
         lambda: EncodedState(np.array([1.0, 1e-300j]), source_dim=1),
-        lambda: EncodedOperator(np.eye(2) + 1e-300j, source_dim=1),
         lambda: encoded_povm_probabilities(np.eye(2) / 2 + 1e-300j, Povm((np.eye(1),))),
-    ], ids=["EncodedState", "EncodedOperator", "encoded_povm_probabilities"])
+    ], ids=["EncodedState", "encoded_povm_probabilities"])
     def test_real_containers_reject_an_imaginary_part(self, build):
         with pytest.raises(ValueError, match="imaginary part exactly zero"):
             build()

@@ -190,7 +190,7 @@ class TestLogicalEncodeOperator:
     def test_single_qubit_matches_plain_encoding(self):
         rng = np.random.default_rng(30)
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert np.array_equal(encode_operator(m, Layout(1)).matrix, block_encode(m))
+        assert np.array_equal(encode_operator(m, Layout(1)), block_encode(m))
         psi = linalg.random_state(3, seed=35)
         assert np.array_equal(encode_state(PureState(psi), Layout(1)).amplitudes, interleave(psi))
 
@@ -200,7 +200,7 @@ class TestLogicalEncodeOperator:
         u, _ = np.linalg.qr(m)
         psi = linalg.random_state(4, seed=32)
         enc = encode_state(multi_state(psi, (2, 2)), Layout(2))
-        got = encode_operator(u, Layout(2)).matrix @ enc.amplitudes
+        got = encode_operator(u, Layout(2)) @ enc.amplitudes
         want = encode_state(multi_state(u @ psi, (2, 2)), Layout(2)).amplitudes
         assert np.abs(got - want).max() <= 1e-13
 
@@ -211,7 +211,7 @@ class TestLogicalEncodeOperator:
         total = np.kron(a, np.eye(2)) + np.kron(np.eye(2), b)
         psi = linalg.random_state(4, seed=34)
         enc = encode_state(multi_state(psi, (2, 2)), Layout(2))
-        whole = encode_operator(total, Layout(2)).matrix @ enc.amplitudes
+        whole = encode_operator(total, Layout(2)) @ enc.amplitudes
         parts = apply_lift(a, enc.amplitudes, (2, 2), 0) + apply_lift(b, enc.amplitudes, (2, 2), 1)
         assert np.abs(whole - parts).max() <= 1e-12
 
