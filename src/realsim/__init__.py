@@ -43,8 +43,6 @@ from .linalg import (
     kron,
     matexp,
     random_hermitian,
-    random_state,
-    random_unitary,
 )
 from .multipartite import StabilizerReport, stabilizer_check
 from .applications.bell import (

@@ -110,6 +110,7 @@ def cmd_bell(args):
     if args.scenario_file is not None:
         scenario = formats.load_scenario(args.scenario_file)
         files.append(args.scenario_file)
+        args.scenario = None  # overridden by the file, so the digest records it as null
     else:
         scenario = _SCENARIOS[args.scenario]()
     seeds = [args.seed + i for i in range(args.restarts)]

@@ -121,8 +121,11 @@ def propagator_errors(h: Hamiltonian, t: float, layout: Layout = SINGLE_ANCILLA,
     """
     u = propagator(h, t, layout, sign)
     orthogonality = float(np.max(np.abs(u.T @ u - np.eye(u.shape[0]))))
-    dense = float(np.max(np.abs(u - matexp((sign * float(t)) * generator(h, layout)))))
-    return orthogonality, dense
+    try:
+        dense = matexp((sign * float(t)) * generator(h, layout))
+    except ValueError:
+        raise ValueError(f"dynamics: dense exponential of the generator is not finite at t={float(t)}") from None
+    return orthogonality, float(np.max(np.abs(u - dense)))
 
 
 def evolve(h: Hamiltonian, t: float, psi: PureState, layout: Layout = SINGLE_ANCILLA,

@@ -1,12 +1,14 @@
 """Dense linear algebra kernel: input admission, tensor products,
 operators applied along one tensor axis, matrix exponentials, structural
-predicates, and seeded random sampling.
+predicates, and the seeded random Hermitian matrices that seed `bell`.
 
 Everything downstream treats matrices and vectors as plain numpy arrays,
 complex128 on the complex side and float64 on the encoded side.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -74,18 +76,38 @@ def apply_on_axis(op, t: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(np.tensordot(op, t, axes=([-1], [axis])), lead, lead + axis)
 
 
-def matexp(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential via scaling-and-squaring (Pade degree 13)."""
-    # scipy is imported here, not at module level: only the dense expm cross-check needs it.
-    from scipy.linalg import expm
+# Degree-13 Pade coefficients b_0..b_13, and the largest 1-norm at which that approximant
+# is accurate to double precision (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0, 129060195264000.0,
+           10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
 
+
+def matexp(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring the degree-13 Pade approximant; a non-finite 1-norm or result raises."""
     a = np.asarray(a)
     _require_square(a, "matexp input")
-    if np.iscomplexobj(a):
-        a = a.astype(np.complex128, copy=False)
-    else:
-        a = a.astype(np.float64, copy=False)
-    return expm(a)
+    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)
+    b = _PADE13
+    # Overflow shows as inf or NaN and is rejected below, so numpy need not warn of it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.abs(a).sum(axis=0).max())
+        if not math.isfinite(norm):
+            raise ValueError(f"matexp input 1-norm {norm} is not finite")
+        s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+        a = a / 2.0 ** s
+        eye = np.eye(a.shape[0], dtype=a.dtype)
+        a2 = a @ a
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+        r = np.linalg.solve(v - u, v + u)
+        for _ in range(s):
+            r = r @ r
+    if not np.isfinite(r).all():
+        raise ValueError("matexp result is not finite")
+    return r
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -121,30 +143,6 @@ def is_psd(a, tol: float = PSD_TOL) -> bool:
         return False
     floor = float(np.linalg.eigvalsh(a / 2.0 + dagger(a) / 2.0).min())
     return floor >= -tol
-
-
-def random_state(dim: int, seed) -> np.ndarray:
-    """Unit-norm complex vector with Gaussian entries, deterministic per seed."""
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
-def random_unitary(dim: int, seed) -> np.ndarray:
-    """Haar-distributed unitary from the QR factorization of a Ginibre matrix.
-
-    The R diagonal is rephased to unit modulus so the distribution is
-    actually Haar and the factorization is unique.
-    """
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
 
 
 def random_hermitian(dim: int, seed) -> np.ndarray:

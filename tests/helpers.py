@@ -26,6 +26,30 @@ def eig_expm_hermitian(h, scale=1.0) -> np.ndarray:
     return (v * np.exp(1j * scale * w)) @ v.conj().T
 
 
+def random_state(dim: int, seed) -> np.ndarray:
+    """Unit-norm complex vector with Gaussian entries, deterministic per seed."""
+    if dim < 1:
+        raise ValueError(f"dimension must be positive, got {dim}")
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
+def random_unitary(dim: int, seed) -> np.ndarray:
+    """Haar-distributed unitary from the QR factorization of a Ginibre matrix.
+
+    The R diagonal is rephased to unit modulus so the distribution is
+    actually Haar and the factorization is unique.
+    """
+    if dim < 1:
+        raise ValueError(f"dimension must be positive, got {dim}")
+    rng = np.random.default_rng(seed)
+    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
 def random_density(dim: int, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

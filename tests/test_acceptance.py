@@ -62,8 +62,8 @@ def test_encoded_statistics_match_complex_statistics():
     for case in range(500):
         dim = int(rng.integers(2, 17))
         n_el = int(rng.integers(2, 5))
-        psi = linalg.random_state(dim, seed=int(rng.integers(2**32)))
-        u = linalg.random_unitary(dim, seed=int(rng.integers(2**32)))
+        psi = helpers.random_state(dim, seed=int(rng.integers(2**32)))
+        u = helpers.random_unitary(dim, seed=int(rng.integers(2**32)))
         povm = Povm(tuple(helpers.random_povm(dim, n_el, int(rng.integers(2**32)))))
         if case % 3 == 0:
             rho = DensityOperator(helpers.random_density(dim, int(rng.integers(2**32))))
@@ -92,8 +92,8 @@ def test_encoded_inner_products_recover_real_parts():
     worst = 0.0
     for _ in range(500):
         dim = int(rng.integers(2, 17))
-        a = linalg.random_state(dim, seed=int(rng.integers(2**32)))
-        b = linalg.random_state(dim, seed=int(rng.integers(2**32)))
+        a = helpers.random_state(dim, seed=int(rng.integers(2**32)))
+        b = helpers.random_state(dim, seed=int(rng.integers(2**32)))
         got = real_inner_product(PureState(a), PureState(b))
         worst = max(worst, abs(got - float(np.vdot(a, b).real)))
     elapsed = time.perf_counter() - start
@@ -134,7 +134,7 @@ def test_encoded_evolution_is_real_and_tracks_the_complex_side():
         dim = int(rng.integers(2, 9))
         h = linalg.random_hermitian(dim, seed=int(rng.integers(2**32)))
         h *= float(rng.uniform(0.2, 4.0)) / max(1e-12, float(np.abs(np.linalg.eigvalsh(h)).max()))
-        psi = PureState(linalg.random_state(dim, seed=int(rng.integers(2**32))))
+        psi = PureState(helpers.random_state(dim, seed=int(rng.integers(2**32))))
         t_max = float(rng.uniform(-10.0, 10.0))
         res = trajectory(Hamiltonian(h), psi, t_max, steps=64)
         # np.max, unlike max, keeps a NaN, which then fails the gate.
@@ -180,8 +180,8 @@ def test_local_operations_preserve_joint_statistics():
         for _ in range(count):
             dims = tuple(int(rng.integers(2, 4)) if parties == 2 else 2 for _ in range(parties))
             total = int(np.prod(dims))
-            psi = linalg.random_state(total, seed=int(rng.integers(2**32)))
-            unitaries = [linalg.random_unitary(d, seed=int(rng.integers(2**32))) for d in dims]
+            psi = helpers.random_state(total, seed=int(rng.integers(2**32)))
+            unitaries = [helpers.random_unitary(d, seed=int(rng.integers(2**32))) for d in dims]
             povms = [helpers.random_povm(d, 2, int(rng.integers(2**32))) for d in dims]
 
             phi = psi

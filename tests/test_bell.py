@@ -28,7 +28,7 @@ TSIRELSON = 2.8284271247461903  # 2 sqrt 2
 
 def random_pm_observable(dim, seed):
     rng = np.random.default_rng(seed)
-    u = linalg.random_unitary(dim, seed=int(rng.integers(2**32)))
+    u = helpers.random_unitary(dim, seed=int(rng.integers(2**32)))
     signs = np.where(rng.random(dim) < 0.5, 1.0, -1.0)
     if np.all(signs == signs[0]):
         signs[0] = -signs[0]
@@ -52,7 +52,7 @@ def rotated_mermin_scenario(parties, seed):
     by its own random unitary; the quantum maximum stays 2^(parties-1)."""
     families = []
     for j in range(parties):
-        u = linalg.random_unitary(2, seed=seed + j)
+        u = helpers.random_unitary(2, seed=seed + j)
         families.append(tuple(u @ o @ u.conj().T for o in (X, Y)))
     coeffs = {s: float((-1) ** (sum(s) // 2))
               for s in itertools.product((0, 1), repeat=parties) if sum(s) % 2 == 0}
@@ -137,14 +137,14 @@ class TestBellValue:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_modes_agree_on_random_scenarios(self, seed):
         scenario = random_two_party_scenario(seed)
-        state = PureState(linalg.random_state(4, seed=seed + 100), (2, 2))
+        state = PureState(helpers.random_state(4, seed=seed + 100), (2, 2))
         vc = bell_value(scenario, state, "complex")
         vr = bell_value(scenario, state, "real_encoded")
         assert abs(vc - vr) <= 1e-10
 
     def test_complex_mode_matches_operator_oracle(self):
         scenario = random_two_party_scenario(7)
-        vec = linalg.random_state(4, seed=8)
+        vec = helpers.random_state(4, seed=8)
         bell_op = np.zeros((4, 4), dtype=complex)
         for (a, b), c in scenario.coefficients.items():
             bell_op += c * np.kron(scenario.observables[0][a], scenario.observables[1][b])
@@ -154,12 +154,12 @@ class TestBellValue:
 
     def test_zero_coefficient_gives_zero(self):
         scenario = BellScenario(2, (1, 1), ((Z,), (Z,)), {(0, 0): 0.0}, 2.0)
-        state = PureState(linalg.random_state(4, seed=9), (2, 2))
+        state = PureState(helpers.random_state(4, seed=9), (2, 2))
         assert bell_value(scenario, state, "complex") == 0.0
         assert bell_value(scenario, state, "real_encoded") == 0.0
 
     def test_state_factors_must_match(self):
-        state = PureState(linalg.random_state(4, seed=10))
+        state = PureState(helpers.random_state(4, seed=10))
         with pytest.raises(ValueError):
             bell_value(chsh_scenario(), state, "complex")
 
@@ -248,7 +248,7 @@ class TestBatchedSeesaw:
         c = bell._coefficient_tensor(scenario)
         obs = [np.array([[random_pm_observable(d, 1000 * r + 10 * j + t) for t in range(s)] for r in range(3)])
                for j, (d, s) in enumerate(zip(dims, settings))]
-        states = np.array([linalg.random_state(int(np.prod(dims)), seed=r) for r in range(3)])
+        states = np.array([helpers.random_state(int(np.prod(dims)), seed=r) for r in range(3)])
         swept = bell._sweep(c, obs, states, dims)
         for r in range(3):
             want = helpers.seesaw_sweep(states[r], [o[r] for o in obs], scenario.coefficients, dims)

@@ -185,7 +185,7 @@ class TestEvolve:
         assert report_of(out)["results"]["orthogonality_error"] <= 1e-11
 
     def test_overflowing_hamiltonian_is_rejected_without_a_traceback(self, tmp_path, circular_state):
-        # A finite H = diag(1e300, -1e300) makes the dense exponential NaN; the report cannot hold it.
+        # A finite H = diag(1e300, -1e300) overflows the squarings of the dense exponential.
         ham = write(tmp_path, "ham.json", matrix_obj(np.diag([1e300, -1e300])))
         proc = subprocess.run(
             [sys.executable, "-m", "realsim", "evolve", ham, circular_state, "--steps", "3"],
@@ -195,7 +195,7 @@ class TestEvolve:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error: ") and "expm_error" in proc.stderr
+        assert proc.stderr == "error: dynamics: dense exponential of the generator is not finite at t=1.0\n"
 
     def test_non_hermitian_rejected(self, capsys, tmp_path, circular_state):
         ham = write(tmp_path, "ham.json", matrix_obj([[0.0, 1.0], [0.0, 0.0]]))
@@ -306,6 +306,20 @@ class TestBell:
             digests.append(report_of(out)["inputs_digest"])
         assert digests[0] == digests[1]
         assert digests[2] != digests[0]
+
+    def test_scenario_file_digest_ignores_the_overridden_scenario_name(self, capsys, tmp_path):
+        z = matrix_obj(np.diag([1.0, -1.0]))
+        scenario = write(tmp_path, "s.json", {
+            "parties": 2, "settings_per_party": [1, 1], "observables": [[z], [z]],
+            "coefficients": [{"settings": [0, 0], "value": 1.0}], "classical_bound": 1.0,
+        })
+        outs = []
+        for name in ("chsh", "mermin3"):
+            code, out, _ = run(capsys, ["bell", "--scenario", name, "--scenario-file", scenario,
+                                        "--seed", "3", "--restarts", "2"])
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("field,value,named", [
         ("settings_per_party", 5, "settings_per_party"),
@@ -673,17 +687,20 @@ class TestHugeFiniteEntries:
         assert (code, out) == (2, "")
         assert err == "error: POVM elements do not sum to the identity\n"
 
-    @pytest.mark.parametrize("h, argv, t", [
+    @pytest.mark.parametrize("h, argv, message", [
         # eigh returns an infinite eigenvalue, so t*w is NaN at t = 0
-        ([[1.7e308, 1.7e308], [1.7e308, 1.7e308]], [], "0.0"),
+        ([[1.7e308, 1.7e308], [1.7e308, 1.7e308]], [], "phases t*w of the spectrum are not finite at t=0.0"),
         # finite eigenvalues, but t*w overflows once t exceeds about 1.06
-        (np.diag([1.7e308, -1.7e308]), ["--t-max", "5"], "2.5"),
-    ], ids=["infinite_eigenvalue", "phase_overflow"])
-    def test_evolve_phases(self, capsys, tmp_path, circular_state, h, argv, t):
+        (np.diag([1.7e308, -1.7e308]), ["--t-max", "5"], "phases t*w of the spectrum are not finite at t=2.5"),
+        # finite phases, but the squarings of the dense exponential of the generator overflow
+        (np.full((2, 2), 1e300), ["--t-max", "1"], "dense exponential of the generator is not finite at t=1.0"),
+        (np.full((2, 2), 1e300), ["--t-max", "5"], "dense exponential of the generator is not finite at t=5.0"),
+    ], ids=["infinite_eigenvalue", "phase_overflow", "dense_overflow_t1", "dense_overflow_t5"])
+    def test_evolve_phases(self, capsys, tmp_path, circular_state, h, argv, message):
         ham = write(tmp_path, "h.json", matrix_obj(h))
         code, out, err = self.run_without_warnings(capsys, ["evolve", ham, circular_state, "--steps", "3", *argv])
         assert (code, out) == (2, "")
-        assert err == f"error: dynamics: phases t*w of the spectrum are not finite at t={t}\n"
+        assert err == f"error: dynamics: {message}\n"
 
 
 class TestTolFlag:
@@ -725,7 +742,7 @@ class TestDiagnostics:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["command"] == "encode"
 
-    def test_only_evolve_imports_scipy(self, tmp_path):
+    def test_no_command_imports_scipy(self, tmp_path):
         write(tmp_path, "state.json", {"dims": [2], "amplitudes": [[S, 0.0], [0.0, S]]})
         write(tmp_path, "povm.json", {"elements": [matrix_obj(np.diag([1.0, 0.0])), matrix_obj(np.diag([0.0, 1.0]))]})
         write(tmp_path, "ham.json", matrix_obj(np.diag([1.0, -1.0])))
@@ -747,8 +764,8 @@ print(json.dumps([loaded(argv) for argv in jobs] + [loaded(["evolve", "ham.json"
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=env)
         assert proc.returncode == 0, proc.stderr
-        # The last job, evolve, runs the dense expm check and so must load scipy.
-        assert json.loads(proc.stdout) == [False] * 5 + [True]
+        # scipy is the tests' oracle only; evolve's dense expm check is the package's own.
+        assert json.loads(proc.stdout) == [False] * 6
 
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import eig_expm_hermitian
+from helpers import eig_expm_hermitian, random_state
 from realsim import encoding, linalg
 from realsim.dynamics import (
     EvolutionResult,
@@ -104,7 +104,7 @@ class TestGenerator:
 
 class TestEvolve:
     def test_zero_time_is_identity(self):
-        psi = state(linalg.random_state(4, seed=20))
+        psi = state(random_state(4, seed=20))
         res = evolve(Hamiltonian(linalg.random_hermitian(4, seed=21)), 0.0, psi)
         assert within_tolerances(res)
         assert np.allclose(res.complex_states[0].amplitudes, psi.amplitudes, atol=1e-14)
@@ -123,7 +123,7 @@ class TestEvolve:
         for _ in range(100):
             dim = int(rng.integers(2, 7))
             h = Hamiltonian(linalg.random_hermitian(dim, seed=int(rng.integers(2**32))))
-            psi = state(linalg.random_state(dim, seed=int(rng.integers(2**32))))
+            psi = state(random_state(dim, seed=int(rng.integers(2**32))))
             t = float(rng.uniform(-10.0, 10.0))
             res = evolve(h, t, psi)
             assert res.orthogonality_error <= 1e-11
@@ -131,7 +131,7 @@ class TestEvolve:
 
     def test_physics_sign_convention(self):
         h = Hamiltonian(linalg.random_hermitian(4, seed=23))
-        psi = state(linalg.random_state(4, seed=24))
+        psi = state(random_state(4, seed=24))
         res = evolve(h, 1.7, psi, sign=-1)
         assert within_tolerances(res)
         want = eig_expm_hermitian(h.matrix, scale=-1.7) @ psi.amplitudes
@@ -139,7 +139,7 @@ class TestEvolve:
 
     def test_norm_preserved(self):
         h = Hamiltonian(linalg.random_hermitian(5, seed=25))
-        res = evolve(h, 3.3, state(linalg.random_state(5, seed=26)))
+        res = evolve(h, 3.3, state(random_state(5, seed=26)))
         assert within_tolerances(res)
         assert abs(np.linalg.norm(res.encoded_states[0].amplitudes) - 1.0) <= 1e-12
 
@@ -174,7 +174,7 @@ class TestTrajectory:
 
     def test_two_party_logical_layout(self):
         h = Hamiltonian(np.kron(Z, Z))
-        psi = state(linalg.random_state(4, seed=30), dims=(2, 2))
+        psi = state(random_state(4, seed=30), dims=(2, 2))
         res = trajectory(h, psi, t_max=4.0, steps=17, layout=Layout(2))
         assert res.orthogonality_error <= 1e-11
         assert res.max_deviation <= 1e-10
@@ -183,7 +183,7 @@ class TestTrajectory:
 
     def test_energy_conserved_on_both_sides(self):
         h = Hamiltonian(linalg.random_hermitian(4, seed=31))
-        psi = state(linalg.random_state(4, seed=32))
+        psi = state(random_state(4, seed=32))
         res = trajectory(h, psi, t_max=6.0, steps=25)
         assert within_tolerances(res)
         e0 = float(np.vdot(psi.amplitudes, h.matrix @ psi.amplitudes).real)
@@ -198,17 +198,17 @@ class TestTrajectory:
 
     def test_group_law_holds(self):
         h = Hamiltonian(linalg.random_hermitian(3, seed=33))
-        res = trajectory(h, state(linalg.random_state(3, seed=34)), t_max=2.0, steps=5)
+        res = trajectory(h, state(random_state(3, seed=34)), t_max=2.0, steps=5)
         assert within_tolerances(res)
         assert res.expm_error <= 1e-10
         assert np.abs(propagator(h, 0.7) @ propagator(h, 1.3) - propagator(h, 2.0)).max() <= 1e-10
 
-    def test_overflowing_hamiltonian_fails_the_agreement_gate(self):
-        # Finite entries, but the dense exponential of the generator comes out NaN;
-        # NaN must fail a tolerance gate, not slip past it.
+    def test_overflowing_hamiltonian_is_rejected_by_layer(self):
+        # Finite entries, but the squarings of the dense exponential of the generator overflow;
+        # the error names the layer and the time instead of reporting a NaN.
         h = Hamiltonian(np.diag([1e300, -1e300]))
-        res = trajectory(h, state([S, 1j * S]), t_max=1.0, steps=3)
-        assert not res.expm_error <= linalg.AGREEMENT_TOL
+        with pytest.raises(ValueError, match=r"^dynamics: dense exponential of the generator is not finite at t=1\.0$"):
+            trajectory(h, state([S, 1j * S]), t_max=1.0, steps=3)
 
     def test_too_few_steps_rejected(self):
         with pytest.raises(ValueError):
@@ -260,7 +260,7 @@ class TestSpectralPropagator:
 
     def test_spectrum_is_computed_once_per_layout(self):
         h = Hamiltonian(linalg.random_hermitian(4, seed=42))
-        psi = state(linalg.random_state(4, seed=43), dims=(2, 2))
+        psi = state(random_state(4, seed=43), dims=(2, 2))
         assert within_tolerances(trajectory(h, psi, t_max=1.0, steps=4, layout=Layout(2)))
         assert h.spectrum is h.spectrum
         assert h.encoded_spectrum(Layout(2)) is h.encoded_spectrum(Layout(2))
@@ -288,7 +288,7 @@ class TestSpectralPropagator:
 
     def test_perturbed_eigenvectors_fail_the_orthogonality_gate(self):
         h = Hamiltonian(linalg.random_hermitian(3, seed=45))
-        psi = state(linalg.random_state(3, seed=46))
+        psi = state(random_state(3, seed=46))
         assert trajectory(h, psi, t_max=2.0, steps=5).orthogonality_error <= linalg.ORTHOGONALITY_TOL
         lam, v, jv = h.encoded_spectrum()
         h._encoded_spectra[Layout(1)] = (lam, v * (1.0 + 2e-11), jv * (1.0 + 2e-11))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import block_encode, interleave, random_density, random_povm
+from helpers import block_encode, interleave, random_density, random_povm, random_state, random_unitary
 from realsim import encoding, linalg
 from realsim.applications.bell import BellScenario
 from realsim.dynamics import Hamiltonian
@@ -87,14 +87,14 @@ class TestEncodeState:
         assert np.allclose(enc.amplitudes, [S, 0.0, 0.0, S], atol=1e-15)
 
     def test_round_trip(self):
-        psi = linalg.random_state(6, seed=5)
+        psi = random_state(6, seed=5)
         back = decode_state(encode_state(state(psi)))
         assert np.allclose(back, psi, atol=1e-14)
 
     @settings(deadline=None, max_examples=40)
     @given(seeds)
     def test_interleaving_matches_reference(self, seed):
-        psi = linalg.random_state(5, seed=seed)
+        psi = random_state(5, seed=seed)
         enc = encode_state(state(psi))
         assert np.allclose(enc.amplitudes, interleave(psi), atol=1e-15)
         assert abs(np.linalg.norm(enc.amplitudes) - 1.0) <= 1e-12
@@ -143,14 +143,14 @@ class TestEncodeOperator:
         assert gap <= 1e-12
 
     def test_action_commutes_with_state_encoding(self):
-        u = linalg.random_unitary(4, seed=11)
-        psi = linalg.random_state(4, seed=12)
+        u = random_unitary(4, seed=11)
+        psi = random_state(4, seed=12)
         via_operator = encode_operator(u) @ encode_state(state(psi)).amplitudes
         direct = encode_state(state(u @ psi)).amplitudes
         assert np.allclose(via_operator, direct, atol=1e-13)
 
     def test_unitarity_preserved(self):
-        u = linalg.random_unitary(5, seed=13)
+        u = random_unitary(5, seed=13)
         m = encode_operator(u)
         assert np.allclose(m @ m.T, np.eye(10), atol=1e-12)
 
@@ -161,7 +161,7 @@ class TestEncodeOperator:
 
     def test_encoders_return_real_arrays(self):
         n = 3
-        u = linalg.random_unitary(n, seed=15)
+        u = random_unitary(n, seed=15)
         single = [encode_density(DensityOperator(random_density(n, seed=16))), conjugation_operator(n),
                   encode_antiunitary(u), *encode_kraus([u])]
         layouts = [encode_operator(u, Layout(k), q) for k in (1, 2, 3) for q in range(k)]
@@ -218,12 +218,12 @@ class TestGaugeOrbit:
         assert np.array_equal(orbit.phi2.amplitudes, [0.0, 1.0, 0.0, 0.0])
 
     def test_orbit_members_orthonormal(self):
-        orbit = gauge_orbit(state(linalg.random_state(5, seed=30)))
+        orbit = gauge_orbit(state(random_state(5, seed=30)))
         assert abs(orbit.phi1.amplitudes @ orbit.phi2.amplitudes) <= 1e-12
         assert abs(np.linalg.norm(orbit.phi1.amplitudes) - 1.0) <= 1e-12
 
     def test_global_phase_lands_on_the_circle(self):
-        psi = linalg.random_state(4, seed=31)
+        psi = random_state(4, seed=31)
         orbit = gauge_orbit(state(psi))
         for alpha in np.linspace(0.0, 2 * np.pi, 17):
             rotated = encode_state(state(np.exp(1j * alpha) * psi)).amplitudes
@@ -231,7 +231,7 @@ class TestGaugeOrbit:
             assert np.allclose(rotated, expected, atol=1e-13)
 
     def test_orbit_average_is_encoded_density(self):
-        psi = linalg.random_state(3, seed=32)
+        psi = random_state(3, seed=32)
         orbit = gauge_orbit(state(psi))
         p1, p2 = orbit.phi1.amplitudes, orbit.phi2.amplitudes
         avg = (np.outer(p1, p1) + np.outer(p2, p2)) / 2
@@ -241,19 +241,19 @@ class TestGaugeOrbit:
 
 class TestInnerProduct:
     def test_self_overlap(self):
-        psi = state(linalg.random_state(6, seed=40))
+        psi = state(random_state(6, seed=40))
         assert abs(real_inner_product(psi, psi) - 1.0) <= 1e-13
 
     def test_quarter_turn_is_orthogonal(self):
-        psi = linalg.random_state(3, seed=41)
+        psi = random_state(3, seed=41)
         assert abs(real_inner_product(state(psi), state(1j * psi))) <= 1e-13
 
     @settings(deadline=None, max_examples=40)
     @given(seeds)
     def test_matches_real_part(self, seed):
         rng = np.random.default_rng(seed)
-        a = linalg.random_state(4, seed=rng.integers(2**32))
-        b = linalg.random_state(4, seed=rng.integers(2**32))
+        a = random_state(4, seed=rng.integers(2**32))
+        b = random_state(4, seed=rng.integers(2**32))
         got = real_inner_product(state(a), state(b))
         assert abs(got - np.vdot(a, b).real) <= 1e-13
 
@@ -269,7 +269,7 @@ class TestMeasurement:
         assert np.allclose(povm_probabilities(plus, povm), [0.5, 0.5], atol=1e-14)
 
     def test_encoded_pure_state_statistics(self):
-        psi = state(linalg.random_state(6, seed=50))
+        psi = state(random_state(6, seed=50))
         povm = Povm(tuple(random_povm(6, 3, seed=51)))
         direct = povm_probabilities(psi, povm)
         encoded = encoded_povm_probabilities(encode_state(psi), povm)
@@ -284,7 +284,7 @@ class TestMeasurement:
         assert np.abs(direct - encoded).max() <= 1e-12
 
     def test_multi_qubit_layout_statistics_match_the_dense_encoding(self):
-        psi = PureState(linalg.random_state(6, seed=56), factor_dims=(2, 3))
+        psi = PureState(random_state(6, seed=56), factor_dims=(2, 3))
         povm = Povm(tuple(random_povm(6, 3, seed=57)))
         enc = encode_state(psi, Layout(2))
         dense = np.array([enc.amplitudes @ encode_operator(e, Layout(2)) @ enc.amplitudes for e in povm.elements])
@@ -304,7 +304,7 @@ class TestMeasurement:
             Povm((np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex),))
 
     def test_layout_mismatch_rejected(self):
-        psi = state(linalg.random_state(2, seed=55))
+        psi = state(random_state(2, seed=55))
         wrong_dim = Povm((np.eye(3, dtype=complex) / 3,) * 3)
         with pytest.raises(ValueError):
             encoded_povm_probabilities(encode_state(psi), wrong_dim)
@@ -367,8 +367,8 @@ class TestConjugation:
         assert np.array_equal(c @ c, np.eye(8))
 
     def test_antiunitary_action(self):
-        u = linalg.random_unitary(3, seed=70)
-        psi = linalg.random_state(3, seed=71)
+        u = random_unitary(3, seed=70)
+        psi = random_state(3, seed=71)
         a = encode_antiunitary(u)
         got = a @ encode_state(state(psi)).amplitudes
         want = encode_state(state(u @ psi.conj())).amplitudes

@@ -74,9 +74,9 @@ JOBS = {
     "encode_k2": (["encode", "pair.json", "--k", "2"],
                   "bf31e417672681f6c9194ebb9c017801e553adcac41fa2b531f557f926ac13db"),
     "evolve_k1": (["evolve", "ham_y.json", "qubit.json", "--t-max", "1.5", "--steps", "5"],
-                  "b74beb21f11de0347a65ccfcfca136fb6ebc7ca7c86142bc7fd95ea7f95e256f"),
+                  "ba8d56826dea3d3e287017c96536c45e863896b8afc3a9924b7a2984b680ba5f"),
     "evolve_k2": (["evolve", "ham_pair.json", "pair.json", "--t-max", "0.5", "--steps", "4", "--k", "2"],
-                  "bd10a528bbb5e3d74677863e4c23cd4c494609e92780347d40d23cd49990e990"),
+                  "b01f51318c36a282c574d7dce2f417d6109303805b6cecefe3b854646430cfb9"),
     "measure_pure": (["measure", "qubit.json", "povm.json"],
                      "26da12a800521f05abdb6a823efbea42d42bdf32aa1ee1a682b111e7da55a96b"),
     "measure_povm_8x8": (["measure", "state_n8.json", "povm_8x8.json"],

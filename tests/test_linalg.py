@@ -2,14 +2,17 @@
 
 import ast
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import eig_expm_hermitian, series_expm
+from helpers import eig_expm_hermitian, random_state, random_unitary, series_expm
 from realsim import linalg
+from realsim.dynamics import Hamiltonian, generator
+from realsim.encoding import Layout
 
 
 class TestKron:
@@ -101,6 +104,25 @@ class TestMatexp:
         with pytest.raises(ValueError):
             linalg.matexp(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("n, k, t", [(n, k, t) for n in (32, 64) for k in (1, 2) for t in (1.0, 5.0)]
+                             + [(8, 1, 50.0)])
+    def test_agrees_with_scipy_on_the_generator(self, n, k, t):
+        # scipy's expm is the independent oracle; the package itself never imports scipy.
+        from scipy.linalg import expm
+
+        g = t * generator(Hamiltonian(linalg.random_hermitian(n, seed=n + k)), Layout(k))
+        assert np.abs(linalg.matexp(g) - expm(g)).max() <= linalg.AGREEMENT_TOL
+
+    @pytest.mark.parametrize("a, message", [
+        (np.full((2, 2), 1.7e308), "^matexp input 1-norm inf is not finite$"),
+        (np.diag([1e300, -1e300]) @ np.array([[0.0, -1.0], [1.0, 0.0]]), "^matexp result is not finite$"),
+    ], ids=["infinite_norm", "overflowing_squares"])
+    def test_non_finite_norm_or_result_rejected_without_a_warning(self, a, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=message):
+                linalg.matexp(a)
+
 
 class TestPredicates:
     def test_dagger_involution(self):
@@ -187,14 +209,14 @@ def test_every_tolerance_lives_in_the_linalg_table():
 
 class TestSampling:
     def test_state_normalized_and_deterministic(self):
-        a = linalg.random_state(9, seed=42)
-        b = linalg.random_state(9, seed=42)
+        a = random_state(9, seed=42)
+        b = random_state(9, seed=42)
         assert np.array_equal(a, b)
         assert abs(np.linalg.norm(a) - 1.0) <= 1e-12
 
     def test_unitary_is_unitary_and_deterministic(self):
-        u = linalg.random_unitary(7, seed=43)
-        assert np.array_equal(u, linalg.random_unitary(7, seed=43))
+        u = random_unitary(7, seed=43)
+        assert np.array_equal(u, random_unitary(7, seed=43))
         assert linalg.is_unitary(u)
 
     def test_hermitian_is_hermitian(self):
@@ -204,5 +226,5 @@ class TestSampling:
 
     def test_seeds_differ(self):
         assert not np.allclose(
-            linalg.random_unitary(4, seed=1), linalg.random_unitary(4, seed=2)
+            random_unitary(4, seed=1), random_unitary(4, seed=2)
         )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import block_encode, interleave, lift_local_operator, random_povm
+from helpers import block_encode, interleave, lift_local_operator, random_povm, random_state, random_unitary
 from realsim import linalg
 from realsim.encoding import Layout, PureState, apply_lift, encode_operator, encode_state
 from realsim.multipartite import (
@@ -109,18 +109,18 @@ class TestEncodeMultipartiteState:
         assert np.allclose(enc.amplitudes, expected, atol=1e-15)
 
     def test_matches_indexwise_reference(self):
-        psi = linalg.random_state(8, seed=3)
+        psi = random_state(8, seed=3)
         enc = encode_state(multi_state(psi, (2, 2, 2)), Layout(3))
         assert np.allclose(enc.amplitudes, reference_multipartite_encoding(psi, 3), atol=1e-14)
 
     def test_unit_norm_and_layout(self):
-        psi = linalg.random_state(6, seed=4)
+        psi = random_state(6, seed=4)
         enc = encode_state(multi_state(psi, (2, 3)), Layout(2))
         assert abs(np.linalg.norm(enc.amplitudes) - 1.0) <= 1e-12
         assert enc.layout == Layout(2)
 
     def test_party_count_must_match(self):
-        psi = multi_state(linalg.random_state(4, seed=5), (2, 2))
+        psi = multi_state(random_state(4, seed=5), (2, 2))
         with pytest.raises(ValueError):
             encode_state(psi, Layout(3))
 
@@ -135,7 +135,7 @@ class TestLiftLocalOperator:
         rng = np.random.default_rng(10 * party + k)
         d = dims[party]
         m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        psi = linalg.random_state(int(np.prod(dims)), seed=17)
+        psi = random_state(int(np.prod(dims)), seed=17)
         enc = encode_state(multi_state(psi, dims), Layout(k))
         moved = embed_complex(m, dims, party) @ psi
         moved /= np.linalg.norm(moved)
@@ -173,7 +173,7 @@ class TestLiftLocalOperator:
         rng = np.random.default_rng(21)
         m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         n = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        psi = linalg.random_state(4, seed=22)
+        psi = random_state(4, seed=22)
         v = encode_state(multi_state(psi, dims), Layout(2)).amplitudes
         composed = apply_lift(m, apply_lift(n, v, dims, 0), dims, 0)
         assert np.abs(composed - apply_lift(m @ n, v, dims, 0)).max() <= 1e-12
@@ -191,14 +191,14 @@ class TestLogicalEncodeOperator:
         rng = np.random.default_rng(30)
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         assert np.array_equal(encode_operator(m, Layout(1)), block_encode(m))
-        psi = linalg.random_state(3, seed=35)
+        psi = random_state(3, seed=35)
         assert np.array_equal(encode_state(PureState(psi), Layout(1)).amplitudes, interleave(psi))
 
     def test_action_matches_complex_side(self):
         rng = np.random.default_rng(31)
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         u, _ = np.linalg.qr(m)
-        psi = linalg.random_state(4, seed=32)
+        psi = random_state(4, seed=32)
         enc = encode_state(multi_state(psi, (2, 2)), Layout(2))
         got = encode_operator(u, Layout(2)) @ enc.amplitudes
         want = encode_state(multi_state(u @ psi, (2, 2)), Layout(2)).amplitudes
@@ -209,7 +209,7 @@ class TestLogicalEncodeOperator:
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         total = np.kron(a, np.eye(2)) + np.kron(np.eye(2), b)
-        psi = linalg.random_state(4, seed=34)
+        psi = random_state(4, seed=34)
         enc = encode_state(multi_state(psi, (2, 2)), Layout(2))
         whole = encode_operator(total, Layout(2)) @ enc.amplitudes
         parts = apply_lift(a, enc.amplitudes, (2, 2), 0) + apply_lift(b, enc.amplitudes, (2, 2), 1)
@@ -243,8 +243,8 @@ class TestStatisticsLocality:
     def test_local_rotations_and_measurements_agree(self, dims, seed):
         k = len(dims)
         rng = np.random.default_rng(seed)
-        psi = linalg.random_state(int(np.prod(dims)), seed=int(rng.integers(2**32)))
-        unitaries = [linalg.random_unitary(d, seed=int(rng.integers(2**32))) for d in dims]
+        psi = random_state(int(np.prod(dims)), seed=int(rng.integers(2**32)))
+        unitaries = [random_unitary(d, seed=int(rng.integers(2**32))) for d in dims]
         povms = [random_povm(d, 2, int(rng.integers(2**32))) for d in dims]
 
         phi = psi
