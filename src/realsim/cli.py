@@ -7,6 +7,7 @@ Exit codes: 0 when every assertion passes, 1 when an assertion fails,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 
@@ -46,7 +47,7 @@ def cmd_encode(args):
     results = {
         "source_dims": list(state.factor_dims),
         "layout_k": enc.layout.k,
-        "encoded_amplitudes": [float(x) for x in enc.amplitudes],
+        "encoded_amplitudes": enc.amplitudes.tolist(),
     }
     assertions = [
         _leq("norm_preserved", abs(float(np.linalg.norm(enc.amplitudes)) - float(np.linalg.norm(state.amplitudes))),
@@ -62,12 +63,12 @@ def cmd_evolve(args):
     sign = 1 if args.sign == "plus" else -1
     res = trajectory(h, state, args.t_max, args.steps, Layout(args.k), sign)
     results = {
-        "times": [float(t) for t in res.times],
+        "times": list(res.times),
         "orthogonality_error": res.orthogonality_error,
         "max_deviation": res.max_deviation,
         "expm_error": res.expm_error,
         "final_complex": formats.complex_pairs(res.complex_states[-1].amplitudes),
-        "final_encoded": [float(x) for x in res.encoded_states[-1].amplitudes],
+        "final_encoded": res.encoded_states[-1].amplitudes.tolist(),
     }
     assertions = [
         _leq("propagator_orthogonal", res.orthogonality_error, ORTHOGONALITY_TOL),
@@ -89,8 +90,8 @@ def cmd_measure(args):
         encoded_probs = encoded_povm_probabilities(encode_state(state), povm)
         total = float(np.vdot(state.amplitudes, state.amplitudes).real)
     results = {
-        "probabilities": [float(p) for p in probs],
-        "encoded_probabilities": [float(p) for p in encoded_probs],
+        "probabilities": probs.tolist(),
+        "encoded_probabilities": encoded_probs.tolist(),
     }
     assertions = [
         _leq("encoded_matches_complex", float(np.max(np.abs(probs - encoded_probs))), EXACT_TOL),
@@ -182,6 +183,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # the parser never changes, and each parse_args call returns a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="realsim",

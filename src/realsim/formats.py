@@ -197,7 +197,8 @@ def load_scenario(path: str) -> BellScenario:
 
 def complex_pairs(v) -> list[list[float]]:
     """Complex vector as [re, im] pairs for serialization."""
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
+    v = np.asarray(v, dtype=complex)
+    return np.stack([v.real, v.imag], axis=-1).tolist()
 
 
 class _Unwritable(ValueError):
@@ -240,7 +241,7 @@ def _write(value, out: list) -> None:
                 raise _Unwritable(e.reason, (k,) + e.keys) from None
         out.append("}")
     elif type(value) is list and set(map(type, value)) == {float} and all(map(math.isfinite, value)):
-        out.append("[" + ",".join([format(x, ".17g") for x in value]) + "]")
+        out.append(("[" + ",".join(["%.17g"] * len(value)) + "]") % tuple(value))
     elif isinstance(value, (list, tuple)):
         out.append("[")
         for i, v in enumerate(value):

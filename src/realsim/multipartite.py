@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import local_xz, logical_states
+from .encoding import Layout, apply_xz, local_xz, logical_states
 from .linalg import EXACT_TOL, RANK_TOL
 
 
@@ -30,19 +30,19 @@ def stabilizer_check(k: int) -> StabilizerReport:
     """Verify the codespace is the joint +1 eigenspace of -(XZ)_j (XZ)_l.
 
     Checks the generator action on both basis states for every pair
-    j < l, then brute-forces the joint fixed subspace of the k - 1
-    independent generators by a null-space rank computation; its
-    dimension must be exactly 2.
+    j < l (the largest 2-norm |g v - v|, through J's kernel `apply_xz`),
+    then brute-forces the fixed subspace of the k - 1 independent
+    generators by a null-space rank; its dimension must be exactly 2.
     """
     if not 2 <= k <= 6:
         raise ValueError(f"k={k} out of range [2, 6]")
-    logical = logical_states(k)
+    logical, layout = logical_states(k), Layout(k)
+    basis = np.stack([logical.zero_state, logical.one_state], axis=1)
     worst = 0.0
     for j in range(k):
         for l in range(j + 1, k):
-            g = -(local_xz(k, j) @ local_xz(k, l))
-            for v in (logical.zero_state, logical.one_state):
-                worst = max(worst, float(np.max(np.abs(g @ v - v))))
+            g_basis = -apply_xz(apply_xz(basis, layout, l), layout, j)
+            worst = max(worst, float(np.max(np.linalg.norm(g_basis - basis, axis=0))))
     generators = [-(local_xz(k, 0) @ local_xz(k, j)) for j in range(1, k)]
     stacked = np.vstack([g - np.eye(2 ** k) for g in generators])
     rank = int(np.linalg.matrix_rank(stacked, tol=RANK_TOL))

@@ -742,6 +742,32 @@ class TestDiagnostics:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["command"] == "encode"
 
+    def test_reused_parser_prints_what_fresh_processes_print(self, tmp_path, monkeypatch, capsys):
+        state = write(tmp_path, "state.json", {"dims": [2], "amplitudes": [[S, 0.0], [0.0, S]]})
+        missing = str(tmp_path / "missing.json")
+        sequence = [
+            ["--no-such-flag"],
+            ["--help"],
+            ["evolve", "--help"],
+            ["encode", missing],
+            ["bell"],
+            ["stabilizer", "--k", "9"],
+            ["encode", state],
+            ["stabilizer", "--k", "3"],
+            ["--no-such-flag"],
+        ]
+        monkeypatch.setenv("COLUMNS", "80")
+        in_process = [run(capsys, argv) for argv in sequence]
+        assert cli.build_parser() is cli.build_parser()
+
+        src = pathlib.Path(realsim.__file__).parents[1]
+        env = {**os.environ, "COLUMNS": "80",
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        for argv, (code, out, err) in zip(sequence, in_process):
+            proc = subprocess.run([sys.executable, "-m", "realsim", *argv], capture_output=True, text=True, env=env)
+            assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+        assert [code for code, _, _ in in_process] == [2, 0, 0, 2, 2, 2, 0, 0, 2]
+
     def test_no_command_imports_scipy(self, tmp_path):
         write(tmp_path, "state.json", {"dims": [2], "amplitudes": [[S, 0.0], [0.0, S]]})
         write(tmp_path, "povm.json", {"elements": [matrix_obj(np.diag([1.0, 0.0])), matrix_obj(np.diag([0.0, 1.0]))]})

@@ -279,6 +279,25 @@ class TestScenarioFile:
 
 
 class TestComplexPairs:
+    @staticmethod
+    def per_element(v):
+        """The per-element conversion complex_pairs replaced, as the oracle."""
+        return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
+
+    @staticmethod
+    def exact(pairs):
+        """Each number's type and bits, so -0.0 and 0.0 differ."""
+        return [[(type(x), x.hex()) for x in pair] for pair in pairs]
+
     def test_round_trip(self):
         v = np.array([1.0 + 2.0j, -0.5j])
         assert formats.complex_pairs(v) == [[1.0, 2.0], [-0.0, -0.5]]
+
+    @pytest.mark.parametrize("v", [
+        (np.arange(12.0) - 5.5).view(complex)[::2],  # a strided view, which .view(float) cannot take
+        np.array([0.5, -0.0, 3.0, 1.7e308]),  # real float64
+        np.array([complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]),
+        np.array([complex(5e-324, -5e-324), complex(1.7e308, -1.7e308), complex(-5e-324, 1.7e308)]),
+    ], ids=["strided", "real", "signed_zeros", "extremes"])
+    def test_matches_the_per_element_conversion(self, v):
+        assert self.exact(formats.complex_pairs(v)) == self.exact(self.per_element(v))

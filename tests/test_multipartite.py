@@ -1,11 +1,14 @@
 """Logical ancilla codespace, per-party lifts, stabilizer structure."""
 
+import json
+
 import numpy as np
 import pytest
 
 from helpers import block_encode, interleave, lift_local_operator, random_povm, random_state, random_unitary
-from realsim import linalg
-from realsim.encoding import Layout, PureState, apply_lift, encode_operator, encode_state
+from realsim import linalg, multipartite
+from realsim.cli import main
+from realsim.encoding import Layout, PureState, apply_lift, apply_xz, encode_operator, encode_state
 from realsim.multipartite import (
     local_xz,
     logical_states,
@@ -230,6 +233,29 @@ class TestStabilizer:
         e00 = np.array([1.0, 0.0, 0.0, 0.0])
         assert np.array_equal(g @ e00, [0.0, 0.0, 0.0, -1.0])
         assert np.abs(g @ e00 - e00).max() > 0.9
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_generator_action_fails_when_the_kernel_does_nothing(self, monkeypatch, k):
+        monkeypatch.setattr(multipartite, "apply_xz", lambda x, layout, qubit=0: x)
+        report = stabilizer_check(k)
+        assert report.generator_error >= 1
+        assert report.passed is False
+
+    def test_cli_reports_the_failed_generator_action(self, monkeypatch, capsys):
+        monkeypatch.setattr(multipartite, "apply_xz", lambda x, layout, qubit=0: x)
+        assert main(["stabilizer", "--k", "3"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [a["name"] for a in report["assertions"] if not a["passed"]] == ["generator_action"]
+
+    def test_pair_action_equals_the_dense_product_exactly(self):
+        k = 6
+        logical, layout = logical_states(k), Layout(k)
+        basis = np.stack([logical.zero_state, logical.one_state], axis=1)
+        for j in range(k):
+            for l in range(j + 1, k):
+                dense = local_xz(k, j) @ local_xz(k, l) @ basis
+                kernel = apply_xz(apply_xz(basis, layout, l), layout, j)
+                assert np.max(np.abs(kernel - dense)) == 0.0
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
