@@ -67,8 +67,8 @@ def cmd_evolve(args):
         "orthogonality_error": res.orthogonality_error,
         "max_deviation": res.max_deviation,
         "expm_error": res.expm_error,
-        "final_complex": formats.complex_pairs(res.complex_states[-1].amplitudes),
-        "final_encoded": res.encoded_states[-1].amplitudes.tolist(),
+        "final_complex": formats.complex_pairs(res.complex_states[-1]),
+        "final_encoded": res.encoded_states[-1].tolist(),
     }
     assertions = [
         _leq("propagator_orthogonal", res.orthogonality_error, ORTHOGONALITY_TOL),

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .encoding import SINGLE_ANCILLA, EncodedState, Layout, PureState, apply_xz, encode_operator, encode_state
+from .encoding import SINGLE_ANCILLA, Layout, PureState, apply_xz, encode_amplitudes, encode_operator
 from .linalg import admit, is_hermitian, matexp
 
 
@@ -70,6 +70,9 @@ class Hamiltonian:
 class EvolutionResult:
     """Matched complex and encoded trajectories with propagator diagnostics.
 
+    complex_states is a complex (T, n) array and encoded_states a real
+    (T, n 2^k) array, one read-only row per time.  The rows are computed,
+    not admitted as states: orthogonality_error is what judges their norms.
     orthogonality_error is the largest norm change the encoded propagator
     makes to the state and, for a trajectory, also the largest entry of
     |U^T U - I| of the spectral U(t_max).  max_deviation is the largest
@@ -79,8 +82,8 @@ class EvolutionResult:
     """
 
     times: tuple[float, ...]
-    complex_states: tuple[PureState, ...]
-    encoded_states: tuple[EncodedState, ...]
+    complex_states: np.ndarray
+    encoded_states: np.ndarray
     orthogonality_error: float
     max_deviation: float
     expm_error: float | None = None
@@ -142,18 +145,17 @@ def evolve(h: Hamiltonian, t: float, psi: PureState, layout: Layout = SINGLE_ANC
         raise ValueError(f"Hamiltonian dimension {h.dim} does not match state dimension {psi.dim}")
     t = float(t)
     w, vecs = h.spectrum
-    evolved = PureState(vecs @ (np.exp((1j * sign) * _phases(w, t)) * (vecs.conj().T @ psi.amplitudes)), psi.factor_dims)
+    evolved = vecs @ (np.exp((1j * sign) * _phases(w, t)) * (vecs.conj().T @ psi.amplitudes))
 
-    enc0 = encode_state(psi, layout)
+    enc0 = encode_amplitudes(psi.amplitudes, psi.factor_dims, layout)
     lam, v, jv = h.encoded_spectrum(layout)
-    d = v.T @ enc0.amplitudes
+    d = v.T @ enc0
     phase = _phases(lam, t)
     out = v @ (np.cos(phase) * d) + sign * (jv @ (np.sin(phase) * d))
     # Measured against the input's own norm, which PureState lets differ from 1 by up to INPUT_TOL.
-    drift = abs(float(np.linalg.norm(out)) - float(np.linalg.norm(enc0.amplitudes)))
-    deviation = float(np.linalg.norm(out - encode_state(evolved, layout).amplitudes))
-    enc = EncodedState(out, enc0.source_dim, enc0.layout)
-    return EvolutionResult((t,), (evolved,), (enc,), drift, deviation)
+    drift = abs(float(np.linalg.norm(out)) - float(np.linalg.norm(enc0)))
+    deviation = float(np.linalg.norm(out - encode_amplitudes(evolved, psi.factor_dims, layout)))
+    return EvolutionResult((t,), *_read_only(evolved[None], out[None]), drift, deviation)
 
 
 def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64,
@@ -169,6 +171,8 @@ def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64,
     times = tuple(float(t) for t in np.linspace(0.0, float(t_max), int(steps)))
     results = [evolve(h, t, psi, layout, sign) for t in times]
     orthogonality, dense = propagator_errors(h, t_max, layout, sign)
-    return EvolutionResult(times, tuple(r.complex_states[0] for r in results), tuple(r.encoded_states[0] for r in results),
+    complex_states, encoded_states = _read_only(np.concatenate([r.complex_states for r in results]),
+                                                np.concatenate([r.encoded_states for r in results]))
+    return EvolutionResult(times, complex_states, encoded_states,
                            float(np.max([orthogonality] + [r.orthogonality_error for r in results])),
                            float(np.max([r.max_deviation for r in results])), dense)

@@ -18,6 +18,7 @@ operator to an encoded vector without building its encoding.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,7 @@ class LogicalAncilla:
     one_state: np.ndarray
 
 
+@functools.cache  # the basis of each k never changes, and its arrays are read-only
 def logical_states(k: int) -> LogicalAncilla:
     """Codespace basis on k qubits, indexed by Hamming weight.
 
@@ -215,17 +217,21 @@ class Povm:
         return self.elements[0].shape[0]
 
 
-def encode_state(psi: PureState, layout: Layout = SINGLE_ANCILLA) -> EncodedState:
-    """Map sum (a_x + i b_x)|x> to sum a_x |x>|0_L> + b_x |x>|1_L>.
+def encode_amplitudes(amplitudes: np.ndarray, factor_dims: tuple[int, ...], layout: Layout = SINGLE_ANCILLA):
+    """Map sum (a_x + i b_x)|x> to sum a_x |x>|0_L> + b_x |x>|1_L>, as a plain real array.
 
     With k > 1 ancilla qubits the state must expose one tensor factor per
     party; the single ancilla serves any factorization.
     """
-    if layout.k > 1 and len(psi.factor_dims) != layout.k:
-        raise ValueError(f"state has {len(psi.factor_dims)} factors, expected one per party with k={layout.k}")
+    if layout.k > 1 and len(factor_dims) != layout.k:
+        raise ValueError(f"state has {len(factor_dims)} factors, expected one per party with k={layout.k}")
     logical = logical_states(layout.k)
-    enc = np.outer(psi.amplitudes.real, logical.zero_state) + np.outer(psi.amplitudes.imag, logical.one_state)
-    return EncodedState(enc.ravel(), psi.dim, layout)
+    return (np.outer(amplitudes.real, logical.zero_state) + np.outer(amplitudes.imag, logical.one_state)).ravel()
+
+
+def encode_state(psi: PureState, layout: Layout = SINGLE_ANCILLA) -> EncodedState:
+    """The admitted `EncodedState` of `encode_amplitudes` for a pure state."""
+    return EncodedState(encode_amplitudes(psi.amplitudes, psi.factor_dims, layout), psi.dim, layout)
 
 
 def decode_state(enc: EncodedState) -> np.ndarray:

@@ -8,6 +8,7 @@ are emitted with 17 significant digits so doubles round-trip exactly.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from itertools import chain
@@ -30,6 +31,9 @@ def load_json(path: str):
     def reject(literal):
         raise FormatError(f"{path}: non-finite number {literal} is not allowed")
 
+    # Parsed JSON holds no reference cycles, yet its many small lists set off collections while it is built.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as e:
@@ -38,6 +42,9 @@ def load_json(path: str):
         raise
     except ValueError as e:  # an integer literal longer than Python's int conversion limit
         raise FormatError(f"{path}: {e}") from e
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _require_keys(obj, required: tuple[str, ...], optional: tuple[str, ...] = (), where: str = "object") -> None:

@@ -184,6 +184,19 @@ class TestEvolve:
         assert code == 0
         assert report_of(out)["results"]["orthogonality_error"] <= 1e-11
 
+    def test_input_norm_at_the_admission_bound_evolves(self, capsys, tmp_path):
+        # A norm of 1 + 1e-10 - 2e-16 is admitted; the evolved states are computed, not admitted
+        # again, so rounding past the bound cannot turn an input `encode` accepts into exit 2.
+        rng = np.random.default_rng(6)
+        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        v *= (1.0 + 1e-10 - 2e-16) / np.linalg.norm(v)
+        psi = write(tmp_path, "psi.json", {"dims": [8], "amplitudes": [[z.real, z.imag] for z in v.tolist()]})
+        ham = write(tmp_path, "h.json", matrix_obj(realsim.random_hermitian(8, seed=1006)))
+        assert run(capsys, ["encode", psi])[0] == 0
+        code, out, err = run(capsys, ["evolve", ham, psi, "--steps", "16"])
+        assert (code, err) == (0, "")
+        assert not failed_assertions(out)
+
     def test_overflowing_hamiltonian_is_rejected_without_a_traceback(self, tmp_path, circular_state):
         # A finite H = diag(1e300, -1e300) overflows the squarings of the dense exponential.
         ham = write(tmp_path, "ham.json", matrix_obj(np.diag([1e300, -1e300])))

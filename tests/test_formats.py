@@ -1,5 +1,7 @@
 """JSON job files and the deterministic report serializer."""
 
+import contextlib
+import gc
 import json
 import re
 
@@ -178,6 +180,36 @@ class TestLoadJson:
         path.write_text('{"dims": [1], "amplitudes": [[%s, 0]]}' % ("1" * 5000))
         with pytest.raises(formats.FormatError, match=r"huge\.json"):
             formats.load_state(str(path))
+
+    @pytest.mark.parametrize("text", ['{"dims": [2]}', '{"dims": [2,}', "[NaN]", "[%s]" % ("1" * 5000)],
+                             ids=["good", "malformed", "nan_literal", "past_the_conversion_limit"])
+    @pytest.mark.parametrize("collecting", [True, False], ids=["gc_on", "gc_off"])
+    def test_the_callers_collector_state_is_restored(self, tmp_path, text, collecting):
+        path = tmp_path / "v.json"
+        path.write_text(text)
+        before = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            with contextlib.nullcontext() if text == '{"dims": [2]}' else pytest.raises(formats.FormatError):
+                formats.load_json(str(path))
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if before else gc.disable)()
+
+    def test_parsing_sets_off_no_collection(self, tmp_path):
+        # A POVM-sized file of pair lists would set off many generation-0 collections with the collector on.
+        path = write(tmp_path, "pairs.json", {"entries": [[0.5, -0.25]] * 50000})
+        starts = []
+
+        def count(phase, info):
+            starts.append(phase == "start")
+
+        gc.callbacks.append(count)
+        try:
+            assert len(formats.load_json(path)["entries"]) == 50000
+        finally:
+            gc.callbacks.remove(count)
+        assert not any(starts)
 
     def test_ordinary_integers_are_still_integers(self, tmp_path):
         path = write(tmp_path, "v.json", {"dims": [2], "amplitudes": [[1, 0], [0, 0]]})

@@ -74,6 +74,12 @@ class TestLogicalStates:
             else:
                 assert logical.zero_state[y] == 0.0
 
+    def test_basis_is_built_once_per_k_and_shared_read_only(self):
+        # Every encode and decode shares the cached arrays, so none of them may be written.
+        logical = logical_states(3)
+        assert logical_states(3) is logical
+        assert not logical.zero_state.flags.writeable and not logical.one_state.flags.writeable
+
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             logical_states(0)
