@@ -42,7 +42,6 @@ from .linalg import (
     is_unitary,
     kron,
     matexp,
-    random_hermitian,
 )
 from .multipartite import StabilizerReport, stabilizer_check
 from .applications.bell import (

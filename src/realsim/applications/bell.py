@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..encoding import Layout, PureState, apply_lift, encode_state
-from ..linalg import DEFAULT_MAX_DIM, OBSERVABLE_TOL, SEESAW_STOP_TOL, admit, apply_on_axis, is_hermitian, random_hermitian
+from ..linalg import DEFAULT_MAX_DIM, OBSERVABLE_TOL, SEESAW_STOP_TOL, admit, apply_on_axis, is_hermitian
 
 MODES = ("complex", "real_encoded")
 
@@ -95,19 +95,42 @@ def bell_value(scenario: BellScenario, state: PureState, mode: str) -> float:
         raise ValueError(f"state factors {state.factor_dims} do not match party dimensions {scenario.party_dims}")
     dims = scenario.party_dims
     if mode == "complex":
-        return _value(scenario, state.amplitudes, lambda o, w, j: apply_on_axis(o, w.reshape(dims), j).reshape(-1))
+        def apply(family, w, j):
+            return apply_on_axis(family, w.reshape(*dims, *w.shape[1:]), j).reshape(len(family), *w.shape)
+        return _value(scenario, state.amplitudes, apply)
     v = encode_state(state, Layout(scenario.parties)).amplitudes
-    return _value(scenario, v, lambda o, w, j: apply_lift(o, w, dims, j))
+    return _value(scenario, v, lambda family, w, j: apply_lift(family, w, dims, j))
 
 
 def _value(scenario: BellScenario, v: np.ndarray, apply) -> float:
-    """sum_s c_s <v| A_s |v>, each term applying party j's observable as apply(o, w, j)."""
-    total = 0.0
-    for settings, coeff in scenario.coefficients.items():
+    """sum_s c_s <v| A_s |v>, applying each party's whole family at once.
+
+    apply(family, w, j) applies party j's (S_j, d, d) stack to the states
+    held along w's leading axis and returns shape (S_j, *w.shape).  Party
+    by party, w grows to hold A_{s_0} ... A_{s_j} v for every prefix of
+    settings, so the m parties take m calls whatever the coefficient table.
+    Each term is then one vdot on a contiguous row, summed in coefficient
+    order.  So that w never holds more than DEFAULT_MAX_DIM**2 entries,
+    the leading parties of a scenario too large for that take one setting
+    at a time: w is built once per distinct head of settings they pick.
+    """
+    settings, keys = scenario.settings_per_party, list(scenario.coefficients)
+    split = scenario.parties
+    while split > 0 and int(np.prod(settings[split - 1:])) * v.size <= DEFAULT_MAX_DIM ** 2:
+        split -= 1
+    inner = np.empty(len(keys))
+    for head in dict.fromkeys(key[:split] for key in keys):
         w = v
-        for j, s in enumerate(settings):
-            w = apply(scenario.observables[j][s], w, j)
-        total += coeff * float(np.vdot(v, w).real)
+        for j, family in enumerate(scenario.observables):
+            stack = np.array(family[head[j]:head[j] + 1] if j < split else family)
+            w = np.moveaxis(apply(stack, w, j), 0, -1)
+        rows = np.ascontiguousarray(np.moveaxis(w, 0, -1))  # (1, ..., 1, S_split, ..., S_m-1, len(v))
+        for i, key in enumerate(keys):
+            if key[:split] == head:
+                inner[i] = np.vdot(v, rows[(0,) * split + key[split:]]).real
+    total = 0.0
+    for coeff, x in zip(scenario.coefficients.values(), inner):
+        total += coeff * float(x)
     return total
 
 
@@ -178,13 +201,21 @@ def _sweep(c: np.ndarray, obs, states: np.ndarray, dims: tuple[int, ...]) -> lis
 
 
 def _initial_observables(scenario: BellScenario, seeds) -> list[np.ndarray]:
-    """Restart r draws its observables from SeedSequence(seeds[r]), party by party."""
-    dims, settings = scenario.party_dims, scenario.settings_per_party
-    drawn = []
-    for seed in seeds:
-        children = iter(np.random.SeedSequence(seed).spawn(sum(settings)))
-        drawn.append([[random_hermitian(d, next(children)) for _ in range(s)] for d, s in zip(dims, settings)])
-    return [_sign_round(np.array([row[j] for row in drawn])) for j in range(scenario.parties)]
+    """Random +-1-valued observables of every restart, one (R, S_j, d_j, d_j) stack per party.
+
+    Restart r draws all its observables from one generator seeded with
+    seeds[r]: party by party, one standard-normal (2, S_j, d_j, d_j) draw
+    holds the real and imaginary parts of S_j Gaussian matrices.  So a
+    restart depends on its own seed alone, whatever restarts share its
+    chunk.  The stacks are made Hermitian and then sign-rounded.
+    """
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    obs = []
+    for d, s in zip(scenario.party_dims, scenario.settings_per_party):
+        g = np.array([rng.standard_normal((2, s, d, d)) for rng in rngs])
+        z = g[:, 0] + 1j * g[:, 1]
+        obs.append(_sign_round((z + np.swapaxes(z.conj(), -1, -2)) / 2.0))
+    return obs
 
 
 def _seesaw(scenario: BellScenario, seeds, iterations: int):

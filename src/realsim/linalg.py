@@ -1,6 +1,6 @@
 """Dense linear algebra kernel: input admission, tensor products,
-operators applied along one tensor axis, matrix exponentials, structural
-predicates, and the seeded random Hermitian matrices that seed `bell`.
+operators applied along one tensor axis, matrix exponentials and
+structural predicates.
 
 Everything downstream treats matrices and vectors as plain numpy arrays,
 complex128 on the complex side and float64 on the encoded side.
@@ -143,12 +143,3 @@ def is_psd(a, tol: float = PSD_TOL) -> bool:
         return False
     floor = float(np.linalg.eigvalsh(a / 2.0 + dagger(a) / 2.0).min())
     return floor >= -tol
-
-
-def random_hermitian(dim: int, seed) -> np.ndarray:
-    """Hermitian matrix with Gaussian entries, deterministic per seed."""
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (g + g.conj().T) / 2.0

@@ -35,6 +35,15 @@ def random_state(dim: int, seed) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def random_hermitian(dim: int, seed) -> np.ndarray:
+    """Hermitian matrix with Gaussian entries, deterministic per seed."""
+    if dim < 1:
+        raise ValueError(f"dimension must be positive, got {dim}")
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (g + g.conj().T) / 2.0
+
+
 def random_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed unitary from the QR factorization of a Ginibre matrix.
 
@@ -158,6 +167,22 @@ def bell_operator(coefficients, obs, dims) -> np.ndarray:
             term = np.kron(term, obs[j][settings[j]])
         out += coeff * term
     return out
+
+
+def bell_value_by_terms(coefficients, obs, dims, v, encoded=False) -> float:
+    """Reference Bell value sum_s c_s <v| A_s |v>, one operator application per term and party.
+
+    v is a state on the parties' tensor product or, with encoded=True, its
+    encoding on the logical ancilla with one qubit per party; each
+    observable then acts through its dense reference lift.
+    """
+    total = 0.0
+    for settings, coeff in coefficients.items():
+        w = v
+        for j, s in enumerate(settings):
+            w = lift_local_operator(obs[j][s], dims, j) @ w if encoded else apply_local(w, obs[j][s], dims, j)
+        total += coeff * float(np.vdot(v, w).real)
+    return total
 
 
 def partial_outer(a, b, dims, party) -> np.ndarray:

@@ -132,7 +132,7 @@ def test_encoded_evolution_is_real_and_tracks_the_complex_side():
     worst_expm = 0.0
     for _ in range(50):
         dim = int(rng.integers(2, 9))
-        h = linalg.random_hermitian(dim, seed=int(rng.integers(2**32)))
+        h = helpers.random_hermitian(dim, seed=int(rng.integers(2**32)))
         h *= float(rng.uniform(0.2, 4.0)) / max(1e-12, float(np.abs(np.linalg.eigvalsh(h)).max()))
         psi = PureState(helpers.random_state(dim, seed=int(rng.integers(2**32))))
         t_max = float(rng.uniform(-10.0, 10.0))

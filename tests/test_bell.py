@@ -1,5 +1,6 @@
 """Bell scenarios: two evaluation routes, see-saw maximization."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -17,7 +18,7 @@ from realsim.applications.bell import (
     optimize_bell,
     phi_plus_state,
 )
-from realsim.encoding import PureState, apply_lift
+from realsim.encoding import Layout, PureState, apply_lift, encode_state
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -168,6 +169,48 @@ class TestBellValue:
             bell_value(chsh_scenario(), phi_plus_state(), "approximate")
 
 
+def random_partial_scenario(seed):
+    """Two or three parties of dimension 2 or 3 with 1-3 settings each, and a random part of the coefficient table."""
+    rng = np.random.default_rng(seed)
+    parties = int(rng.integers(2, 4))
+    dims = [int(d) for d in rng.integers(2, 4, size=parties)]
+    settings = tuple(int(s) for s in rng.integers(1, 4, size=parties))
+    obs = tuple(tuple(random_pm_observable(d, int(rng.integers(2**32))) for _ in range(s))
+                for d, s in zip(dims, settings))
+    keys = list(itertools.product(*(range(s) for s in settings)))
+    chosen = [keys[i] for i in rng.permutation(len(keys))[:int(rng.integers(1, len(keys) + 1))]]
+    coeffs = {key: float(rng.uniform(-1.0, 1.0)) for key in chosen}
+    return BellScenario(parties, settings, obs, coeffs, classical_bound=1.0)
+
+
+class TestStackedBellValue:
+    """bell_value applies each party's family as one stack; the oracle applies one observable per term and party."""
+
+    CASES = {**SCENARIOS, **{f"random{seed}": functools.partial(random_partial_scenario, seed) for seed in range(12)}}
+
+    # At the smaller caps the leading parties of some cases take one setting at a time.
+    @pytest.mark.parametrize("max_dim", [bell.DEFAULT_MAX_DIM, 16, 1])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_both_modes_match_the_term_by_term_oracle(self, name, max_dim, monkeypatch):
+        monkeypatch.setattr(bell, "DEFAULT_MAX_DIM", max_dim)
+        scenario = self.CASES[name]()
+        dims = scenario.party_dims
+        state = PureState(helpers.random_state(int(np.prod(dims)), seed=7), dims)
+        encoded = encode_state(state, Layout(scenario.parties)).amplitudes
+        args = (scenario.coefficients, scenario.observables, dims)
+        want_complex = helpers.bell_value_by_terms(*args, state.amplitudes)
+        want_encoded = helpers.bell_value_by_terms(*args, encoded, encoded=True)
+        assert abs(bell_value(scenario, state, "complex") - want_complex) <= linalg.EXACT_TOL
+        assert abs(bell_value(scenario, state, "real_encoded") - want_encoded) <= linalg.EXACT_TOL
+
+    def test_random_cases_cover_both_dimensions_every_setting_count_and_partial_tables(self):
+        scenarios = [random_partial_scenario(seed) for seed in range(12)]
+        assert {d for sc in scenarios for d in sc.party_dims} == {2, 3}
+        assert {s for sc in scenarios for s in sc.settings_per_party} == {1, 2, 3}
+        assert {sc.parties for sc in scenarios} == {2, 3}
+        assert any(len(sc.coefficients) < np.prod(sc.settings_per_party) for sc in scenarios)
+
+
 class TestLiftedObservableLocality:
     def test_cross_party_lifts_commute(self):
         scenario = chsh_scenario()
@@ -234,6 +277,15 @@ class TestBatchedSeesaw:
                 for t in range(scenario.settings_per_party[j]):
                     want = helpers.effective_operator(states[r], family, scenario.coefficients, dims, j, t)
                     assert np.abs(eff[r, t] - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_each_restart_draws_from_its_own_seed_alone(self, name):
+        scenario = SCENARIOS[name]()
+        together = bell._initial_observables(scenario, [5, 6, 7])
+        alone = bell._initial_observables(scenario, [6])
+        for j in range(scenario.parties):
+            assert together[j].shape == (3, scenario.settings_per_party[j], *(scenario.party_dims[j],) * 2)
+            assert np.array_equal(together[j][1], alone[j][0])
 
     @pytest.mark.parametrize("name", ["chsh", "mermin3", "mermin4_rotated"])
     def test_sweep_updates_parties_in_turn_like_the_reference(self, name):

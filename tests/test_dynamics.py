@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import eig_expm_hermitian, random_state
+from helpers import eig_expm_hermitian, random_hermitian, random_state
 from realsim import encoding, linalg
 from realsim.dynamics import (
     EvolutionResult,
@@ -65,20 +65,20 @@ class TestGenerator:
 
     @pytest.mark.parametrize("dim", [2, 3, 5])
     def test_real_and_antisymmetric(self, dim):
-        h = Hamiltonian(linalg.random_hermitian(dim, seed=dim))
+        h = Hamiltonian(random_hermitian(dim, seed=dim))
         g = generator(h)
         assert not np.iscomplexobj(g)
         assert np.abs(g + g.T).max() <= 1e-12
 
     def test_logical_layout_also_antisymmetric(self):
-        h = Hamiltonian(linalg.random_hermitian(4, seed=9))
+        h = Hamiltonian(random_hermitian(4, seed=9))
         g = generator(h, layout=Layout(2))
         assert np.abs(g + g.T).max() <= 1e-12
 
     def test_ancilla_rotation_commutes(self):
         # J is a signed permutation and H' carries Im H through XZ on one qubit, so J H' - H' J
         # is exactly zero whichever ancilla qubit each of them uses.
-        h = linalg.random_hermitian(6, seed=10)
+        h = random_hermitian(6, seed=10)
         for k in (1, 2, 3):
             for q in range(k):
                 j = np.kron(np.eye(6), encoding_local_xz(k, q))
@@ -89,14 +89,14 @@ class TestGenerator:
     def test_wrong_ancilla_action_does_not_commute(self):
         # Replacing the quarter turn by a bare bit flip breaks the algebra
         # whenever the Hamiltonian has imaginary entries.
-        h = linalg.random_hermitian(3, seed=11)
+        h = random_hermitian(3, seed=11)
         h_enc = encode_operator(h)
         j_bad = linalg.kron(np.eye(3), X.real)
         assert np.abs(j_bad @ h_enc - h_enc @ j_bad).max() > 0.1
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_generator_equals_the_dense_product_on_every_qubit(self, k):
-        h = Hamiltonian(linalg.random_hermitian(3, seed=12 + k))
+        h = Hamiltonian(random_hermitian(3, seed=12 + k))
         for q in range(k):
             dense_j = np.kron(np.eye(3), encoding_local_xz(k, q))
             dense = dense_j @ encode_operator(h.matrix, Layout(k), q)
@@ -106,7 +106,7 @@ class TestGenerator:
 class TestEvolve:
     def test_zero_time_is_identity(self):
         psi = state(random_state(4, seed=20))
-        res = evolve(Hamiltonian(linalg.random_hermitian(4, seed=21)), 0.0, psi)
+        res = evolve(Hamiltonian(random_hermitian(4, seed=21)), 0.0, psi)
         assert within_tolerances(res)
         assert np.allclose(res.complex_states[0], psi.amplitudes, atol=1e-14)
         assert np.allclose(res.encoded_states[0], encode_state(psi).amplitudes, atol=1e-14)
@@ -123,7 +123,7 @@ class TestEvolve:
         rng = np.random.default_rng(22)
         for _ in range(100):
             dim = int(rng.integers(2, 7))
-            h = Hamiltonian(linalg.random_hermitian(dim, seed=int(rng.integers(2**32))))
+            h = Hamiltonian(random_hermitian(dim, seed=int(rng.integers(2**32))))
             psi = state(random_state(dim, seed=int(rng.integers(2**32))))
             t = float(rng.uniform(-10.0, 10.0))
             res = evolve(h, t, psi)
@@ -131,7 +131,7 @@ class TestEvolve:
             assert res.max_deviation <= 1e-10
 
     def test_physics_sign_convention(self):
-        h = Hamiltonian(linalg.random_hermitian(4, seed=23))
+        h = Hamiltonian(random_hermitian(4, seed=23))
         psi = state(random_state(4, seed=24))
         res = evolve(h, 1.7, psi, sign=-1)
         assert within_tolerances(res)
@@ -139,7 +139,7 @@ class TestEvolve:
         assert np.allclose(res.complex_states[0], want, atol=1e-12)
 
     def test_norm_preserved(self):
-        h = Hamiltonian(linalg.random_hermitian(5, seed=25))
+        h = Hamiltonian(random_hermitian(5, seed=25))
         res = evolve(h, 3.3, state(random_state(5, seed=26)))
         assert within_tolerances(res)
         assert abs(np.linalg.norm(res.encoded_states[0]) - 1.0) <= 1e-12
@@ -183,7 +183,7 @@ class TestTrajectory:
         assert res.encoded_states.shape == (17, 4 * 4)
 
     def test_energy_conserved_on_both_sides(self):
-        h = Hamiltonian(linalg.random_hermitian(4, seed=31))
+        h = Hamiltonian(random_hermitian(4, seed=31))
         psi = state(random_state(4, seed=32))
         res = trajectory(h, psi, t_max=6.0, steps=25)
         assert within_tolerances(res)
@@ -198,7 +198,7 @@ class TestTrajectory:
             assert abs(e_encoded - e0) <= 1e-10
 
     def test_group_law_holds(self):
-        h = Hamiltonian(linalg.random_hermitian(3, seed=33))
+        h = Hamiltonian(random_hermitian(3, seed=33))
         res = trajectory(h, state(random_state(3, seed=34)), t_max=2.0, steps=5)
         assert within_tolerances(res)
         assert res.expm_error <= 1e-10
@@ -227,7 +227,7 @@ class TestArrayResults:
     @pytest.mark.parametrize("k, dims", [(1, (6,)), (2, (2, 3)), (3, (2, 3, 2))])
     def test_rows_are_read_only_arrays_and_equal_single_steps(self, k, dims):
         n = int(np.prod(dims))
-        h = Hamiltonian(linalg.random_hermitian(n, seed=50 + k))
+        h = Hamiltonian(random_hermitian(n, seed=50 + k))
         psi = state(random_state(n, seed=60 + k), dims)
         res = trajectory(h, psi, t_max=1.5, steps=7, layout=Layout(k), sign=-1)
         assert res.complex_states.dtype == np.complex128 and res.encoded_states.dtype == np.float64
@@ -246,7 +246,7 @@ class TestArrayResults:
         # check crossed that bound by rounding: each of these seeds raised for k = 1 and k = 2.
         for seed in (6, 7, 8):
             amps = random_state(8, seed=seed) * (1.0 + linalg.INPUT_TOL - 2e-16)
-            res = trajectory(Hamiltonian(linalg.random_hermitian(8, seed=1000 + seed)), state(amps, dims),
+            res = trajectory(Hamiltonian(random_hermitian(8, seed=1000 + seed)), state(amps, dims),
                              t_max=1.0, steps=16, layout=Layout(k))
             assert within_tolerances(res)
 
@@ -261,7 +261,7 @@ class TestSpectralPropagator:
         for k in (1, 2, 3):
             for sign in (1, -1):
                 for _ in range(4):
-                    h = Hamiltonian(linalg.random_hermitian(int(rng.integers(2, 9)), seed=int(rng.integers(2**32))))
+                    h = Hamiltonian(random_hermitian(int(rng.integers(2, 9)), seed=int(rng.integers(2**32))))
                     yield h, Layout(k), float(rng.uniform(-10.0, 10.0)), sign
 
     def test_matches_the_dense_exponential(self):
@@ -290,7 +290,7 @@ class TestSpectralPropagator:
             assert np.abs(u(t1) @ u(t2) - u(t1 + t2)).max() <= 1e-10
 
     def test_spectrum_is_computed_once_per_layout(self):
-        h = Hamiltonian(linalg.random_hermitian(4, seed=42))
+        h = Hamiltonian(random_hermitian(4, seed=42))
         psi = state(random_state(4, seed=43), dims=(2, 2))
         assert within_tolerances(trajectory(h, psi, t_max=1.0, steps=4, layout=Layout(2)))
         assert h.spectrum is h.spectrum
@@ -309,7 +309,7 @@ class TestSpectralPropagator:
         # symmetric bit flip X (X^2 = +I) in place of XZ, which the cached J V and the
         # generator both take from one kernel, encoding.apply_xz, the spectral formula
         # and the dense exponential part ways, and the dense comparison says so.
-        m = linalg.random_hermitian(3, seed=44)
+        m = random_hermitian(3, seed=44)
         assert propagator_errors(Hamiltonian(m), 1.3)[1] <= 1e-10
         monkeypatch.setattr(encoding, "XZ", np.abs(encoding.XZ))
         h = Hamiltonian(m)
@@ -318,7 +318,7 @@ class TestSpectralPropagator:
         assert not propagator_errors(h, 1.3)[1] <= 1e-10
 
     def test_perturbed_eigenvectors_fail_the_orthogonality_gate(self):
-        h = Hamiltonian(linalg.random_hermitian(3, seed=45))
+        h = Hamiltonian(random_hermitian(3, seed=45))
         psi = state(random_state(3, seed=46))
         assert trajectory(h, psi, t_max=2.0, steps=5).orthogonality_error <= linalg.ORTHOGONALITY_TOL
         lam, v, jv = h.encoded_spectrum()
@@ -332,7 +332,7 @@ class TestSpectralPropagator:
     def test_input_norm_off_one_is_not_counted_against_the_propagator(self):
         # PureState accepts a norm within 1e-10 of 1 and never renormalizes; a
         # norm of 1 + 1.9e-11 is kept by the propagator and passes the 1e-11 gate.
-        h = Hamiltonian(linalg.random_hermitian(2, seed=47))
+        h = Hamiltonian(random_hermitian(2, seed=47))
         psi = state([0.7071067812, 0.7071067812])
         assert np.linalg.norm(psi.amplitudes) - 1.0 > 1e-11
         assert within_tolerances(trajectory(h, psi, t_max=2.0, steps=5))

@@ -84,7 +84,7 @@ JOBS = {
     "measure_density": (["measure", "rho.json", "povm.json"],
                         "282233891220a1a1af622daa69707bb6e643abf07d9ab9caf425bb286b86b2ca"),
     "bell_chsh": (["bell", "--scenario", "chsh", "--restarts", "2", "--seed", "3"],
-                  "7d57de08b1b7db246c26c4ac801eb3c4619382804536ff7e1b0c727ffc43e3a2"),
+                  "06dea3eb64c7c7587ee40fb541f82e115606fd709611f5b6987ef479bb1dde6f"),
     "selftest": (["selftest"],
                  "492c7f13a99a3cddf96ec5f04b08163d5558aac0a8b53bc8ef1dfcb759e0c8d4"),
     "stabilizer_k3": (["stabilizer", "--k", "3"],

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import eig_expm_hermitian, random_state, random_unitary, series_expm
+from helpers import eig_expm_hermitian, random_hermitian, random_state, random_unitary, series_expm
 from realsim import linalg
 from realsim.dynamics import Hamiltonian, generator
 from realsim.encoding import Layout
@@ -96,7 +96,7 @@ class TestMatexp:
         assert not np.iscomplexobj(out)
 
     def test_hermitian_generator_gives_unitary(self):
-        h = linalg.random_hermitian(6, seed=15)
+        h = random_hermitian(6, seed=15)
         u = linalg.matexp(1j * 7.3 * h)
         assert linalg.is_unitary(u)
 
@@ -110,7 +110,7 @@ class TestMatexp:
         # scipy's expm is the independent oracle; the package itself never imports scipy.
         from scipy.linalg import expm
 
-        g = t * generator(Hamiltonian(linalg.random_hermitian(n, seed=n + k)), Layout(k))
+        g = t * generator(Hamiltonian(random_hermitian(n, seed=n + k)), Layout(k))
         assert np.abs(linalg.matexp(g) - expm(g)).max() <= linalg.AGREEMENT_TOL
 
     @pytest.mark.parametrize("a, message", [
@@ -220,9 +220,9 @@ class TestSampling:
         assert linalg.is_unitary(u)
 
     def test_hermitian_is_hermitian(self):
-        h = linalg.random_hermitian(6, seed=44)
+        h = random_hermitian(6, seed=44)
         assert linalg.is_hermitian(h)
-        assert np.array_equal(h, linalg.random_hermitian(6, seed=44))
+        assert np.array_equal(h, random_hermitian(6, seed=44))
 
     def test_seeds_differ(self):
         assert not np.allclose(
