@@ -13,8 +13,6 @@ from .encoding import (
     SINGLE_ANCILLA,
     XZ,
     DensityOperator,
-    EncodedState,
-    GaugeOrbit,
     Layout,
     LogicalAncilla,
     Povm,

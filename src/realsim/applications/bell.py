@@ -98,7 +98,7 @@ def bell_value(scenario: BellScenario, state: PureState, mode: str) -> float:
         def apply(family, w, j):
             return apply_on_axis(family, w.reshape(*dims, *w.shape[1:]), j).reshape(len(family), *w.shape)
         return _value(scenario, state.amplitudes, apply)
-    v = encode_state(state, Layout(scenario.parties)).amplitudes
+    v = encode_state(state, Layout(scenario.parties))
     return _value(scenario, v, lambda family, w, j: apply_lift(family, w, dims, j))
 
 

@@ -90,7 +90,7 @@ def selftest_counterexample(t_gate: np.ndarray | None = None) -> SelfTestTranscr
         apply_on_axis(t.conj(), after_a, 1).reshape(-1),
     )
 
-    enc0 = encode_state(PureState(phi_plus, (2, 2)), Layout(2)).amplitudes
+    enc0 = encode_state(PureState(phi_plus, (2, 2)), Layout(2))
     enc_a = apply_lift(t, enc0, (2, 2), 0)
     states_simulated = (enc0, enc_a, apply_lift(t.conj(), enc_a, (2, 2), 1))
 

@@ -42,15 +42,16 @@ def _leq(name: str, measured, tolerance) -> dict:
 
 def cmd_encode(args):
     state = formats.load_state(args.state)
-    enc = encode_state(state, Layout(args.k))
-    decoded = decode_state(enc)
+    layout = Layout(args.k)
+    enc = encode_state(state, layout)
+    decoded = decode_state(enc, layout)
     results = {
         "source_dims": list(state.factor_dims),
-        "layout_k": enc.layout.k,
-        "encoded_amplitudes": enc.amplitudes.tolist(),
+        "layout_k": layout.k,
+        "encoded_amplitudes": enc.tolist(),
     }
     assertions = [
-        _leq("norm_preserved", abs(float(np.linalg.norm(enc.amplitudes)) - float(np.linalg.norm(state.amplitudes))),
+        _leq("norm_preserved", abs(float(np.linalg.norm(enc)) - float(np.linalg.norm(state.amplitudes))),
              EXACT_TOL),
         _leq("round_trip", float(np.max(np.abs(decoded - state.amplitudes))), EXACT_TOL),
     ]

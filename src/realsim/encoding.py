@@ -14,6 +14,12 @@ with the logical |0_L> and b with |1_L> of a two-dimensional codespace,
 and XZ on any one of the k qubits acts as the logical i.  k = 1 is the
 single ancilla described above.  `apply_lift` applies one party's
 operator to an encoded vector without building its encoding.
+
+The containers (`PureState`, `DensityOperator`, `Povm`) admit input that
+arrives from outside the library, once.  Everything computed from them,
+encoded states and operators included, is a plain float64 array that no
+container admits again; a function that reads an encoded state takes
+its `Layout` as an argument.
 """
 
 from __future__ import annotations
@@ -103,13 +109,6 @@ def local_xz(k: int, qubit: int) -> np.ndarray:
     return np.eye(dim)[y ^ bit] * np.where(y & bit, -1.0, 1.0)
 
 
-def _require_unit_norm(amps: np.ndarray, what: str) -> None:
-    with np.errstate(over="ignore"):  # amplitudes beyond ~1e154 give norm inf, which the test below rejects
-        norm = float(np.linalg.norm(amps))
-    if not abs(norm - 1.0) <= INPUT_TOL:
-        raise ValueError(f"{what} norm {norm} is not 1 within {INPUT_TOL}; inputs are never renormalized")
-
-
 @dataclass(frozen=True)
 class PureState:
     """Unit-norm complex state vector with its tensor-factor dimensions."""
@@ -124,31 +123,14 @@ class PureState:
         dims = (amps.size,) if self.factor_dims is None else tuple(int(d) for d in self.factor_dims)
         if int(np.prod(dims)) != amps.size:
             raise ValueError(f"factor_dims {dims} do not multiply to dimension {amps.size}")
-        _require_unit_norm(amps, "state")
+        if any(d < 1 for d in dims):
+            raise ValueError(f"factor_dims {dims} must all be at least 1")
+        with np.errstate(over="ignore"):  # amplitudes beyond ~1e154 give norm inf, which the test below rejects
+            norm = float(np.linalg.norm(amps))
+        if not abs(norm - 1.0) <= INPUT_TOL:
+            raise ValueError(f"state norm {norm} is not 1 within {INPUT_TOL}; inputs are never renormalized")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "factor_dims", dims)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-
-@dataclass(frozen=True)
-class EncodedState:
-    """Real-amplitude image of a pure state on the doubled space."""
-
-    amplitudes: np.ndarray
-    source_dim: int
-    layout: Layout = SINGLE_ANCILLA
-
-    def __post_init__(self):
-        amps = admit(self.amplitudes, "encoded amplitudes", float)
-        expected = int(self.source_dim) * self.layout.ancilla_dim
-        if amps.shape != (expected,):
-            raise ValueError(f"encoded amplitudes shape {amps.shape} does not match source_dim {self.source_dim} with k={self.layout.k}")
-        _require_unit_norm(amps, "encoded")
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "source_dim", int(self.source_dim))
 
     @property
     def dim(self) -> int:
@@ -179,21 +161,6 @@ class DensityOperator:
 
 
 @dataclass(frozen=True)
-class GaugeOrbit:
-    """Two orthogonal encodings of one state, spanning its phase orbit."""
-
-    phi1: EncodedState
-    phi2: EncodedState
-
-    def __post_init__(self):
-        if self.phi1.dim != self.phi2.dim or self.phi1.source_dim != self.phi2.source_dim:
-            raise ValueError("orbit members must share dimensions")
-        overlap = float(np.dot(self.phi1.amplitudes, self.phi2.amplitudes))
-        if not abs(overlap) <= INPUT_TOL:
-            raise ValueError(f"orbit members are not orthogonal, overlap {overlap}")
-
-
-@dataclass(frozen=True)
 class Povm:
     """Finite POVM: positive elements summing to the identity."""
 
@@ -218,7 +185,7 @@ class Povm:
 
 
 def encode_amplitudes(amplitudes: np.ndarray, factor_dims: tuple[int, ...], layout: Layout = SINGLE_ANCILLA):
-    """Map sum (a_x + i b_x)|x> to sum a_x |x>|0_L> + b_x |x>|1_L>, as a plain real array.
+    """Map sum (a_x + i b_x)|x> to sum a_x |x>|0_L> + b_x |x>|1_L>, as a read-only real array.
 
     With k > 1 ancilla qubits the state must expose one tensor factor per
     party; the single ancilla serves any factorization.
@@ -226,18 +193,23 @@ def encode_amplitudes(amplitudes: np.ndarray, factor_dims: tuple[int, ...], layo
     if layout.k > 1 and len(factor_dims) != layout.k:
         raise ValueError(f"state has {len(factor_dims)} factors, expected one per party with k={layout.k}")
     logical = logical_states(layout.k)
-    return (np.outer(amplitudes.real, logical.zero_state) + np.outer(amplitudes.imag, logical.one_state)).ravel()
+    enc = (np.outer(amplitudes.real, logical.zero_state) + np.outer(amplitudes.imag, logical.one_state)).ravel()
+    enc.setflags(write=False)
+    return enc
 
 
-def encode_state(psi: PureState, layout: Layout = SINGLE_ANCILLA) -> EncodedState:
-    """The admitted `EncodedState` of `encode_amplitudes` for a pure state."""
-    return EncodedState(encode_amplitudes(psi.amplitudes, psi.factor_dims, layout), psi.dim, layout)
+def encode_state(psi: PureState, layout: Layout = SINGLE_ANCILLA) -> np.ndarray:
+    """`encode_amplitudes` of a pure state: n 2^k real amplitudes."""
+    return encode_amplitudes(psi.amplitudes, psi.factor_dims, layout)
 
 
-def decode_state(enc: EncodedState) -> np.ndarray:
-    """Read the complex amplitudes back out of an encoded state."""
-    pairs = enc.amplitudes.reshape(enc.source_dim, enc.layout.ancilla_dim)
-    logical = logical_states(enc.layout.k)
+def decode_state(enc: np.ndarray, layout: Layout) -> np.ndarray:
+    """Read the complex amplitudes back out of a state encoded in `layout`."""
+    enc = np.asarray(enc)
+    if enc.ndim != 1 or enc.size == 0 or enc.size % layout.ancilla_dim:
+        raise ValueError(f"encoded state shape {enc.shape} does not fit k={layout.k}")
+    pairs = enc.reshape(-1, layout.ancilla_dim)
+    logical = logical_states(layout.k)
     return pairs @ logical.zero_state + 1j * (pairs @ logical.one_state)
 
 
@@ -295,21 +267,20 @@ def encode_density(rho: DensityOperator) -> np.ndarray:
     return encode_operator(rho.matrix) / 2.0
 
 
-def gauge_orbit(psi: PureState) -> GaugeOrbit:
-    """The orthogonal pair of encodings spanning the global-phase orbit.
+def gauge_orbit(psi: PureState) -> tuple[np.ndarray, np.ndarray]:
+    """The orthogonal pair (phi1, phi2) of encodings spanning the global-phase orbit.
 
     phi1 encodes psi itself, phi2 encodes i*psi; the encoding of any
     e^{i alpha} psi is cos(alpha) phi1 + sin(alpha) phi2.
     """
-    rotated = PureState(1j * psi.amplitudes, psi.factor_dims)
-    return GaugeOrbit(encode_state(psi), encode_state(rotated))
+    return encode_state(psi), encode_amplitudes(1j * psi.amplitudes, psi.factor_dims)
 
 
 def real_inner_product(psi: PureState, phi: PureState) -> float:
     """Inner product of the encodings; equals Re<psi|phi> of the sources."""
     if psi.dim != phi.dim:
         raise ValueError(f"dimension mismatch: {psi.dim} vs {phi.dim}")
-    enc = float(np.dot(encode_state(psi).amplitudes, encode_state(phi).amplitudes))
+    enc = float(np.dot(encode_state(psi), encode_state(phi)))
     direct = float(np.vdot(psi.amplitudes, phi.amplitudes).real)
     if not abs(enc - direct) <= EXACT_TOL:
         raise ValueError(f"encoded inner product {enc} deviates from the complex real part {direct}")
@@ -330,26 +301,25 @@ def povm_probabilities(state, povm: Povm) -> np.ndarray:
     raise ValueError(f"expected PureState or DensityOperator, got {type(state).__name__}")
 
 
-def encoded_povm_probabilities(encoded, povm: Povm) -> np.ndarray:
+def encoded_povm_probabilities(encoded, povm: Povm, layout: Layout = SINGLE_ANCILLA) -> np.ndarray:
     """Outcome distribution computed entirely on the encoded side.
 
-    encoded is an EncodedState, in any layout, or a real encoded density
-    matrix as produced by encode_density.  Each element E acts through
-    apply_lift, so its encoding E' is never built: v.(E'v) for a state,
-    Tr(E' rho') over the columns of rho' for a density matrix.
+    encoded is a real state vector encoded in `layout`, or a real encoded
+    density matrix as produced by encode_density.  Each element E acts
+    through apply_lift, so its encoding E' is never built: v.(E'v) for a
+    state, Tr(E' rho') over the columns of rho' for a density matrix.
     """
     d = povm.dim
-    if isinstance(encoded, EncodedState):
-        if encoded.source_dim != d:
-            raise ValueError(f"encoded state dimension {encoded.source_dim} does not match POVM dimension {d}")
+    enc = admit(encoded, "encoded state", float)
+    if enc.ndim == 1:
+        if enc.shape != (d * layout.ancilla_dim,):
+            raise ValueError(f"encoded state shape {enc.shape} does not match POVM dimension {d} with k={layout.k}")
         # Ancilla qubits past the first carry no imaginary part: the lift is the identity on them.
-        v = encoded.amplitudes
-        lifted = apply_lift(povm.elements, v.reshape(2 * d, -1), (d,), 0)
-        return lifted.reshape(len(povm.elements), -1) @ v
-    rho = admit(encoded, "encoded density matrix", float)
-    if rho.shape != (2 * d, 2 * d):
-        raise ValueError(f"encoded density shape {rho.shape} does not match POVM dimension {d}")
-    return np.trace(apply_lift(povm.elements, rho, (d,), 0), axis1=1, axis2=2)
+        lifted = apply_lift(povm.elements, enc.reshape(2 * d, -1), (d,), 0)
+        return lifted.reshape(len(povm.elements), -1) @ enc
+    if enc.shape != (2 * d, 2 * d):
+        raise ValueError(f"encoded density shape {enc.shape} does not match POVM dimension {d}")
+    return np.trace(apply_lift(povm.elements, enc, (d,), 0), axis1=1, axis2=2)
 
 
 def _channel_matrices(channel, dim: int | None = None) -> list[np.ndarray]:
@@ -366,13 +336,9 @@ def _channel_matrices(channel, dim: int | None = None) -> list[np.ndarray]:
     return ks
 
 
-def apply_kraus(channel, rho: DensityOperator) -> DensityOperator:
-    """Apply a trace-preserving Kraus channel to a density operator."""
-    ks = _channel_matrices(channel, rho.dim)
-    out = np.zeros_like(rho.matrix)
-    for k in ks:
-        out = out + k @ rho.matrix @ dagger(k)
-    return DensityOperator(out)
+def apply_kraus(channel, rho: DensityOperator) -> np.ndarray:
+    """Apply a trace-preserving Kraus channel to a density operator; returns the output matrix."""
+    return sum(k @ rho.matrix @ dagger(k) for k in _channel_matrices(channel, rho.dim))
 
 
 def encode_kraus(channel) -> list[np.ndarray]:

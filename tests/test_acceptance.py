@@ -74,7 +74,7 @@ def test_encoded_statistics_match_complex_statistics():
         else:
             moved = PureState(u @ psi)
             direct = povm_probabilities(moved, povm)
-            v = encode_operator(u) @ encode_state(PureState(psi)).amplitudes
+            v = encode_operator(u) @ encode_state(PureState(psi))
             elements = [encode_operator(e) for e in povm.elements]
             encoded = np.array([float(v @ (e @ v)) for e in elements])
         worst = max(worst, float(np.abs(direct - encoded).max()))
@@ -187,8 +187,7 @@ def test_local_operations_preserve_joint_statistics():
             phi = psi
             for party, u in enumerate(unitaries):
                 phi = embed_complex(u, dims, party) @ phi
-            enc = encode_state(PureState(psi, dims), Layout(parties))
-            v = enc.amplitudes
+            v = encode_state(PureState(psi, dims), Layout(parties))
             for party, u in enumerate(unitaries):
                 v = apply_lift(u, v, dims, party)
 

@@ -196,7 +196,7 @@ class TestStackedBellValue:
         scenario = self.CASES[name]()
         dims = scenario.party_dims
         state = PureState(helpers.random_state(int(np.prod(dims)), seed=7), dims)
-        encoded = encode_state(state, Layout(scenario.parties)).amplitudes
+        encoded = encode_state(state, Layout(scenario.parties))
         args = (scenario.coefficients, scenario.observables, dims)
         want_complex = helpers.bell_value_by_terms(*args, state.amplitudes)
         want_encoded = helpers.bell_value_by_terms(*args, encoded, encoded=True)

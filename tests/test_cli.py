@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from helpers import random_hermitian
 import realsim
-from realsim import cli, dynamics, encoding, multipartite
+from realsim import cli, dynamics, encoding, linalg, multipartite
 from realsim.applications import bell, selftest
 from realsim.cli import main
 
@@ -40,6 +40,14 @@ def matrix_obj(m):
         "cols": m.shape[1],
         "entries": [[float(z.real), float(z.imag)] for z in m.reshape(-1)],
     }
+
+
+def at_bound_state():
+    """A seeded four-amplitude state of norm 1 + INPUT_TOL, which PureState admits."""
+    rng = np.random.default_rng(1)
+    z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    v = z / np.linalg.norm(z) * (1.0 + linalg.INPUT_TOL)
+    return {"dims": [4], "amplitudes": [[a.real, a.imag] for a in v.tolist()]}
 
 
 @pytest.fixture
@@ -116,6 +124,13 @@ class TestEncode:
         assert code == 0
         norm = {a["name"]: a for a in report_of(out)["assertions"]}["norm_preserved"]
         assert norm["passed"] and norm["measured"] <= 1e-15 and norm["tolerance"] == 1e-12
+
+    def test_input_norm_at_the_admission_bound_is_encoded(self, capsys, tmp_path):
+        # The state is admitted once; its encoding is computed, not admitted again at the same bound.
+        psi = write(tmp_path, "psi.json", at_bound_state())
+        code, out, err = run(capsys, ["encode", psi, "--k", "1"])
+        assert (code, err) == (0, "")
+        assert not failed_assertions(out)
 
     def test_digest_tracks_input_content(self, capsys, tmp_path, circular_state):
         other = write(tmp_path, "other.json", {"dims": [2], "amplitudes": [[0.0, S], [S, 0.0]]})
@@ -239,11 +254,15 @@ class TestMeasure:
     @pytest.mark.parametrize("state", [
         {"dims": [2], "amplitudes": [[0.6, 0.0], [0.0, 0.80000000006]]},  # <psi|psi> = 1 + 9.6e-11
         matrix_obj([[0.5 + 9e-11, 0.25j], [-0.25j, 0.5]]),                 # tr rho = 1 + 9e-11
+        at_bound_state(),                                                   # ||psi|| = 1 + INPUT_TOL
     ])
-    def test_input_norm_off_one_passes_the_normalization_checks(self, capsys, tmp_path, z_basis_povm, state):
+    def test_input_norm_off_one_passes_the_normalization_checks(self, capsys, tmp_path, state):
         # The probabilities sum to the admitted input's own normalization, not to 1.
+        n = state["dims"][0] if "dims" in state else state["rows"]
+        low = np.arange(n) < n // 2
+        povm = write(tmp_path, "povm.json", {"elements": [matrix_obj(np.diag(low)), matrix_obj(np.diag(~low))]})
         path = write(tmp_path, "psi.json", state)
-        code, out, _ = run(capsys, ["measure", path, z_basis_povm])
+        code, out, _ = run(capsys, ["measure", path, povm])
         assert code == 0
         checks = {a["name"]: a for a in report_of(out)["assertions"]}
         for name in ("complex_normalized", "encoded_normalized"):
@@ -569,13 +588,13 @@ class TestAssertionFaults:
 
     def test_out_of_codespace_leak_breaks_only_norm_preservation(self, capsys, tmp_path, monkeypatch):
         # 5e-6 on |x=0>|00> and on |x=0>|11> is orthogonal to the Layout(2) codespace: the norm
-        # grows by 2.5e-11, which EncodedState admits (INPUT_TOL) and decoding projects away.
+        # grows by 2.5e-11, which decoding projects away.
         exact = encoding.encode_state
 
         def leaky(psi, layout=encoding.SINGLE_ANCILLA):
-            amps = exact(psi, layout).amplitudes.copy()
+            amps = exact(psi, layout).copy()
             amps[[0, 3]] += 5e-6
-            return encoding.EncodedState(amps, psi.dim, layout)
+            return amps
 
         self.patch(monkeypatch, "encode_state", leaky)
         psi = write(tmp_path, "psi.json", {"dims": [2, 2], "amplitudes": [[0.5, 0.0], [0.0, 0.5], [0.5, 0.0], [0.0, -0.5]]})
@@ -588,8 +607,7 @@ class TestAssertionFaults:
         exact = encoding.encode_state
 
         def conjugating(psi, layout=encoding.SINGLE_ANCILLA):
-            amps = exact(psi, layout).amplitudes * np.tile([1.0, -1.0], psi.dim)
-            return encoding.EncodedState(amps, psi.dim, layout)
+            return exact(psi, layout) * np.tile([1.0, -1.0], psi.dim)
 
         self.patch(monkeypatch, "encode_state", conjugating)
         code, out, _ = run(capsys, ["encode", circular_state])

@@ -15,7 +15,6 @@ from realsim.dynamics import (
     trajectory,
 )
 from realsim.encoding import (
-    EncodedState,
     Layout,
     Povm,
     PureState,
@@ -109,7 +108,7 @@ class TestEvolve:
         res = evolve(Hamiltonian(random_hermitian(4, seed=21)), 0.0, psi)
         assert within_tolerances(res)
         assert np.allclose(res.complex_states[0], psi.amplitudes, atol=1e-14)
-        assert np.allclose(res.encoded_states[0], encode_state(psi).amplitudes, atol=1e-14)
+        assert np.allclose(res.encoded_states[0], encode_state(psi), atol=1e-14)
 
     def test_z_rotation_closed_form(self):
         # exp(i Z pi/2) sends (|0>+|1>)/sqrt(2) to (i|0>-i|1>)/sqrt(2).
@@ -170,7 +169,7 @@ class TestTrajectory:
         assert within_tolerances(res)
         povm = Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
         for t, enc in zip(res.times, res.encoded_states):
-            p = encoded_povm_probabilities(EncodedState(enc, 2), povm)
+            p = encoded_povm_probabilities(enc, povm)
             assert abs(p[0] - np.cos(t) ** 2) <= 1e-12
 
     def test_two_party_logical_layout(self):

@@ -11,7 +11,6 @@ from realsim.applications.bell import BellScenario
 from realsim.dynamics import Hamiltonian
 from realsim.encoding import (
     DensityOperator,
-    EncodedState,
     Layout,
     Povm,
     PureState,
@@ -69,6 +68,12 @@ class TestPureState:
         with pytest.raises(ValueError):
             state([1.0, 0.0, 0.0, 0.0], dims=(2, 3))
 
+    @pytest.mark.parametrize("dims", [(-2, -2), (-1, -4)])
+    def test_rejects_factor_dims_below_one(self, dims):
+        # Their product is the dimension, so only this check stops them; Layout(2) would then encode 16 amplitudes.
+        with pytest.raises(ValueError, match=r"must all be at least 1$"):
+            PureState(np.ones(4) / 2, dims)
+
     def test_default_factorization_is_whole_system(self):
         assert state([0.0, 1.0, 0.0]).factor_dims == (3,)
 
@@ -76,28 +81,34 @@ class TestPureState:
 class TestEncodeState:
     def test_basis_state(self):
         enc = encode_state(state([1.0, 0.0]))
-        assert np.array_equal(enc.amplitudes, [1.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(enc, [1.0, 0.0, 0.0, 0.0])
 
     def test_imaginary_basis_state(self):
         enc = encode_state(state([1.0j]))
-        assert np.array_equal(enc.amplitudes, [0.0, 1.0])
+        assert np.array_equal(enc, [0.0, 1.0])
 
     def test_circular_superposition(self):
         enc = encode_state(state([S, S * 1.0j]))
-        assert np.allclose(enc.amplitudes, [S, 0.0, 0.0, S], atol=1e-15)
+        assert np.allclose(enc, [S, 0.0, 0.0, S], atol=1e-15)
 
     def test_round_trip(self):
         psi = random_state(6, seed=5)
-        back = decode_state(encode_state(state(psi)))
+        back = decode_state(encode_state(state(psi)), Layout(1))
         assert np.allclose(back, psi, atol=1e-14)
+
+    def test_output_is_read_only(self):
+        enc = encode_state(state([S, S * 1.0j]))
+        assert enc.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            enc[0] = 0.0
 
     @settings(deadline=None, max_examples=40)
     @given(seeds)
     def test_interleaving_matches_reference(self, seed):
         psi = random_state(5, seed=seed)
         enc = encode_state(state(psi))
-        assert np.allclose(enc.amplitudes, interleave(psi), atol=1e-15)
-        assert abs(np.linalg.norm(enc.amplitudes) - 1.0) <= 1e-12
+        assert np.allclose(enc, interleave(psi), atol=1e-15)
+        assert abs(np.linalg.norm(enc) - 1.0) <= 1e-12
 
 
 class TestEncodeOperator:
@@ -145,8 +156,8 @@ class TestEncodeOperator:
     def test_action_commutes_with_state_encoding(self):
         u = random_unitary(4, seed=11)
         psi = random_state(4, seed=12)
-        via_operator = encode_operator(u) @ encode_state(state(psi)).amplitudes
-        direct = encode_state(state(u @ psi)).amplitudes
+        via_operator = encode_operator(u) @ encode_state(state(psi))
+        direct = encode_state(state(u @ psi))
         assert np.allclose(via_operator, direct, atol=1e-13)
 
     def test_unitarity_preserved(self):
@@ -213,27 +224,27 @@ class TestEncodeDensity:
 
 class TestGaugeOrbit:
     def test_basis_state_orbit(self):
-        orbit = gauge_orbit(state([1.0, 0.0]))
-        assert np.array_equal(orbit.phi1.amplitudes, [1.0, 0.0, 0.0, 0.0])
-        assert np.array_equal(orbit.phi2.amplitudes, [0.0, 1.0, 0.0, 0.0])
+        phi1, phi2 = gauge_orbit(state([1.0, 0.0]))
+        assert np.array_equal(phi1, [1.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(phi2, [0.0, 1.0, 0.0, 0.0])
 
     def test_orbit_members_orthonormal(self):
-        orbit = gauge_orbit(state(random_state(5, seed=30)))
-        assert abs(orbit.phi1.amplitudes @ orbit.phi2.amplitudes) <= 1e-12
-        assert abs(np.linalg.norm(orbit.phi1.amplitudes) - 1.0) <= 1e-12
+        phi1, phi2 = gauge_orbit(state(random_state(5, seed=30)))
+        assert abs(phi1 @ phi2) <= 1e-12
+        assert abs(np.linalg.norm(phi1) - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(phi2) - 1.0) <= 1e-12
 
     def test_global_phase_lands_on_the_circle(self):
         psi = random_state(4, seed=31)
-        orbit = gauge_orbit(state(psi))
+        phi1, phi2 = gauge_orbit(state(psi))
         for alpha in np.linspace(0.0, 2 * np.pi, 17):
-            rotated = encode_state(state(np.exp(1j * alpha) * psi)).amplitudes
-            expected = np.cos(alpha) * orbit.phi1.amplitudes + np.sin(alpha) * orbit.phi2.amplitudes
+            rotated = encode_state(state(np.exp(1j * alpha) * psi))
+            expected = np.cos(alpha) * phi1 + np.sin(alpha) * phi2
             assert np.allclose(rotated, expected, atol=1e-13)
 
     def test_orbit_average_is_encoded_density(self):
         psi = random_state(3, seed=32)
-        orbit = gauge_orbit(state(psi))
-        p1, p2 = orbit.phi1.amplitudes, orbit.phi2.amplitudes
+        p1, p2 = gauge_orbit(state(psi))
         avg = (np.outer(p1, p1) + np.outer(p2, p2)) / 2
         enc = encode_density(DensityOperator(np.outer(psi, psi.conj())))
         assert np.allclose(avg, enc, atol=1e-13)
@@ -287,8 +298,8 @@ class TestMeasurement:
         psi = PureState(random_state(6, seed=56), factor_dims=(2, 3))
         povm = Povm(tuple(random_povm(6, 3, seed=57)))
         enc = encode_state(psi, Layout(2))
-        dense = np.array([enc.amplitudes @ encode_operator(e, Layout(2)) @ enc.amplitudes for e in povm.elements])
-        encoded = encoded_povm_probabilities(enc, povm)
+        dense = np.array([enc @ encode_operator(e, Layout(2)) @ enc for e in povm.elements])
+        encoded = encoded_povm_probabilities(enc, povm, Layout(2))
         assert np.abs(encoded - dense).max() <= linalg.EXACT_TOL
         assert np.abs(encoded - povm_probabilities(psi, povm)).max() <= 1e-12
 
@@ -316,7 +327,7 @@ class TestChannels:
     def test_identity_channel(self):
         rho = DensityOperator(random_density(3, seed=60))
         out = encoding.apply_kraus([np.eye(3, dtype=complex)], rho)
-        assert np.allclose(out.matrix, rho.matrix, atol=1e-14)
+        assert np.allclose(out, rho.matrix, atol=1e-14)
 
     def test_dephasing_closed_form(self):
         p = 0.3
@@ -327,7 +338,7 @@ class TestChannels:
         rho = DensityOperator(np.array([[0.5, -0.5j], [0.5j, 0.5]]))
         out = encoding.apply_kraus(kraus, rho)
         expected = np.array([[0.5, -0.2j], [0.2j, 0.5]])
-        assert np.allclose(out.matrix, expected, atol=1e-14)
+        assert np.allclose(out, expected, atol=1e-14)
 
     def test_encoded_channel_tracks_complex_channel(self):
         gamma = 0.3
@@ -339,13 +350,20 @@ class TestChannels:
         complex_out = encoding.apply_kraus(kraus, rho)
         enc_in = encode_density(rho)
         enc_out = sum(k @ enc_in @ k.T for k in encode_kraus(kraus))
-        expected = encode_density(complex_out)
+        expected = encode_density(DensityOperator(complex_out))
         assert np.abs(enc_out - expected).max() <= 1e-12
 
     def test_non_trace_preserving_rejected(self):
         rho = DensityOperator(np.eye(2, dtype=complex) / 2)
         with pytest.raises(ValueError):
             encoding.apply_kraus([0.5 * np.eye(2, dtype=complex)], rho)
+
+    def test_output_past_the_admission_bound_is_returned(self):
+        # Channel and state each sit 0.99 INPUT_TOL off exact; the output trace, 1 + 1.98e-10, is
+        # computed, not admitted again.
+        t = 1.0 + 0.99 * linalg.INPUT_TOL
+        out = encoding.apply_kraus([np.sqrt(t) * np.eye(2)], DensityOperator(np.diag([t, 0.0])))
+        assert abs(np.trace(out) - t * t) <= 1e-15
 
     def test_kraus_completeness_overflow_rejected(self):
         # K^dagger K overflows to inf on a finite entry near the largest double; the sum then fails the identity test.
@@ -357,8 +375,8 @@ class TestConjugation:
     def test_conjugation_flips_imaginary_parts(self):
         psi = state([S, S * 1.0j])
         conj = conjugation_operator(2)
-        got = conj @ encode_state(psi).amplitudes
-        want = encode_state(state([S, -S * 1.0j])).amplitudes
+        got = conj @ encode_state(psi)
+        want = encode_state(state([S, -S * 1.0j]))
         assert np.allclose(got, want, atol=1e-14)
 
     def test_conjugation_is_a_real_involution(self):
@@ -370,8 +388,8 @@ class TestConjugation:
         u = random_unitary(3, seed=70)
         psi = random_state(3, seed=71)
         a = encode_antiunitary(u)
-        got = a @ encode_state(state(psi)).amplitudes
-        want = encode_state(state(u @ psi.conj())).amplitudes
+        got = a @ encode_state(state(psi))
+        want = encode_state(state(u @ psi.conj()))
         assert np.allclose(got, want, atol=1e-13)
 
     def test_antiunitary_requires_unitary(self):
@@ -381,16 +399,23 @@ class TestConjugation:
 
 class TestEncodedContainers:
     def test_encoded_state_rejects_truly_complex_vectors(self):
-        with pytest.raises(ValueError):
-            EncodedState(np.array([S, S * 1j]), source_dim=1)
+        with pytest.raises(ValueError, match="imaginary part exactly zero"):
+            encoded_povm_probabilities(np.array([S, S * 1j]), Povm((np.eye(1),)))
 
     def test_encoded_state_rejects_wrong_size(self):
-        with pytest.raises(ValueError):
-            EncodedState(np.array([1.0, 0.0, 0.0]), source_dim=2)
+        povm = Povm((np.eye(2),))
+        with pytest.raises(ValueError, match=r"shape \(3,\) does not match POVM dimension 2 with k=1"):
+            encoded_povm_probabilities(np.array([1.0, 0.0, 0.0]), povm)
+        with pytest.raises(ValueError, match=r"shape \(4,\) does not match POVM dimension 2 with k=2"):
+            encoded_povm_probabilities(np.array([1.0, 0.0, 0.0, 0.0]), povm, Layout(2))
+        for bad, layout in [(np.zeros(3), Layout(1)), (np.zeros(6), Layout(2)), (np.zeros((2, 2)), Layout(1)),
+                            (np.zeros(0), Layout(1))]:
+            with pytest.raises(ValueError, match=rf"does not fit k={layout.k}$"):
+                decode_state(bad, layout)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("build", [
-        lambda x: EncodedState(np.full(2, x), source_dim=1),
+        lambda x: encoded_povm_probabilities(np.full(2, x), Povm((np.eye(1),))),
         lambda x: DensityOperator(np.full((2, 2), x)),
         lambda x: Povm((np.full((2, 2), x),)),
         lambda x: PureState(np.full(2, x)),
@@ -400,7 +425,7 @@ class TestEncodedContainers:
         lambda x: encode_kraus([np.diag([x, 1.0])]),
         lambda x: encode_operator(np.full((2, 2), x)),
         lambda x: encoded_povm_probabilities(np.full((2, 2), x), Povm((np.eye(1),))),
-    ], ids=["EncodedState", "DensityOperator", "Povm", "PureState", "Hamiltonian",
+    ], ids=["encoded_state_vector", "DensityOperator", "Povm", "PureState", "Hamiltonian",
             "BellScenario", "apply_kraus", "encode_kraus", "encode_operator", "encoded_povm_probabilities"])
     def test_non_finite_entries_rejected(self, build, bad):
         with pytest.raises(ValueError, match="finite"):
@@ -408,12 +433,11 @@ class TestEncodedContainers:
 
     @pytest.mark.parametrize("source, stored", [
         (lambda: np.array([S, S * 1j]), lambda a: PureState(a).amplitudes),
-        (lambda: np.array([S, S]), lambda a: EncodedState(a, source_dim=1).amplitudes),
         (lambda: np.eye(2) / 2, lambda a: DensityOperator(a).matrix),
         (lambda: np.diag([1.0, 0.0]), lambda a: Povm((a, np.diag([0.0, 1.0]))).elements[0]),
         (lambda: np.diag([1.0, -1.0]), lambda a: Hamiltonian(a).matrix),
         (lambda: np.diag([1.0, -1.0]), lambda a: BellScenario(2, (1, 1), ((Z,), (a,)), {(0, 0): 1.0}, 1.0).observables[1][0]),
-    ], ids=["PureState", "EncodedState", "DensityOperator", "Povm", "Hamiltonian", "BellScenario"])
+    ], ids=["PureState", "DensityOperator", "Povm", "Hamiltonian", "BellScenario"])
     def test_every_stored_array_is_a_read_only_copy(self, source, stored):
         a = source()
         kept = stored(a)
@@ -423,14 +447,14 @@ class TestEncodedContainers:
         assert not np.array_equal(kept, a)
 
     @pytest.mark.parametrize("build", [
-        lambda: EncodedState(np.array([1.0, 1e-300j]), source_dim=1),
+        lambda: encoded_povm_probabilities(np.array([1.0, 1e-300j]), Povm((np.eye(1),))),
         lambda: encoded_povm_probabilities(np.eye(2) / 2 + 1e-300j, Povm((np.eye(1),))),
-    ], ids=["EncodedState", "encoded_povm_probabilities"])
+    ], ids=["encoded_state_vector", "encoded_povm_probabilities"])
     def test_real_containers_reject_an_imaginary_part(self, build):
         with pytest.raises(ValueError, match="imaginary part exactly zero"):
             build()
 
-    def test_encoded_norm_overflow_rejected(self):
+    def test_state_norm_overflow_rejected(self):
         # 1e300 squared overflows; the norm is inf and fails the unit-norm test without a numpy warning.
-        with pytest.raises(ValueError, match=r"^encoded norm inf is not 1"):
-            EncodedState(np.array([1e300, 0.0]), source_dim=1)
+        with pytest.raises(ValueError, match=r"^state norm inf is not 1"):
+            PureState(np.array([1e300, 0.0]))

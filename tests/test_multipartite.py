@@ -115,18 +115,18 @@ class TestEncodeMultipartiteState:
         enc = encode_state(psi, Layout(2))
         logical = logical_states(2)
         expected = np.kron([0.0, 1.0, 0.0, 0.0], logical.zero_state)
-        assert np.allclose(enc.amplitudes, expected, atol=1e-15)
+        assert np.allclose(enc, expected, atol=1e-15)
 
     def test_matches_indexwise_reference(self):
         psi = random_state(8, seed=3)
         enc = encode_state(multi_state(psi, (2, 2, 2)), Layout(3))
-        assert np.allclose(enc.amplitudes, reference_multipartite_encoding(psi, 3), atol=1e-14)
+        assert np.allclose(enc, reference_multipartite_encoding(psi, 3), atol=1e-14)
 
     def test_unit_norm_and_layout(self):
         psi = random_state(6, seed=4)
         enc = encode_state(multi_state(psi, (2, 3)), Layout(2))
-        assert abs(np.linalg.norm(enc.amplitudes) - 1.0) <= 1e-12
-        assert enc.layout == Layout(2)
+        assert abs(np.linalg.norm(enc) - 1.0) <= 1e-12
+        assert enc.shape == (6 * Layout(2).ancilla_dim,)
 
     def test_party_count_must_match(self):
         psi = multi_state(random_state(4, seed=5), (2, 2))
@@ -148,8 +148,8 @@ class TestLiftLocalOperator:
         enc = encode_state(multi_state(psi, dims), Layout(k))
         moved = embed_complex(m, dims, party) @ psi
         moved /= np.linalg.norm(moved)
-        got = apply_lift(m, enc.amplitudes, dims, party)
-        want = encode_state(multi_state(moved, dims), Layout(k)).amplitudes
+        got = apply_lift(m, enc, dims, party)
+        want = encode_state(multi_state(moved, dims), Layout(k))
         got /= np.linalg.norm(got)
         assert np.abs(got - want).max() <= 1e-13
 
@@ -183,7 +183,7 @@ class TestLiftLocalOperator:
         m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         n = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         psi = random_state(4, seed=22)
-        v = encode_state(multi_state(psi, dims), Layout(2)).amplitudes
+        v = encode_state(multi_state(psi, dims), Layout(2))
         composed = apply_lift(m, apply_lift(n, v, dims, 0), dims, 0)
         assert np.abs(composed - apply_lift(m @ n, v, dims, 0)).max() <= 1e-12
 
@@ -201,7 +201,7 @@ class TestLogicalEncodeOperator:
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         assert np.array_equal(encode_operator(m, Layout(1)), block_encode(m))
         psi = random_state(3, seed=35)
-        assert np.array_equal(encode_state(PureState(psi), Layout(1)).amplitudes, interleave(psi))
+        assert np.array_equal(encode_state(PureState(psi), Layout(1)), interleave(psi))
 
     def test_action_matches_complex_side(self):
         rng = np.random.default_rng(31)
@@ -209,8 +209,8 @@ class TestLogicalEncodeOperator:
         u, _ = np.linalg.qr(m)
         psi = random_state(4, seed=32)
         enc = encode_state(multi_state(psi, (2, 2)), Layout(2))
-        got = encode_operator(u, Layout(2)) @ enc.amplitudes
-        want = encode_state(multi_state(u @ psi, (2, 2)), Layout(2)).amplitudes
+        got = encode_operator(u, Layout(2)) @ enc
+        want = encode_state(multi_state(u @ psi, (2, 2)), Layout(2))
         assert np.abs(got - want).max() <= 1e-13
 
     def test_sum_of_local_terms_agrees_on_codespace(self):
@@ -220,8 +220,8 @@ class TestLogicalEncodeOperator:
         total = np.kron(a, np.eye(2)) + np.kron(np.eye(2), b)
         psi = random_state(4, seed=34)
         enc = encode_state(multi_state(psi, (2, 2)), Layout(2))
-        whole = encode_operator(total, Layout(2)) @ enc.amplitudes
-        parts = apply_lift(a, enc.amplitudes, (2, 2), 0) + apply_lift(b, enc.amplitudes, (2, 2), 1)
+        whole = encode_operator(total, Layout(2)) @ enc
+        parts = apply_lift(a, enc, (2, 2), 0) + apply_lift(b, enc, (2, 2), 1)
         assert np.abs(whole - parts).max() <= 1e-12
 
 
@@ -289,8 +289,7 @@ class TestStatisticsLocality:
                 element = np.kron(element, povms[party][a])
             complex_probs[outcome] = float(np.vdot(phi, element @ phi).real)
 
-        enc = encode_state(multi_state(psi, dims), Layout(k))
-        v = enc.amplitudes
+        v = encode_state(multi_state(psi, dims), Layout(k))
         for party, u in enumerate(unitaries):
             v = apply_lift(u, v, dims, party)
         worst = 0.0
