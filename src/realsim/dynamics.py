@@ -8,8 +8,10 @@ H' and J^2 = -I, so the real orthogonal propagator is
 
 and one real eigendecomposition of H' gives it at every time.  The
 complex side uses its own eigendecomposition of H, so the two sides are
-computed independently and compared at every time of a grid.
-J is never built: encoding's `apply_xz` acts on one ancilla axis.
+computed independently and compared at every time of a grid.  Both sides
+simulate `Hamiltonian.hermitian`, the one Hermitian matrix that eigh
+reads of H.  J is never built: encoding's `apply_xz` acts on one ancilla
+axis.
 The functions return what they measure and raise only on malformed
 arguments; the caller (the CLI's assertions) judges the measurements.
 """
@@ -17,6 +19,7 @@ arguments; the caller (the CLI's assertions) judges the measurements.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -36,12 +39,17 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 class Hamiltonian:
     """Hermitian generator of time evolution, hbar = 1.
 
-    The matrix is read-only, so its eigendecomposition and that of its
-    real encoding are computed once and kept on the instance.
+    `matrix` is kept exactly as given.  Admission lets it differ from a
+    Hermitian matrix by up to INPUT_TOL, and eigh reads only its lower
+    triangle and the real part of its diagonal.  `hermitian` is that
+    matrix, and both sides simulate it.  The eigendecomposition of H and
+    that of each real encoding H' are computed once and kept on the
+    instance.
     """
 
     matrix: np.ndarray
-    _encoded_spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # None -> (w, W) of H; a Layout -> (lambda, V, J V) of its H'.
+    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = admit(self.matrix, "Hamiltonian", square=True)
@@ -54,16 +62,28 @@ class Hamiltonian:
         return self.matrix.shape[0]
 
     @cached_property
+    def hermitian(self) -> np.ndarray:
+        """The lower triangle of H, its conjugate above and Re diag H: the matrix eigh(H) diagonalizes."""
+        low = np.tril(self.matrix, -1)
+        return _read_only(low + low.conj().T + np.diag(self.matrix.diagonal().real))[0]
+
+    @property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues w and unitary eigenvectors W of H, H = W diag(w) W^dagger."""
-        return _read_only(*np.linalg.eigh(self.matrix))
+        if None not in self._spectra:
+            self._keep(None, np.linalg.eigh(self.hermitian))
+        return self._spectra[None]
 
     def encoded_spectrum(self, layout: Layout = SINGLE_ANCILLA) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Eigenvalues lambda, real orthogonal eigenvectors V and J V for H' = encode_operator(H, layout)."""
-        if layout not in self._encoded_spectra:
-            lam, v = np.linalg.eigh(encode_operator(self.matrix, layout))
-            self._encoded_spectra[layout] = _read_only(lam, v, apply_xz(v, layout))
-        return self._encoded_spectra[layout]
+        """Eigenvalues lambda, real orthogonal eigenvectors V and J V of H' = encode_operator(hermitian, layout)."""
+        if layout not in self._spectra:
+            self._keep(layout, np.linalg.eigh(encode_operator(self.hermitian, layout)))
+        return self._spectra[layout]
+
+    def _keep(self, key: Layout | None, eigh: tuple[np.ndarray, np.ndarray]) -> None:
+        """Cache one eigendecomposition read-only, with J V beside V for a layout."""
+        w, v = eigh
+        self._spectra[key] = _read_only(w, v) if key is None else _read_only(w, v, apply_xz(v, key))
 
 
 @dataclass(frozen=True)
@@ -95,6 +115,13 @@ def _check_sign(sign: int) -> int:
     return int(sign)
 
 
+def _check_args(h: Hamiltonian, psi: PureState, sign: int) -> int:
+    sign = _check_sign(sign)
+    if h.dim != psi.dim:
+        raise ValueError(f"Hamiltonian dimension {h.dim} does not match state dimension {psi.dim}")
+    return sign
+
+
 def _phases(w: np.ndarray, t: float) -> np.ndarray:
     """The phases t w of eigenvalues w; near the largest double eigh can return inf, or t w overflow."""
     # Every |t w| is finite if the largest is; in Python floats it overflows to inf, or 0 * inf is NaN, without a warning.
@@ -104,8 +131,8 @@ def _phases(w: np.ndarray, t: float) -> np.ndarray:
 
 
 def generator(h: Hamiltonian, layout: Layout = SINGLE_ANCILLA, xz_qubit: int = 0) -> np.ndarray:
-    """Real antisymmetric generator J H' of the encoded evolution."""
-    return apply_xz(encode_operator(h.matrix, layout, xz_qubit), layout, xz_qubit)
+    """Real antisymmetric generator J H' of the encoded evolution, H' the encoding of h.hermitian."""
+    return apply_xz(encode_operator(h.hermitian, layout, xz_qubit), layout, xz_qubit)
 
 
 def propagator(h: Hamiltonian, t: float, layout: Layout = SINGLE_ANCILLA, sign: int = 1) -> np.ndarray:
@@ -116,19 +143,34 @@ def propagator(h: Hamiltonian, t: float, layout: Layout = SINGLE_ANCILLA, sign: 
     return (v * np.cos(phase)) @ v.T + sign * (jv * np.sin(phase)) @ v.T
 
 
+def _dense_exponential(g: np.ndarray, t: float, sign: int) -> np.ndarray | None:
+    """matexp(sign t G), or None where it is not finite."""
+    # An overflowing sign t G has a non-finite 1-norm, which matexp rejects, so numpy need not warn of it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = (sign * t) * g
+    try:
+        return matexp(a)
+    except ValueError:
+        return None
+
+
+def _propagator_measures(h: Hamiltonian, t: float, layout: Layout, sign: int,
+                         dense: np.ndarray | None) -> tuple[float, float]:
+    """Largest entries of |U^T U - I| and of |U - dense| for the spectral U(t); dense None raises."""
+    u = propagator(h, t, layout, sign)
+    if dense is None:
+        raise ValueError(f"dynamics: dense exponential of the generator is not finite at t={t}")
+    return float(np.max(np.abs(u.T @ u - np.eye(u.shape[0])))), float(np.max(np.abs(u - dense)))
+
+
 def propagator_errors(h: Hamiltonian, t: float, layout: Layout = SINGLE_ANCILLA, sign: int = 1) -> tuple[float, float]:
     """Largest entries of |U^T U - I| and of |U - expm(sign t J H')| for the spectral U(t).
 
     The second compares against an independent algorithm: a dense
     scaling-and-squaring exponential of the generator.
     """
-    u = propagator(h, t, layout, sign)
-    orthogonality = float(np.max(np.abs(u.T @ u - np.eye(u.shape[0]))))
-    try:
-        dense = matexp((sign * float(t)) * generator(h, layout))
-    except ValueError:
-        raise ValueError(f"dynamics: dense exponential of the generator is not finite at t={float(t)}") from None
-    return orthogonality, float(np.max(np.abs(u - dense)))
+    sign, t = _check_sign(sign), float(t)
+    return _propagator_measures(h, t, layout, sign, _dense_exponential(generator(h, layout), t, sign))
 
 
 def evolve(h: Hamiltonian, t: float, psi: PureState, layout: Layout = SINGLE_ANCILLA,
@@ -140,9 +182,7 @@ def evolve(h: Hamiltonian, t: float, psi: PureState, layout: Layout = SINGLE_ANC
     encoded side is V (cos(lambda t) * d) + s (J V) (sin(lambda t) * d)
     with d = V^T psi' from the spectrum of H', in real arithmetic only.
     """
-    sign = _check_sign(sign)
-    if h.dim != psi.dim:
-        raise ValueError(f"Hamiltonian dimension {h.dim} does not match state dimension {psi.dim}")
+    sign = _check_args(h, psi, sign)
     t = float(t)
     w, vecs = h.spectrum
     evolved = vecs @ (np.exp((1j * sign) * _phases(w, t)) * (vecs.conj().T @ psi.amplitudes))
@@ -158,21 +198,57 @@ def evolve(h: Hamiltonian, t: float, psi: PureState, layout: Layout = SINGLE_ANC
     return EvolutionResult((t,), *_read_only(evolved[None], out[None]), drift, deviation)
 
 
+def _eigh_each(mats: list[np.ndarray], out: list) -> None:
+    """Worker body: out receives numpy's eigh of each matrix, or the exception that stopped it.
+
+    It calls numpy only, so no realsim function runs off the main thread.
+    """
+    try:
+        out.extend(map(np.linalg.eigh, mats))
+    except Exception as exc:  # raised again by the caller, on the main thread
+        out.append(exc)
+
+
 def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64,
                layout: Layout = SINGLE_ANCILLA, sign: int = 1) -> EvolutionResult:
     """Evolve on a uniform time grid, one `evolve` per point, and check the propagator once.
 
     The grid is linspace(0, t_max, steps).  U(t_max) is built from the
     spectrum of H', checked for orthogonality, and compared with the
-    dense exponential of the generator.
+    dense exponential of the generator.  H' is encoded once.  The
+    eigendecompositions of H and H' not cached yet run on one worker
+    thread, in numpy only, while this thread builds the generator from
+    the same H' and forms its dense exponential; numpy releases the GIL
+    in LAPACK and BLAS, so the two overlap.  Each call gets the operands
+    it would get in sequence, so the results are the same bits.  Errors
+    come in the sequential order: arguments, an exception of the worker,
+    phases on the grid, and only then a dense exponential that is not
+    finite.
     """
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
-    times = tuple(float(t) for t in np.linspace(0.0, float(t_max), int(steps)))
+    sign, t_max = _check_args(h, psi, sign), float(t_max)
+    times = tuple(float(t) for t in np.linspace(0.0, t_max, int(steps)))
+    h_enc = encode_operator(h.hermitian, layout)
+    keys = [key for key in (None, layout) if key not in h._spectra]
+    out = []
+    worker = threading.Thread(target=_eigh_each, args=([h.hermitian if key is None else h_enc for key in keys], out))
+    if keys:
+        worker.start()
+    try:
+        dense = _dense_exponential(apply_xz(h_enc, layout), t_max, sign)
+    finally:
+        if keys:
+            worker.join()
+    for key, result in zip(keys, out):
+        if isinstance(result, Exception):
+            raise result
+        h._keep(key, result)
+
     results = [evolve(h, t, psi, layout, sign) for t in times]
-    orthogonality, dense = propagator_errors(h, t_max, layout, sign)
+    orthogonality, expm_error = _propagator_measures(h, t_max, layout, sign, dense)
     complex_states, encoded_states = _read_only(np.concatenate([r.complex_states for r in results]),
                                                 np.concatenate([r.encoded_states for r in results]))
     return EvolutionResult(times, complex_states, encoded_states,
                            float(np.max([orthogonality] + [r.orthogonality_error for r in results])),
-                           float(np.max([r.max_deviation for r in results])), dense)
+                           float(np.max([r.max_deviation for r in results])), expm_error)

@@ -213,6 +213,20 @@ class TestEvolve:
         assert (code, err) == (0, "")
         assert not failed_assertions(out)
 
+    @pytest.mark.parametrize("t_max", ["1", "10", "100"])
+    @pytest.mark.parametrize("h", [
+        [[0.3 + 0.49e-10j, 1.0], [1.0, -0.2 - 0.49e-10j]],
+        [[0.3, 1.0 + 0.99e-10], [1.0, -0.2]],
+    ], ids=["imaginary_diagonal", "one_sided_off_diagonal"])
+    def test_admitted_hamiltonian_passes_every_assertion(self, capsys, tmp_path, circular_state, h, t_max):
+        # Hermitian within INPUT_TOL, so admitted.  Both sides simulate the Hermitian matrix that
+        # eigh reads of H; encoding H itself failed propagator_orthogonal (imaginary diagonal,
+        # from t = 1) or matches_dense_expm (one-sided off-diagonal, from t = 10).
+        ham = write(tmp_path, "ham.json", matrix_obj(h))
+        code, out, err = run(capsys, ["evolve", ham, circular_state, "--t-max", t_max])
+        assert (code, err) == (0, "")
+        assert not failed_assertions(out)
+
     def test_overflowing_hamiltonian_is_rejected_without_a_traceback(self, tmp_path, circular_state):
         # A finite H = diag(1e300, -1e300) overflows the squarings of the dense exponential.
         ham = write(tmp_path, "ham.json", matrix_obj(np.diag([1e300, -1e300])))

@@ -1,10 +1,14 @@
 """Encoded time evolution: generator structure, propagators, trajectories."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
+import realsim
 from helpers import eig_expm_hermitian, random_hermitian, random_state
-from realsim import encoding, linalg
+from realsim import dynamics, encoding, linalg
 from realsim.dynamics import (
     EvolutionResult,
     Hamiltonian,
@@ -55,6 +59,40 @@ class TestHamiltonian:
             Hamiltonian(np.full((2, 2), bad))
         with pytest.raises(ValueError, match="must be finite"):
             Hamiltonian(np.array([[1.0, 0.0], [0.0, bad]]))
+
+
+class TestHermitianPart:
+    """Both sides simulate the one Hermitian matrix that eigh reads of H; H is kept as given."""
+
+    # Admitted (within INPUT_TOL of Hermitian) but not Hermitian.
+    ADMITTED = {
+        "imaginary_diagonal": [[0.3 + 0.49e-10j, 1.0], [1.0, -0.2 - 0.49e-10j]],
+        "one_sided_off_diagonal": [[0.3, 1.0 + 0.99e-10], [1.0, -0.2]],
+    }
+
+    @pytest.mark.parametrize("name", ADMITTED)
+    def test_matrix_is_kept_and_hermitian_is_what_eigh_reads(self, name):
+        m = np.array(self.ADMITTED[name], dtype=complex)
+        h = Hamiltonian(m)
+        assert np.array_equal(h.matrix, m)
+        assert np.array_equal(h.hermitian, [[0.3, 1.0], [1.0, -0.2]])
+        assert not h.hermitian.flags.writeable
+        for ours, numpys in zip(h.spectrum, np.linalg.eigh(m)):
+            assert np.array_equal(ours, numpys)
+
+    def test_exactly_hermitian_input_is_its_own_hermitian_part(self):
+        m = random_hermitian(6, seed=7)
+        assert Hamiltonian(m).hermitian.tobytes() == m.tobytes()
+
+    @pytest.mark.parametrize("t_max", [1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("name", ADMITTED)
+    def test_admitted_hamiltonian_passes_every_gate(self, name, t_max):
+        # When H' was encoded from H itself, eigh(H') read +Im H_ii in the lower triangle of each
+        # diagonal block, and an off-diagonal mismatch made H' differ from the H eigh(H) reads.
+        # The imaginary diagonal failed |U^T U - I| <= 1e-11 (4.5e-11 at t = 1), the off-diagonal
+        # mismatch the dense comparison (3.6e-10 at t = 10).
+        res = trajectory(Hamiltonian(np.array(self.ADMITTED[name])), state([S, 1j * S]), t_max=t_max)
+        assert within_tolerances(res)
 
 
 class TestGenerator:
@@ -220,6 +258,91 @@ class TestTrajectory:
         assert res.times == (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
+class TestWorkerThread:
+    """trajectory runs the eigendecompositions on one worker thread that calls numpy only."""
+
+    @staticmethod
+    def case(k=1, seed=70):
+        dims = (2, 2) if k == 2 else (4,)
+        return Hamiltonian(random_hermitian(4, seed=seed)), state(random_state(4, seed=seed + 1), dims), Layout(k)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_worker_runs_no_realsim_function(self, k):
+        # A traced realsim function off the main thread would interleave the benchmark tracer's one
+        # span stack.  The worker's own body is the only realsim frame there, and it calls eigh only.
+        package = os.path.dirname(realsim.__file__) + os.sep
+        main = threading.get_ident()
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and threading.get_ident() != main:
+                calls.append((frame.f_code, frame.f_back.f_code if frame.f_back else None))
+
+        h, psi, layout = self.case(k)
+        threading.setprofile(profile)
+        try:
+            res = trajectory(h, psi, t_max=1.0, steps=4, layout=layout)
+        finally:
+            threading.setprofile(None)
+        assert within_tolerances(res)
+        assert {code.co_name for code, _ in calls if code.co_filename.startswith(package)} == {"_eigh_each"}
+        numpy_dir = os.path.dirname(np.__file__) + os.sep
+        called = {(code.co_filename, code.co_name) for code, caller in calls if caller and caller.co_name == "_eigh_each"}
+        assert "eigh" in {name for _, name in called}
+        assert all(path.startswith(numpy_dir) for path, _ in called)
+
+    def test_worker_exception_is_raised_on_the_main_thread(self, monkeypatch):
+        raised_on = []
+
+        def fail(a, *args, **kwargs):
+            raised_on.append(threading.get_ident())
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        before = threading.active_count()
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        h, psi, _ = self.case()
+        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+            trajectory(h, psi, t_max=1.0, steps=4)
+        assert raised_on and threading.get_ident() not in raised_on
+        assert threading.active_count() == before
+
+    def test_main_thread_exception_still_joins_the_worker(self, monkeypatch):
+        def fail(a):
+            raise RuntimeError("matexp failed")
+
+        before = threading.active_count()
+        monkeypatch.setattr(dynamics, "matexp", fail)
+        h, psi, _ = self.case()
+        with pytest.raises(RuntimeError, match="matexp failed"):
+            trajectory(h, psi, t_max=1.0, steps=4)
+        assert threading.active_count() == before
+
+    def test_cached_spectra_start_no_thread(self, monkeypatch):
+        starts = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            starts.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        h, psi, _ = self.case()
+        trajectory(h, psi, t_max=1.0, steps=4)
+        trajectory(h, psi, t_max=2.0, steps=4, sign=-1)
+        assert len(starts) == 1
+        trajectory(h, state(psi.amplitudes, (2, 2)), t_max=1.0, steps=4, layout=Layout(2))
+        assert len(starts) == 2
+
+    def test_phase_error_comes_before_the_dense_one(self):
+        # Both fail for this H at t = 5: t*w overflows on the grid, and so does t*G.  The dense
+        # exponential is formed first, but its error waits until the grid has run.
+        h = Hamiltonian(np.diag([1.7e308, -1.7e308]))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+            linalg.matexp(5.0 * generator(h))
+        with pytest.raises(ValueError, match=r"^dynamics: phases t\*w of the spectrum are not finite at t=2\.5$"):
+            trajectory(h, state([S, 1j * S]), t_max=5.0, steps=3)
+
+
 class TestArrayResults:
     """States come back as plain read-only arrays, one row per grid time, never re-admitted."""
 
@@ -321,7 +444,7 @@ class TestSpectralPropagator:
         psi = state(random_state(3, seed=46))
         assert trajectory(h, psi, t_max=2.0, steps=5).orthogonality_error <= linalg.ORTHOGONALITY_TOL
         lam, v, jv = h.encoded_spectrum()
-        h._encoded_spectra[Layout(1)] = (lam, v * (1.0 + 2e-11), jv * (1.0 + 2e-11))
+        h._spectra[Layout(1)] = (lam, v * (1.0 + 2e-11), jv * (1.0 + 2e-11))
         res = trajectory(h, psi, t_max=2.0, steps=5)
         assert not res.orthogonality_error <= linalg.ORTHOGONALITY_TOL
         assert res.max_deviation <= linalg.AGREEMENT_TOL and res.expm_error <= linalg.AGREEMENT_TOL
