@@ -63,9 +63,16 @@ class Hamiltonian:
 
     @cached_property
     def hermitian(self) -> np.ndarray:
-        """The lower triangle of H, its conjugate above and Re diag H: the matrix eigh(H) diagonalizes."""
-        low = np.tril(self.matrix, -1)
-        return _read_only(low + low.conj().T + np.diag(self.matrix.diagonal().real))[0]
+        """The lower triangle of H, its conjugate above and Re diag H: the matrix eigh(H) diagonalizes.
+
+        Entries are selected, not summed, so the lower triangle and a zero
+        imaginary part on the diagonal keep their bits, signed zeros too.
+        """
+        m = self.matrix
+        h = np.where(np.tri(self.dim, dtype=bool), m, m.conj().T)
+        d = m.diagonal()
+        np.fill_diagonal(h, np.where(d.imag == 0.0, d, d.real))
+        return _read_only(h)[0]
 
     @property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -143,36 +150,6 @@ def propagator(h: Hamiltonian, t: float, layout: Layout = SINGLE_ANCILLA, sign: 
     return (v * np.cos(phase)) @ v.T + sign * (jv * np.sin(phase)) @ v.T
 
 
-def _dense_exponential(g: np.ndarray, t: float, sign: int) -> np.ndarray | None:
-    """matexp(sign t G), or None where it is not finite."""
-    # An overflowing sign t G has a non-finite 1-norm, which matexp rejects, so numpy need not warn of it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = (sign * t) * g
-    try:
-        return matexp(a)
-    except ValueError:
-        return None
-
-
-def _propagator_measures(h: Hamiltonian, t: float, layout: Layout, sign: int,
-                         dense: np.ndarray | None) -> tuple[float, float]:
-    """Largest entries of |U^T U - I| and of |U - dense| for the spectral U(t); dense None raises."""
-    u = propagator(h, t, layout, sign)
-    if dense is None:
-        raise ValueError(f"dynamics: dense exponential of the generator is not finite at t={t}")
-    return float(np.max(np.abs(u.T @ u - np.eye(u.shape[0])))), float(np.max(np.abs(u - dense)))
-
-
-def propagator_errors(h: Hamiltonian, t: float, layout: Layout = SINGLE_ANCILLA, sign: int = 1) -> tuple[float, float]:
-    """Largest entries of |U^T U - I| and of |U - expm(sign t J H')| for the spectral U(t).
-
-    The second compares against an independent algorithm: a dense
-    scaling-and-squaring exponential of the generator.
-    """
-    sign, t = _check_sign(sign), float(t)
-    return _propagator_measures(h, t, layout, sign, _dense_exponential(generator(h, layout), t, sign))
-
-
 def evolve(h: Hamiltonian, t: float, psi: PureState, layout: Layout = SINGLE_ANCILLA,
            sign: int = 1) -> EvolutionResult:
     """Evolve one time step on both sides and compare.
@@ -232,13 +209,20 @@ def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64,
     h_enc = encode_operator(h.hermitian, layout)
     keys = [key for key in (None, layout) if key not in h._spectra]
     out = []
-    worker = threading.Thread(target=_eigh_each, args=([h.hermitian if key is None else h_enc for key in keys], out))
+    worker = None
     if keys:
+        worker = threading.Thread(target=_eigh_each, args=([h.hermitian if key is None else h_enc for key in keys], out))
         worker.start()
     try:
-        dense = _dense_exponential(apply_xz(h_enc, layout), t_max, sign)
+        # An overflowing sign t G has a non-finite 1-norm, which matexp rejects, so numpy need not warn of it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = (sign * t_max) * apply_xz(h_enc, layout)
+        try:
+            dense = matexp(a)
+        except ValueError:
+            dense = None
     finally:
-        if keys:
+        if worker is not None:
             worker.join()
     for key, result in zip(keys, out):
         if isinstance(result, Exception):
@@ -246,7 +230,11 @@ def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64,
         h._keep(key, result)
 
     results = [evolve(h, t, psi, layout, sign) for t in times]
-    orthogonality, expm_error = _propagator_measures(h, t_max, layout, sign, dense)
+    u = propagator(h, t_max, layout, sign)
+    if dense is None:
+        raise ValueError(f"dynamics: dense exponential of the generator is not finite at t={t_max}")
+    orthogonality = float(np.max(np.abs(u.T @ u - np.eye(u.shape[0]))))
+    expm_error = float(np.max(np.abs(u - dense)))
     complex_states, encoded_states = _read_only(np.concatenate([r.complex_states for r in results]),
                                                 np.concatenate([r.encoded_states for r in results]))
     return EvolutionResult(times, complex_states, encoded_states,

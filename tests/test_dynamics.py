@@ -15,7 +15,6 @@ from realsim.dynamics import (
     evolve,
     generator,
     propagator,
-    propagator_errors,
     trajectory,
 )
 from realsim.encoding import (
@@ -83,6 +82,12 @@ class TestHermitianPart:
     def test_exactly_hermitian_input_is_its_own_hermitian_part(self):
         m = random_hermitian(6, seed=7)
         assert Hamiltonian(m).hermitian.tobytes() == m.tobytes()
+        # -Z with signed zeros below the diagonal and in the diagonal's imaginary parts:
+        # eigh reads those bits, so they are selected, never summed into +0.0.
+        m = np.array([[complex(-1.0, -0.0), complex(0.0, 0.0)], [complex(-0.0, -0.0), complex(1.0, -0.0)]])
+        her = Hamiltonian(m).hermitian
+        assert np.tril(her).tobytes() == np.tril(m).tobytes()
+        assert np.array_equal(her, m)
 
     @pytest.mark.parametrize("t_max", [1.0, 10.0, 100.0])
     @pytest.mark.parametrize("name", ADMITTED)
@@ -432,12 +437,13 @@ class TestSpectralPropagator:
         # generator both take from one kernel, encoding.apply_xz, the spectral formula
         # and the dense exponential part ways, and the dense comparison says so.
         m = random_hermitian(3, seed=44)
-        assert propagator_errors(Hamiltonian(m), 1.3)[1] <= 1e-10
+        psi = state(random_state(3, seed=47))
+        assert trajectory(Hamiltonian(m), psi, t_max=1.3).expm_error <= 1e-10
         monkeypatch.setattr(encoding, "XZ", np.abs(encoding.XZ))
         h = Hamiltonian(m)
         _, v, jv = h.encoded_spectrum()
         assert np.array_equal(jv, np.kron(np.eye(3), np.abs(encoding_local_xz(1, 0))) @ v)
-        assert not propagator_errors(h, 1.3)[1] <= 1e-10
+        assert not trajectory(h, psi, t_max=1.3).expm_error <= 1e-10
 
     def test_perturbed_eigenvectors_fail_the_orthogonality_gate(self):
         h = Hamiltonian(random_hermitian(3, seed=45))
