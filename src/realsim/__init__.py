@@ -14,7 +14,6 @@ from .encoding import (
     XZ,
     DensityOperator,
     Layout,
-    LogicalAncilla,
     Povm,
     PureState,
     apply_kraus,

@@ -205,6 +205,8 @@ def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64,
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
     sign, t_max = _check_args(h, psi, sign), float(t_max)
+    if not math.isfinite(t_max):
+        raise ValueError(f"dynamics: t_max must be finite, got {t_max}")
     times = tuple(float(t) for t in np.linspace(0.0, t_max, int(steps)))
     h_enc = encode_operator(h.hermitian, layout)
     keys = [key for key in (None, layout) if key not in h._spectra]

@@ -156,13 +156,14 @@ def test_logical_ancilla_codespace_k_2_to_6():
     worst = 0.0
     dims_ok = True
     for k in range(2, 7):
-        logical = logical_states(k)
+        zero, one = logical_states(k)
         for q in range(k):
             op = local_xz(k, q)
-            worst = max(worst, float(np.abs(op @ logical.zero_state - logical.one_state).max()))
-            worst = max(worst, float(np.abs(op @ logical.one_state + logical.zero_state).max()))
+            worst = max(worst, float(np.abs(op @ zero - one).max()))
+            worst = max(worst, float(np.abs(op @ one + zero).max()))
         report_k = stabilizer_check(k)
-        dims_ok = dims_ok and report_k.fixed_subspace_dim == 2 and report_k.passed
+        # The generator action within EXACT_TOL and a 2-dimensional codespace, as `realsim stabilizer` judges them.
+        dims_ok = dims_ok and report_k.fixed_subspace_dim == 2 and report_k.generator_error <= 1e-12
     elapsed = time.perf_counter() - start
     report(
         worst <= 1e-13 and dims_ok and elapsed <= 10.0,

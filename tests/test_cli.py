@@ -132,6 +132,12 @@ class TestEncode:
         assert (code, err) == (0, "")
         assert not failed_assertions(out)
 
+    def test_signed_zero_survives_into_the_report(self, capsys, tmp_path):
+        psi = write(tmp_path, "psi.json", {"dims": [2], "amplitudes": [[-0.0, -0.6], [0.8, 0.0]]})
+        code, out, err = run(capsys, ["encode", psi])
+        assert (code, err) == (0, "")
+        assert '"encoded_amplitudes":[-0,-0.59999999999999998,0.80000000000000004,0]' in out
+
     def test_digest_tracks_input_content(self, capsys, tmp_path, circular_state):
         other = write(tmp_path, "other.json", {"dims": [2], "amplitudes": [[0.0, S], [S, 0.0]]})
         _, out1, _ = run(capsys, ["encode", circular_state])
@@ -239,6 +245,16 @@ class TestEvolve:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert proc.stderr == "error: dynamics: dense exponential of the generator is not finite at t=1.0\n"
+
+    @pytest.mark.parametrize("t_max", ["inf", "-inf", "nan"])
+    def test_non_finite_t_max_is_rejected_by_dynamics(self, capsys, tmp_path, circular_state, t_max):
+        # Rejected before the time grid is built, where numpy would warn of inf * 0.
+        ham = write(tmp_path, "ham.json", matrix_obj(np.diag([1.0, -1.0])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, ["evolve", ham, circular_state, f"--t-max={t_max}"])
+        assert (code, out) == (2, "")
+        assert err == f"error: dynamics: t_max must be finite, got {t_max}\n"
 
     def test_non_hermitian_rejected(self, capsys, tmp_path, circular_state):
         ham = write(tmp_path, "ham.json", matrix_obj([[0.0, 1.0], [0.0, 0.0]]))
@@ -578,10 +594,9 @@ class TestAssertionFaults:
         exact = multipartite.logical_states
 
         def flipped(k):
-            logical = exact(k)
-            zero = logical.zero_state.copy()
-            zero[np.flatnonzero(zero)[-1]] *= -1.0
-            return encoding.LogicalAncilla(zero, logical.one_state)
+            basis = exact(k).copy()
+            basis[0, np.flatnonzero(basis[0])[-1]] *= -1.0
+            return basis
 
         monkeypatch.setattr(multipartite, "logical_states", flipped)
         code, out, _ = run(capsys, ["stabilizer", "--k", "3"])
@@ -897,8 +912,8 @@ def job_files(draw, command):
     if command == "evolve":
         h = _operator(rng, draw(st.one_of(st.just(n), st.integers(1, 4))), draw(kind("hermitian")))
         files = {"h.json": matrix_obj(h), "state.json": _vector_obj(rng, dims)}
-        t_max = ["--t-max", str(draw(st.sampled_from([1, 5])))]
-        return files, ["evolve", "h.json", "state.json", "--steps", "3", *t_max, *k]
+        t_max = f"--t-max={draw(st.sampled_from(['1', '5', 'inf', '-inf', 'nan']))}"
+        return files, ["evolve", "h.json", "state.json", "--steps", "3", t_max, *k]
     if command == "measure":
         if draw(st.booleans()):
             state = _vector_obj(rng, dims)

