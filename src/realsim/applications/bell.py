@@ -14,19 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..encoding import Layout, PureState, apply_lift, encode_state
-from ..linalg import DEFAULT_MAX_DIM, OBSERVABLE_TOL, SEESAW_STOP_TOL, admit, apply_on_axis, is_hermitian
+from ..encoding import Layout, PureState, apply_lift, encode_amplitudes
+from ..linalg import DEFAULT_MAX_DIM, OBSERVABLE_TOL, SEESAW_STOP_TOL, admit_family, apply_on_axis, is_hermitian
 
 MODES = ("complex", "real_encoded")
 
 
 @dataclass(frozen=True)
 class BellScenario:
-    """Multiparty correlation experiment with +-1-valued observables."""
+    """Multiparty correlation experiment with +-1-valued observables, one (S_j, d_j, d_j) stack per party."""
 
     parties: int
     settings_per_party: tuple[int, ...]
-    observables: tuple[tuple[np.ndarray, ...], ...]
+    observables: tuple[np.ndarray, ...]
     coefficients: dict[tuple[int, ...], float]
     classical_bound: float
     quantum_target: float | None = None
@@ -43,20 +43,14 @@ class BellScenario:
         for j, family in enumerate(self.observables):
             if len(family) != settings[j]:
                 raise ValueError(f"party {j} has {len(family)} observables, expected {settings[j]}")
-            fixed = []
-            for o in family:
-                o = admit(o, "observable", square=True)
-                if o.shape[0] != np.asarray(family[0]).shape[0]:
-                    raise ValueError(f"party {j} observables disagree on dimension")
-                if o.shape[0] < 2:
-                    raise ValueError(f"party {j} has dimension {o.shape[0]}; every party needs dimension >= 2")
-                if not is_hermitian(o, OBSERVABLE_TOL):
-                    raise ValueError("observable is not Hermitian")
-                w = np.linalg.eigvalsh(o)
-                if not np.max(np.abs(np.abs(w) - 1.0)) <= OBSERVABLE_TOL:
-                    raise ValueError("observable eigenvalues must all be +-1")
-                fixed.append(o)
-            obs.append(tuple(fixed))
+            stack = admit_family(family, f"party {j} observable")
+            if stack.shape[1] < 2:
+                raise ValueError(f"party {j} has dimension {stack.shape[1]}; every party needs dimension >= 2")
+            if not all(is_hermitian(o, OBSERVABLE_TOL) for o in stack):
+                raise ValueError("observable is not Hermitian")
+            if not np.max(np.abs(np.abs(np.linalg.eigvalsh(stack)) - 1.0)) <= OBSERVABLE_TOL:
+                raise ValueError("observable eigenvalues must all be +-1")
+            obs.append(stack)
         coeffs = {}
         for key, value in self.coefficients.items():
             key = tuple(int(s) for s in key)
@@ -75,7 +69,7 @@ class BellScenario:
 
     @property
     def party_dims(self) -> tuple[int, ...]:
-        return tuple(family[0].shape[0] for family in self.observables)
+        return tuple(stack.shape[1] for stack in self.observables)
 
 
 @dataclass(frozen=True)
@@ -93,43 +87,45 @@ def bell_value(scenario: BellScenario, state: PureState, mode: str) -> float:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if tuple(state.factor_dims) != scenario.party_dims:
         raise ValueError(f"state factors {state.factor_dims} do not match party dimensions {scenario.party_dims}")
-    dims = scenario.party_dims
-    if mode == "complex":
-        def apply(family, w, j):
-            return apply_on_axis(family, w.reshape(*dims, *w.shape[1:]), j).reshape(len(family), *w.shape)
-        return _value(scenario, state.amplitudes, apply)
-    v = encode_state(state, Layout(scenario.parties))
-    return _value(scenario, v, lambda family, w, j: apply_lift(family, w, dims, j))
+    return _value(scenario.coefficients, scenario.observables, state.amplitudes, scenario.party_dims, mode)
 
 
-def _value(scenario: BellScenario, v: np.ndarray, apply) -> float:
-    """sum_s c_s <v| A_s |v>, applying each party's whole family at once.
+def _value(coefficients: dict, observables, amplitudes: np.ndarray, dims: tuple[int, ...], mode: str) -> float:
+    """sum_s c_s <v| A_s |v> in `mode`, v the amplitudes or their encoding on Layout(len(dims)).
 
-    apply(family, w, j) applies party j's (S_j, d, d) stack to the states
-    held along w's leading axis and returns shape (S_j, *w.shape).  Party
-    by party, w grows to hold A_{s_0} ... A_{s_j} v for every prefix of
-    settings, so the m parties take m calls whatever the coefficient table.
-    Each term is then one vdot on a contiguous row, summed in coefficient
-    order.  So that w never holds more than DEFAULT_MAX_DIM**2 entries,
-    the leading parties of a scenario too large for that take one setting
-    at a time: w is built once per distinct head of settings they pick.
+    apply(family, w, j) applies party j's whole (S_j, d_j, d_j) stack to
+    the states held along w's leading axis and returns shape
+    (S_j, *w.shape).  Party by party, w grows to hold A_{s_0} ... A_{s_j} v
+    for every prefix of settings, so the m parties take m calls whatever
+    the coefficient table.  Each term is then one vdot on a contiguous
+    row, summed in coefficient order.  So that w never holds more than
+    DEFAULT_MAX_DIM**2 entries, the leading parties of a scenario too
+    large for that take one setting at a time: w is built once per
+    distinct head of settings they pick.
     """
-    settings, keys = scenario.settings_per_party, list(scenario.coefficients)
-    split = scenario.parties
+    encoded = mode == "real_encoded"
+    v = encode_amplitudes(amplitudes, dims, Layout(len(dims))) if encoded else amplitudes
+
+    def apply(family, w, j):
+        if encoded:
+            return apply_lift(family, w, dims, j)
+        return apply_on_axis(family, w.reshape(*dims, *w.shape[1:]), j).reshape(len(family), *w.shape)
+
+    settings, keys = tuple(len(stack) for stack in observables), list(coefficients)
+    split = len(dims)
     while split > 0 and int(np.prod(settings[split - 1:])) * v.size <= DEFAULT_MAX_DIM ** 2:
         split -= 1
     inner = np.empty(len(keys))
     for head in dict.fromkeys(key[:split] for key in keys):
         w = v
-        for j, family in enumerate(scenario.observables):
-            stack = np.array(family[head[j]:head[j] + 1] if j < split else family)
-            w = np.moveaxis(apply(stack, w, j), 0, -1)
+        for j, stack in enumerate(observables):
+            w = np.moveaxis(apply(stack[head[j]:head[j] + 1] if j < split else stack, w, j), 0, -1)
         rows = np.ascontiguousarray(np.moveaxis(w, 0, -1))  # (1, ..., 1, S_split, ..., S_m-1, len(v))
         for i, key in enumerate(keys):
             if key[:split] == head:
                 inner[i] = np.vdot(v, rows[(0,) * split + key[split:]]).real
     total = 0.0
-    for coeff, x in zip(scenario.coefficients.values(), inner):
+    for coeff, x in zip(coefficients.values(), inner):
         total += coeff * float(x)
     return total
 
@@ -170,11 +166,6 @@ def _contract(c: np.ndarray, families) -> np.ndarray:
     t = t.transpose(0, 1, *rows, *(i + 1 for i in rows))
     size = int(np.prod(dims))
     return t.reshape(t.shape[0], batch, size, size)
-
-
-def _bell_operators(c: np.ndarray, obs) -> np.ndarray:
-    """Bell operator of every restart, shape (R, D, D)."""
-    return _contract(c[None], obs)[:, 0]
 
 
 def _effective_operators(c: np.ndarray, obs, states: np.ndarray, dims: tuple[int, ...], party: int) -> np.ndarray:
@@ -230,17 +221,19 @@ def _seesaw(scenario: BellScenario, seeds, iterations: int):
     obs = _initial_observables(scenario, seeds)
     runs = [None] * len(seeds)
     traces = [[] for _ in seeds]
-    active = np.arange(len(seeds))
+    active, values = np.arange(len(seeds)), np.full(len(seeds), np.nan)  # NaN: nothing converges at it = 0
 
-    # Reads obs and active as they stand, before the active set shrinks.
+    # Reads obs and active as they stand, before the active set shrinks.  The state is copied out
+    # contiguous: read through the strided view, the winner's evaluation can round differently.
     def finished(i, w, v):
-        return float(w[i, -1]), v[i, :, -1], tuple(tuple(o[i]) for o in obs), traces[active[i]]
+        return float(w[i, -1]), v[i, :, -1].copy(), tuple(o[i] for o in obs), traces[active[i]]
 
-    for it in range(iterations):
-        w, v = np.linalg.eigh(_bell_operators(c, obs))
+    # The last pass, it == iterations, only syncs the value with the last observable update.
+    for it in range(iterations + 1):
+        w, v = np.linalg.eigh(_contract(c[None], obs)[:, 0])  # of the Bell operator of every restart, (R, D, D)
         for row, value in zip(active, w[:, -1]):
             traces[row].append((it, float(value)))
-        done = np.zeros(active.size, dtype=bool) if it == 0 else np.abs(w[:, -1] - values) < SEESAW_STOP_TOL
+        done = (it == iterations) | (np.abs(w[:, -1] - values) < SEESAW_STOP_TOL)
         for i in np.flatnonzero(done):
             runs[active[i]] = finished(i, w, v)
         if done.all():
@@ -248,12 +241,6 @@ def _seesaw(scenario: BellScenario, seeds, iterations: int):
         going = ~done
         active, values, states = active[going], w[going, -1], v[going, :, -1]
         obs = _sweep(c, [o[going] for o in obs], states, dims)
-    else:
-        # sync the value with the last observable update
-        w, v = np.linalg.eigh(_bell_operators(c, obs))
-        for i, row in enumerate(active):
-            traces[row].append((iterations, float(w[i, -1])))
-            runs[row] = finished(i, w, v)
     return runs
 
 
@@ -277,18 +264,10 @@ def optimize_bell(scenario: BellScenario, seeds, iterations: int = 100) -> BellR
         runs.extend(_seesaw(scenario, seeds[start:start + chunk], int(iterations)))
     best = int(np.argmax([run[0] for run in runs]))
     _, state, obs, trace = runs[best]
-    tuned = BellScenario(
-        scenario.parties,
-        scenario.settings_per_party,
-        obs,
-        scenario.coefficients,
-        scenario.classical_bound,
-        scenario.quantum_target,
-    )
-    pure = PureState(state, scenario.party_dims)
+    # The winner is computed, not input: it is evaluated as it stands, never admitted again.
     return BellResult(
-        bell_value(tuned, pure, "complex"),
-        bell_value(tuned, pure, "real_encoded"),
+        _value(scenario.coefficients, obs, state, scenario.party_dims, "complex"),
+        _value(scenario.coefficients, obs, state, scenario.party_dims, "real_encoded"),
         {"seed": seeds[best], "state": state, "observables": obs},
         tuple((int(i), float(v)) for i, v in trace),
         tuple((seed, value, trace[-1][0]) for seed, (value, _, _, trace) in zip(seeds, runs)),

@@ -7,6 +7,7 @@ Exit codes: 0 when every assertion passes, 1 when an assertion fails,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import sys
@@ -248,10 +249,25 @@ def _digest(command: str, options: dict, paths: list) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _attach_float_values(argv: list) -> list:
+    """Join --t-max or --tol and a value such as -1e-3 or -inf, which argparse reads as an option after a space.
+
+    argparse reads only plain decimals such as -1 or -0.5 as negative numbers; --t-max=-1e-3 is its form for the rest.
+    """
+    out = []
+    for token in argv:
+        out.append(token)
+        if len(out) > 1 and out[-2] in ("--t-max", "--tol") and token.startswith("-"):
+            with contextlib.suppress(ValueError):  # float() rejects the token: argparse judges it as it stands
+                float(token)
+                out[-2:] = [f"{out[-2]}={token}"]
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_float_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return int(e.code) if e.code else 0
     handler, option_keys = _COMMANDS[args.command]

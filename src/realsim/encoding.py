@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import INPUT_TOL, PSD_TOL, admit, apply_on_axis, dagger, is_hermitian, is_identity, is_psd, is_unitary, kron
+from .linalg import INPUT_TOL, PSD_TOL, admit, admit_family, apply_on_axis, dagger, is_hermitian, is_identity, is_psd, is_unitary, kron
 
 XZ = np.array([[0.0, -1.0], [1.0, 0.0]])
 XZ.setflags(write=False)
@@ -149,26 +149,22 @@ class DensityOperator:
 
 @dataclass(frozen=True)
 class Povm:
-    """Finite POVM: positive elements summing to the identity."""
+    """Finite POVM: positive elements summing to the identity, kept as one (m, d, d) stack."""
 
-    elements: tuple[np.ndarray, ...]
+    elements: np.ndarray
 
     def __post_init__(self):
-        elems = tuple(admit(e, "POVM element", square=True) for e in self.elements)
+        elems = admit_family(self.elements, "POVM element")
         if not all(map(is_psd, elems)):
             raise ValueError(f"POVM element is not Hermitian with eigenvalues above -{PSD_TOL}")
-        if not elems:
-            raise ValueError("POVM needs at least one element")
-        if len({e.shape for e in elems}) > 1:
-            raise ValueError("POVM elements must share one dimension")
         with np.errstate(over="ignore", invalid="ignore"):  # huge elements sum to inf or NaN, which is_identity rejects
-            if not is_identity(sum(elems)):
+            if not is_identity(elems.sum(axis=0)):
                 raise ValueError("POVM elements do not sum to the identity")
         object.__setattr__(self, "elements", elems)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[1]
 
 
 def encode_amplitudes(amplitudes: np.ndarray, factor_dims: tuple[int, ...], layout: Layout = SINGLE_ANCILLA):
@@ -272,16 +268,14 @@ def real_inner_product(psi: PureState, phi: PureState) -> float:
 
 def povm_probabilities(state, povm: Povm) -> np.ndarray:
     """Outcome distribution of a POVM on a pure or mixed state."""
+    if not isinstance(state, (PureState, DensityOperator)):
+        raise ValueError(f"expected PureState or DensityOperator, got {type(state).__name__}")
+    if state.dim != povm.dim:
+        raise ValueError(f"state dimension {state.dim} does not match POVM dimension {povm.dim}")
     if isinstance(state, PureState):
-        if state.dim != povm.dim:
-            raise ValueError(f"state dimension {state.dim} does not match POVM dimension {povm.dim}")
         v = state.amplitudes
         return np.array([float(np.vdot(v, e @ v).real) for e in povm.elements])
-    if isinstance(state, DensityOperator):
-        if state.dim != povm.dim:
-            raise ValueError(f"state dimension {state.dim} does not match POVM dimension {povm.dim}")
-        return np.array([float(np.trace(e @ state.matrix).real) for e in povm.elements])
-    raise ValueError(f"expected PureState or DensityOperator, got {type(state).__name__}")
+    return np.array([float(np.trace(e @ state.matrix).real) for e in povm.elements])
 
 
 def encoded_povm_probabilities(encoded, povm: Povm, layout: Layout = SINGLE_ANCILLA) -> np.ndarray:
@@ -305,16 +299,12 @@ def encoded_povm_probabilities(encoded, povm: Povm, layout: Layout = SINGLE_ANCI
     return np.trace(apply_lift(povm.elements, enc, (d,), 0), axis1=1, axis2=2)
 
 
-def _channel_matrices(channel, dim: int | None = None) -> list[np.ndarray]:
-    ks = [admit(k, "Kraus operator", square=True) for k in channel]
-    if not ks:
-        raise ValueError("channel needs at least one Kraus operator")
-    d = ks[0].shape[0] if dim is None else dim
-    for k in ks:
-        if k.shape != (d, d):
-            raise ValueError(f"Kraus operator shape {k.shape} does not match dimension {d}")
+def _channel_matrices(channel, dim: int | None = None) -> np.ndarray:
+    ks = admit_family(channel, "Kraus operator")
+    if dim is not None and ks.shape[1] != dim:
+        raise ValueError(f"Kraus operator shape {ks.shape[1:]} does not match dimension {dim}")
     with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf or NaN, which is_identity rejects
-        if not is_identity(sum(dagger(k) @ k for k in ks)):
+        if not is_identity((np.swapaxes(ks.conj(), 1, 2) @ ks).sum(axis=0)):
             raise ValueError("Kraus operators do not compose a trace-preserving channel")
     return ks
 

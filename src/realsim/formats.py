@@ -163,7 +163,7 @@ def load_povm(path: str) -> Povm:
     _require_keys(obj, ("elements",), where=path)
     if not isinstance(obj["elements"], list) or not obj["elements"]:
         raise FormatError(f"{path}.elements must be a nonempty list of matrices")
-    return Povm(tuple(parse_matrix(e, where=f"{path}.elements[{i}]") for i, e in enumerate(obj["elements"])))
+    return Povm([parse_matrix(e, where=f"{path}.elements[{i}]") for i, e in enumerate(obj["elements"])])
 
 
 def load_scenario(path: str) -> BellScenario:
@@ -181,10 +181,8 @@ def load_scenario(path: str) -> BellScenario:
     if not isinstance(observables, list) or len(observables) != parties \
             or any(not isinstance(family, list) for family in observables):
         raise FormatError(f"{path}.observables must list one family of matrices per party")
-    families = tuple(
-        tuple(parse_matrix(o, where=f"{path}.observables[{j}][{s}]") for s, o in enumerate(family))
-        for j, family in enumerate(observables)
-    )
+    families = [[parse_matrix(o, where=f"{path}.observables[{j}][{s}]") for s, o in enumerate(family)]
+                for j, family in enumerate(observables)]
     if not isinstance(obj["coefficients"], list):
         raise FormatError(f"{path}.coefficients must be a list")
     coeffs = {}

@@ -39,8 +39,8 @@ def admit(a, what: str, dtype=complex, square: bool = False) -> np.ndarray:
     exactly zero; `square` asks for a square matrix; every entry must be
     finite.  Each error names `what`.
     """
-    a = np.asarray(a)
-    if np.iscomplexobj(a) and not np.issubdtype(dtype, np.complexfloating):
+    if not np.issubdtype(dtype, np.complexfloating) and np.iscomplexobj(a):
+        a = np.asarray(a)
         if np.any(a.imag != 0.0):
             raise ValueError(f"{what} must have imaginary part exactly zero")
         a = a.real
@@ -53,15 +53,30 @@ def admit(a, what: str, dtype=complex, square: bool = False) -> np.ndarray:
     return a
 
 
-def kron(a, b, max_dim: int = DEFAULT_MAX_DIM):
-    """Kronecker product of two vectors or two matrices, with a size guard."""
+def admit_family(ops, what: str) -> np.ndarray:
+    """Read-only complex (m, d, d) stack of a nonempty family of square operators of one dimension.
+
+    The one way a family is taken in: the members are copied once, into the stack.  Errors name `what`.
+    """
+    ops = [np.asarray(o) for o in ops]
+    if not ops:
+        raise ValueError(f"need at least one {what}")
+    for o in ops:
+        _require_square(o, what)
+        if o.shape != ops[0].shape:
+            raise ValueError(f"{what}s must share one dimension, got {ops[0].shape[0]} and {o.shape[0]}")
+    return admit(ops, what)
+
+
+def kron(a, b):
+    """Kronecker product of two vectors or two matrices, with a size guard at DEFAULT_MAX_DIM."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != b.ndim or a.ndim not in (1, 2):
         raise ValueError(f"kron needs two vectors or two matrices, got shapes {a.shape} and {b.shape}")
     out_shape = tuple(da * db for da, db in zip(a.shape, b.shape))
-    if max(out_shape) > max_dim:
-        raise ValueError(f"kron output shape {out_shape} exceeds the size cap {max_dim}")
+    if max(out_shape) > DEFAULT_MAX_DIM:
+        raise ValueError(f"kron output shape {out_shape} exceeds the size cap {DEFAULT_MAX_DIM}")
     return np.kron(a, b)
 
 
@@ -115,17 +130,17 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
 
 
-def is_identity(a, tol: float = INPUT_TOL) -> bool:
+def is_identity(a) -> bool:
     a = np.asarray(a)
     _require_square(a, "is_identity input")
-    return bool(np.max(np.abs(a - np.eye(a.shape[0]))) <= tol)
+    return bool(np.max(np.abs(a - np.eye(a.shape[0]))) <= INPUT_TOL)
 
 
-def is_unitary(a, tol: float = INPUT_TOL) -> bool:
+def is_unitary(a) -> bool:
     a = np.asarray(a)
     _require_square(a, "is_unitary input")
     # A unitary's entries have modulus at most 1; testing that first keeps a^dagger a from overflowing.
-    return bool(np.max(np.abs(a)) <= 1.0 + tol) and is_identity(dagger(a) @ a, tol)
+    return bool(np.max(np.abs(a)) <= 1.0 + INPUT_TOL) and is_identity(dagger(a) @ a)
 
 
 def is_hermitian(a, tol: float = INPUT_TOL) -> bool:
@@ -135,11 +150,11 @@ def is_hermitian(a, tol: float = INPUT_TOL) -> bool:
     return bool(np.max(np.abs(a / 2.0 - dagger(a) / 2.0)) <= tol / 2.0)
 
 
-def is_psd(a, tol: float = PSD_TOL) -> bool:
-    """Positive semi-definiteness: Hermitian with eigenvalue floor >= -tol."""
+def is_psd(a) -> bool:
+    """Positive semi-definiteness: Hermitian within PSD_TOL, with eigenvalue floor >= -PSD_TOL."""
     a = np.asarray(a)
     _require_square(a, "is_psd input")
-    if not is_hermitian(a, tol):
+    if not is_hermitian(a, PSD_TOL):
         return False
     floor = float(np.linalg.eigvalsh(a / 2.0 + dagger(a) / 2.0).min())
-    return floor >= -tol
+    return floor >= -PSD_TOL

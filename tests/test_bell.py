@@ -253,6 +253,38 @@ class TestOptimizeBell:
         with pytest.raises(ValueError):
             optimize_bell(chsh_scenario(), seeds=[1], iterations=0)
 
+    def test_the_winner_is_evaluated_without_admitting_it_again(self, monkeypatch):
+        scenario = mermin3_scenario()
+
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__} built after the see-saw")
+
+        monkeypatch.setattr(BellScenario, "__post_init__", refuse)
+        monkeypatch.setattr(PureState, "__post_init__", refuse)
+        result = optimize_bell(scenario, seeds=[5, 6])
+        assert abs(result.value_complex - result.value_real_encoded) <= 1e-10
+
+    # Pinned values.  At iterations = 2 seed 5 converges at iteration 1; every other restart stops at
+    # the cap, where a last eigh brings its value up to date with its final observables.
+    @pytest.mark.parametrize("name, iterations, trace, restarts", [
+        ("chsh", 1, [2.716678714143295, 2.828427124746189],
+         [(3, 2.828427124746189, 1), (4, 2.7939941294086355, 1), (5, 2.0, 1)]),
+        ("chsh", 2, [2.0, 2.7939941294086355, 2.8284271247461903],
+         [(3, 2.828427124746189, 2), (4, 2.8284271247461903, 2), (5, 2.0, 1)]),
+        ("mermin3", 1, [2.503917226190561, 3.9952364977751493],
+         [(3, 2.8284271247461894, 1), (4, 3.9952364977751493, 1), (5, 2.000000000000001, 1)]),
+        ("mermin3", 2, [2.503917226190561, 3.9952364977751493, 3.999999999999999],
+         [(3, 3.509661703055418, 2), (4, 3.999999999999999, 2), (5, 2.000000000000001, 1)]),
+    ])
+    def test_the_iteration_cap_ends_each_capped_trace(self, name, iterations, trace, restarts):
+        result = optimize_bell(SCENARIOS[name](), seeds=[3, 4, 5], iterations=iterations)
+        assert [i for i, _ in result.optimizer_trace] == list(range(iterations + 1))
+        assert np.abs(np.array([v for _, v in result.optimizer_trace]) - trace).max() <= 1e-12
+        assert [(seed, n) for seed, _, n in result.restarts] == [(seed, n) for seed, _, n in restarts]
+        assert np.abs(np.array([v for _, v, _ in result.restarts]) - [v for _, v, _ in restarts]).max() <= 1e-12
+        for (_, _, n), (value, _, _, run) in zip(restarts, bell._seesaw(SCENARIOS[name](), [3, 4, 5], iterations)):
+            assert run[-1] == (n, value)
+
 
 class TestBatchedSeesaw:
     """The stacked contractions against the term-by-term oracle in tests/helpers."""
@@ -263,7 +295,7 @@ class TestBatchedSeesaw:
         dims = scenario.party_dims
         c = bell._coefficient_tensor(scenario)
         obs = bell._initial_observables(scenario, range(6))
-        ops = bell._bell_operators(c, obs)
+        ops = bell._contract(c[None], obs)[:, 0]
         states = np.linalg.eigh(ops)[1][:, :, -1]
         for r in range(6):
             family = [o[r] for o in obs]

@@ -256,6 +256,20 @@ class TestEvolve:
         assert (code, out) == (2, "")
         assert err == f"error: dynamics: t_max must be finite, got {t_max}\n"
 
+    # A negative tolerance fails the two assertions it bounds; a non-finite one cannot be written in the report.
+    @pytest.mark.parametrize("option, value, code, message", [
+        ("--t-max", "-1e-3", 0, ""), ("--t-max", "-1e5", 0, ""), ("--tol", "-1e-3", 1, ""),
+        ("--t-max", "-inf", 2, "error: dynamics: t_max must be finite, got -inf\n"),
+        ("--tol", "-inf", 2, "error: options.tol: cannot serialize non-finite number -inf\n"),
+    ])
+    def test_negative_value_after_a_space_reads_as_after_equals(self, capsys, tmp_path, circular_state, option,
+                                                               value, code, message):
+        ham = write(tmp_path, "ham.json", matrix_obj(np.diag([1.0, -1.0])))
+        spaced = run(capsys, ["evolve", ham, circular_state, "--steps", "3", option, value])
+        joined = run(capsys, ["evolve", ham, circular_state, "--steps", "3", f"{option}={value}"])
+        assert spaced == joined
+        assert (spaced[0], spaced[2]) == (code, message)
+
     def test_non_hermitian_rejected(self, capsys, tmp_path, circular_state):
         ham = write(tmp_path, "ham.json", matrix_obj([[0.0, 1.0], [0.0, 0.0]]))
         code, _, err = run(capsys, ["evolve", ham, circular_state])
@@ -297,6 +311,13 @@ class TestMeasure:
         checks = {a["name"]: a for a in report_of(out)["assertions"]}
         for name in ("complex_normalized", "encoded_normalized"):
             assert checks[name]["measured"] <= 1e-15 and checks[name]["tolerance"] == 1e-10
+
+    def test_ragged_povm_is_rejected_naming_the_family(self, capsys, tmp_path, circular_state):
+        elements = [matrix_obj(np.diag([1.0, 0.0])), matrix_obj(np.diag([0.0, 1.0, 1.0]))]
+        povm = write(tmp_path, "p.json", {"elements": elements})
+        code, out, err = run(capsys, ["measure", circular_state, povm])
+        assert (code, out) == (2, "")
+        assert err == "error: POVM elements must share one dimension, got 2 and 3\n"
 
     def test_density_matrix_statistics(self, capsys, tmp_path, z_basis_povm):
         rho = write(tmp_path, "rho.json", matrix_obj([[0.75, 0.0], [0.0, 0.25]]))
@@ -482,6 +503,19 @@ class TestBell:
         assert code == 2
         assert out == ""
         assert "party 1 has dimension 1" in err
+
+    def test_ragged_observable_family_is_rejected_naming_the_family(self, capsys, tmp_path):
+        z = matrix_obj(np.diag([1.0, -1.0]))
+        scenario = write(tmp_path, "scenario.json", {
+            "parties": 2,
+            "settings_per_party": [1, 2],
+            "observables": [[z], [z, matrix_obj(np.diag([1.0, -1.0, 1.0]))]],
+            "coefficients": [{"settings": [0, 0], "value": 1.0}],
+            "classical_bound": 1.0,
+        })
+        code, out, err = run(capsys, ["bell", "--scenario-file", scenario, "--seed", "3"])
+        assert (code, out) == (2, "")
+        assert err == "error: party 1 observables must share one dimension, got 2 and 3\n"
 
     def test_seven_party_mermin_reaches_its_target_in_both_modes(self, capsys, tmp_path):
         # Re prod_j (X_j + i Y_j) on seven qubits: quantum maximum 2^6.  The encoded state has
@@ -912,8 +946,9 @@ def job_files(draw, command):
     if command == "evolve":
         h = _operator(rng, draw(st.one_of(st.just(n), st.integers(1, 4))), draw(kind("hermitian")))
         files = {"h.json": matrix_obj(h), "state.json": _vector_obj(rng, dims)}
-        t_max = f"--t-max={draw(st.sampled_from(['1', '5', 'inf', '-inf', 'nan']))}"
-        return files, ["evolve", "h.json", "state.json", "--steps", "3", t_max, *k]
+        t_max = draw(st.sampled_from(["1", "5", "-1e-3", "inf", "-inf", "nan"]))
+        t_max = draw(st.sampled_from([[f"--t-max={t_max}"], ["--t-max", t_max]]))
+        return files, ["evolve", "h.json", "state.json", "--steps", "3", *t_max, *k]
     if command == "measure":
         if draw(st.booleans()):
             state = _vector_obj(rng, dims)

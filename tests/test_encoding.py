@@ -464,6 +464,17 @@ class TestEncodedContainers:
         a[0] = 0.0
         assert not np.array_equal(kept, a)
 
+    @pytest.mark.parametrize("family, shape", [
+        (lambda: Povm([np.diag([1.0, 0.0]), np.diag([0.0, 0.5]), np.diag([0.0, 0.5])]).elements, (3, 2, 2)),
+        (lambda: BellScenario(2, (1, 2), ((Z,), (Z, np.diag([-1.0, 1.0]))), {(0, 0): 1.0}, 1.0).observables[1],
+         (2, 2, 2)),
+        (lambda: encoding._channel_matrices([np.eye(3) * np.sqrt(0.5)] * 2), (2, 3, 3)),
+    ], ids=["Povm", "BellScenario", "Kraus"])
+    def test_every_operator_family_is_one_read_only_stack(self, family, shape):
+        stack = family()
+        assert isinstance(stack, np.ndarray) and stack.shape == shape and stack.dtype == complex
+        assert not stack.flags.writeable
+
     @pytest.mark.parametrize("build", [
         lambda: encoded_povm_probabilities(np.array([1.0, 1e-300j]), Povm((np.eye(1),))),
         lambda: encoded_povm_probabilities(np.eye(2) / 2 + 1e-300j, Povm((np.eye(1),))),

@@ -1,6 +1,7 @@
 """Kernel layer: products, exponentials, predicates, seeded sampling."""
 
 import ast
+import inspect
 import pathlib
 import warnings
 
@@ -192,6 +193,40 @@ class TestAdmit:
     def test_rejections_name_the_input(self, a, kwargs, message):
         with pytest.raises(ValueError, match=message):
             linalg.admit(a, "v", **kwargs)
+
+
+class TestAdmitFamily:
+    @pytest.mark.parametrize("family", [
+        lambda: (np.eye(2), np.diag([1.0, 1j])),
+        lambda: [np.eye(2), [[1.0, 0.0], [0.0, 1j]]],
+        lambda: np.array([np.eye(2), np.diag([1.0, 1j])]),
+    ], ids=["tuple", "list", "stack"])
+    def test_read_only_complex_stack_copied_from_the_members(self, family):
+        members = family()
+        kept = linalg.admit_family(members, "K")
+        assert kept.shape == (2, 2, 2) and kept.dtype == complex and not kept.flags.writeable
+        assert np.array_equal(kept, [np.eye(2), np.diag([1.0, 1j])])
+        assert not any(np.shares_memory(m, kept) for m in members if isinstance(m, np.ndarray))
+
+    @pytest.mark.parametrize("family, message", [
+        ((), "^need at least one K$"),
+        ((np.eye(2), np.ones((2, 3))), r"^K must be square, got shape \(2, 3\)$"),
+        ((np.ones(2),), r"^K must be square, got shape \(2,\)$"),
+        ((np.eye(2), np.eye(3)), "^Ks must share one dimension, got 2 and 3$"),
+        ((np.eye(2), np.eye(2), np.eye(4)), "^Ks must share one dimension, got 2 and 4$"),
+        ((np.eye(2), np.diag([1.0, np.nan])), "^K must be finite$"),
+    ], ids=["empty", "non_square", "vector", "ragged", "ragged_third", "non_finite"])
+    def test_rejections_name_the_family(self, family, message):
+        with pytest.raises(ValueError, match=message):
+            linalg.admit_family(family, "K")
+
+
+@pytest.mark.parametrize("fn, gone", [
+    (linalg.kron, "max_dim"), (linalg.is_identity, "tol"), (linalg.is_unitary, "tol"), (linalg.is_psd, "tol"),
+])
+def test_fixed_bounds_are_not_parameters(fn, gone):
+    # Each had one value in use; is_hermitian keeps tol, which takes three.
+    assert gone not in inspect.signature(fn).parameters
 
 
 def test_every_tolerance_lives_in_the_linalg_table():
