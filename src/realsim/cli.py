@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import functools
 import hashlib
+import math
 import sys
 
 import numpy as np
@@ -84,13 +85,15 @@ def cmd_measure(args):
     state = formats.load_state_or_density(args.state)
     povm = formats.load_povm(args.povm)
     probs = povm_probabilities(state, povm)
-    # Probabilities sum to the input's own normalization, which may differ from 1 by up to INPUT_TOL.
+    # Probabilities sum to <psi|sum E|psi> or Re tr(sum E rho): the input's normalization and the POVM's
+    # completeness may each differ from 1 by up to INPUT_TOL, and the sum is measured against both.
+    completeness = povm.elements.sum(axis=0)
     if isinstance(state, DensityOperator):
         encoded_probs = encoded_povm_probabilities(encode_density(state), povm)
-        total = float(np.trace(state.matrix).real)
+        total = float(np.trace(completeness @ state.matrix).real)
     else:
         encoded_probs = encoded_povm_probabilities(encode_state(state), povm)
-        total = float(np.vdot(state.amplitudes, state.amplitudes).real)
+        total = float(np.vdot(state.amplitudes, completeness @ state.amplitudes).real)
     results = {
         "probabilities": probs.tolist(),
         "encoded_probabilities": encoded_probs.tolist(),
@@ -113,7 +116,8 @@ def cmd_bell(args):
     if args.scenario_file is not None:
         scenario = formats.load_scenario(args.scenario_file)
         files.append(args.scenario_file)
-        args.scenario = None  # overridden by the file, so the digest records it as null
+        # The digest hashes the file's content; the path and the overridden scenario name enter as null.
+        args.scenario = args.scenario_file = None
     else:
         scenario = _SCENARIOS[args.scenario]()
     seeds = [args.seed + i for i in range(args.restarts)]
@@ -185,6 +189,17 @@ _COMMANDS = {
 }
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of --tol: a report cannot carry a non-finite tolerance, so it is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 @functools.cache  # the parser never changes, and each parse_args call returns a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -205,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sign", choices=("plus", "minus"), default="plus",
                     help="sign convention: plus evolves with exp(+iHt), minus with exp(-iHt) (default plus)")
     sp.add_argument("--k", type=int, default=1, help="ancilla qubits, 1 to 12, one per party when > 1 (default 1)")
-    sp.add_argument("--tol", type=float, default=AGREEMENT_TOL,
+    sp.add_argument("--tol", type=_finite_float, default=AGREEMENT_TOL,
                     help="tolerance of the matches_complex_evolution and matches_dense_expm assertions"
                          f" (default {AGREEMENT_TOL:g}); propagator_orthogonal keeps {ORTHOGONALITY_TOL:g}")
 
@@ -236,14 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _digest(command: str, options: dict, paths: list) -> str:
-    """sha256 of the command, its options and its files' contents; an option naming a file counts as null."""
+    """sha256 of the command, its options and its files' contents."""
     file_hashes = []
     for path in paths:
         with open(path, "rb") as fh:
             file_hashes.append(hashlib.sha256(fh.read()).hexdigest())
     payload = formats.dumps({
         "command": command,
-        "options": {k: None if options[k] in paths else options[k] for k in sorted(options)},
+        "options": dict(sorted(options.items())),
         "files": file_hashes,
     })
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -221,13 +221,14 @@ class TestEvolve:
 
     @pytest.mark.parametrize("t_max", ["1", "10", "100"])
     @pytest.mark.parametrize("h", [
+        [[0.3, -1.0j], [1.0j, -0.2]],
         [[0.3 + 0.49e-10j, 1.0], [1.0, -0.2 - 0.49e-10j]],
         [[0.3, 1.0 + 0.99e-10], [1.0, -0.2]],
-    ], ids=["imaginary_diagonal", "one_sided_off_diagonal"])
+    ], ids=["hermitian", "imaginary_diagonal", "one_sided_off_diagonal"])
     def test_admitted_hamiltonian_passes_every_assertion(self, capsys, tmp_path, circular_state, h, t_max):
-        # Hermitian within INPUT_TOL, so admitted.  Both sides simulate the Hermitian matrix that
-        # eigh reads of H; encoding H itself failed propagator_orthogonal (imaginary diagonal,
-        # from t = 1) or matches_dense_expm (one-sided off-diagonal, from t = 10).
+        # Hermitian, or Hermitian within INPUT_TOL, so admitted.  Both sides simulate the Hermitian
+        # matrix that eigh reads of H; encoding H itself failed propagator_orthogonal (imaginary
+        # diagonal, from t = 1) or matches_dense_expm (one-sided off-diagonal, from t = 10).
         ham = write(tmp_path, "ham.json", matrix_obj(h))
         code, out, err = run(capsys, ["evolve", ham, circular_state, "--t-max", t_max])
         assert (code, err) == (0, "")
@@ -256,11 +257,12 @@ class TestEvolve:
         assert (code, out) == (2, "")
         assert err == f"error: dynamics: t_max must be finite, got {t_max}\n"
 
-    # A negative tolerance fails the two assertions it bounds; a non-finite one cannot be written in the report.
+    # A negative tolerance fails the two assertions it bounds; a non-finite one is a usage error, which
+    # argparse prints after the usage and the program name.
     @pytest.mark.parametrize("option, value, code, message", [
         ("--t-max", "-1e-3", 0, ""), ("--t-max", "-1e5", 0, ""), ("--tol", "-1e-3", 1, ""),
         ("--t-max", "-inf", 2, "error: dynamics: t_max must be finite, got -inf\n"),
-        ("--tol", "-inf", 2, "error: options.tol: cannot serialize non-finite number -inf\n"),
+        ("--tol", "-inf", 2, "error: argument --tol: must be finite, got -inf\n"),
     ])
     def test_negative_value_after_a_space_reads_as_after_equals(self, capsys, tmp_path, circular_state, option,
                                                                value, code, message):
@@ -268,7 +270,9 @@ class TestEvolve:
         spaced = run(capsys, ["evolve", ham, circular_state, "--steps", "3", option, value])
         joined = run(capsys, ["evolve", ham, circular_state, "--steps", "3", f"{option}={value}"])
         assert spaced == joined
-        assert (spaced[0], spaced[2]) == (code, message)
+        assert spaced[0] == code
+        err = spaced[2]
+        assert err == message or err.startswith("usage: realsim evolve") and err.endswith(f"\nrealsim evolve: {message}")
 
     def test_non_hermitian_rejected(self, capsys, tmp_path, circular_state):
         ham = write(tmp_path, "ham.json", matrix_obj([[0.0, 1.0], [0.0, 0.0]]))
@@ -311,6 +315,20 @@ class TestMeasure:
         checks = {a["name"]: a for a in report_of(out)["assertions"]}
         for name in ("complex_normalized", "encoded_normalized"):
             assert checks[name]["measured"] <= 1e-15 and checks[name]["tolerance"] == 1e-10
+
+    @pytest.mark.parametrize("density", [False, True], ids=["pure", "density"])
+    def test_povm_at_the_completeness_bound_passes_the_normalization_checks(self, capsys, tmp_path, density):
+        # E0 + E1 = I + 0.9e-10 J (J all ones) is admitted, and psi = 1/sqrt(128) lies along J: the
+        # probabilities sum to 1 + 1.15e-8, which is <psi|(E0 + E1)|psi>, not <psi|psi>.
+        n = 128
+        povm = write(tmp_path, "povm.json", {"elements": [matrix_obj(np.eye(n) / 2 + 0.9e-10 * np.ones((n, n))),
+                                                          matrix_obj(np.eye(n) / 2)]})
+        state = matrix_obj(np.ones((n, n)) / n) if density else {"dims": [n], "amplitudes": [[n ** -0.5, 0.0]] * n}
+        code, out, err = run(capsys, ["measure", write(tmp_path, "state.json", state), povm])
+        assert (code, err) == (0, "")
+        checks = {a["name"]: a for a in report_of(out)["assertions"]}
+        for name in ("complex_normalized", "encoded_normalized"):
+            assert checks[name]["measured"] <= 1e-14 and checks[name]["tolerance"] == 1e-10
 
     def test_ragged_povm_is_rejected_naming_the_family(self, capsys, tmp_path, circular_state):
         elements = [matrix_obj(np.diag([1.0, 0.0])), matrix_obj(np.diag([0.0, 1.0, 1.0]))]
@@ -404,6 +422,25 @@ class TestBell:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
+
+    def test_digest_tells_modes_apart_whatever_the_file_is_named(self, capsys, tmp_path, monkeypatch):
+        # The Mermin-3 scenario as a file, saved as "both" and as "complex": a path equal to the --mode value
+        # must not make two jobs with different results share a digest.
+        x, y = matrix_obj([[0.0, 1.0], [1.0, 0.0]]), matrix_obj([[0.0, -1.0j], [1.0j, 0.0]])
+        mermin3 = {"parties": 3, "settings_per_party": [2, 2, 2], "observables": [[x, y]] * 3,
+                   "coefficients": [{"settings": s, "value": v} for s, v in
+                                    [([0, 0, 1], 1.0), ([0, 1, 0], 1.0), ([1, 0, 0], 1.0), ([1, 1, 1], -1.0)]],
+                   "classical_bound": 2.0, "quantum_target": 4.0}
+        monkeypatch.chdir(tmp_path)
+        reports = []
+        for mode in ("both", "complex"):
+            write(tmp_path, mode, mermin3)
+            code, out, _ = run(capsys, ["bell", "--scenario-file", mode, "--mode", mode, "--seed", "1",
+                                        "--restarts", "5"])
+            assert code == 0
+            reports.append(report_of(out))
+        assert reports[0]["results"] != reports[1]["results"]
+        assert reports[0]["inputs_digest"] != reports[1]["inputs_digest"]
 
     @pytest.mark.parametrize("field,value,named", [
         ("settings_per_party", 5, "settings_per_party"),
@@ -820,6 +857,16 @@ class TestTolFlag:
         assert tolerances == {"propagator_orthogonal": 1e-11, "matches_complex_evolution": 1e-9,
                               "matches_dense_expm": 1e-9}
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("joined", [False, True], ids=["space", "equals"])
+    def test_non_finite_tol_is_rejected_before_any_file_is_read(self, capsys, tmp_path, value, joined):
+        missing = str(tmp_path / "missing.json")
+        tol = [f"--tol={value}"] if joined else ["--tol", value]
+        code, out, err = run(capsys, ["evolve", missing, missing, *tol])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: realsim evolve")
+        assert err.endswith(f"\nrealsim evolve: error: argument --tol: must be finite, got {value}\n")
+
     @pytest.mark.parametrize("argv", [
         ["encode", "STATE"], ["measure", "STATE", "POVM"], ["bell", "--seed", "1"], ["selftest"],
         ["stabilizer", "--k", "3"],
@@ -946,9 +993,12 @@ def job_files(draw, command):
     if command == "evolve":
         h = _operator(rng, draw(st.one_of(st.just(n), st.integers(1, 4))), draw(kind("hermitian")))
         files = {"h.json": matrix_obj(h), "state.json": _vector_obj(rng, dims)}
-        t_max = draw(st.sampled_from(["1", "5", "-1e-3", "inf", "-inf", "nan"]))
-        t_max = draw(st.sampled_from([[f"--t-max={t_max}"], ["--t-max", t_max]]))
-        return files, ["evolve", "h.json", "state.json", "--steps", "3", *t_max, *k]
+        options = []
+        for flag, values in (("--t-max", ["1", "5", "-1e-3", "inf", "-inf", "nan"]),
+                             ("--tol", ["1e-10", "0", "-1e-3", "inf", "-inf", "nan"])):
+            value = draw(st.sampled_from(values))
+            options += draw(st.sampled_from([[f"{flag}={value}"], [flag, value]]))
+        return files, ["evolve", "h.json", "state.json", "--steps", "3", *options, *k]
     if command == "measure":
         if draw(st.booleans()):
             state = _vector_obj(rng, dims)
@@ -1011,6 +1061,59 @@ def malformed(draw, files):
     return files
 
 
+EDGE = 0.99 * linalg.INPUT_TOL  # just inside the admission bound, with room for the rounding of the checks
+
+
+@st.composite
+def at_the_admission_edge(draw, command):
+    """Job files just inside every admission bound, each off in the direction that moves what is checked most.
+
+    State norms and density traces are 1 +- EDGE.  A Hamiltonian has imaginary diagonal entries at the
+    Hermiticity bound and slack on one side of its diagonal only.  A POVM's completeness is off by a
+    rank-one term along the state, whose largest entry is EDGE, so the probabilities sum to 1 + EDGE n
+    for a uniform state of dimension n.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dims = draw(st.sampled_from([[1], [2], [3], [4], [2, 2]]))
+    n = int(np.prod(dims))
+    scale = 1.0 + draw(st.sampled_from([-EDGE, EDGE]))
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    state = {"dims": dims, "amplitudes": [[z.real, z.imag] for z in (scale * v).tolist()]}
+    k = ["--k", str(draw(st.sampled_from(sorted({1, len(dims)}))))]
+    if command == "encode":
+        return {"state.json": state}, ["encode", "state.json", *k]
+    if command == "evolve":
+        h = _operator(rng, n, "hermitian")
+        h[np.diag_indices(n)] += 1j * (EDGE / 2.0) * rng.choice([-1.0, 1.0], n)
+        side = np.triu(np.ones((n, n), dtype=bool), 1)
+        h[side if draw(st.booleans()) else side.T] += EDGE * np.exp(2j * np.pi * rng.random(n * (n - 1) // 2))
+        t_max = draw(st.sampled_from(["1", "10", "100"]))
+        files = {"h.json": matrix_obj(h), "state.json": state}
+        return files, ["evolve", "h.json", "state.json", "--t-max", t_max, "--steps", "3", *k]
+    if draw(st.booleans()):
+        g = _operator(rng, n, "arbitrary")
+        rho = 0.9 * np.outer(v, v.conj()) + 0.1 * g @ g.conj().T / np.trace(g @ g.conj().T).real
+        state = matrix_obj(scale * rho)
+    u = _operator(rng, n, "unitary")
+    elements = [np.outer(u[:, i], u[:, i].conj()) for i in range(n)]
+    elements[0] += draw(st.sampled_from([-EDGE, EDGE])) / np.max(np.abs(v)) ** 2 * np.outer(v, v.conj())
+    povm = {"elements": [matrix_obj(e) for e in elements]}
+    return {"state.json": state, "povm.json": povm}, ["measure", "state.json", "povm.json"]
+
+
+def run_job(files, argv):
+    """Write the job files in a fresh directory and run the command line on them: (code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, obj in files.items():
+            (pathlib.Path(tmp) / name).write_text(json.dumps(obj))
+        argv = [str(pathlib.Path(tmp) / a) if a in files else a for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestExitCodeContract:
     """Every job file, however malformed, ends in exit 0, 1 or 2 without a traceback."""
 
@@ -1019,15 +1122,19 @@ class TestExitCodeContract:
     @given(data=st.data())
     def test_malformed_job_files(self, command, data):
         files, argv = data.draw(job_files(command))
-        files = data.draw(malformed(files))
-        out, err = io.StringIO(), io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp:
-            for name, obj in files.items():
-                (pathlib.Path(tmp) / name).write_text(json.dumps(obj))
-            argv = [str(pathlib.Path(tmp) / a) if a in files else a for a in argv]
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
+        code, out, err = run_job(data.draw(malformed(files)), argv)
         assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
+        assert "Traceback" not in err
         if code in (0, 1):
-            json.loads(out.getvalue())
+            json.loads(out)
+
+
+class TestAdmissionEdge:
+    """An input just inside every admission bound passes every assertion: nothing computed from it is admitted again."""
+
+    @pytest.mark.parametrize("command", ["encode", "evolve", "measure"])
+    @settings(max_examples=20, deadline=timedelta(seconds=2))
+    @given(data=st.data())
+    def test_every_assertion_passes(self, command, data):
+        code, out, err = run_job(*data.draw(at_the_admission_edge(command)))
+        assert (code, err) == (0, ""), failed_assertions(out) if out else err
