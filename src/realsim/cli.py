@@ -1,7 +1,7 @@
 """Command-line front end: JSON jobs in, deterministic JSON reports out.
 
 Exit codes: 0 when every assertion passes, 1 when an assertion fails,
-2 on malformed input (bad JSON, schema violations, bad flags).
+2 on malformed input (bad JSON, schema violations, bad flags, sizes that cannot be allocated).
 """
 
 from __future__ import annotations
@@ -296,7 +296,7 @@ def main(argv=None) -> int:
             "assertions": assertions,
             "versions": __version__,
         })
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, MemoryError) as e:  # MemoryError: a size numpy cannot allocate, such as --steps 1e15
         print(f"error: {e}", file=sys.stderr)
         return 2
     sys.stdout.write(text + "\n")

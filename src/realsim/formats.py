@@ -23,25 +23,33 @@ class FormatError(ValueError):
     """Input violates the documented JSON schema."""
 
 
-def load_json(path: str):
-    """Parse a JSON file; NaN and Infinity are rejected, not read."""
+def load_json(path: str, convert=lambda tree: tree):
+    """convert(tree) of the parsed JSON file; NaN and Infinity are rejected, not read.
+
+    Parsed JSON holds no reference cycles, yet its many small lists would set off collections that
+    scan it.  So the collector stays paused while the file is parsed and converted, and the tree is
+    dropped before the collector resumes: `convert` should return arrays, not parts of the tree.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
 
     def reject(literal):
         raise FormatError(f"{path}: non-finite number {literal} is not allowed")
 
-    # Parsed JSON holds no reference cycles, yet its many small lists set off collections while it is built.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return json.loads(text, parse_constant=reject)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{path}: malformed JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
-    except FormatError:  # from reject, already naming the file
-        raise
-    except ValueError as e:  # an integer literal longer than Python's int conversion limit
-        raise FormatError(f"{path}: {e}") from e
+        try:
+            tree = json.loads(text, parse_constant=reject)
+        except json.JSONDecodeError as e:
+            raise FormatError(f"{path}: malformed JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+        except FormatError:  # from reject, already naming the file
+            raise
+        except ValueError as e:  # an integer literal longer than Python's int conversion limit
+            raise FormatError(f"{path}: {e}") from e
+        value = convert(tree)
+        del tree
+        return value
     finally:
         if collecting:
             gc.enable()
@@ -141,33 +149,40 @@ def parse_matrix(obj, where: str = "matrix") -> np.ndarray:
 
 
 def load_state(path: str) -> PureState:
-    amps, dims = parse_vector(load_json(path), where=path)
-    return PureState(amps, dims)
+    return PureState(*load_json(path, lambda obj: parse_vector(obj, where=path)))
 
 
 def load_matrix(path: str) -> np.ndarray:
-    return parse_matrix(load_json(path), where=path)
+    return load_json(path, lambda obj: parse_matrix(obj, where=path))
 
 
 def load_state_or_density(path: str):
     """A state file holds either a complex vector or a density matrix."""
-    obj = load_json(path)
-    if isinstance(obj, dict) and "amplitudes" in obj:
-        amps, dims = parse_vector(obj, where=path)
-        return PureState(amps, dims)
-    return DensityOperator(parse_matrix(obj, where=path))
+    def convert(obj):
+        if isinstance(obj, dict) and "amplitudes" in obj:
+            return PureState, parse_vector(obj, where=path)
+        return DensityOperator, (parse_matrix(obj, where=path),)
+
+    container, args = load_json(path, convert)
+    return container(*args)
 
 
 def load_povm(path: str) -> Povm:
-    obj = load_json(path)
-    _require_keys(obj, ("elements",), where=path)
-    if not isinstance(obj["elements"], list) or not obj["elements"]:
-        raise FormatError(f"{path}.elements must be a nonempty list of matrices")
-    return Povm([parse_matrix(e, where=f"{path}.elements[{i}]") for i, e in enumerate(obj["elements"])])
+    def convert(obj):
+        _require_keys(obj, ("elements",), where=path)
+        if not isinstance(obj["elements"], list) or not obj["elements"]:
+            raise FormatError(f"{path}.elements must be a nonempty list of matrices")
+        return [parse_matrix(e, where=f"{path}.elements[{i}]") for i, e in enumerate(obj["elements"])]
+
+    return Povm(load_json(path, convert))
 
 
 def load_scenario(path: str) -> BellScenario:
-    obj = load_json(path)
+    return BellScenario(*load_json(path, lambda obj: _scenario_args(obj, path)))
+
+
+def _scenario_args(obj, path: str) -> tuple:
+    """The arguments of BellScenario, converted from a parsed scenario file."""
     _require_keys(
         obj,
         ("parties", "settings_per_party", "observables", "coefficients", "classical_bound"),
@@ -190,7 +205,7 @@ def load_scenario(path: str) -> BellScenario:
         where = f"{path}.coefficients[{i}]"
         _require_keys(entry, ("settings", "value"), where=where)
         coeffs[_int_list(entry["settings"], f"{where}.settings")] = _number(entry["value"], f"{where}.value")
-    return BellScenario(
+    return (
         parties,
         _int_list(obj["settings_per_party"], f"{path}.settings_per_party"),
         families,

@@ -151,10 +151,20 @@ def is_hermitian(a, tol: float = INPUT_TOL) -> bool:
 
 
 def is_psd(a) -> bool:
-    """Positive semi-definiteness: Hermitian within PSD_TOL, with eigenvalue floor >= -PSD_TOL."""
+    """Positive semi-definiteness: Hermitian within PSD_TOL, with every eigenvalue above -PSD_TOL.
+
+    The floor is tested by factorization, not by an eigenvalue solve: the Hermitian part plus PSD_TOL I
+    has a Cholesky factor exactly when the Hermitian part's smallest eigenvalue exceeds -PSD_TOL, up to
+    rounding at that boundary.
+    """
     a = np.asarray(a)
     _require_square(a, "is_psd input")
     if not is_hermitian(a, PSD_TOL):
         return False
-    floor = float(np.linalg.eigvalsh(a / 2.0 + dagger(a) / 2.0).min())
-    return floor >= -PSD_TOL
+    shifted = a / 2.0 + dagger(a) / 2.0
+    shifted[np.diag_indices_from(shifted)] += PSD_TOL
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True

@@ -9,6 +9,16 @@ from __future__ import annotations
 import numpy as np
 
 
+def matrix_obj(m) -> dict:
+    """A matrix in the package's JSON file format: rows, cols and row-major [re, im] entries."""
+    m = np.asarray(m, dtype=complex)
+    return {
+        "rows": m.shape[0],
+        "cols": m.shape[1],
+        "entries": [[float(z.real), float(z.imag)] for z in m.reshape(-1)],
+    }
+
+
 def series_expm(a, terms: int = 30) -> np.ndarray:
     """Truncated Taylor series for the matrix exponential."""
     a = np.asarray(a, dtype=complex)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_hermitian
+from helpers import matrix_obj, random_hermitian
 import realsim
 from realsim import cli, dynamics, encoding, linalg, multipartite
 from realsim.applications import bell, selftest
@@ -31,15 +31,6 @@ def write(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
-
-
-def matrix_obj(m):
-    m = np.asarray(m, dtype=complex)
-    return {
-        "rows": m.shape[0],
-        "cols": m.shape[1],
-        "entries": [[float(z.real), float(z.imag)] for z in m.reshape(-1)],
-    }
 
 
 def at_bound_state():
@@ -168,6 +159,13 @@ class TestEvolve:
         report = report_of(out)
         failed = {a["name"] for a in report["assertions"] if not a["passed"]}
         assert failed and failed <= {"matches_complex_evolution", "matches_dense_expm"}
+
+    def test_grid_too_large_to_allocate_is_rejected(self, capsys, tmp_path, circular_state):
+        # 10^15 grid points need 8 PB, which numpy refuses at once: exit 2 and one error line, not a traceback.
+        ham = write(tmp_path, "ham.json", matrix_obj(np.diag([1.0, -1.0])))
+        code, out, err = run(capsys, ["evolve", ham, circular_state, "--steps", str(10 ** 15)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
     def test_report_names_the_propagator_checks(self, capsys, tmp_path, circular_state):
         ham = write(tmp_path, "ham.json", matrix_obj([[0.0, -1.0j], [1.0j, 0.0]]))
@@ -1062,6 +1060,7 @@ def malformed(draw, files):
 
 
 EDGE = 0.99 * linalg.INPUT_TOL  # just inside the admission bound, with room for the rounding of the checks
+PSD_EDGE = 0.99 * linalg.PSD_TOL  # an eigenvalue this far below 0 is just inside the PSD floor
 
 
 @st.composite
@@ -1071,7 +1070,8 @@ def at_the_admission_edge(draw, command):
     State norms and density traces are 1 +- EDGE.  A Hamiltonian has imaginary diagonal entries at the
     Hermiticity bound and slack on one side of its diagonal only.  A POVM's completeness is off by a
     rank-one term along the state, whose largest entry is EDGE, so the probabilities sum to 1 + EDGE n
-    for a uniform state of dimension n.
+    for a uniform state of dimension n.  From dimension 2 up, a density matrix or a POVM element may
+    have an eigenvalue of -PSD_EDGE, the trace or completeness kept.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     dims = draw(st.sampled_from([[1], [2], [3], [4], [2, 2]]))
@@ -1094,10 +1094,17 @@ def at_the_admission_edge(draw, command):
     if draw(st.booleans()):
         g = _operator(rng, n, "arbitrary")
         rho = 0.9 * np.outer(v, v.conj()) + 0.1 * g @ g.conj().T / np.trace(g @ g.conj().T).real
+        if n > 1 and draw(st.booleans()):  # weight moved from the smallest eigenvalue to the largest
+            lam, w = np.linalg.eigh(rho)
+            rho += (lam[0] + PSD_EDGE) * (np.outer(w[:, -1], w[:, -1].conj()) - np.outer(w[:, 0], w[:, 0].conj()))
         state = matrix_obj(scale * rho)
     u = _operator(rng, n, "unitary")
     elements = [np.outer(u[:, i], u[:, i].conj()) for i in range(n)]
     elements[0] += draw(st.sampled_from([-EDGE, EDGE])) / np.max(np.abs(v)) ** 2 * np.outer(v, v.conj())
+    if n > 1 and draw(st.booleans()):  # E1 = u1 u1^dagger - PSD_EDGE u0 u0^dagger, E0 gains what E1 lost
+        floor = PSD_EDGE * np.outer(u[:, 0], u[:, 0].conj())
+        elements[0] += floor
+        elements[1] -= floor
     povm = {"elements": [matrix_obj(e) for e in elements]}
     return {"state.json": state, "povm.json": povm}, ["measure", "state.json", "povm.json"]
 
@@ -1138,3 +1145,19 @@ class TestAdmissionEdge:
     def test_every_assertion_passes(self, command, data):
         code, out, err = run_job(*data.draw(at_the_admission_edge(command)))
         assert (code, err) == (0, ""), failed_assertions(out) if out else err
+
+    @pytest.mark.parametrize("factor, code", [(0.99, 0), (1.01, 2)])
+    @pytest.mark.parametrize("operand", ["povm", "density"])
+    def test_eigenvalue_at_the_psd_floor(self, operand, factor, code):
+        # E0 = diag(1, -factor PSD_TOL) and E1 = I - E0, or rho = diag(1 + factor PSD_TOL, -factor PSD_TOL).
+        low = factor * linalg.PSD_TOL
+        if operand == "povm":
+            state = {"dims": [2], "amplitudes": [[S, 0.0], [0.0, S]]}
+            povm = {"elements": [matrix_obj(np.diag([1.0, -low])), matrix_obj(np.diag([0.0, 1.0 + low]))]}
+            message = f"error: POVM element is not Hermitian with eigenvalues above -{linalg.PSD_TOL}\n"
+        else:
+            state = matrix_obj(np.diag([1.0 + low, -low]))
+            povm = {"elements": [matrix_obj(np.diag([1.0, 0.0])), matrix_obj(np.diag([0.0, 1.0]))]}
+            message = f"error: density matrix has an eigenvalue below the PSD floor -{linalg.PSD_TOL}\n"
+        got, out, err = run_job({"state.json": state, "povm.json": povm}, ["measure", "state.json", "povm.json"])
+        assert (got, err) == (code, "" if code == 0 else message), failed_assertions(out) if out else err

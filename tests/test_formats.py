@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import matrix_obj
 from realsim import formats
 from realsim.encoding import DensityOperator, PureState
 
@@ -209,6 +210,56 @@ class TestLoadJson:
             assert len(formats.load_json(path)["entries"]) == 50000
         finally:
             gc.callbacks.remove(count)
+        assert not any(starts)
+
+    @pytest.mark.parametrize("case", ["good", "ragged", "non_finite", "mixed_dimensions"])
+    @pytest.mark.parametrize("collecting", [True, False], ids=["gc_on", "gc_off"])
+    def test_loaders_restore_the_callers_collector_state(self, tmp_path, case, collecting):
+        # A ragged or non-finite matrix raises while the collector is paused, mixed dimensions in admission after.
+        elements = [matrix_obj(np.diag([1.0, 0.0])), matrix_obj(np.diag([0.0, 1.0]))]
+        if case == "ragged":
+            elements[1]["entries"][3] = [1.0]
+        elif case == "mixed_dimensions":
+            elements[1] = matrix_obj(np.diag([0.0, 1.0, 1.0]))
+        text = json.dumps({"elements": elements})
+        if case == "non_finite":
+            text = text.replace("1.0", "1e400", 1)
+        path = tmp_path / "povm.json"
+        path.write_text(text)
+        error = {"good": None, "ragged": r"entries\[3\] must be a \[re, im\] pair", "non_finite": "must be finite",
+                 "mixed_dimensions": "share one dimension"}[case]
+        before = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            with contextlib.nullcontext() if error is None else pytest.raises(ValueError, match=error):
+                formats.load_povm(str(path))
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if before else gc.disable)()
+
+    @pytest.mark.parametrize("loader", ["load_povm", "load_state", "load_state_or_density"])
+    def test_no_collection_scans_a_parse_tree(self, tmp_path, loader):
+        # The pair lists are dropped before the collector resumes, so the first allocation after the
+        # pause does not set off a pass over them.
+        n = 128
+        obj = {"load_povm": {"elements": [matrix_obj(np.eye(n) / 2.0)] * 2},
+               "load_state": {"dims": [n * n], "amplitudes": [[1.0 / n, 0.0]] * (n * n)},
+               "load_state_or_density": matrix_obj(np.eye(n) / n)}[loader]
+        path = write(tmp_path, "big.json", obj)
+        starts = []
+
+        def count(phase, info):
+            starts.append(phase == "start")
+
+        before = gc.isenabled()
+        gc.enable()
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            getattr(formats, loader)(path)
+        finally:
+            gc.callbacks.remove(count)
+            (gc.enable if before else gc.disable)()
         assert not any(starts)
 
     def test_ordinary_integers_are_still_integers(self, tmp_path):

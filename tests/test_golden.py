@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import matrix_obj
 from realsim.cli import main
 
 S = 0.7071067811865476
@@ -23,15 +24,6 @@ def write(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
-
-
-def matrix_obj(m):
-    m = np.asarray(m, dtype=complex)
-    return {
-        "rows": m.shape[0],
-        "cols": m.shape[1],
-        "entries": [[float(z.real), float(z.imag)] for z in m.reshape(-1)],
-    }
 
 
 def seeded_state(seed, n):

@@ -152,6 +152,20 @@ class TestPredicates:
         # Hermiticity is part of the definition here, not a separate check.
         assert not linalg.is_psd(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.floats(-2.0, 8.0), st.booleans())
+    def test_is_psd_agrees_with_the_eigenvalue_floor(self, seed, n, log_gap, above):
+        # Cholesky of the shifted matrix against eigvalsh, with the smallest eigenvalue at least 1% of PSD_TOL
+        # away from -PSD_TOL, on either side: rounding at the exact boundary is all that may tell them apart.
+        rng = np.random.default_rng(seed)
+        gap = linalg.PSD_TOL * 10.0 ** log_gap
+        lam = -linalg.PSD_TOL + (gap if above else -gap) + np.concatenate([[0.0], rng.uniform(0.0, 10.0, n - 1)])
+        u = random_unitary(n, rng)
+        h = (u * lam) @ u.conj().T
+        floor_admits = float(np.linalg.eigvalsh(h).min()) >= -linalg.PSD_TOL
+        assert floor_admits is above
+        assert linalg.is_psd(h) is floor_admits
+
     def test_is_identity(self):
         assert linalg.is_identity(np.eye(3) + 1e-11)
         assert not linalg.is_identity(np.eye(3) + 1e-9)
