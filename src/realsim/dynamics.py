@@ -11,7 +11,9 @@ complex side uses its own eigendecomposition of H, so the two sides are
 computed independently and compared at every time of a grid.  Both sides
 simulate `Hamiltonian.hermitian`, the one Hermitian matrix that eigh
 reads of H.  J is never built: encoding's `apply_xz` acts on one ancilla
-axis.
+axis.  J sits on ancilla qubit 0, so with k ancilla qubits H' becomes
+H' (x) I and the propagator U(t) (x) I: the other k - 1 qubits are
+spectators, and every eigh, exponential and check here is 2n x 2n.
 The functions return what they measure and raise only on malformed
 arguments; the caller (the CLI's assertions) judges the measurements.
 """
@@ -42,13 +44,13 @@ class Hamiltonian:
     `matrix` is kept exactly as given.  Admission lets it differ from a
     Hermitian matrix by up to INPUT_TOL, and eigh reads only its lower
     triangle and the real part of its diagonal.  `hermitian` is that
-    matrix, and both sides simulate it.  The eigendecomposition of H and
-    that of each real encoding H' are computed once and kept on the
-    instance.
+    matrix, and both sides simulate it.  The eigendecompositions of H and
+    of its single-ancilla encoding H' are computed once and kept on the
+    instance; they serve every `Layout`.
     """
 
     matrix: np.ndarray
-    # None -> (w, W) of H; a Layout -> (lambda, V, J V) of its H'.
+    # "H" -> (w, W) of H; "H'" -> (lambda, V, J V) of H'.
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -77,20 +79,17 @@ class Hamiltonian:
     @property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues w and unitary eigenvectors W of H, H = W diag(w) W^dagger."""
-        if None not in self._spectra:
-            self._keep(None, np.linalg.eigh(self.hermitian))
-        return self._spectra[None]
+        return self._spectra.get("H") or self._keep("H", np.linalg.eigh(self.hermitian))
 
-    def encoded_spectrum(self, layout: Layout = SINGLE_ANCILLA) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Eigenvalues lambda, real orthogonal eigenvectors V and J V of H' = encode_operator(hermitian, layout)."""
-        if layout not in self._spectra:
-            self._keep(layout, np.linalg.eigh(encode_operator(self.hermitian, layout)))
-        return self._spectra[layout]
+    def encoded_spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Eigenvalues lambda, real orthogonal eigenvectors V and J V of H' = encode_operator(hermitian)."""
+        return self._spectra.get("H'") or self._keep("H'", np.linalg.eigh(encode_operator(self.hermitian)))
 
-    def _keep(self, key: Layout | None, eigh: tuple[np.ndarray, np.ndarray]) -> None:
-        """Cache one eigendecomposition read-only, with J V beside V for a layout."""
+    def _keep(self, key: str, eigh: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
+        """Cache one eigendecomposition read-only, with J V beside V for H', and return it."""
         w, v = eigh
-        self._spectra[key] = _read_only(w, v) if key is None else _read_only(w, v, apply_xz(v, key))
+        self._spectra[key] = _read_only(w, v) if key == "H" else _read_only(w, v, apply_xz(v, SINGLE_ANCILLA))
+        return self._spectra[key]
 
 
 @dataclass(frozen=True)
@@ -142,10 +141,10 @@ def generator(h: Hamiltonian, layout: Layout = SINGLE_ANCILLA, xz_qubit: int = 0
     return apply_xz(encode_operator(h.hermitian, layout, xz_qubit), layout, xz_qubit)
 
 
-def propagator(h: Hamiltonian, t: float, layout: Layout = SINGLE_ANCILLA, sign: int = 1) -> np.ndarray:
-    """Dense real U(t) = exp(sign t J H') = cos(t H') + sign J sin(t H') from the spectrum of H'."""
+def propagator(h: Hamiltonian, t: float, sign: int = 1) -> np.ndarray:
+    """Dense real 2n x 2n U(t) = exp(sign t J H') = cos(t H') + sign J sin(t H') from the spectrum of H'."""
     sign = _check_sign(sign)
-    lam, v, jv = h.encoded_spectrum(layout)
+    lam, v, jv = h.encoded_spectrum()
     phase = _phases(lam, float(t))
     return (v * np.cos(phase)) @ v.T + sign * (jv * np.sin(phase)) @ v.T
 
@@ -157,7 +156,8 @@ def evolve(h: Hamiltonian, t: float, psi: PureState, layout: Layout = SINGLE_ANC
     sign +1 evolves with exp(+iHt), sign -1 with exp(-iHt).  The complex
     side is W (e^{i s w t} * W^dagger psi) from the spectrum of H; the
     encoded side is V (cos(lambda t) * d) + s (J V) (sin(lambda t) * d)
-    with d = V^T psi' from the spectrum of H', in real arithmetic only.
+    with d = V^T psi' from the spectrum of H', in real arithmetic only;
+    psi' in `layout` is read as a (2n, 2^(k-1)) matrix.
     """
     sign = _check_args(h, psi, sign)
     t = float(t)
@@ -165,10 +165,10 @@ def evolve(h: Hamiltonian, t: float, psi: PureState, layout: Layout = SINGLE_ANC
     evolved = vecs @ (np.exp((1j * sign) * _phases(w, t)) * (vecs.conj().T @ psi.amplitudes))
 
     enc0 = encode_amplitudes(psi.amplitudes, psi.factor_dims, layout)
-    lam, v, jv = h.encoded_spectrum(layout)
-    d = v.T @ enc0
-    phase = _phases(lam, t)
-    out = v @ (np.cos(phase) * d) + sign * (jv @ (np.sin(phase) * d))
+    lam, v, jv = h.encoded_spectrum()
+    d = v.T @ enc0.reshape(2 * h.dim, -1)
+    phase = _phases(lam, t)[:, None]
+    out = (v @ (np.cos(phase) * d) + sign * (jv @ (np.sin(phase) * d))).ravel()
     # Measured against the input's own norm, which PureState lets differ from 1 by up to INPUT_TOL.
     drift = abs(float(np.linalg.norm(out)) - float(np.linalg.norm(enc0)))
     deviation = float(np.linalg.norm(out - encode_amplitudes(evolved, psi.factor_dims, layout)))
@@ -192,15 +192,15 @@ def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64,
 
     The grid is linspace(0, t_max, steps).  U(t_max) is built from the
     spectrum of H', checked for orthogonality, and compared with the
-    dense exponential of the generator.  H' is encoded once.  The
-    eigendecompositions of H and H' not cached yet run on one worker
-    thread, in numpy only, while this thread builds the generator from
-    the same H' and forms its dense exponential; numpy releases the GIL
-    in LAPACK and BLAS, so the two overlap.  Each call gets the operands
-    it would get in sequence, so the results are the same bits.  Errors
-    come in the sequential order: arguments, an exception of the worker,
-    phases on the grid, and only then a dense exponential that is not
-    finite.
+    dense exponential of the generator, at k = 1 whatever `layout` the
+    states use.  H' is encoded once.  The eigendecompositions of H and
+    H' not cached yet run on one worker thread, in numpy only, while
+    this thread builds the generator from the same H' and forms its
+    dense exponential; numpy releases the GIL in LAPACK and BLAS, so the
+    two overlap.  Each call gets the operands it would get in sequence,
+    so the results are the same bits.  Errors come in the sequential
+    order: arguments, an exception of the worker, phases on the grid,
+    and only then a dense exponential that is not finite.
     """
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
@@ -208,17 +208,17 @@ def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64,
     if not math.isfinite(t_max):
         raise ValueError(f"dynamics: t_max must be finite, got {t_max}")
     times = tuple(float(t) for t in np.linspace(0.0, t_max, int(steps)))
-    h_enc = encode_operator(h.hermitian, layout)
-    keys = [key for key in (None, layout) if key not in h._spectra]
+    h_enc = encode_operator(h.hermitian)
+    keys = [key for key in ("H", "H'") if key not in h._spectra]
     out = []
     worker = None
     if keys:
-        worker = threading.Thread(target=_eigh_each, args=([h.hermitian if key is None else h_enc for key in keys], out))
+        worker = threading.Thread(target=_eigh_each, args=([h.hermitian if key == "H" else h_enc for key in keys], out))
         worker.start()
     try:
         # An overflowing sign t G has a non-finite 1-norm, which matexp rejects, so numpy need not warn of it.
         with np.errstate(over="ignore", invalid="ignore"):
-            a = (sign * t_max) * apply_xz(h_enc, layout)
+            a = (sign * t_max) * apply_xz(h_enc, SINGLE_ANCILLA)
         try:
             dense = matexp(a)
         except ValueError:
@@ -232,7 +232,7 @@ def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64,
         h._keep(key, result)
 
     results = [evolve(h, t, psi, layout, sign) for t in times]
-    u = propagator(h, t_max, layout, sign)
+    u = propagator(h, t_max, sign)
     if dense is None:
         raise ValueError(f"dynamics: dense exponential of the generator is not finite at t={t_max}")
     orthogonality = float(np.max(np.abs(u.T @ u - np.eye(u.shape[0]))))

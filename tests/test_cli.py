@@ -167,6 +167,21 @@ class TestEvolve:
         assert (code, out) == (2, "")
         assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("dims", [[2] + [1] * 11, [1] * 10], ids=["k12", "k10_dimension_1"])
+    def test_many_ancilla_qubits_evolve_through_the_single_ancilla_propagator(self, capsys, tmp_path, dims):
+        # Only ancilla qubit 0 carries i, so the propagator is U_1 (x) I and no n 2^k square matrix is built:
+        # at k = 12 the Layout(12) H' alone would be 8192 x 8192, past kron's size cap.
+        n, k = int(np.prod(dims)), len(dims)
+        rng = np.random.default_rng(k)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v /= np.linalg.norm(v)
+        psi = write(tmp_path, "psi.json", {"dims": dims, "amplitudes": [[z.real, z.imag] for z in v.tolist()]})
+        ham = write(tmp_path, "ham.json", matrix_obj(random_hermitian(n, seed=k)))
+        code, out, err = run(capsys, ["evolve", ham, psi, "--steps", "5", "--k", str(k)])
+        assert (code, err) == (0, "")
+        assert not failed_assertions(out)
+        assert len(report_of(out)["results"]["final_encoded"]) == n * 2 ** k
+
     def test_report_names_the_propagator_checks(self, capsys, tmp_path, circular_state):
         ham = write(tmp_path, "ham.json", matrix_obj([[0.0, -1.0j], [1.0j, 0.0]]))
         code, out, _ = run(capsys, ["evolve", ham, circular_state, "--steps", "3"])
@@ -184,8 +199,8 @@ class TestEvolve:
         # 8e-11, while the states and the dense comparison stay within the 1e-10 default tolerance.
         spectrum = dynamics.Hamiltonian.encoded_spectrum
 
-        def perturbed(h, layout=dynamics.SINGLE_ANCILLA):
-            lam, v, jv = spectrum(h, layout)
+        def perturbed(h):
+            lam, v, jv = spectrum(h)
             return lam, v * (1.0 + 2e-11), jv * (1.0 + 2e-11)
 
         monkeypatch.setattr(dynamics.Hamiltonian, "encoded_spectrum", perturbed)
@@ -1074,7 +1089,7 @@ def at_the_admission_edge(draw, command):
     have an eigenvalue of -PSD_EDGE, the trace or completeness kept.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    dims = draw(st.sampled_from([[1], [2], [3], [4], [2, 2]]))
+    dims = draw(st.sampled_from([[1], [2], [3], [4], [2, 2], [2, 1, 2]]))
     n = int(np.prod(dims))
     scale = 1.0 + draw(st.sampled_from([-EDGE, EDGE]))
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)

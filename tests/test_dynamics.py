@@ -335,8 +335,9 @@ class TestWorkerThread:
         trajectory(h, psi, t_max=1.0, steps=4)
         trajectory(h, psi, t_max=2.0, steps=4, sign=-1)
         assert len(starts) == 1
+        # Every layout evolves through the single-ancilla H', so a Layout(2) run finds both spectra cached.
         trajectory(h, state(psi.amplitudes, (2, 2)), t_max=1.0, steps=4, layout=Layout(2))
-        assert len(starts) == 2
+        assert len(starts) == 1
 
     def test_phase_error_comes_before_the_dense_one(self):
         # Both fail for this H at t = 5: t*w overflows on the grid, and so does t*G.  The dense
@@ -389,47 +390,62 @@ class TestSpectralPropagator:
             for sign in (1, -1):
                 for _ in range(4):
                     h = Hamiltonian(random_hermitian(int(rng.integers(2, 9)), seed=int(rng.integers(2**32))))
-                    yield h, Layout(k), float(rng.uniform(-10.0, 10.0)), sign
+                    yield h, k, float(rng.uniform(-10.0, 10.0)), sign
 
     def test_matches_the_dense_exponential(self):
+        # At k > 1 the dense side exponentiates the whole Layout(k) generator, which evolve never builds:
+        # it runs every layout through U_1, and this is where U_k = U_1 (x) I is checked.
         worst = 0.0
-        for h, layout, t, sign in self.cases():
-            dense = linalg.matexp(sign * t * generator(h, layout))
-            worst = max(worst, float(np.abs(propagator(h, t, layout, sign) - dense).max()))
+        for h, k, t, sign in self.cases():
+            dense = linalg.matexp(sign * t * generator(h, Layout(k)))
+            worst = max(worst, float(np.abs(np.kron(propagator(h, t, sign), np.eye(2 ** (k - 1))) - dense).max()))
         assert worst <= 1e-12
 
     def test_real_and_orthogonal(self):
-        for h, layout, t, sign in self.cases():
-            u = propagator(h, t, layout, sign)
-            assert not np.iscomplexobj(u)
+        for h, _, t, sign in self.cases():
+            u = propagator(h, t, sign)
+            assert not np.iscomplexobj(u) and u.shape == (2 * h.dim, 2 * h.dim)
             assert np.abs(u.T @ u - np.eye(u.shape[0])).max() <= 1e-11
 
     @pytest.mark.parametrize("which", ["dense", "spectral"])
     def test_group_law(self, which):
         rng = np.random.default_rng(41)
-        for h, layout, _, sign in self.cases():
-            g = sign * generator(h, layout)
+        for h, k, _, sign in self.cases():
+            g = sign * generator(h, Layout(k))
 
             def u(t):
-                return linalg.matexp(t * g) if which == "dense" else propagator(h, t, layout, sign)
+                return linalg.matexp(t * g) if which == "dense" else propagator(h, t, sign)
 
             t1, t2 = rng.uniform(-5.0, 5.0, size=2)
             assert np.abs(u(t1) @ u(t2) - u(t1 + t2)).max() <= 1e-10
 
-    def test_spectrum_is_computed_once_per_layout(self):
+    def test_spectra_are_computed_once_for_every_layout(self):
         h = Hamiltonian(random_hermitian(4, seed=42))
         psi = state(random_state(4, seed=43), dims=(2, 2))
         assert within_tolerances(trajectory(h, psi, t_max=1.0, steps=4, layout=Layout(2)))
         assert h.spectrum is h.spectrum
-        assert h.encoded_spectrum(Layout(2)) is h.encoded_spectrum(Layout(2))
-        assert h.encoded_spectrum(Layout(1))[1].shape == (8, 8)
-        assert not any(a.flags.writeable for a in h.encoded_spectrum(Layout(2)))
+        assert h.encoded_spectrum() is h.encoded_spectrum()
+        assert h.encoded_spectrum()[1].shape == (8, 8)
+        assert not any(a.flags.writeable for a in h.spectrum + h.encoded_spectrum())
+        assert within_tolerances(trajectory(h, state(psi.amplitudes), t_max=1.0, steps=4))
+        assert len(h._spectra) == 2
 
     def test_cached_j_v_is_the_ancilla_rotation_of_v(self):
-        for h, layout, _, _ in self.cases():
-            _, v, jv = h.encoded_spectrum(layout)
-            j = np.kron(np.eye(h.dim), encoding_local_xz(layout.k, 0))
+        for h, _, _, _ in self.cases():
+            _, v, jv = h.encoded_spectrum()
+            j = np.kron(np.eye(h.dim), encoding_local_xz(1, 0))
             assert np.array_equal(jv, j @ v)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_layout_k_encoding_is_the_single_ancilla_one_times_identity(self, k):
+        # J and Im H both sit on ancilla qubit 0, so the other k - 1 qubits are spectators bit for bit:
+        # this is what lets evolve decompose and exponentiate H' at k = 1 for every layout.
+        spectators = np.eye(2 ** (k - 1))
+        for seed in range(4):
+            h = Hamiltonian(random_hermitian(2 + seed, seed=90 + 10 * k + seed))
+            assert np.array_equal(encode_operator(h.hermitian, Layout(k)),
+                                  np.kron(encode_operator(h.hermitian), spectators))
+            assert np.array_equal(generator(h, Layout(k)), np.kron(generator(h), spectators))
 
     def test_symmetric_x_in_place_of_j_fails_the_dense_check(self, monkeypatch):
         # cos(tH') + J sin(tH') equals exp(tJH') only because J^2 = -I.  With the
@@ -450,7 +466,7 @@ class TestSpectralPropagator:
         psi = state(random_state(3, seed=46))
         assert trajectory(h, psi, t_max=2.0, steps=5).orthogonality_error <= linalg.ORTHOGONALITY_TOL
         lam, v, jv = h.encoded_spectrum()
-        h._spectra[Layout(1)] = (lam, v * (1.0 + 2e-11), jv * (1.0 + 2e-11))
+        h._spectra["H'"] = (lam, v * (1.0 + 2e-11), jv * (1.0 + 2e-11))
         res = trajectory(h, psi, t_max=2.0, steps=5)
         assert not res.orthogonality_error <= linalg.ORTHOGONALITY_TOL
         assert res.max_deviation <= linalg.AGREEMENT_TOL and res.expm_error <= linalg.AGREEMENT_TOL

@@ -68,7 +68,7 @@ JOBS = {
     "evolve_k1": (["evolve", "ham_y.json", "qubit.json", "--t-max", "1.5", "--steps", "5"],
                   "ba8d56826dea3d3e287017c96536c45e863896b8afc3a9924b7a2984b680ba5f"),
     "evolve_k2": (["evolve", "ham_pair.json", "pair.json", "--t-max", "0.5", "--steps", "4", "--k", "2"],
-                  "b01f51318c36a282c574d7dce2f417d6109303805b6cecefe3b854646430cfb9"),
+                  "595e78b0d16a84a4ded884d7c1e813611e4a741d230f11c74de140e9531dcb19"),
     "measure_pure": (["measure", "qubit.json", "povm.json"],
                      "26da12a800521f05abdb6a823efbea42d42bdf32aa1ee1a682b111e7da55a96b"),
     "measure_povm_8x8": (["measure", "state_n8.json", "povm_8x8.json"],
