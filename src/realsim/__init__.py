@@ -10,10 +10,8 @@ __version__ = "0.1.0"
 
 from .dynamics import EvolutionResult, Hamiltonian, evolve, generator, propagator, trajectory
 from .encoding import (
-    SINGLE_ANCILLA,
     XZ,
     DensityOperator,
-    Layout,
     Povm,
     PureState,
     apply_kraus,

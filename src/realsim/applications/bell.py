@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..encoding import Layout, PureState, apply_lift, encode_amplitudes
+from ..encoding import PureState, apply_lift, encode_amplitudes
 from ..linalg import DEFAULT_MAX_DIM, OBSERVABLE_TOL, SEESAW_STOP_TOL, admit_family, apply_on_axis, is_hermitian
 
 MODES = ("complex", "real_encoded")
@@ -91,7 +91,7 @@ def bell_value(scenario: BellScenario, state: PureState, mode: str) -> float:
 
 
 def _value(coefficients: dict, observables, amplitudes: np.ndarray, dims: tuple[int, ...], mode: str) -> float:
-    """sum_s c_s <v| A_s |v> in `mode`, v the amplitudes or their encoding on Layout(len(dims)).
+    """sum_s c_s <v| A_s |v> in `mode`, v the amplitudes or their encoding with k = len(dims) ancilla qubits.
 
     apply(family, w, j) applies party j's whole (S_j, d_j, d_j) stack to
     the states held along w's leading axis and returns shape
@@ -104,7 +104,7 @@ def _value(coefficients: dict, observables, amplitudes: np.ndarray, dims: tuple[
     distinct head of settings they pick.
     """
     encoded = mode == "real_encoded"
-    v = encode_amplitudes(amplitudes, dims, Layout(len(dims))) if encoded else amplitudes
+    v = encode_amplitudes(amplitudes, dims, len(dims)) if encoded else amplitudes
 
     def apply(family, w, j):
         if encoded:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..encoding import Layout, PureState, apply_lift, encode_state, real_inner_product
+from ..encoding import PureState, apply_lift, encode_state, real_inner_product
 from ..linalg import apply_on_axis, is_unitary
 
 _S2 = np.sqrt(0.5)
@@ -90,7 +90,7 @@ def selftest_counterexample(t_gate: np.ndarray | None = None) -> SelfTestTranscr
         apply_on_axis(t.conj(), after_a, 1).reshape(-1),
     )
 
-    enc0 = encode_state(PureState(phi_plus, (2, 2)), Layout(2))
+    enc0 = encode_state(PureState(phi_plus, (2, 2)), 2)
     enc_a = apply_lift(t, enc0, (2, 2), 0)
     states_simulated = (enc0, enc_a, apply_lift(t.conj(), enc_a, (2, 2), 1))
 

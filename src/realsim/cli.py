@@ -21,7 +21,6 @@ from .applications.selftest import selftest_counterexample
 from .dynamics import Hamiltonian, trajectory
 from .encoding import (
     DensityOperator,
-    Layout,
     decode_state,
     encode_density,
     encode_state,
@@ -44,12 +43,11 @@ def _leq(name: str, measured, tolerance) -> dict:
 
 def cmd_encode(args):
     state = formats.load_state(args.state)
-    layout = Layout(args.k)
-    enc = encode_state(state, layout)
-    decoded = decode_state(enc, layout)
+    enc = encode_state(state, args.k)
+    decoded = decode_state(enc, args.k)
     results = {
         "source_dims": list(state.factor_dims),
-        "layout_k": layout.k,
+        "layout_k": args.k,
         "encoded_amplitudes": enc.tolist(),
     }
     assertions = [
@@ -64,7 +62,7 @@ def cmd_evolve(args):
     h = Hamiltonian(formats.load_matrix(args.hamiltonian))
     state = formats.load_state(args.state)
     sign = 1 if args.sign == "plus" else -1
-    res = trajectory(h, state, args.t_max, args.steps, Layout(args.k), sign)
+    res = trajectory(h, state, args.t_max, args.steps, args.k, sign)
     results = {
         "times": list(res.times),
         "orthogonality_error": res.orthogonality_error,

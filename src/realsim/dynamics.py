@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .encoding import SINGLE_ANCILLA, Layout, PureState, apply_xz, encode_amplitudes, encode_operator
+from .encoding import PureState, _check_factors, apply_xz, encode_amplitudes, encode_operator
 from .linalg import admit, is_hermitian, matexp
 
 
@@ -46,7 +46,7 @@ class Hamiltonian:
     triangle and the real part of its diagonal.  `hermitian` is that
     matrix, and both sides simulate it.  The eigendecompositions of H and
     of its single-ancilla encoding H' are computed once and kept on the
-    instance; they serve every `Layout`.
+    instance; they serve every ancilla count k.
     """
 
     matrix: np.ndarray
@@ -88,7 +88,7 @@ class Hamiltonian:
     def _keep(self, key: str, eigh: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
         """Cache one eigendecomposition read-only, with J V beside V for H', and return it."""
         w, v = eigh
-        self._spectra[key] = _read_only(w, v) if key == "H" else _read_only(w, v, apply_xz(v, SINGLE_ANCILLA))
+        self._spectra[key] = _read_only(w, v) if key == "H" else _read_only(w, v, apply_xz(v, 1))
         return self._spectra[key]
 
 
@@ -136,9 +136,9 @@ def _phases(w: np.ndarray, t: float) -> np.ndarray:
     return t * w
 
 
-def generator(h: Hamiltonian, layout: Layout = SINGLE_ANCILLA, xz_qubit: int = 0) -> np.ndarray:
+def generator(h: Hamiltonian, k: int = 1, xz_qubit: int = 0) -> np.ndarray:
     """Real antisymmetric generator J H' of the encoded evolution, H' the encoding of h.hermitian."""
-    return apply_xz(encode_operator(h.hermitian, layout, xz_qubit), layout, xz_qubit)
+    return apply_xz(encode_operator(h.hermitian, k, xz_qubit), k, xz_qubit)
 
 
 def propagator(h: Hamiltonian, t: float, sign: int = 1) -> np.ndarray:
@@ -149,29 +149,28 @@ def propagator(h: Hamiltonian, t: float, sign: int = 1) -> np.ndarray:
     return (v * np.cos(phase)) @ v.T + sign * (jv * np.sin(phase)) @ v.T
 
 
-def evolve(h: Hamiltonian, t: float, psi: PureState, layout: Layout = SINGLE_ANCILLA,
-           sign: int = 1) -> EvolutionResult:
+def evolve(h: Hamiltonian, t: float, psi: PureState, k: int = 1, sign: int = 1) -> EvolutionResult:
     """Evolve one time step on both sides and compare.
 
     sign +1 evolves with exp(+iHt), sign -1 with exp(-iHt).  The complex
     side is W (e^{i s w t} * W^dagger psi) from the spectrum of H; the
     encoded side is V (cos(lambda t) * d) + s (J V) (sin(lambda t) * d)
     with d = V^T psi' from the spectrum of H', in real arithmetic only;
-    psi' in `layout` is read as a (2n, 2^(k-1)) matrix.
+    psi' with k ancilla qubits is read as a (2n, 2^(k-1)) matrix.
     """
     sign = _check_args(h, psi, sign)
     t = float(t)
     w, vecs = h.spectrum
     evolved = vecs @ (np.exp((1j * sign) * _phases(w, t)) * (vecs.conj().T @ psi.amplitudes))
 
-    enc0 = encode_amplitudes(psi.amplitudes, psi.factor_dims, layout)
+    enc0 = encode_amplitudes(psi.amplitudes, psi.factor_dims, k)
     lam, v, jv = h.encoded_spectrum()
     d = v.T @ enc0.reshape(2 * h.dim, -1)
     phase = _phases(lam, t)[:, None]
     out = (v @ (np.cos(phase) * d) + sign * (jv @ (np.sin(phase) * d))).ravel()
     # Measured against the input's own norm, which PureState lets differ from 1 by up to INPUT_TOL.
     drift = abs(float(np.linalg.norm(out)) - float(np.linalg.norm(enc0)))
-    deviation = float(np.linalg.norm(out - encode_amplitudes(evolved, psi.factor_dims, layout)))
+    deviation = float(np.linalg.norm(out - encode_amplitudes(evolved, psi.factor_dims, k)))
     return EvolutionResult((t,), *_read_only(evolved[None], out[None]), drift, deviation)
 
 
@@ -186,22 +185,24 @@ def _eigh_each(mats: list[np.ndarray], out: list) -> None:
         out.append(exc)
 
 
-def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64,
-               layout: Layout = SINGLE_ANCILLA, sign: int = 1) -> EvolutionResult:
+def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64, k: int = 1,
+               sign: int = 1) -> EvolutionResult:
     """Evolve on a uniform time grid, one `evolve` per point, and check the propagator once.
 
     The grid is linspace(0, t_max, steps).  U(t_max) is built from the
     spectrum of H', checked for orthogonality, and compared with the
-    dense exponential of the generator, at k = 1 whatever `layout` the
-    states use.  H' is encoded once.  The eigendecompositions of H and
+    dense exponential of the generator, at k = 1 whatever k the states
+    use.  H' is encoded once.  The eigendecompositions of H and
     H' not cached yet run on one worker thread, in numpy only, while
     this thread builds the generator from the same H' and forms its
     dense exponential; numpy releases the GIL in LAPACK and BLAS, so the
     two overlap.  Each call gets the operands it would get in sequence,
     so the results are the same bits.  Errors come in the sequential
-    order: arguments, an exception of the worker, phases on the grid,
-    and only then a dense exponential that is not finite.
+    order: arguments (k and the state's factors first), an exception of
+    the worker, phases on the grid, and only then a dense exponential
+    that is not finite.
     """
+    _check_factors(psi.factor_dims, k)
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
     sign, t_max = _check_args(h, psi, sign), float(t_max)
@@ -218,7 +219,7 @@ def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64,
     try:
         # An overflowing sign t G has a non-finite 1-norm, which matexp rejects, so numpy need not warn of it.
         with np.errstate(over="ignore", invalid="ignore"):
-            a = (sign * t_max) * apply_xz(h_enc, SINGLE_ANCILLA)
+            a = (sign * t_max) * apply_xz(h_enc, 1)
         try:
             dense = matexp(a)
         except ValueError:
@@ -231,7 +232,7 @@ def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64,
             raise result
         h._keep(key, result)
 
-    results = [evolve(h, t, psi, layout, sign) for t in times]
+    results = [evolve(h, t, psi, k, sign) for t in times]
     u = propagator(h, t_max, sign)
     if dense is None:
         raise ValueError(f"dynamics: dense exponential of the generator is not finite at t={t_max}")

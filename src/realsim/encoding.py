@@ -9,17 +9,18 @@ XZ = [[0, -1], [1, 0]] is the quarter-turn rotation standing in for
 multiplication by i; the map is an algebra homomorphism, and encoded
 inner products recover the real part of the complex ones.
 
-`Layout(k)` spreads the ancilla over k qubits, one per party: a rides
-with the logical |0_L> and b with |1_L> of a two-dimensional codespace,
-and XZ on any one of the k qubits acts as the logical i.  k = 1 is the
-single ancilla described above.  `apply_lift` applies one party's
-operator to an encoded vector without building its encoding.
+The one encoding parameter is the ancilla count k, 1 to 12: k qubits,
+one per party, carry the ancilla.  a rides with the logical |0_L> and b
+with |1_L> of a two-dimensional codespace, and XZ on any one of the k
+qubits acts as the logical i.  k = 1 is the single ancilla described
+above.  `apply_lift` applies one party's operator to an encoded vector
+without building its encoding.
 
 The containers (`PureState`, `DensityOperator`, `Povm`) admit input that
 arrives from outside the library, once.  Everything computed from them,
 encoded states and operators included, is a plain float64 array that no
 container admits again; a function that reads an encoded state takes
-its `Layout` as an argument.
+its k as an argument.
 """
 
 from __future__ import annotations
@@ -38,27 +39,20 @@ _Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 _Z.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class Layout:
-    """Ancilla arrangement: k ancilla qubits appended after the system.
-
-    k = 1 is the plain single-ancilla encoding.  For k > 1 the ancillas
-    carry the two-dimensional logical codespace of `logical_states`, one
-    qubit per party.
-    """
-
-    k: int = 1
-
-    def __post_init__(self):
-        if not 1 <= self.k <= 12:
-            raise ValueError(f"ancilla count k={self.k} out of range [1, 12]")
-
-    @property
-    def ancilla_dim(self) -> int:
-        return 2 ** self.k
+def _ancilla_dim(k: int, qubit: int = 0) -> int:
+    """2^k, the dimension of k ancilla qubits; rejects a k outside [1, 12], then a qubit outside [0, k)."""
+    if not 1 <= k <= 12:
+        raise ValueError(f"ancilla count k={k} out of range [1, 12]")
+    if not 0 <= qubit < k:
+        raise ValueError(f"qubit index {qubit} out of range for k={k}")
+    return 2 ** k
 
 
-SINGLE_ANCILLA = Layout(1)
+def _check_factors(factor_dims: tuple[int, ...], k: int) -> None:
+    """Reject a k outside [1, 12], then a state without one tensor factor per party when k > 1."""
+    _ancilla_dim(k)
+    if k > 1 and len(factor_dims) != k:
+        raise ValueError(f"state has {len(factor_dims)} factors, expected one per party with k={k}")
 
 
 @functools.cache  # the basis of each k never changes, and the array is read-only
@@ -70,7 +64,7 @@ def logical_states(k: int) -> np.ndarray:
     odd-weight bitstrings with amplitude (-1)^((h-1)/2) / sqrt(2^(k-1)).
     For k = 1 the rows are |0> and |1>, the single-ancilla encoding.
     """
-    dim = Layout(k).ancilla_dim
+    dim = _ancilla_dim(k)
     amp = 1.0 / np.sqrt(2.0 ** (k - 1))
     basis = np.zeros((2, dim))
     for y in range(dim):
@@ -88,9 +82,7 @@ def local_xz(k: int, qubit: int) -> np.ndarray:
     so the matrix is the identity with that qubit's bit flipped in the row
     index and a minus sign on the columns where the bit is set.
     """
-    dim = Layout(k).ancilla_dim
-    if not 0 <= qubit < k:
-        raise ValueError(f"qubit index {qubit} out of range for k={k}")
+    dim = _ancilla_dim(k, qubit)
     y = np.arange(dim)
     bit = dim >> (qubit + 1)
     return np.eye(dim)[y ^ bit] * np.where(y & bit, -1.0, 1.0)
@@ -167,36 +159,36 @@ class Povm:
         return self.elements.shape[1]
 
 
-def encode_amplitudes(amplitudes: np.ndarray, factor_dims: tuple[int, ...], layout: Layout = SINGLE_ANCILLA):
+def encode_amplitudes(amplitudes: np.ndarray, factor_dims: tuple[int, ...], k: int = 1):
     """Map sum (a_x + i b_x)|x> to sum a_x |x>|0_L> + b_x |x>|1_L>, as a read-only real array.
 
     With k > 1 ancilla qubits the state must expose one tensor factor per
     party; the single ancilla serves any factorization.
     """
-    if layout.k > 1 and len(factor_dims) != layout.k:
-        raise ValueError(f"state has {len(factor_dims)} factors, expected one per party with k={layout.k}")
-    zero, one = logical_states(layout.k)
+    _check_factors(factor_dims, k)
+    zero, one = logical_states(k)
     enc = (amplitudes.real[:, None] * zero + amplitudes.imag[:, None] * one).ravel()
     enc.setflags(write=False)
     return enc
 
 
-def encode_state(psi: PureState, layout: Layout = SINGLE_ANCILLA) -> np.ndarray:
+def encode_state(psi: PureState, k: int = 1) -> np.ndarray:
     """`encode_amplitudes` of a pure state: n 2^k real amplitudes."""
-    return encode_amplitudes(psi.amplitudes, psi.factor_dims, layout)
+    return encode_amplitudes(psi.amplitudes, psi.factor_dims, k)
 
 
-def decode_state(enc: np.ndarray, layout: Layout) -> np.ndarray:
-    """Read the complex amplitudes back out of a state encoded in `layout`."""
+def decode_state(enc: np.ndarray, k: int) -> np.ndarray:
+    """Read the complex amplitudes back out of a state encoded with k ancilla qubits."""
+    dim = _ancilla_dim(k)
     enc = np.asarray(enc)
-    if enc.ndim != 1 or enc.size == 0 or enc.size % layout.ancilla_dim:
-        raise ValueError(f"encoded state shape {enc.shape} does not fit k={layout.k}")
-    pairs = enc.reshape(-1, layout.ancilla_dim)
-    zero, one = logical_states(layout.k)
+    if enc.ndim != 1 or enc.size == 0 or enc.size % dim:
+        raise ValueError(f"encoded state shape {enc.shape} does not fit k={k}")
+    pairs = enc.reshape(-1, dim)
+    zero, one = logical_states(k)
     return pairs @ zero + 1j * (pairs @ one)
 
 
-def encode_operator(m, layout: Layout = SINGLE_ANCILLA, xz_qubit: int = 0) -> np.ndarray:
+def encode_operator(m, k: int = 1, xz_qubit: int = 0) -> np.ndarray:
     """Per-entry substitution a + i b -> a*I + b*(XZ on ancilla qubit xz_qubit).
 
     Returns the real (n 2^k, n 2^k) matrix.  It is an algebra homomorphism
@@ -205,24 +197,24 @@ def encode_operator(m, layout: Layout = SINGLE_ANCILLA, xz_qubit: int = 0) -> np
     designated qubit carries the whole imaginary part.
     """
     m = admit(m, "encode_operator input", square=True)
-    return kron(m.real, np.eye(layout.ancilla_dim)) + kron(m.imag, local_xz(layout.k, xz_qubit))
+    return kron(m.real, np.eye(_ancilla_dim(k))) + kron(m.imag, local_xz(k, xz_qubit))
 
 
-def apply_xz(x: np.ndarray, layout: Layout, qubit: int = 0) -> np.ndarray:
+def apply_xz(x: np.ndarray, k: int, qubit: int = 0) -> np.ndarray:
     """J applied to each column of the matrix x.
 
-    J is the identity on the system times XZ on ancilla qubit `qubit`
-    (qubit 0 the most significant); it acts on that qubit's axis of x
+    J is the identity on the system times XZ on ancilla qubit `qubit` of
+    the k (qubit 0 the most significant); it acts on that qubit's axis of x
     reshaped to (rest, 2, 2^(k-1-qubit), columns) and is never built.
     """
-    t = x.reshape(-1, 2, layout.ancilla_dim >> (qubit + 1), x.shape[1])
+    t = x.reshape(-1, 2, _ancilla_dim(k, qubit) >> (qubit + 1), x.shape[1])
     return apply_on_axis(XZ, t, 1).reshape(x.shape)
 
 
 def apply_lift(m, x: np.ndarray, dims: tuple[int, ...], party: int) -> np.ndarray:
     """Apply the lift Re m (x) I + Im m (x) XZ_party of one party's operator.
 
-    x holds states encoded with Layout(len(dims)) along its leading axis:
+    x holds states encoded with k = len(dims) along its leading axis:
     one vector, or the columns of a matrix.  It is read as its
     (d_0, ..., d_{n-1}, 2, ..., 2) tensor; m acts on the party's system
     axis and XZ on the party's ancilla qubit, so the lift touches nothing
@@ -278,22 +270,25 @@ def povm_probabilities(state, povm: Povm) -> np.ndarray:
     return np.array([float(np.trace(e @ state.matrix).real) for e in povm.elements])
 
 
-def encoded_povm_probabilities(encoded, povm: Povm, layout: Layout = SINGLE_ANCILLA) -> np.ndarray:
+def encoded_povm_probabilities(encoded, povm: Povm, k: int = 1) -> np.ndarray:
     """Outcome distribution computed entirely on the encoded side.
 
-    encoded is a real state vector encoded in `layout`, or a real encoded
-    density matrix as produced by encode_density.  Each element E acts
-    through apply_lift, so its encoding E' is never built: v.(E'v) for a
-    state, Tr(E' rho') over the columns of rho' for a density matrix.
+    encoded is a real state vector encoded with k ancilla qubits, or a
+    real encoded density matrix as produced by encode_density, which has
+    k = 1.  Each element E acts through apply_lift, so its encoding E' is
+    never built: v.(E'v) for a state, Tr(E' rho') over the columns of
+    rho' for a density matrix.
     """
-    d = povm.dim
+    d, dim = povm.dim, _ancilla_dim(k)
     enc = admit(encoded, "encoded state", float)
     if enc.ndim == 1:
-        if enc.shape != (d * layout.ancilla_dim,):
-            raise ValueError(f"encoded state shape {enc.shape} does not match POVM dimension {d} with k={layout.k}")
+        if enc.shape != (d * dim,):
+            raise ValueError(f"encoded state shape {enc.shape} does not match POVM dimension {d} with k={k}")
         # Ancilla qubits past the first carry no imaginary part: the lift is the identity on them.
         lifted = apply_lift(povm.elements, enc.reshape(2 * d, -1), (d,), 0)
         return lifted.reshape(len(povm.elements), -1) @ enc
+    if k != 1:
+        raise ValueError(f"an encoded density matrix has a single ancilla qubit, got k={k}")
     if enc.shape != (2 * d, 2 * d):
         raise ValueError(f"encoded density shape {enc.shape} does not match POVM dimension {d}")
     return np.trace(apply_lift(povm.elements, enc, (d,), 0), axis1=1, axis2=2)

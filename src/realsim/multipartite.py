@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import Layout, apply_xz, local_xz, logical_states
+from .encoding import apply_xz, local_xz, logical_states
 from .linalg import RANK_TOL
 
 
@@ -37,11 +37,11 @@ def stabilizer_check(k: int) -> StabilizerReport:
     """
     if not 2 <= k <= 6:
         raise ValueError(f"k={k} out of range [2, 6]")
-    basis, layout = logical_states(k).T, Layout(k)
+    basis = logical_states(k).T
     worst = 0.0
     for j in range(k):
         for l in range(j + 1, k):
-            g_basis = -apply_xz(apply_xz(basis, layout, l), layout, j)
+            g_basis = -apply_xz(apply_xz(basis, k, l), k, j)
             worst = max(worst, float(np.max(np.linalg.norm(g_basis - basis, axis=0))))
     generators = [-(local_xz(k, 0) @ local_xz(k, j)) for j in range(1, k)]
     stacked = np.vstack([g - np.eye(2 ** k) for g in generators])

@@ -23,7 +23,6 @@ from realsim.applications.bell import (
 from realsim.applications.selftest import selftest_counterexample
 from realsim.encoding import (
     DensityOperator,
-    Layout,
     PureState,
     encode_density,
     encode_operator,
@@ -188,7 +187,7 @@ def test_local_operations_preserve_joint_statistics():
             phi = psi
             for party, u in enumerate(unitaries):
                 phi = embed_complex(u, dims, party) @ phi
-            v = encode_state(PureState(psi, dims), Layout(parties))
+            v = encode_state(PureState(psi, dims), parties)
             for party, u in enumerate(unitaries):
                 v = apply_lift(u, v, dims, party)
 

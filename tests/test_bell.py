@@ -18,7 +18,7 @@ from realsim.applications.bell import (
     optimize_bell,
     phi_plus_state,
 )
-from realsim.encoding import Layout, PureState, apply_lift, encode_state
+from realsim.encoding import PureState, apply_lift, encode_state
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -196,7 +196,7 @@ class TestStackedBellValue:
         scenario = self.CASES[name]()
         dims = scenario.party_dims
         state = PureState(helpers.random_state(int(np.prod(dims)), seed=7), dims)
-        encoded = encode_state(state, Layout(scenario.parties))
+        encoded = encode_state(state, scenario.parties)
         args = (scenario.coefficients, scenario.observables, dims)
         want_complex = helpers.bell_value_by_terms(*args, state.amplitudes)
         want_encoded = helpers.bell_value_by_terms(*args, encoded, encoded=True)

@@ -170,7 +170,7 @@ class TestEvolve:
     @pytest.mark.parametrize("dims", [[2] + [1] * 11, [1] * 10], ids=["k12", "k10_dimension_1"])
     def test_many_ancilla_qubits_evolve_through_the_single_ancilla_propagator(self, capsys, tmp_path, dims):
         # Only ancilla qubit 0 carries i, so the propagator is U_1 (x) I and no n 2^k square matrix is built:
-        # at k = 12 the Layout(12) H' alone would be 8192 x 8192, past kron's size cap.
+        # at k = 12 the k-qubit H' alone would be 8192 x 8192, past kron's size cap.
         n, k = int(np.prod(dims)), len(dims)
         rng = np.random.default_rng(k)
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -700,12 +700,12 @@ class TestAssertionFaults:
             monkeypatch.setattr(module, name, fault)
 
     def test_out_of_codespace_leak_breaks_only_norm_preservation(self, capsys, tmp_path, monkeypatch):
-        # 5e-6 on |x=0>|00> and on |x=0>|11> is orthogonal to the Layout(2) codespace: the norm
+        # 5e-6 on |x=0>|00> and on |x=0>|11> is orthogonal to the k = 2 codespace: the norm
         # grows by 2.5e-11, which decoding projects away.
         exact = encoding.encode_state
 
-        def leaky(psi, layout=encoding.SINGLE_ANCILLA):
-            amps = exact(psi, layout).copy()
+        def leaky(psi, k=1):
+            amps = exact(psi, k).copy()
             amps[[0, 3]] += 5e-6
             return amps
 
@@ -719,8 +719,8 @@ class TestAssertionFaults:
         # Writing -b on the ancilla's |1> encodes conj(psi): same norm, wrong decoding.
         exact = encoding.encode_state
 
-        def conjugating(psi, layout=encoding.SINGLE_ANCILLA):
-            return exact(psi, layout) * np.tile([1.0, -1.0], psi.dim)
+        def conjugating(psi, k=1):
+            return exact(psi, k) * np.tile([1.0, -1.0], psi.dim)
 
         self.patch(monkeypatch, "encode_state", conjugating)
         code, out, _ = run(capsys, ["encode", circular_state])

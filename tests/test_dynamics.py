@@ -18,7 +18,6 @@ from realsim.dynamics import (
     trajectory,
 )
 from realsim.encoding import (
-    Layout,
     Povm,
     PureState,
     encode_operator,
@@ -114,7 +113,7 @@ class TestGenerator:
 
     def test_logical_layout_also_antisymmetric(self):
         h = Hamiltonian(random_hermitian(4, seed=9))
-        g = generator(h, layout=Layout(2))
+        g = generator(h, k=2)
         assert np.abs(g + g.T).max() <= 1e-12
 
     def test_ancilla_rotation_commutes(self):
@@ -125,7 +124,7 @@ class TestGenerator:
             for q in range(k):
                 j = np.kron(np.eye(6), encoding_local_xz(k, q))
                 for xz_qubit in range(k):
-                    h_enc = encode_operator(h, Layout(k), xz_qubit)
+                    h_enc = encode_operator(h, k, xz_qubit)
                     assert np.abs(j @ h_enc - h_enc @ j).max() == 0.0
 
     def test_wrong_ancilla_action_does_not_commute(self):
@@ -141,8 +140,8 @@ class TestGenerator:
         h = Hamiltonian(random_hermitian(3, seed=12 + k))
         for q in range(k):
             dense_j = np.kron(np.eye(3), encoding_local_xz(k, q))
-            dense = dense_j @ encode_operator(h.matrix, Layout(k), q)
-            assert np.abs(generator(h, Layout(k), q) - dense).max() == 0.0
+            dense = dense_j @ encode_operator(h.matrix, k, q)
+            assert np.abs(generator(h, k, q) - dense).max() == 0.0
 
 
 class TestEvolve:
@@ -218,7 +217,7 @@ class TestTrajectory:
     def test_two_party_logical_layout(self):
         h = Hamiltonian(np.kron(Z, Z))
         psi = state(random_state(4, seed=30), dims=(2, 2))
-        res = trajectory(h, psi, t_max=4.0, steps=17, layout=Layout(2))
+        res = trajectory(h, psi, t_max=4.0, steps=17, k=2)
         assert res.orthogonality_error <= 1e-11
         assert res.max_deviation <= 1e-10
         assert res.expm_error <= 1e-10
@@ -253,6 +252,19 @@ class TestTrajectory:
         with pytest.raises(ValueError, match=r"^dynamics: dense exponential of the generator is not finite at t=1\.0$"):
             trajectory(h, state([S, 1j * S]), t_max=1.0, steps=3)
 
+    @pytest.mark.parametrize("k, message", [(2, r"^state has 1 factors, expected one per party with k=2$"),
+                                            (13, r"^ancilla count k=13 out of range \[1, 12\]$")])
+    def test_state_that_does_not_fit_k_is_rejected_before_any_work(self, monkeypatch, k, message):
+        def ran(*args):
+            raise AssertionError("trajectory started work on a state that does not fit k")
+
+        monkeypatch.setattr(np.linalg, "eigh", ran)
+        monkeypatch.setattr(dynamics, "matexp", ran)
+        h = Hamiltonian(random_hermitian(8, seed=36))
+        with pytest.raises(ValueError, match=message):
+            trajectory(h, state(random_state(8, seed=37), (8,)), t_max=1.0, steps=4, k=k)
+        assert h._spectra == {}
+
     def test_too_few_steps_rejected(self):
         with pytest.raises(ValueError):
             trajectory(Hamiltonian(np.eye(2)), state([1.0, 0.0]), t_max=1.0, steps=1)
@@ -269,7 +281,7 @@ class TestWorkerThread:
     @staticmethod
     def case(k=1, seed=70):
         dims = (2, 2) if k == 2 else (4,)
-        return Hamiltonian(random_hermitian(4, seed=seed)), state(random_state(4, seed=seed + 1), dims), Layout(k)
+        return Hamiltonian(random_hermitian(4, seed=seed)), state(random_state(4, seed=seed + 1), dims), k
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_worker_runs_no_realsim_function(self, k):
@@ -283,10 +295,10 @@ class TestWorkerThread:
             if event == "call" and threading.get_ident() != main:
                 calls.append((frame.f_code, frame.f_back.f_code if frame.f_back else None))
 
-        h, psi, layout = self.case(k)
+        h, psi, k = self.case(k)
         threading.setprofile(profile)
         try:
-            res = trajectory(h, psi, t_max=1.0, steps=4, layout=layout)
+            res = trajectory(h, psi, t_max=1.0, steps=4, k=k)
         finally:
             threading.setprofile(None)
         assert within_tolerances(res)
@@ -335,8 +347,8 @@ class TestWorkerThread:
         trajectory(h, psi, t_max=1.0, steps=4)
         trajectory(h, psi, t_max=2.0, steps=4, sign=-1)
         assert len(starts) == 1
-        # Every layout evolves through the single-ancilla H', so a Layout(2) run finds both spectra cached.
-        trajectory(h, state(psi.amplitudes, (2, 2)), t_max=1.0, steps=4, layout=Layout(2))
+        # Every layout evolves through the single-ancilla H', so a k = 2 run finds both spectra cached.
+        trajectory(h, state(psi.amplitudes, (2, 2)), t_max=1.0, steps=4, k=2)
         assert len(starts) == 1
 
     def test_phase_error_comes_before_the_dense_one(self):
@@ -357,13 +369,13 @@ class TestArrayResults:
         n = int(np.prod(dims))
         h = Hamiltonian(random_hermitian(n, seed=50 + k))
         psi = state(random_state(n, seed=60 + k), dims)
-        res = trajectory(h, psi, t_max=1.5, steps=7, layout=Layout(k), sign=-1)
+        res = trajectory(h, psi, t_max=1.5, steps=7, k=k, sign=-1)
         assert res.complex_states.dtype == np.complex128 and res.encoded_states.dtype == np.float64
         assert res.complex_states.shape == (7, n) and res.encoded_states.shape == (7, n * 2 ** k)
         assert not res.complex_states.flags.writeable and not res.encoded_states.flags.writeable
         if k <= 2:
             for i, t in enumerate(res.times):
-                one = evolve(h, t, psi, Layout(k), sign=-1)
+                one = evolve(h, t, psi, k, sign=-1)
                 assert one.complex_states.shape == (1, n) and one.encoded_states.shape == (1, n * 2 ** k)
                 assert (res.complex_states[i] == one.complex_states[0]).all()
                 assert (res.encoded_states[i] == one.encoded_states[0]).all()
@@ -375,7 +387,7 @@ class TestArrayResults:
         for seed in (6, 7, 8):
             amps = random_state(8, seed=seed) * (1.0 + linalg.INPUT_TOL - 2e-16)
             res = trajectory(Hamiltonian(random_hermitian(8, seed=1000 + seed)), state(amps, dims),
-                             t_max=1.0, steps=16, layout=Layout(k))
+                             t_max=1.0, steps=16, k=k)
             assert within_tolerances(res)
 
 
@@ -393,11 +405,11 @@ class TestSpectralPropagator:
                     yield h, k, float(rng.uniform(-10.0, 10.0)), sign
 
     def test_matches_the_dense_exponential(self):
-        # At k > 1 the dense side exponentiates the whole Layout(k) generator, which evolve never builds:
+        # At k > 1 the dense side exponentiates the whole k-qubit generator, which evolve never builds:
         # it runs every layout through U_1, and this is where U_k = U_1 (x) I is checked.
         worst = 0.0
         for h, k, t, sign in self.cases():
-            dense = linalg.matexp(sign * t * generator(h, Layout(k)))
+            dense = linalg.matexp(sign * t * generator(h, k))
             worst = max(worst, float(np.abs(np.kron(propagator(h, t, sign), np.eye(2 ** (k - 1))) - dense).max()))
         assert worst <= 1e-12
 
@@ -411,7 +423,7 @@ class TestSpectralPropagator:
     def test_group_law(self, which):
         rng = np.random.default_rng(41)
         for h, k, _, sign in self.cases():
-            g = sign * generator(h, Layout(k))
+            g = sign * generator(h, k)
 
             def u(t):
                 return linalg.matexp(t * g) if which == "dense" else propagator(h, t, sign)
@@ -422,7 +434,7 @@ class TestSpectralPropagator:
     def test_spectra_are_computed_once_for_every_layout(self):
         h = Hamiltonian(random_hermitian(4, seed=42))
         psi = state(random_state(4, seed=43), dims=(2, 2))
-        assert within_tolerances(trajectory(h, psi, t_max=1.0, steps=4, layout=Layout(2)))
+        assert within_tolerances(trajectory(h, psi, t_max=1.0, steps=4, k=2))
         assert h.spectrum is h.spectrum
         assert h.encoded_spectrum() is h.encoded_spectrum()
         assert h.encoded_spectrum()[1].shape == (8, 8)
@@ -443,9 +455,9 @@ class TestSpectralPropagator:
         spectators = np.eye(2 ** (k - 1))
         for seed in range(4):
             h = Hamiltonian(random_hermitian(2 + seed, seed=90 + 10 * k + seed))
-            assert np.array_equal(encode_operator(h.hermitian, Layout(k)),
+            assert np.array_equal(encode_operator(h.hermitian, k),
                                   np.kron(encode_operator(h.hermitian), spectators))
-            assert np.array_equal(generator(h, Layout(k)), np.kron(generator(h), spectators))
+            assert np.array_equal(generator(h, k), np.kron(generator(h), spectators))
 
     def test_symmetric_x_in_place_of_j_fails_the_dense_check(self, monkeypatch):
         # cos(tH') + J sin(tH') equals exp(tJH') only because J^2 = -I.  With the

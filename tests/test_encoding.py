@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from helpers import block_encode, interleave, random_density, random_povm, random_state, random_unitary
 from realsim import encoding, linalg
 from realsim.applications.bell import BellScenario
-from realsim.dynamics import Hamiltonian
+from realsim.dynamics import Hamiltonian, evolve, generator, trajectory
 from realsim.encoding import (
     DensityOperator,
-    Layout,
     Povm,
     PureState,
+    apply_xz,
     conjugation_operator,
     decode_state,
     encode_antiunitary,
@@ -25,6 +25,7 @@ from realsim.encoding import (
     encode_state,
     encoded_povm_probabilities,
     gauge_orbit,
+    local_xz,
     logical_states,
     povm_probabilities,
     real_inner_product,
@@ -58,6 +59,26 @@ class TestBuildingBlocks:
         assert encoding.XZ[0, 0] == 0.0
 
 
+class TestAncillaCount:
+    @pytest.mark.parametrize("k", [0, -3, 13])
+    @pytest.mark.parametrize("call", [
+        lambda k: logical_states(k),
+        lambda k: local_xz(k, 0),
+        lambda k: encode_state(state([S, S * 1j]), k),
+        lambda k: decode_state(np.zeros(4), k),
+        lambda k: encode_operator(np.eye(2), k),
+        lambda k: apply_xz(np.zeros((4, 1)), k),
+        lambda k: encoded_povm_probabilities(np.array([1.0, 0.0, 0.0, 0.0]), Povm((np.eye(2),)), k),
+        lambda k: generator(Hamiltonian(np.eye(2)), k),
+        lambda k: evolve(Hamiltonian(np.eye(2)), 1.0, state([1.0, 0.0]), k),
+        lambda k: trajectory(Hamiltonian(np.eye(2)), state([1.0, 0.0]), 1.0, 4, k),
+    ], ids=["logical_states", "local_xz", "encode_state", "decode_state", "encode_operator", "apply_xz",
+            "encoded_povm_probabilities", "generator", "evolve", "trajectory"])
+    def test_k_outside_1_to_12_is_rejected(self, call, k):
+        with pytest.raises(ValueError, match=rf"^ancilla count k={k} out of range \[1, 12\]$"):
+            call(k)
+
+
 class TestPureState:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="never renormalized"):
@@ -73,7 +94,7 @@ class TestPureState:
 
     @pytest.mark.parametrize("dims", [(-2, -2), (-1, -4)])
     def test_rejects_factor_dims_below_one(self, dims):
-        # Their product is the dimension, so only this check stops them; Layout(2) would then encode 16 amplitudes.
+        # Their product is the dimension, so only this check stops them; k = 2 would then encode 16 amplitudes.
         with pytest.raises(ValueError, match=r"must all be at least 1$"):
             PureState(np.ones(4) / 2, dims)
 
@@ -96,7 +117,7 @@ class TestEncodeState:
 
     def test_round_trip(self):
         psi = random_state(6, seed=5)
-        back = decode_state(encode_state(state(psi)), Layout(1))
+        back = decode_state(encode_state(state(psi)), 1)
         assert np.allclose(back, psi, atol=1e-14)
 
     def test_output_is_read_only(self):
@@ -116,7 +137,7 @@ class TestEncodeState:
         for parts in itertools.product(one_part_nonzero(0.6), one_part_nonzero(0.8),
                                        itertools.product((0.0, -0.0), repeat=2)):
             amps = np.array([complex(*p) for p in parts])
-            enc = encode_state(state(amps, (3,) + (1,) * (k - 1)), Layout(k))
+            enc = encode_state(state(amps, (3,) + (1,) * (k - 1)), k)
             ref = (np.outer(amps.real, zero) + np.outer(amps.imag, one)).ravel()
             assert np.array_equal(enc.view(np.uint64), ref.view(np.uint64))
 
@@ -193,7 +214,7 @@ class TestEncodeOperator:
         u = random_unitary(n, seed=15)
         single = [encode_density(DensityOperator(random_density(n, seed=16))), conjugation_operator(n),
                   encode_antiunitary(u), *encode_kraus([u])]
-        layouts = [encode_operator(u, Layout(k), q) for k in (1, 2, 3) for q in range(k)]
+        layouts = [encode_operator(u, k, q) for k in (1, 2, 3) for q in range(k)]
         for out in single + layouts:
             assert type(out) is np.ndarray and out.dtype == np.float64
         assert all(out.shape == (2 * n, 2 * n) for out in single)
@@ -315,9 +336,9 @@ class TestMeasurement:
     def test_multi_qubit_layout_statistics_match_the_dense_encoding(self):
         psi = PureState(random_state(6, seed=56), factor_dims=(2, 3))
         povm = Povm(tuple(random_povm(6, 3, seed=57)))
-        enc = encode_state(psi, Layout(2))
-        dense = np.array([enc @ encode_operator(e, Layout(2)) @ enc for e in povm.elements])
-        encoded = encoded_povm_probabilities(enc, povm, Layout(2))
+        enc = encode_state(psi, 2)
+        dense = np.array([enc @ encode_operator(e, 2) @ enc for e in povm.elements])
+        encoded = encoded_povm_probabilities(enc, povm, 2)
         assert np.abs(encoded - dense).max() <= linalg.EXACT_TOL
         assert np.abs(encoded - povm_probabilities(psi, povm)).max() <= 1e-12
 
@@ -331,6 +352,15 @@ class TestMeasurement:
             Povm((np.eye(2, dtype=complex), np.eye(2, dtype=complex)))
         with pytest.raises(ValueError):
             Povm((np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex),))
+
+    def test_encoded_density_rejects_more_than_one_ancilla_qubit(self):
+        # encode_density is single-ancilla only, so any other k would misread the matrix.
+        rho = encode_density(DensityOperator(np.eye(2) / 2))
+        povm = Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+        assert np.array_equal(encoded_povm_probabilities(rho, povm, 1), [0.5, 0.5])
+        for k in (2, 5):
+            with pytest.raises(ValueError, match=rf"single ancilla qubit, got k={k}$"):
+                encoded_povm_probabilities(rho, povm, k)
 
     def test_layout_mismatch_rejected(self):
         psi = state(random_state(2, seed=55))
@@ -425,11 +455,10 @@ class TestEncodedContainers:
         with pytest.raises(ValueError, match=r"shape \(3,\) does not match POVM dimension 2 with k=1"):
             encoded_povm_probabilities(np.array([1.0, 0.0, 0.0]), povm)
         with pytest.raises(ValueError, match=r"shape \(4,\) does not match POVM dimension 2 with k=2"):
-            encoded_povm_probabilities(np.array([1.0, 0.0, 0.0, 0.0]), povm, Layout(2))
-        for bad, layout in [(np.zeros(3), Layout(1)), (np.zeros(6), Layout(2)), (np.zeros((2, 2)), Layout(1)),
-                            (np.zeros(0), Layout(1))]:
-            with pytest.raises(ValueError, match=rf"does not fit k={layout.k}$"):
-                decode_state(bad, layout)
+            encoded_povm_probabilities(np.array([1.0, 0.0, 0.0, 0.0]), povm, 2)
+        for bad, k in [(np.zeros(3), 1), (np.zeros(6), 2), (np.zeros((2, 2)), 1), (np.zeros(0), 1)]:
+            with pytest.raises(ValueError, match=rf"does not fit k={k}$"):
+                decode_state(bad, k)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("build", [

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from helpers import eig_expm_hermitian, random_hermitian, random_state, random_unitary, series_expm
 from realsim import linalg
 from realsim.dynamics import Hamiltonian, generator
-from realsim.encoding import Layout
 
 
 class TestKron:
@@ -111,7 +110,7 @@ class TestMatexp:
         # scipy's expm is the independent oracle; the package itself never imports scipy.
         from scipy.linalg import expm
 
-        g = t * generator(Hamiltonian(random_hermitian(n, seed=n + k)), Layout(k))
+        g = t * generator(Hamiltonian(random_hermitian(n, seed=n + k)), k)
         assert np.abs(linalg.matexp(g) - expm(g)).max() <= linalg.AGREEMENT_TOL
 
     @pytest.mark.parametrize("a, message", [

@@ -8,7 +8,7 @@ import pytest
 from helpers import block_encode, interleave, lift_local_operator, random_povm, random_state, random_unitary
 from realsim import linalg, multipartite
 from realsim.cli import main
-from realsim.encoding import Layout, PureState, apply_lift, apply_xz, encode_operator, encode_state
+from realsim.encoding import PureState, apply_lift, apply_xz, encode_operator, encode_state
 from realsim.multipartite import (
     local_xz,
     logical_states,
@@ -102,29 +102,38 @@ class TestLocalXZ:
         with pytest.raises(ValueError):
             local_xz(3, 3)
 
+    @pytest.mark.parametrize("k, qubit", [(1, -1), (1, 1), (2, 2), (3, -1)])
+    def test_apply_xz_rejects_a_qubit_outside_the_ancilla(self, k, qubit):
+        # At k = 1, qubit -1 once reshaped x so that XZ acted on a system axis instead of the ancilla.
+        x = np.eye(2 * 2 ** k)
+        with pytest.raises(ValueError, match=rf"^qubit index {qubit} out of range for k={k}$"):
+            apply_xz(x, k, qubit)
+        with pytest.raises(ValueError, match=rf"^qubit index {qubit} out of range for k={k}$"):
+            local_xz(k, qubit)
+
 
 class TestEncodeMultipartiteState:
     def test_real_state_rides_on_logical_zero(self):
         psi = multi_state([0.0, 1.0, 0.0, 0.0], (2, 2))
-        enc = encode_state(psi, Layout(2))
+        enc = encode_state(psi, 2)
         expected = np.kron([0.0, 1.0, 0.0, 0.0], logical_states(2)[0])
         assert np.allclose(enc, expected, atol=1e-15)
 
     def test_matches_indexwise_reference(self):
         psi = random_state(8, seed=3)
-        enc = encode_state(multi_state(psi, (2, 2, 2)), Layout(3))
+        enc = encode_state(multi_state(psi, (2, 2, 2)), 3)
         assert np.allclose(enc, reference_multipartite_encoding(psi, 3), atol=1e-14)
 
     def test_unit_norm_and_layout(self):
         psi = random_state(6, seed=4)
-        enc = encode_state(multi_state(psi, (2, 3)), Layout(2))
+        enc = encode_state(multi_state(psi, (2, 3)), 2)
         assert abs(np.linalg.norm(enc) - 1.0) <= 1e-12
-        assert enc.shape == (6 * Layout(2).ancilla_dim,)
+        assert enc.shape == (6 * 4,)
 
     def test_party_count_must_match(self):
         psi = multi_state(random_state(4, seed=5), (2, 2))
         with pytest.raises(ValueError):
-            encode_state(psi, Layout(3))
+            encode_state(psi, 3)
 
 
 class TestLiftLocalOperator:
@@ -138,11 +147,11 @@ class TestLiftLocalOperator:
         d = dims[party]
         m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         psi = random_state(int(np.prod(dims)), seed=17)
-        enc = encode_state(multi_state(psi, dims), Layout(k))
+        enc = encode_state(multi_state(psi, dims), k)
         moved = embed_complex(m, dims, party) @ psi
         moved /= np.linalg.norm(moved)
         got = apply_lift(m, enc, dims, party)
-        want = encode_state(multi_state(moved, dims), Layout(k))
+        want = encode_state(multi_state(moved, dims), k)
         got /= np.linalg.norm(got)
         assert np.abs(got - want).max() <= 1e-13
 
@@ -176,7 +185,7 @@ class TestLiftLocalOperator:
         m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         n = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         psi = random_state(4, seed=22)
-        v = encode_state(multi_state(psi, dims), Layout(2))
+        v = encode_state(multi_state(psi, dims), 2)
         composed = apply_lift(m, apply_lift(n, v, dims, 0), dims, 0)
         assert np.abs(composed - apply_lift(m @ n, v, dims, 0)).max() <= 1e-12
 
@@ -192,18 +201,18 @@ class TestLogicalEncodeOperator:
     def test_single_qubit_matches_plain_encoding(self):
         rng = np.random.default_rng(30)
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert np.array_equal(encode_operator(m, Layout(1)), block_encode(m))
+        assert np.array_equal(encode_operator(m, 1), block_encode(m))
         psi = random_state(3, seed=35)
-        assert np.array_equal(encode_state(PureState(psi), Layout(1)), interleave(psi))
+        assert np.array_equal(encode_state(PureState(psi), 1), interleave(psi))
 
     def test_action_matches_complex_side(self):
         rng = np.random.default_rng(31)
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         u, _ = np.linalg.qr(m)
         psi = random_state(4, seed=32)
-        enc = encode_state(multi_state(psi, (2, 2)), Layout(2))
-        got = encode_operator(u, Layout(2)) @ enc
-        want = encode_state(multi_state(u @ psi, (2, 2)), Layout(2))
+        enc = encode_state(multi_state(psi, (2, 2)), 2)
+        got = encode_operator(u, 2) @ enc
+        want = encode_state(multi_state(u @ psi, (2, 2)), 2)
         assert np.abs(got - want).max() <= 1e-13
 
     def test_sum_of_local_terms_agrees_on_codespace(self):
@@ -212,8 +221,8 @@ class TestLogicalEncodeOperator:
         b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         total = np.kron(a, np.eye(2)) + np.kron(np.eye(2), b)
         psi = random_state(4, seed=34)
-        enc = encode_state(multi_state(psi, (2, 2)), Layout(2))
-        whole = encode_operator(total, Layout(2)) @ enc
+        enc = encode_state(multi_state(psi, (2, 2)), 2)
+        whole = encode_operator(total, 2) @ enc
         parts = apply_lift(a, enc, (2, 2), 0) + apply_lift(b, enc, (2, 2), 1)
         assert np.abs(whole - parts).max() <= 1e-12
 
@@ -234,24 +243,24 @@ class TestStabilizer:
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_generator_action_fails_when_the_kernel_does_nothing(self, monkeypatch, k):
-        monkeypatch.setattr(multipartite, "apply_xz", lambda x, layout, qubit=0: x)
+        monkeypatch.setattr(multipartite, "apply_xz", lambda x, k, qubit=0: x)
         report = stabilizer_check(k)
         assert report.generator_error >= 1
         assert report.fixed_subspace_dim == 2
 
     def test_cli_reports_the_failed_generator_action(self, monkeypatch, capsys):
-        monkeypatch.setattr(multipartite, "apply_xz", lambda x, layout, qubit=0: x)
+        monkeypatch.setattr(multipartite, "apply_xz", lambda x, k, qubit=0: x)
         assert main(["stabilizer", "--k", "3"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert [a["name"] for a in report["assertions"] if not a["passed"]] == ["generator_action"]
 
     def test_pair_action_equals_the_dense_product_exactly(self):
         k = 6
-        basis, layout = logical_states(k).T, Layout(k)
+        basis = logical_states(k).T
         for j in range(k):
             for l in range(j + 1, k):
                 dense = local_xz(k, j) @ local_xz(k, l) @ basis
-                kernel = apply_xz(apply_xz(basis, layout, l), layout, j)
+                kernel = apply_xz(apply_xz(basis, k, l), k, j)
                 assert np.max(np.abs(kernel - dense)) == 0.0
 
     def test_k_out_of_range(self):
@@ -280,7 +289,7 @@ class TestStatisticsLocality:
                 element = np.kron(element, povms[party][a])
             complex_probs[outcome] = float(np.vdot(phi, element @ phi).real)
 
-        v = encode_state(multi_state(psi, dims), Layout(k))
+        v = encode_state(multi_state(psi, dims), k)
         for party, u in enumerate(unitaries):
             v = apply_lift(u, v, dims, party)
         worst = 0.0

@@ -6,10 +6,10 @@ import realsim
 
 PUBLIC = {
     # encoding
-    "SINGLE_ANCILLA", "XZ", "DensityOperator", "Layout", "Povm", "PureState", "apply_kraus", "apply_lift",
-    "conjugation_operator", "decode_state", "encode_antiunitary", "encode_density", "encode_kraus",
-    "encode_operator", "encode_state", "encoded_povm_probabilities", "gauge_orbit", "local_xz", "logical_states",
-    "povm_probabilities", "real_inner_product",
+    "XZ", "DensityOperator", "Povm", "PureState", "apply_kraus", "apply_lift", "conjugation_operator",
+    "decode_state", "encode_antiunitary", "encode_density", "encode_kraus", "encode_operator", "encode_state",
+    "encoded_povm_probabilities", "gauge_orbit", "local_xz", "logical_states", "povm_probabilities",
+    "real_inner_product",
     # linalg
     "dagger", "is_hermitian", "is_psd", "is_unitary", "kron", "matexp",
     # multipartite
@@ -25,5 +25,5 @@ PUBLIC = {
 def test_exports_exactly_the_public_names():
     exported = {name for name in dir(realsim)
                 if not name.startswith("_") and not isinstance(getattr(realsim, name), types.ModuleType)}
-    assert len(PUBLIC) == 46
+    assert len(PUBLIC) == 44
     assert exported == PUBLIC
