@@ -30,7 +30,7 @@ def main():
     print(f"complex value     {result.value_complex:.15f}")
     print(f"encoded value     {result.value_real_encoded:.15f}")
     print(f"mode gap          {abs(result.value_complex - result.value_real_encoded):.3e}")
-    print(f"winning seed      {result.settings_used['seed']}")
+    print(f"winning seed      {max(result.restarts, key=lambda r: r[1])[0]}")
     print("trace (iteration, value):")
     for it, value in result.optimizer_trace:
         print(f"  {it:3d}  {value:.15f}")

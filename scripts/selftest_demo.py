@@ -27,10 +27,10 @@ def main():
     for theta in np.linspace(0.0, np.pi, args.points):
         gate = np.diag([1.0, np.exp(1j * theta)]).astype(complex)
         transcript = selftest_counterexample(gate)
-        w = transcript.inner_product_witness
+        real_part, modulus = transcript.witness_real_part, transcript.witness_modulus
         print(
-            f"{theta / np.pi:9.3f}  {transcript.max_stat_gap:9.2e}  {w.real_part:10.6f}  "
-            f"{w.modulus:8.6f}  {w.modulus - abs(w.real_part):10.6f}  {transcript.product_state_gap:11.2e}"
+            f"{theta / np.pi:9.3f}  {transcript.max_stat_gap:9.2e}  {real_part:10.6f}  "
+            f"{modulus:8.6f}  {modulus - abs(real_part):10.6f}  {transcript.product_state_gap:11.2e}"
         )
 
 

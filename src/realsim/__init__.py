@@ -49,4 +49,4 @@ from .applications.bell import (
     optimize_bell,
     phi_plus_state,
 )
-from .applications.selftest import InnerProductWitness, SelfTestTranscript, selftest_counterexample
+from .applications.selftest import SelfTestTranscript, selftest_counterexample

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..encoding import PureState, apply_lift, encode_amplitudes
-from ..linalg import DEFAULT_MAX_DIM, OBSERVABLE_TOL, SEESAW_STOP_TOL, admit_family, apply_on_axis, is_hermitian
+from ..linalg import DEFAULT_MAX_DIM, OBSERVABLE_TOL, SEESAW_STOP_TOL, admit_family, apply_on_axis, as_int, is_hermitian
 
 MODES = ("complex", "real_encoded")
 
@@ -34,7 +34,7 @@ class BellScenario:
     def __post_init__(self):
         if self.parties < 2:
             raise ValueError(f"need at least 2 parties, got {self.parties}")
-        settings = tuple(int(s) for s in self.settings_per_party)
+        settings = tuple(as_int(s, "settings_per_party entry") for s in self.settings_per_party)
         if len(settings) != self.parties or any(s < 1 for s in settings):
             raise ValueError("settings_per_party must list a positive count per party")
         if len(self.observables) != self.parties:
@@ -53,7 +53,9 @@ class BellScenario:
             obs.append(stack)
         coeffs = {}
         for key, value in self.coefficients.items():
-            key = tuple(int(s) for s in key)
+            key = tuple(as_int(s, f"coefficient key {key} setting") for s in key)
+            if key in coeffs:
+                raise ValueError(f"coefficient key {key} is given twice")
             if len(key) != self.parties or any(not 0 <= key[j] < settings[j] for j in range(self.parties)):
                 raise ValueError(f"coefficient key {key} is outside the setting ranges")
             coeffs[key] = float(value)
@@ -74,9 +76,10 @@ class BellScenario:
 
 @dataclass(frozen=True)
 class BellResult:
+    """Values and trace of the first restart of the largest value, and (seed, value, iterations) per restart."""
+
     value_complex: float
     value_real_encoded: float
-    settings_used: dict
     optimizer_trace: tuple[tuple[int, float], ...]
     restarts: tuple[tuple[int, float, int], ...]
 
@@ -256,19 +259,19 @@ def optimize_bell(scenario: BellScenario, seeds, iterations: int = 100) -> BellR
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValueError("optimize_bell needs at least one seed")
+    iterations = as_int(iterations, "iterations")
     if iterations < 1:
         raise ValueError(f"iterations must be positive, got {iterations}")
     chunk = max(1, DEFAULT_MAX_DIM ** 2 // int(np.prod(scenario.party_dims)) ** 2)
     runs = []
     for start in range(0, len(seeds), chunk):
-        runs.extend(_seesaw(scenario, seeds[start:start + chunk], int(iterations)))
+        runs.extend(_seesaw(scenario, seeds[start:start + chunk], iterations))
     best = int(np.argmax([run[0] for run in runs]))
     _, state, obs, trace = runs[best]
     # The winner is computed, not input: it is evaluated as it stands, never admitted again.
     return BellResult(
         _value(scenario.coefficients, obs, state, scenario.party_dims, "complex"),
         _value(scenario.coefficients, obs, state, scenario.party_dims, "real_encoded"),
-        {"seed": seeds[best], "state": state, "observables": obs},
         tuple((int(i), float(v)) for i, v in trace),
         tuple((seed, value, trace[-1][0]) for seed, (value, _, _, trace) in zip(seeds, runs)),
     )

@@ -31,23 +31,16 @@ _PROBE_STATES = (
 
 
 @dataclass(frozen=True)
-class InnerProductWitness:
-    """State pair whose encoded inner product loses the complex phase."""
-
-    state_a: np.ndarray
-    state_b: np.ndarray
-    real_part: float
-    modulus: float
-
-
-@dataclass(frozen=True)
 class SelfTestTranscript:
+    """Probe statistics of both sides per stage, and the witness pair whose encoded inner product loses the phase."""
+
     statistics_logical: np.ndarray
     statistics_simulated: np.ndarray
     max_stat_gap: float
-    inner_product_witness: InnerProductWitness
-    states_logical: tuple[np.ndarray, ...]
-    states_simulated: tuple[np.ndarray, ...]
+    witness_state_a: np.ndarray
+    witness_state_b: np.ndarray
+    witness_real_part: float
+    witness_modulus: float
     product_state_gap: float
 
 
@@ -84,15 +77,11 @@ def selftest_counterexample(t_gate: np.ndarray | None = None) -> SelfTestTranscr
     phi_plus = np.zeros(4, dtype=complex)
     phi_plus[0] = phi_plus[3] = _S2
     after_a = apply_on_axis(t, phi_plus.reshape(2, 2), 0)
-    states_logical = (
-        phi_plus,
-        after_a.reshape(-1),
-        apply_on_axis(t.conj(), after_a, 1).reshape(-1),
-    )
+    logical = (phi_plus, after_a.reshape(-1), apply_on_axis(t.conj(), after_a, 1).reshape(-1))
 
     enc0 = encode_state(PureState(phi_plus, (2, 2)), 2)
     enc_a = apply_lift(t, enc0, (2, 2), 0)
-    states_simulated = (enc0, enc_a, apply_lift(t.conj(), enc_a, (2, 2), 1))
+    simulated = (enc0, enc_a, apply_lift(t.conj(), enc_a, (2, 2), 1))
 
     # The probe elements are Hermitian, so their lifts are symmetric, and the two
     # parties' elements commute: <z| A_a B_b |z> = (A_a z)^dagger (B_b z), from one
@@ -100,7 +89,7 @@ def selftest_counterexample(t_gate: np.ndarray | None = None) -> SelfTestTranscr
     povm = np.array(probe_povm())
     stats_logical = np.zeros((3, 6, 6))
     stats_simulated = np.zeros((3, 6, 6))
-    for stage, (zl, zs) in enumerate(zip(states_logical, states_simulated)):
+    for stage, (zl, zs) in enumerate(zip(logical, simulated)):
         za = apply_on_axis(povm, zl.reshape(2, 2), 0).reshape(6, 4)
         zb = apply_on_axis(povm, zl.reshape(2, 2), 1).reshape(6, 4)
         stats_logical[stage] = (za.conj() @ zb.T).real
@@ -109,19 +98,5 @@ def selftest_counterexample(t_gate: np.ndarray | None = None) -> SelfTestTranscr
 
     plus = np.array([_S2, _S2], dtype=complex)
     t_plus = t @ plus
-    witness = InnerProductWitness(
-        plus,
-        t_plus,
-        real_inner_product(PureState(plus), PureState(t_plus)),
-        float(abs(np.vdot(plus, t_plus))),
-    )
-
-    return SelfTestTranscript(
-        stats_logical,
-        stats_simulated,
-        gap,
-        witness,
-        states_logical,
-        states_simulated,
-        max(_product_gap(v) for v in states_simulated),
-    )
+    witness = (plus, t_plus, real_inner_product(PureState(plus), PureState(t_plus)), float(abs(np.vdot(plus, t_plus))))
+    return SelfTestTranscript(stats_logical, stats_simulated, gap, *witness, max(_product_gap(v) for v in simulated))

@@ -148,13 +148,12 @@ def cmd_selftest(args):
         gate = formats.load_matrix(args.gate)
         files.append(args.gate)
     transcript = selftest_counterexample(gate)
-    witness = transcript.inner_product_witness
     results = {
         "max_stat_gap": transcript.max_stat_gap,
-        "witness_state_a": formats.complex_pairs(witness.state_a),
-        "witness_state_b": formats.complex_pairs(witness.state_b),
-        "witness_real_part": witness.real_part,
-        "witness_modulus": witness.modulus,
+        "witness_state_a": formats.complex_pairs(transcript.witness_state_a),
+        "witness_state_b": formats.complex_pairs(transcript.witness_state_b),
+        "witness_real_part": transcript.witness_real_part,
+        "witness_modulus": transcript.witness_modulus,
         "product_state_gap": transcript.product_state_gap,
         "statistics_logical": transcript.statistics_logical,
         "statistics_simulated": transcript.statistics_simulated,
@@ -166,7 +165,7 @@ def cmd_selftest(args):
 def cmd_stabilizer(args):
     report = stabilizer_check(args.k)
     results = {
-        "k": report.k,
+        "k": args.k,
         "generator_error": report.generator_error,
         "fixed_subspace_dim": report.fixed_subspace_dim,
     }
@@ -231,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="built-in scenario (default chsh)")
     sp.add_argument("--scenario-file", default=None, help="scenario JSON file, overrides --scenario")
     sp.add_argument("--mode", choices=("complex", "real_encoded", "both"), default="both",
-                    help="which side evaluates the value (default both)")
+                    help="which values the report carries and which assertions run; both sides are always"
+                         " evaluated (default both)")
     sp.add_argument("--restarts", type=int, default=20, help="optimizer restarts (default 20)")
     sp.add_argument("--seed", type=int, default=None, help="base seed, required (restart r uses seed + r)")
     sp.add_argument("--iterations", type=int, default=100, help="see-saw iterations per restart (default 100)")

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .encoding import PureState, _check_factors, apply_xz, encode_amplitudes, encode_operator
-from .linalg import admit, is_hermitian, matexp
+from .linalg import admit, as_int, is_hermitian, matexp
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -203,12 +203,13 @@ def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64, k:
     that is not finite.
     """
     _check_factors(psi.factor_dims, k)
+    steps = as_int(steps, "steps")
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
     sign, t_max = _check_args(h, psi, sign), float(t_max)
     if not math.isfinite(t_max):
         raise ValueError(f"dynamics: t_max must be finite, got {t_max}")
-    times = tuple(float(t) for t in np.linspace(0.0, t_max, int(steps)))
+    times = tuple(float(t) for t in np.linspace(0.0, t_max, steps))
     h_enc = encode_operator(h.hermitian)
     keys = [key for key in ("H", "H'") if key not in h._spectra]
     out = []

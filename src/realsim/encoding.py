@@ -26,6 +26,7 @@ its k as an argument.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,7 +208,10 @@ def apply_xz(x: np.ndarray, k: int, qubit: int = 0) -> np.ndarray:
     the k (qubit 0 the most significant); it acts on that qubit's axis of x
     reshaped to (rest, 2, 2^(k-1-qubit), columns) and is never built.
     """
-    t = x.reshape(-1, 2, _ancilla_dim(k, qubit) >> (qubit + 1), x.shape[1])
+    dim = _ancilla_dim(k, qubit)
+    if x.ndim != 2 or x.shape[0] % dim:
+        raise ValueError(f"apply_xz needs a matrix with a multiple of 2^k rows, got shape {x.shape} with k={k}")
+    t = x.reshape(-1, 2, dim >> (qubit + 1), x.shape[1])
     return apply_on_axis(XZ, t, 1).reshape(x.shape)
 
 
@@ -228,6 +232,8 @@ def apply_lift(m, x: np.ndarray, dims: tuple[int, ...], party: int) -> np.ndarra
     if m.ndim not in (2, 3) or m.shape[-2:] != (dims[party], dims[party]):
         raise ValueError(f"operator shape {m.shape} does not match party dimension {dims[party]}")
     x = np.asarray(x)
+    if x.shape[:1] != (math.prod(dims) << n,):
+        raise ValueError(f"state shape {x.shape} does not fit dims {tuple(dims)} with k={n} ancilla qubits")
     t = x.reshape(*dims, *(2,) * n, *x.shape[1:])
     out = apply_on_axis(m.real, t, party) + apply_on_axis(m.imag, apply_on_axis(XZ, t, n + party), party)
     return out.reshape(*m.shape[:-2], *x.shape)

@@ -204,7 +204,10 @@ def _scenario_args(obj, path: str) -> tuple:
     for i, entry in enumerate(obj["coefficients"]):
         where = f"{path}.coefficients[{i}]"
         _require_keys(entry, ("settings", "value"), where=where)
-        coeffs[_int_list(entry["settings"], f"{where}.settings")] = _number(entry["value"], f"{where}.value")
+        settings = _int_list(entry["settings"], f"{where}.settings")
+        if settings in coeffs:  # each earlier entry added one key, so the key's index is its entry's
+            raise FormatError(f"{where}.settings repeats {path}.coefficients[{list(coeffs).index(settings)}].settings")
+        coeffs[settings] = _number(entry["value"], f"{where}.value")
     return (
         parties,
         _int_list(obj["settings_per_party"], f"{path}.settings_per_party"),

@@ -9,6 +9,7 @@ complex128 on the complex side and float64 on the encoded side.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -25,6 +26,14 @@ PSD_TOL = 1e-8  # eigenvalue floor of density matrices and POVM elements, and PO
 OBSERVABLE_TOL = 1e-8  # Hermiticity and +-1 spectrum of Bell observables, also 8-digit inputs
 SEESAW_STOP_TOL = 1e-13  # a see-saw restart stops when its value moves by less than this
 REACH_TOL = 1e-6  # how far below its quantum target a see-saw optimum may stop
+
+
+def as_int(value, what: str) -> int:
+    """value as an int: a float, a string or any other non-integer is rejected, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _require_square(a: np.ndarray, what: str) -> None:

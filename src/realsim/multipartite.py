@@ -22,7 +22,6 @@ from .linalg import RANK_TOL
 class StabilizerReport:
     """What `stabilizer_check` measures; the caller judges it (the codespace should have dimension 2)."""
 
-    k: int
     generator_error: float
     fixed_subspace_dim: int
 
@@ -46,4 +45,4 @@ def stabilizer_check(k: int) -> StabilizerReport:
     generators = [-(local_xz(k, 0) @ local_xz(k, j)) for j in range(1, k)]
     stacked = np.vstack([g - np.eye(2 ** k) for g in generators])
     rank = int(np.linalg.matrix_rank(stacked, tol=RANK_TOL))
-    return StabilizerReport(k, worst, 2 ** k - rank)
+    return StabilizerReport(worst, 2 ** k - rank)

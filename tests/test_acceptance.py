@@ -254,19 +254,19 @@ def test_three_party_construction_reaches_the_algebraic_maximum():
 
 def test_statistics_preserving_simulation_defeats_naive_self_testing():
     transcript = selftest_counterexample()
-    w = transcript.inner_product_witness
+    real_part, modulus = transcript.witness_real_part, transcript.witness_modulus
     real_transcript = selftest_counterexample(np.array([[S, S], [S, -S]], dtype=complex))
     ok = (
         transcript.max_stat_gap <= 1e-12
-        and abs(w.real_part - 0.5) <= 1e-6
-        and abs(w.modulus - 0.70710678) <= 1e-6
+        and abs(real_part - 0.5) <= 1e-6
+        and abs(modulus - 0.70710678) <= 1e-6
         and real_transcript.product_state_gap <= 1e-10
     )
     report(
         ok,
         f"the phase-gate protocol matches all 36 probe outcomes per stage yet leaves a phase "
-        f"witness (stat gap {transcript.max_stat_gap:.2e} <= 1e-12, witness {w.real_part:.6f} vs "
-        f"modulus {w.modulus:.6f}); a real gate stays factorized "
+        f"witness (stat gap {transcript.max_stat_gap:.2e} <= 1e-12, witness {real_part:.6f} vs "
+        f"modulus {modulus:.6f}); a real gate stays factorized "
         f"(gap {real_transcript.product_state_gap:.2e} <= 1e-10)",
     )
 

@@ -98,6 +98,34 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="coefficient key"):
             BellScenario(2, (1, 1), ((Z,), (Z,)), {(0, 1): 1.0}, 2.0)
 
+    @pytest.mark.parametrize("settings, key, named", [
+        ((1.5, 1), (0, 0), r"^settings_per_party entry must be an integer, got 1\.5$"),
+        (("1", 1), (0, 0), r"^settings_per_party entry must be an integer, got '1'$"),
+        ((1, 1), (0.5, 0), r"^coefficient key \(0\.5, 0\) setting must be an integer, got 0\.5$"),
+        ((1, 1), ("0", 0), r"^coefficient key \('0', 0\) setting must be an integer, got '0'$"),
+    ])
+    def test_setting_counts_and_indices_must_be_integers(self, settings, key, named):
+        with pytest.raises(ValueError, match=named):
+            BellScenario(2, settings, ((Z,), (Z,)), {key: 1.0}, 2.0)
+
+    def test_two_keys_naming_the_same_settings_are_rejected(self):
+        # Numpy integers are read as the ints they hold.
+        scenario = BellScenario(2, (np.int64(1), 1), ((Z,), (Z,)), {(np.int64(0), np.int32(0)): 1.0}, 2.0)
+        assert scenario.settings_per_party == (1, 1)
+        assert scenario.coefficients == {(0, 0): 1.0}
+
+        # Distinct dict keys that read as one setting tuple.
+        class Setting:
+            def __init__(self, index):
+                self.index = index
+
+            def __index__(self):
+                return self.index
+
+        coeffs = {(Setting(0), 0): 1.0, (Setting(0), 0): 2.0}
+        with pytest.raises(ValueError, match=r"^coefficient key \(0, 0\) is given twice$"):
+            BellScenario(2, (1, 1), ((Z,), (Z,)), coeffs, 2.0)
+
     def test_at_least_two_parties(self):
         with pytest.raises(ValueError):
             BellScenario(1, (1,), ((Z,),), {(0,): 1.0}, 1.0)
@@ -252,6 +280,10 @@ class TestOptimizeBell:
     def test_iteration_count_validated(self):
         with pytest.raises(ValueError):
             optimize_bell(chsh_scenario(), seeds=[1], iterations=0)
+        with pytest.raises(ValueError, match=r"^iterations must be an integer, got 2\.5$"):
+            optimize_bell(chsh_scenario(), seeds=[1], iterations=2.5)
+        assert optimize_bell(chsh_scenario(), seeds=[1], iterations=np.int64(2)) == \
+            optimize_bell(chsh_scenario(), seeds=[1], iterations=2)
 
     def test_the_winner_is_evaluated_without_admitting_it_again(self, monkeypatch):
         scenario = mermin3_scenario()
@@ -360,7 +392,6 @@ class TestBatchedSeesaw:
         assert [seed for seed, _, _ in result.restarts] == [5, 6, 7, 8]
         assert abs(max(v for _, v, _ in result.restarts) - result.value_complex) <= 1e-9
         assert all(n >= 1 for _, _, n in result.restarts)
-        assert result.settings_used["seed"] == 5 + int(np.argmax([v for _, v, _ in result.restarts]))
 
     def test_chunked_restarts_give_the_same_best_value(self, monkeypatch):
         scenario = SCENARIOS["mermin4_rotated"]()

@@ -455,6 +455,17 @@ class TestBell:
         assert reports[0]["results"] != reports[1]["results"]
         assert reports[0]["inputs_digest"] != reports[1]["inputs_digest"]
 
+    def test_repeated_coefficient_settings_exit_2(self, capsys, tmp_path):
+        z = matrix_obj(np.diag([1.0, -1.0]))
+        obj = {"parties": 2, "settings_per_party": [1, 1], "observables": [[z], [z]],
+               "coefficients": [{"settings": [0, 0], "value": 1.0}, {"settings": [0, 0], "value": 2.0}],
+               "classical_bound": 1.0}
+        scenario = write(tmp_path, "scenario.json", obj)
+        code, out, err = run(capsys, ["bell", "--scenario-file", scenario, "--seed", "3", "--restarts", "2"])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {scenario}.coefficients[1].settings repeats {scenario}.coefficients[0].settings\n"
+
     @pytest.mark.parametrize("field,value,named", [
         ("settings_per_party", 5, "settings_per_party"),
         ("coefficients", 5, "coefficients"),

@@ -268,6 +268,10 @@ class TestTrajectory:
     def test_too_few_steps_rejected(self):
         with pytest.raises(ValueError):
             trajectory(Hamiltonian(np.eye(2)), state([1.0, 0.0]), t_max=1.0, steps=1)
+        with pytest.raises(ValueError, match=r"^steps must be an integer, got 2\.5$"):
+            trajectory(Hamiltonian(Z), state([S, S]), t_max=1.0, steps=2.5)
+        res = trajectory(Hamiltonian(Z), state([S, S]), t_max=1.0, steps=np.int64(5))
+        assert res.times == (0.0, 0.25, 0.5, 0.75, 1.0)
 
     def test_times_form_the_requested_grid(self):
         res = trajectory(Hamiltonian(Z), state([S, S]), t_max=1.0, steps=5)

@@ -56,6 +56,8 @@ FILES = {
     "state_n256.json": seeded_state(5, 256),
     "state_n8.json": seeded_state(6, 8),
     "povm_8x8.json": seeded_povm(7, 8, 4),
+    # A gate with complex entries: the witness real part falls short of its modulus.
+    "gate_complex.json": matrix_obj([[S, S * 1j], [S * 1j, S]]),
 }
 
 JOBS = {
@@ -77,8 +79,13 @@ JOBS = {
                         "282233891220a1a1af622daa69707bb6e643abf07d9ab9caf425bb286b86b2ca"),
     "bell_chsh": (["bell", "--scenario", "chsh", "--restarts", "2", "--seed", "3"],
                   "06dea3eb64c7c7587ee40fb541f82e115606fd709611f5b6987ef479bb1dde6f"),
+    "bell_chsh_real_encoded": (["bell", "--scenario", "chsh", "--mode", "real_encoded", "--restarts", "2",
+                                "--seed", "3"],
+                               "0b34d7299e32ec5f77fa7def13a4a3e771a759fcd739265d72899cd67f99d040"),
     "selftest": (["selftest"],
                  "492c7f13a99a3cddf96ec5f04b08163d5558aac0a8b53bc8ef1dfcb759e0c8d4"),
+    "selftest_complex_gate": (["selftest", "gate_complex.json"],
+                              "e3b027110035a605d353136700d0514fc876912fe375ad05c1512d5b22ada56d"),
     "stabilizer_k3": (["stabilizer", "--k", "3"],
                       "5f506e7603e6408ea81252cfe80df0f981a37aad3e359601b168028ad88e4f42"),
 }

@@ -1,6 +1,7 @@
 """Logical ancilla codespace, per-party lifts, stabilizer structure."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -111,6 +112,12 @@ class TestLocalXZ:
         with pytest.raises(ValueError, match=rf"^qubit index {qubit} out of range for k={k}$"):
             local_xz(k, qubit)
 
+    @pytest.mark.parametrize("shape, k", [((4,), 1), ((6, 2), 2), ((8, 2, 1), 2), ((), 1)])
+    def test_apply_xz_rejects_a_shape_that_does_not_fit_k(self, shape, k):
+        with pytest.raises(ValueError, match=rf"^apply_xz needs a matrix with a multiple of 2\^k rows, "
+                                             rf"got shape {re.escape(str(shape))} with k={k}$"):
+            apply_xz(np.zeros(shape), k)
+
 
 class TestEncodeMultipartiteState:
     def test_real_state_rides_on_logical_zero(self):
@@ -195,6 +202,11 @@ class TestLiftLocalOperator:
             apply_lift(np.eye(2), v, (2, 3), 1)
         with pytest.raises(ValueError):
             apply_lift(np.eye(2), v, (2, 3), 2)
+        # The leading axis must hold prod(dims) 2^len(dims) entries.
+        for shape, dims in [((6,), (2,)), ((12, 3), (2, 2)), ((32,), (2, 2)), ((), (2,))]:
+            with pytest.raises(ValueError, match=rf"^state shape {re.escape(str(shape))} does not fit dims "
+                                                 rf"{re.escape(str(dims))} with k={len(dims)} ancilla qubits$"):
+                apply_lift(np.eye(2), np.zeros(shape), dims, 0)
 
 
 class TestLogicalEncodeOperator:

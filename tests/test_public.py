@@ -18,12 +18,12 @@ PUBLIC = {
     "EvolutionResult", "Hamiltonian", "evolve", "generator", "propagator", "trajectory",
     # applications
     "BellResult", "BellScenario", "bell_value", "chsh_scenario", "ghz3_state", "mermin3_scenario", "optimize_bell",
-    "phi_plus_state", "InnerProductWitness", "SelfTestTranscript", "selftest_counterexample",
+    "phi_plus_state", "SelfTestTranscript", "selftest_counterexample",
 }
 
 
 def test_exports_exactly_the_public_names():
     exported = {name for name in dir(realsim)
                 if not name.startswith("_") and not isinstance(getattr(realsim, name), types.ModuleType)}
-    assert len(PUBLIC) == 44
+    assert len(PUBLIC) == 43
     assert exported == PUBLIC

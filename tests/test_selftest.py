@@ -50,9 +50,9 @@ class TestDefaultGate:
         assert abs(stats[0, 1]) <= 1e-14
 
     def test_witness_exposes_the_lost_phase(self):
-        w = selftest_counterexample().inner_product_witness
-        assert abs(w.real_part - 0.5) <= 1e-12
-        assert abs(w.modulus - S) <= 1e-12
+        transcript = selftest_counterexample()
+        assert abs(transcript.witness_real_part - 0.5) <= 1e-12
+        assert abs(transcript.witness_modulus - S) <= 1e-12
 
     def test_mid_stage_encoded_state_is_not_a_product(self):
         transcript = selftest_counterexample()
@@ -60,12 +60,8 @@ class TestDefaultGate:
 
     def test_final_stage_returns_the_pair(self):
         transcript = selftest_counterexample()
-        assert np.allclose(
-            transcript.states_logical[2], transcript.states_logical[0], atol=1e-12
-        )
-        assert np.allclose(
-            transcript.states_simulated[2], transcript.states_simulated[0], atol=1e-12
-        )
+        for stats in (transcript.statistics_logical, transcript.statistics_simulated):
+            assert np.allclose(stats[2], stats[0], rtol=0.0, atol=1e-12)
 
 
 class TestGateFamily:
@@ -83,11 +79,11 @@ class TestGateFamily:
     def test_phase_gates_always_leave_a_witness_gap(self, theta):
         transcript = selftest_counterexample(phase_gate(theta))
         assert transcript.max_stat_gap <= 1e-12
-        w = transcript.inner_product_witness
+        real_part, modulus = transcript.witness_real_part, transcript.witness_modulus
         # closed form: real part cos(theta/2)^2, modulus |cos(theta/2)|
-        assert abs(w.real_part - np.cos(theta / 2) ** 2) <= 1e-12
-        assert abs(w.modulus - abs(np.cos(theta / 2))) <= 1e-12
-        assert w.modulus - w.real_part > 0.1
+        assert abs(real_part - np.cos(theta / 2) ** 2) <= 1e-12
+        assert abs(modulus - abs(np.cos(theta / 2))) <= 1e-12
+        assert modulus - real_part > 0.1
 
 
 class TestValidation:
