@@ -10,7 +10,7 @@ correlator expectations are real.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,27 +20,24 @@ from ..linalg import DEFAULT_MAX_DIM, OBSERVABLE_TOL, SEESAW_STOP_TOL, admit_fam
 MODES = ("complex", "real_encoded")
 
 
-@dataclass(frozen=True)
 class BellScenario:
     """Multiparty correlation experiment with +-1-valued observables, one (S_j, d_j, d_j) stack per party."""
 
-    parties: int
-    settings_per_party: tuple[int, ...]
-    observables: tuple[np.ndarray, ...]
-    coefficients: dict[tuple[int, ...], float]
-    classical_bound: float
-    quantum_target: float | None = None
+    __slots__ = ("parties", "settings_per_party", "observables", "coefficients", "classical_bound", "quantum_target")
 
-    def __post_init__(self):
-        if self.parties < 2:
-            raise ValueError(f"need at least 2 parties, got {self.parties}")
-        settings = tuple(as_int(s, "settings_per_party entry") for s in self.settings_per_party)
-        if len(settings) != self.parties or any(s < 1 for s in settings):
+    def __init__(self, parties: int, settings_per_party: tuple[int, ...], observables: tuple[np.ndarray, ...],
+                 coefficients: dict[tuple[int, ...], float], classical_bound: float,
+                 quantum_target: float | None = None):
+        parties = as_int(parties, "parties")
+        if parties < 2:
+            raise ValueError(f"need at least 2 parties, got {parties}")
+        settings = tuple(as_int(s, "settings_per_party entry") for s in settings_per_party)
+        if len(settings) != parties or any(s < 1 for s in settings):
             raise ValueError("settings_per_party must list a positive count per party")
-        if len(self.observables) != self.parties:
+        if len(observables) != parties:
             raise ValueError("observables must list one family per party")
         obs = []
-        for j, family in enumerate(self.observables):
+        for j, family in enumerate(observables):
             if len(family) != settings[j]:
                 raise ValueError(f"party {j} has {len(family)} observables, expected {settings[j]}")
             stack = admit_family(family, f"party {j} observable")
@@ -52,30 +49,27 @@ class BellScenario:
                 raise ValueError("observable eigenvalues must all be +-1")
             obs.append(stack)
         coeffs = {}
-        for key, value in self.coefficients.items():
+        for key, value in coefficients.items():
             key = tuple(as_int(s, f"coefficient key {key} setting") for s in key)
             if key in coeffs:
                 raise ValueError(f"coefficient key {key} is given twice")
-            if len(key) != self.parties or any(not 0 <= key[j] < settings[j] for j in range(self.parties)):
+            if len(key) != parties or any(not 0 <= key[j] < settings[j] for j in range(parties)):
                 raise ValueError(f"coefficient key {key} is outside the setting ranges")
             coeffs[key] = float(value)
             if not np.isfinite(coeffs[key]):
                 raise ValueError(f"coefficient {key} must be finite, got {value}")
-        for name in ("classical_bound", "quantum_target"):
-            value = getattr(self, name)
+        for name, value in (("classical_bound", classical_bound), ("quantum_target", quantum_target)):
             if value is not None and not np.isfinite(float(value)):
                 raise ValueError(f"{name} must be finite, got {value}")
-        object.__setattr__(self, "settings_per_party", settings)
-        object.__setattr__(self, "observables", tuple(obs))
-        object.__setattr__(self, "coefficients", coeffs)
+        self.parties, self.settings_per_party, self.observables = parties, settings, tuple(obs)
+        self.coefficients, self.classical_bound, self.quantum_target = coeffs, classical_bound, quantum_target
 
     @property
     def party_dims(self) -> tuple[int, ...]:
         return tuple(stack.shape[1] for stack in self.observables)
 
 
-@dataclass(frozen=True)
-class BellResult:
+class BellResult(NamedTuple):
     """Values and trace of the first restart of the largest value, and (seed, value, iterations) per restart."""
 
     value_complex: float
@@ -256,7 +250,7 @@ def optimize_bell(scenario: BellScenario, seeds, iterations: int = 100) -> BellR
     together on stacked arrays, in chunks whose Bell operators hold at
     most DEFAULT_MAX_DIM**2 entries.  Deterministic given the seed list.
     """
-    seeds = [int(s) for s in seeds]
+    seeds = [as_int(s, "seed") for s in seeds]
     if not seeds:
         raise ValueError("optimize_bell needs at least one seed")
     iterations = as_int(iterations, "iterations")

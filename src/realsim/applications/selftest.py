@@ -12,7 +12,7 @@ parts, which the witness pair exposes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ _PROBE_STATES = (
 )
 
 
-@dataclass(frozen=True)
-class SelfTestTranscript:
+class SelfTestTranscript(NamedTuple):
     """Probe statistics of both sides per stage, and the witness pair whose encoded inner product loses the phase."""
 
     statistics_logical: np.ndarray

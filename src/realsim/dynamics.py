@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +37,6 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-@dataclass(frozen=True)
 class Hamiltonian:
     """Hermitian generator of time evolution, hbar = 1.
 
@@ -49,15 +48,11 @@ class Hamiltonian:
     instance; they serve every ancilla count k.
     """
 
-    matrix: np.ndarray
-    # "H" -> (w, W) of H; "H'" -> (lambda, V, J V) of H'.
-    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        mat = admit(self.matrix, "Hamiltonian", square=True)
-        if not is_hermitian(mat):
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = admit(matrix, "Hamiltonian", square=True)
+        if not is_hermitian(self.matrix):
             raise ValueError("Hamiltonian is not Hermitian")
-        object.__setattr__(self, "matrix", mat)
+        self._spectra = {}  # "H" -> (w, W) of H; "H'" -> (lambda, V, J V) of H'
 
     @property
     def dim(self) -> int:
@@ -92,8 +87,7 @@ class Hamiltonian:
         return self._spectra[key]
 
 
-@dataclass(frozen=True)
-class EvolutionResult:
+class EvolutionResult(NamedTuple):
     """Matched complex and encoded trajectories with propagator diagnostics.
 
     complex_states is a complex (T, n) array and encoded_states a real

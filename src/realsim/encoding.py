@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import INPUT_TOL, PSD_TOL, admit, admit_family, apply_on_axis, dagger, is_hermitian, is_identity, is_psd, is_unitary, kron
+from .linalg import (INPUT_TOL, PSD_TOL, admit, admit_family, apply_on_axis, as_int, dagger, is_hermitian, is_identity,
+                     is_psd, is_unitary, kron)
 
 XZ = np.array([[0.0, -1.0], [1.0, 0.0]])
 XZ.setflags(write=False)
@@ -41,7 +41,8 @@ _Z.setflags(write=False)
 
 
 def _ancilla_dim(k: int, qubit: int = 0) -> int:
-    """2^k, the dimension of k ancilla qubits; rejects a k outside [1, 12], then a qubit outside [0, k)."""
+    """2^k, the dimension of k ancilla qubits; rejects a non-integer, a k outside [1, 12], a qubit outside [0, k)."""
+    k, qubit = as_int(k, "ancilla count k"), as_int(qubit, "qubit index")
     if not 1 <= k <= 12:
         raise ValueError(f"ancilla count k={k} out of range [1, 12]")
     if not 0 <= qubit < k:
@@ -89,18 +90,16 @@ def local_xz(k: int, qubit: int) -> np.ndarray:
     return np.eye(dim)[y ^ bit] * np.where(y & bit, -1.0, 1.0)
 
 
-@dataclass(frozen=True)
 class PureState:
     """Unit-norm complex state vector with its tensor-factor dimensions."""
 
-    amplitudes: np.ndarray
-    factor_dims: tuple[int, ...] | None = None
+    __slots__ = ("amplitudes", "factor_dims")
 
-    def __post_init__(self):
-        amps = admit(self.amplitudes, "amplitudes")
+    def __init__(self, amplitudes: np.ndarray, factor_dims: tuple[int, ...] | None = None):
+        amps = admit(amplitudes, "amplitudes")
         if amps.ndim != 1 or amps.size == 0:
             raise ValueError("amplitudes must form a nonempty 1-d vector")
-        dims = (amps.size,) if self.factor_dims is None else tuple(int(d) for d in self.factor_dims)
+        dims = (amps.size,) if factor_dims is None else tuple(as_int(d, "factor_dims entry") for d in factor_dims)
         if int(np.prod(dims)) != amps.size:
             raise ValueError(f"factor_dims {dims} do not multiply to dimension {amps.size}")
         if any(d < 1 for d in dims):
@@ -109,51 +108,46 @@ class PureState:
             norm = float(np.linalg.norm(amps))
         if not abs(norm - 1.0) <= INPUT_TOL:
             raise ValueError(f"state norm {norm} is not 1 within {INPUT_TOL}; inputs are never renormalized")
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "factor_dims", dims)
+        self.amplitudes, self.factor_dims = amps, dims
 
     @property
     def dim(self) -> int:
         return self.amplitudes.size
 
 
-@dataclass(frozen=True)
 class DensityOperator:
     """Hermitian, unit-trace, positive semi-definite complex matrix."""
 
-    matrix: np.ndarray
+    __slots__ = ("matrix",)
 
-    def __post_init__(self):
-        mat = admit(self.matrix, "density matrix", square=True)
-        if not is_hermitian(mat):
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = admit(matrix, "density matrix", square=True)
+        if not is_hermitian(self.matrix):
             raise ValueError("density matrix is not Hermitian")
         with np.errstate(over="ignore", invalid="ignore"):  # a huge diagonal sums to inf or NaN, which fails the test
-            tr = complex(np.trace(mat))
+            tr = complex(np.trace(self.matrix))
         if not abs(tr - 1.0) <= INPUT_TOL:
             raise ValueError(f"density matrix trace {tr} is not 1")
-        if not is_psd(mat):
+        if not is_psd(self.matrix):
             raise ValueError(f"density matrix has an eigenvalue below the PSD floor -{PSD_TOL}")
-        object.__setattr__(self, "matrix", mat)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
 class Povm:
     """Finite POVM: positive elements summing to the identity, kept as one (m, d, d) stack."""
 
-    elements: np.ndarray
+    __slots__ = ("elements",)
 
-    def __post_init__(self):
-        elems = admit_family(self.elements, "POVM element")
-        if not all(map(is_psd, elems)):
+    def __init__(self, elements):
+        self.elements = admit_family(elements, "POVM element")
+        if not all(map(is_psd, self.elements)):
             raise ValueError(f"POVM element is not Hermitian with eigenvalues above -{PSD_TOL}")
         with np.errstate(over="ignore", invalid="ignore"):  # huge elements sum to inf or NaN, which is_identity rejects
-            if not is_identity(elems.sum(axis=0)):
+            if not is_identity(self.elements.sum(axis=0)):
                 raise ValueError("POVM elements do not sum to the identity")
-        object.__setattr__(self, "elements", elems)
 
     @property
     def dim(self) -> int:

@@ -10,7 +10,7 @@ party's system factor and that party's ancilla qubit
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +18,7 @@ from .encoding import apply_xz, local_xz, logical_states
 from .linalg import RANK_TOL
 
 
-@dataclass(frozen=True)
-class StabilizerReport:
+class StabilizerReport(NamedTuple):
     """What `stabilizer_check` measures; the caller judges it (the codespace should have dimension 2)."""
 
     generator_error: float

@@ -108,6 +108,11 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=named):
             BellScenario(2, settings, ((Z,), (Z,)), {key: 1.0}, 2.0)
 
+    def test_party_count_must_be_an_integer(self):
+        with pytest.raises(ValueError, match=r"^parties must be an integer, got 2\.0$"):
+            BellScenario(2.0, (1, 1), ((Z,), (Z,)), {(0, 0): 1.0}, 2.0)
+        assert type(BellScenario(np.int64(2), (1, 1), ((Z,), (Z,)), {(0, 0): 1.0}, 2.0).parties) is int
+
     def test_two_keys_naming_the_same_settings_are_rejected(self):
         # Numpy integers are read as the ints they hold.
         scenario = BellScenario(2, (np.int64(1), 1), ((Z,), (Z,)), {(np.int64(0), np.int32(0)): 1.0}, 2.0)
@@ -285,14 +290,23 @@ class TestOptimizeBell:
         assert optimize_bell(chsh_scenario(), seeds=[1], iterations=np.int64(2)) == \
             optimize_bell(chsh_scenario(), seeds=[1], iterations=2)
 
+    def test_seeds_must_be_integers(self):
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
+            optimize_bell(chsh_scenario(), seeds=[1.5, 2.9], iterations=3)
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got '3'$"):
+            optimize_bell(chsh_scenario(), seeds=["3"], iterations=3)
+        result = optimize_bell(chsh_scenario(), seeds=[np.int64(1), np.int32(2)], iterations=3)
+        assert result == optimize_bell(chsh_scenario(), seeds=[1, 2], iterations=3)
+        assert [type(seed) for seed, _, _ in result.restarts] == [int, int]
+
     def test_the_winner_is_evaluated_without_admitting_it_again(self, monkeypatch):
         scenario = mermin3_scenario()
 
-        def refuse(self):
+        def refuse(self, *args):
             raise AssertionError(f"{type(self).__name__} built after the see-saw")
 
-        monkeypatch.setattr(BellScenario, "__post_init__", refuse)
-        monkeypatch.setattr(PureState, "__post_init__", refuse)
+        monkeypatch.setattr(BellScenario, "__init__", refuse)
+        monkeypatch.setattr(PureState, "__init__", refuse)
         result = optimize_bell(scenario, seeds=[5, 6])
         assert abs(result.value_complex - result.value_real_encoded) <= 1e-10
 

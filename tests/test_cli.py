@@ -956,21 +956,25 @@ import contextlib, io, json, sys
 import realsim
 from realsim.cli import main
 
-def loaded(argv):
+def loaded():
+    return [name for name in ("scipy", "dataclasses") if name in sys.modules]
+
+def run(argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
-    return "scipy" in sys.modules
+    return loaded()
 
 jobs = [["encode", "state.json"], ["measure", "state.json", "povm.json"], ["bell", "--seed", "1", "--restarts", "2"],
         ["selftest"], ["stabilizer", "--k", "3"]]
-print(json.dumps([loaded(argv) for argv in jobs] + [loaded(["evolve", "ham.json", "state.json", "--steps", "3"])]))
+print(json.dumps([loaded()] + [run(argv) for argv in jobs] + [run(["evolve", "ham.json", "state.json", "--steps", "3"])]))
 """
         src = pathlib.Path(realsim.__file__).parents[1]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=env)
         assert proc.returncode == 0, proc.stderr
-        # scipy is the tests' oracle only; evolve's dense expm check is the package's own.
-        assert json.loads(proc.stdout) == [False] * 6
+        # scipy is the tests' oracle only; evolve's dense expm check is the package's own.  The records and
+        # containers are plain classes and named tuples, so no import or command loads dataclasses either.
+        assert json.loads(proc.stdout) == [[]] * 7
 
 
 

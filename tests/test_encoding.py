@@ -60,8 +60,7 @@ class TestBuildingBlocks:
 
 
 class TestAncillaCount:
-    @pytest.mark.parametrize("k", [0, -3, 13])
-    @pytest.mark.parametrize("call", [
+    takes_k = pytest.mark.parametrize("call", [
         lambda k: logical_states(k),
         lambda k: local_xz(k, 0),
         lambda k: encode_state(state([S, S * 1j]), k),
@@ -74,9 +73,23 @@ class TestAncillaCount:
         lambda k: trajectory(Hamiltonian(np.eye(2)), state([1.0, 0.0]), 1.0, 4, k),
     ], ids=["logical_states", "local_xz", "encode_state", "decode_state", "encode_operator", "apply_xz",
             "encoded_povm_probabilities", "generator", "evolve", "trajectory"])
+
+    @pytest.mark.parametrize("k", [0, -3, 13])
+    @takes_k
     def test_k_outside_1_to_12_is_rejected(self, call, k):
         with pytest.raises(ValueError, match=rf"^ancilla count k={k} out of range \[1, 12\]$"):
             call(k)
+
+    @takes_k
+    def test_k_that_is_not_an_integer_is_rejected(self, call):
+        with pytest.raises(ValueError, match=r"^ancilla count k must be an integer, got 2\.5$"):
+            call(2.5)
+
+    def test_qubit_that_is_not_an_integer_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^qubit index must be an integer, got 0\.5$"):
+            local_xz(2, 0.5)
+        with pytest.raises(ValueError, match=r"^qubit index must be an integer, got 0\.5$"):
+            apply_xz(np.zeros((4, 1)), 2, 0.5)
 
 
 class TestPureState:
@@ -91,6 +104,10 @@ class TestPureState:
     def test_rejects_bad_factor_dims(self):
         with pytest.raises(ValueError):
             state([1.0, 0.0, 0.0, 0.0], dims=(2, 3))
+        # int() would truncate these to (2, 2), which multiply to the dimension.
+        with pytest.raises(ValueError, match=r"^factor_dims entry must be an integer, got 2\.7$"):
+            PureState(np.ones(4) / 2, (2.7, 2.2))
+        assert PureState(np.ones(4) / 2, (np.int64(2), 2)).factor_dims == (2, 2)
 
     @pytest.mark.parametrize("dims", [(-2, -2), (-1, -4)])
     def test_rejects_factor_dims_below_one(self, dims):

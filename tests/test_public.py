@@ -2,6 +2,9 @@
 
 import types
 
+import numpy as np
+import pytest
+
 import realsim
 
 PUBLIC = {
@@ -27,3 +30,16 @@ def test_exports_exactly_the_public_names():
                 if not name.startswith("_") and not isinstance(getattr(realsim, name), types.ModuleType)}
     assert len(PUBLIC) == 43
     assert exported == PUBLIC
+
+
+@pytest.mark.parametrize("make", [
+    lambda: realsim.evolve(realsim.Hamiltonian(np.eye(2)), 1.0, realsim.PureState(np.array([1.0, 0.0]))),
+    lambda: realsim.optimize_bell(realsim.chsh_scenario(), seeds=[1], iterations=1),
+    lambda: realsim.stabilizer_check(2),
+    lambda: realsim.selftest_counterexample(),
+], ids=["EvolutionResult", "BellResult", "StabilizerReport", "SelfTestTranscript"])
+def test_record_fields_cannot_be_assigned(make):
+    record = make()
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
