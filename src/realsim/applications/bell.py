@@ -15,7 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ..encoding import PureState, apply_lift, encode_amplitudes
-from ..linalg import DEFAULT_MAX_DIM, OBSERVABLE_TOL, SEESAW_STOP_TOL, admit_family, apply_on_axis, as_int, is_hermitian
+from ..linalg import (DEFAULT_MAX_DIM, OBSERVABLE_TOL, SEESAW_STOP_TOL, admit_family, apply_on_axis, as_float, as_int,
+                      is_hermitian)
 
 MODES = ("complex", "real_encoded")
 
@@ -55,11 +56,14 @@ class BellScenario:
                 raise ValueError(f"coefficient key {key} is given twice")
             if len(key) != parties or any(not 0 <= key[j] < settings[j] for j in range(parties)):
                 raise ValueError(f"coefficient key {key} is outside the setting ranges")
-            coeffs[key] = float(value)
+            coeffs[key] = as_float(value, f"coefficient {key}")
             if not np.isfinite(coeffs[key]):
                 raise ValueError(f"coefficient {key} must be finite, got {value}")
+        classical_bound = as_float(classical_bound, "classical_bound")
+        if quantum_target is not None:
+            quantum_target = as_float(quantum_target, "quantum_target")
         for name, value in (("classical_bound", classical_bound), ("quantum_target", quantum_target)):
-            if value is not None and not np.isfinite(float(value)):
+            if value is not None and not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         self.parties, self.settings_per_party, self.observables = parties, settings, tuple(obs)
         self.coefficients, self.classical_bound, self.quantum_target = coeffs, classical_bound, quantum_target

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__, formats
-from .applications.bell import chsh_scenario, mermin3_scenario, optimize_bell
+from .applications.bell import MODES, chsh_scenario, mermin3_scenario, optimize_bell
 from .applications.selftest import selftest_counterexample
 from .dynamics import Hamiltonian, trajectory
 from .encoding import (
@@ -120,24 +120,19 @@ def cmd_bell(args):
         scenario = _SCENARIOS[args.scenario]()
     seeds = [args.seed + i for i in range(args.restarts)]
     result = optimize_bell(scenario, seeds, args.iterations)
+    values = {mode: getattr(result, f"value_{mode}") for mode in MODES if args.mode in (mode, "both")}
     results = {"classical_bound": scenario.classical_bound}
     if scenario.quantum_target is not None:
         results["quantum_target"] = scenario.quantum_target
-    if args.mode in ("complex", "both"):
-        results["value_complex"] = result.value_complex
-    if args.mode in ("real_encoded", "both"):
-        results["value_real_encoded"] = result.value_real_encoded
+    results.update((f"value_{mode}", value) for mode, value in values.items())
     results["optimizer_trace"] = [[i, v] for i, v in result.optimizer_trace]
     results["restarts"] = [[seed, v, n] for seed, v, n in result.restarts]
     assertions = []
-    if args.mode == "both":
-        assertions.append(_leq("modes_agree", abs(result.value_complex - result.value_real_encoded), AGREEMENT_TOL))
+    if len(values) == 2:
+        assertions.append(_leq("modes_agree", abs(values["complex"] - values["real_encoded"]), AGREEMENT_TOL))
     if scenario.quantum_target is not None:
-        target = scenario.quantum_target
-        if args.mode in ("complex", "both"):
-            assertions.append(_leq("reaches_target_complex", target - result.value_complex, REACH_TOL))
-        if args.mode in ("real_encoded", "both"):
-            assertions.append(_leq("reaches_target_real_encoded", target - result.value_real_encoded, REACH_TOL))
+        assertions += [_leq(f"reaches_target_{mode}", scenario.quantum_target - value, REACH_TOL)
+                       for mode, value in values.items()]
     return results, assertions, files
 
 

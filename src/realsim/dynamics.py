@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import math
 import threading
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .encoding import PureState, _check_factors, apply_xz, encode_amplitudes, encode_operator
-from .linalg import admit, as_int, is_hermitian, matexp
+from .linalg import admit, as_float, as_int, is_hermitian, matexp
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -40,36 +39,30 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 class Hamiltonian:
     """Hermitian generator of time evolution, hbar = 1.
 
-    `matrix` is kept exactly as given.  Admission lets it differ from a
-    Hermitian matrix by up to INPUT_TOL, and eigh reads only its lower
-    triangle and the real part of its diagonal.  `hermitian` is that
-    matrix, and both sides simulate it.  The eigendecompositions of H and
-    of its single-ancilla encoding H' are computed once and kept on the
-    instance; they serve every ancilla count k.
+    `matrix` is kept exactly as given; admission lets it differ from a
+    Hermitian matrix by up to INPUT_TOL.  `hermitian`, read-only, is the
+    matrix eigh(H) reads: the lower triangle of H, its conjugate above and
+    Re diag H, selected rather than summed, so signed zeros keep their
+    bits.  Both sides simulate it.  The eigendecompositions of H and of
+    its single-ancilla encoding H' are kept on the instance once
+    computed; they serve every ancilla count k.
     """
 
+    __slots__ = ("matrix", "hermitian", "_spectra")
+
     def __init__(self, matrix: np.ndarray):
-        self.matrix = admit(matrix, "Hamiltonian", square=True)
-        if not is_hermitian(self.matrix):
+        m = self.matrix = admit(matrix, "Hamiltonian", square=True)
+        if not is_hermitian(m):
             raise ValueError("Hamiltonian is not Hermitian")
+        h = np.where(np.tri(self.dim, dtype=bool), m, m.conj().T)
+        d = m.diagonal()
+        np.fill_diagonal(h, np.where(d.imag == 0.0, d, d.real))
+        self.hermitian = _read_only(h)[0]
         self._spectra = {}  # "H" -> (w, W) of H; "H'" -> (lambda, V, J V) of H'
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @cached_property
-    def hermitian(self) -> np.ndarray:
-        """The lower triangle of H, its conjugate above and Re diag H: the matrix eigh(H) diagonalizes.
-
-        Entries are selected, not summed, so the lower triangle and a zero
-        imaginary part on the diagonal keep their bits, signed zeros too.
-        """
-        m = self.matrix
-        h = np.where(np.tri(self.dim, dtype=bool), m, m.conj().T)
-        d = m.diagonal()
-        np.fill_diagonal(h, np.where(d.imag == 0.0, d, d.real))
-        return _read_only(h)[0]
 
     @property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -81,7 +74,7 @@ class Hamiltonian:
         return self._spectra.get("H'") or self._keep("H'", np.linalg.eigh(encode_operator(self.hermitian)))
 
     def _keep(self, key: str, eigh: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
-        """Cache one eigendecomposition read-only, with J V beside V for H', and return it."""
+        """Keep one eigendecomposition read-only, with J V beside V for H', and return it."""
         w, v = eigh
         self._spectra[key] = _read_only(w, v) if key == "H" else _read_only(w, v, apply_xz(v, 1))
         return self._spectra[key]
@@ -139,7 +132,7 @@ def propagator(h: Hamiltonian, t: float, sign: int = 1) -> np.ndarray:
     """Dense real 2n x 2n U(t) = exp(sign t J H') = cos(t H') + sign J sin(t H') from the spectrum of H'."""
     sign = _check_sign(sign)
     lam, v, jv = h.encoded_spectrum()
-    phase = _phases(lam, float(t))
+    phase = _phases(lam, as_float(t, "t"))
     return (v * np.cos(phase)) @ v.T + sign * (jv * np.sin(phase)) @ v.T
 
 
@@ -153,7 +146,7 @@ def evolve(h: Hamiltonian, t: float, psi: PureState, k: int = 1, sign: int = 1) 
     psi' with k ancilla qubits is read as a (2n, 2^(k-1)) matrix.
     """
     sign = _check_args(h, psi, sign)
-    t = float(t)
+    t = as_float(t, "t")
     w, vecs = h.spectrum
     evolved = vecs @ (np.exp((1j * sign) * _phases(w, t)) * (vecs.conj().T @ psi.amplitudes))
 
@@ -186,11 +179,12 @@ def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64, k:
     The grid is linspace(0, t_max, steps).  U(t_max) is built from the
     spectrum of H', checked for orthogonality, and compared with the
     dense exponential of the generator, at k = 1 whatever k the states
-    use.  H' is encoded once.  The eigendecompositions of H and
-    H' not cached yet run on one worker thread, in numpy only, while
-    this thread builds the generator from the same H' and forms its
-    dense exponential; numpy releases the GIL in LAPACK and BLAS, so the
-    two overlap.  Each call gets the operands it would get in sequence,
+    use.  H' is encoded once.  The eigendecompositions of H and H' run
+    on one worker thread, in numpy only, while this thread builds the
+    generator from the same H' and forms its dense exponential; numpy
+    releases the GIL in LAPACK and BLAS, so the two overlap.  Both are
+    kept on h for the `evolve` calls and the propagator, replacing any
+    kept before.  Each call gets the operands it would get in sequence,
     so the results are the same bits.  Errors come in the sequential
     order: arguments (k and the state's factors first), an exception of
     the worker, phases on the grid, and only then a dense exponential
@@ -200,17 +194,14 @@ def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64, k:
     steps = as_int(steps, "steps")
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
-    sign, t_max = _check_args(h, psi, sign), float(t_max)
+    sign, t_max = _check_args(h, psi, sign), as_float(t_max, "t_max")
     if not math.isfinite(t_max):
         raise ValueError(f"dynamics: t_max must be finite, got {t_max}")
     times = tuple(float(t) for t in np.linspace(0.0, t_max, steps))
     h_enc = encode_operator(h.hermitian)
-    keys = [key for key in ("H", "H'") if key not in h._spectra]
     out = []
-    worker = None
-    if keys:
-        worker = threading.Thread(target=_eigh_each, args=([h.hermitian if key == "H" else h_enc for key in keys], out))
-        worker.start()
+    worker = threading.Thread(target=_eigh_each, args=([h.hermitian, h_enc], out))
+    worker.start()
     try:
         # An overflowing sign t G has a non-finite 1-norm, which matexp rejects, so numpy need not warn of it.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -220,9 +211,8 @@ def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64, k:
         except ValueError:
             dense = None
     finally:
-        if worker is not None:
-            worker.join()
-    for key, result in zip(keys, out):
+        worker.join()
+    for key, result in zip(("H", "H'"), out):
         if isinstance(result, Exception):
             raise result
         h._keep(key, result)

@@ -219,6 +219,7 @@ def apply_lift(m, x: np.ndarray, dims: tuple[int, ...], party: int) -> np.ndarra
     else and its matrix is never built.  m is one (d, d) operator or a
     stack (S, d, d); a stack returns shape (S, *x.shape).
     """
+    dims, party = tuple(as_int(d, "dims entry") for d in dims), as_int(party, "party index")
     n = len(dims)
     if not 0 <= party < n:
         raise ValueError(f"party index {party} out of range for {n} parties")
@@ -227,7 +228,7 @@ def apply_lift(m, x: np.ndarray, dims: tuple[int, ...], party: int) -> np.ndarra
         raise ValueError(f"operator shape {m.shape} does not match party dimension {dims[party]}")
     x = np.asarray(x)
     if x.shape[:1] != (math.prod(dims) << n,):
-        raise ValueError(f"state shape {x.shape} does not fit dims {tuple(dims)} with k={n} ancilla qubits")
+        raise ValueError(f"state shape {x.shape} does not fit dims {dims} with k={n} ancilla qubits")
     t = x.reshape(*dims, *(2,) * n, *x.shape[1:])
     out = apply_on_axis(m.real, t, party) + apply_on_axis(m.imag, apply_on_axis(XZ, t, n + party), party)
     return out.reshape(*m.shape[:-2], *x.shape)
@@ -316,6 +317,7 @@ def encode_kraus(channel) -> list[np.ndarray]:
 
 def conjugation_operator(dim: int) -> np.ndarray:
     """Entry-wise complex conjugation: Z on the ancilla qubit."""
+    dim = as_int(dim, "dimension")
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
     return kron(np.eye(dim), _Z)

@@ -9,6 +9,7 @@ complex128 on the complex side and float64 on the encoded side.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -34,6 +35,13 @@ def as_int(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def as_float(value, what: str) -> float:
+    """value as a float: a string or any other value that is not a real number is rejected, not parsed."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _require_square(a: np.ndarray, what: str) -> None:

@@ -108,6 +108,23 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=named):
             BellScenario(2, settings, ((Z,), (Z,)), {key: 1.0}, 2.0)
 
+    @pytest.mark.parametrize("coefficient, bounds, named", [
+        ("1.5", (2.0,), r"^coefficient \(0, 0\) must be a real number, got '1\.5'$"),
+        (1.0, ("2", "3"), r"^classical_bound must be a real number, got '2'$"),
+        (1.0, (2.0, "3"), r"^quantum_target must be a real number, got '3'$"),
+    ])
+    def test_numbers_given_as_strings_are_rejected(self, coefficient, bounds, named):
+        with pytest.raises(ValueError, match=named):
+            BellScenario(2, (1, 1), ((Z,), (Z,)), {(0, 0): coefficient}, *bounds)
+
+    def test_numbers_are_stored_as_the_floats_checked(self):
+        scenario = BellScenario(2, (1, 1), ((Z,), (Z,)), {(0, 0): np.int64(1)}, 2, np.float32(3.5))
+        assert scenario.coefficients == {(0, 0): 1.0}
+        assert (scenario.classical_bound, scenario.quantum_target) == (2.0, 3.5)
+        assert all(type(x) is float for x in (scenario.coefficients[0, 0], scenario.classical_bound,
+                                              scenario.quantum_target))
+        assert BellScenario(2, (1, 1), ((Z,), (Z,)), {(0, 0): 1.0}, 2.0).quantum_target is None
+
     def test_party_count_must_be_an_integer(self):
         with pytest.raises(ValueError, match=r"^parties must be an integer, got 2\.0$"):
             BellScenario(2.0, (1, 1), ((Z,), (Z,)), {(0, 0): 1.0}, 2.0)

@@ -189,6 +189,17 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(Hamiltonian(np.eye(2)), 1.0, state([1.0, 0.0, 0.0]))
 
+    def test_times_given_as_strings_are_rejected(self):
+        h, psi = Hamiltonian(Z), state([S, S])
+        with pytest.raises(ValueError, match=r"^t must be a real number, got '0\.5'$"):
+            evolve(h, "0.5", psi)
+        with pytest.raises(ValueError, match=r"^t must be a real number, got '0\.5'$"):
+            propagator(h, "0.5")
+        with pytest.raises(ValueError, match=r"^t_max must be a real number, got '1\.0'$"):
+            trajectory(h, psi, "1.0")
+        assert trajectory(h, psi, np.float32(1.0), steps=3).times == (0.0, 0.5, 1.0)
+        assert evolve(h, np.int64(1), psi).times == (1.0,)
+
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError):
             evolve(Hamiltonian(np.eye(2)), 1.0, state([1.0, 0.0]), sign=2)
@@ -338,7 +349,9 @@ class TestWorkerThread:
             trajectory(h, psi, t_max=1.0, steps=4)
         assert threading.active_count() == before
 
-    def test_cached_spectra_start_no_thread(self, monkeypatch):
+    def test_every_call_decomposes_on_its_own_thread(self, monkeypatch):
+        # A second trajectory on one Hamiltonian decomposes again rather than reading what the first kept,
+        # and every call returns the bits of the same call on a fresh Hamiltonian.
         starts = []
         start = threading.Thread.start
 
@@ -346,14 +359,19 @@ class TestWorkerThread:
             starts.append(thread)
             start(thread)
 
-        monkeypatch.setattr(threading.Thread, "start", counted)
         h, psi, _ = self.case()
-        trajectory(h, psi, t_max=1.0, steps=4)
-        trajectory(h, psi, t_max=2.0, steps=4, sign=-1)
-        assert len(starts) == 1
-        # Every layout evolves through the single-ancilla H', so a k = 2 run finds both spectra cached.
-        trajectory(h, state(psi.amplitudes, (2, 2)), t_max=1.0, steps=4, k=2)
-        assert len(starts) == 1
+        calls = [(psi, dict(t_max=1.0, steps=4)), (psi, dict(t_max=2.0, steps=4, sign=-1)),
+                 (state(psi.amplitudes, (2, 2)), dict(t_max=1.0, steps=4, k=2))]
+        fresh = [trajectory(Hamiltonian(h.matrix), phi, **kwargs) for phi, kwargs in calls]
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        for (phi, kwargs), expected in zip(calls, fresh):
+            res = trajectory(h, phi, **kwargs)
+            assert res.times == expected.times and res.expm_error == expected.expm_error
+            assert res.orthogonality_error == expected.orthogonality_error
+            assert res.max_deviation == expected.max_deviation
+            assert res.complex_states.tobytes() == expected.complex_states.tobytes()
+            assert res.encoded_states.tobytes() == expected.encoded_states.tobytes()
+        assert len(starts) == 3
 
     def test_phase_error_comes_before_the_dense_one(self):
         # Both fail for this H at t = 5: t*w overflows on the grid, and so does t*G.  The dense
@@ -477,12 +495,17 @@ class TestSpectralPropagator:
         assert np.array_equal(jv, np.kron(np.eye(3), np.abs(encoding_local_xz(1, 0))) @ v)
         assert not trajectory(h, psi, t_max=1.3).expm_error <= 1e-10
 
-    def test_perturbed_eigenvectors_fail_the_orthogonality_gate(self):
+    def test_perturbed_eigenvectors_fail_the_orthogonality_gate(self, monkeypatch):
         h = Hamiltonian(random_hermitian(3, seed=45))
         psi = state(random_state(3, seed=46))
         assert trajectory(h, psi, t_max=2.0, steps=5).orthogonality_error <= linalg.ORTHOGONALITY_TOL
-        lam, v, jv = h.encoded_spectrum()
-        h._spectra["H'"] = (lam, v * (1.0 + 2e-11), jv * (1.0 + 2e-11))
+        spectrum = Hamiltonian.encoded_spectrum
+
+        def perturbed(h):
+            lam, v, jv = spectrum(h)
+            return lam, v * (1.0 + 2e-11), jv * (1.0 + 2e-11)
+
+        monkeypatch.setattr(Hamiltonian, "encoded_spectrum", perturbed)
         res = trajectory(h, psi, t_max=2.0, steps=5)
         assert not res.orthogonality_error <= linalg.ORTHOGONALITY_TOL
         assert res.max_deviation <= linalg.AGREEMENT_TOL and res.expm_error <= linalg.AGREEMENT_TOL

@@ -449,6 +449,13 @@ class TestConjugation:
         assert not np.iscomplexobj(c)
         assert np.array_equal(c @ c, np.eye(8))
 
+    def test_dimension_must_be_a_positive_integer(self):
+        with pytest.raises(ValueError, match=r"^dimension must be an integer, got 2\.5$"):
+            conjugation_operator(2.5)
+        with pytest.raises(ValueError, match=r"^dimension must be positive, got 0$"):
+            conjugation_operator(0)
+        assert np.array_equal(conjugation_operator(np.int64(3)), conjugation_operator(3))
+
     def test_antiunitary_action(self):
         u = random_unitary(3, seed=70)
         psi = random_state(3, seed=71)

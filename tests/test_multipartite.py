@@ -208,6 +208,19 @@ class TestLiftLocalOperator:
                                                  rf"{re.escape(str(dims))} with k={len(dims)} ancilla qubits$"):
                 apply_lift(np.eye(2), np.zeros(shape), dims, 0)
 
+    @pytest.mark.parametrize("x, dims, party, named", [
+        (np.zeros(8), (2, 2), 0.5, r"^party index must be an integer, got 0\.5$"),
+        (np.zeros(4), (2.0,), 0, r"^dims entry must be an integer, got 2\.0$"),
+    ])
+    def test_non_integer_party_or_dims_rejected(self, x, dims, party, named):
+        with pytest.raises(ValueError, match=named):
+            apply_lift(np.eye(2), x, dims, party)
+
+    def test_numpy_integer_party_and_dims_accepted(self):
+        v = encode_state(PureState(random_state(4, seed=23), (2, 2)), 2)
+        m = random_unitary(2, seed=24)
+        assert np.array_equal(apply_lift(m, v, (np.int64(2), 2), np.int64(1)), apply_lift(m, v, (2, 2), 1))
+
 
 class TestLogicalEncodeOperator:
     def test_single_qubit_matches_plain_encoding(self):

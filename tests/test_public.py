@@ -43,3 +43,18 @@ def test_record_fields_cannot_be_assigned(make):
     for field in record._fields:
         with pytest.raises(AttributeError):
             setattr(record, field, None)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: realsim.PureState(np.array([1.0, 0.0])),
+    lambda: realsim.DensityOperator(np.diag([1.0, 0.0])),
+    lambda: realsim.Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]),
+    lambda: realsim.Hamiltonian(np.eye(2)),
+    realsim.chsh_scenario,
+], ids=["PureState", "DensityOperator", "Povm", "Hamiltonian", "BellScenario"])
+def test_containers_have_no_instance_dict(make):
+    # Each container declares its attributes in __slots__: no instance __dict__, and no other attribute.
+    container = make()
+    assert not hasattr(container, "__dict__")
+    with pytest.raises(AttributeError):
+        container.extra = None
