@@ -33,7 +33,9 @@ class BellScenario:
         if parties < 2:
             raise ValueError(f"need at least 2 parties, got {parties}")
         settings = tuple(as_int(s, "settings_per_party entry") for s in settings_per_party)
-        if len(settings) != parties or any(s < 1 for s in settings):
+        if len(settings) != parties:
+            raise ValueError(f"parties={parties} but settings_per_party has {len(settings)} entries")
+        if any(s < 1 for s in settings):
             raise ValueError("settings_per_party must list a positive count per party")
         if len(observables) != parties:
             raise ValueError("observables must list one family per party")

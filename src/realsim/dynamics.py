@@ -43,9 +43,9 @@ class Hamiltonian:
     Hermitian matrix by up to INPUT_TOL.  `hermitian`, read-only, is the
     matrix eigh(H) reads: the lower triangle of H, its conjugate above and
     Re diag H, selected rather than summed, so signed zeros keep their
-    bits.  Both sides simulate it.  The eigendecompositions of H and of
-    its single-ancilla encoding H' are kept on the instance once
-    computed; they serve every ancilla count k.
+    bits.  Both sides simulate it.  `_decompose` keeps the
+    eigendecompositions of H and of its single-ancilla encoding H' in one
+    private slot; they serve every ancilla count k.
     """
 
     __slots__ = ("matrix", "hermitian", "_spectra")
@@ -58,26 +58,24 @@ class Hamiltonian:
         d = m.diagonal()
         np.fill_diagonal(h, np.where(d.imag == 0.0, d, d.real))
         self.hermitian = _read_only(h)[0]
-        self._spectra = {}  # "H" -> (w, W) of H; "H'" -> (lambda, V, J V) of H'
+        self._spectra = None  # (w, W, lambda, V, J V) once decomposed
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues w and unitary eigenvectors W of H, H = W diag(w) W^dagger."""
-        return self._spectra.get("H") or self._keep("H", np.linalg.eigh(self.hermitian))
 
-    def encoded_spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Eigenvalues lambda, real orthogonal eigenvectors V and J V of H' = encode_operator(hermitian)."""
-        return self._spectra.get("H'") or self._keep("H'", np.linalg.eigh(encode_operator(self.hermitian)))
+def _decompose(h: Hamiltonian, eighs=None) -> tuple[np.ndarray, ...]:
+    """Keep on h, read-only, and return (w, W, lambda, V, J V): H = W diag(w) W^dagger, H' = V diag(lambda) V^T.
 
-    def _keep(self, key: str, eigh: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
-        """Keep one eigendecomposition read-only, with J V beside V for H', and return it."""
-        w, v = eigh
-        self._spectra[key] = _read_only(w, v) if key == "H" else _read_only(w, v, apply_xz(v, 1))
-        return self._spectra[key]
+    H' is encode_operator(h.hermitian).  eighs, if given, are numpy's eigh
+    of h.hermitian and of H', in that order; otherwise they are computed here.
+    """
+    if eighs is None:
+        eighs = np.linalg.eigh(h.hermitian), np.linalg.eigh(encode_operator(h.hermitian))
+    (w, vecs), (lam, v) = eighs
+    h._spectra = _read_only(w, vecs, lam, v, apply_xz(v, 1))
+    return h._spectra
 
 
 class EvolutionResult(NamedTuple):
@@ -102,17 +100,12 @@ class EvolutionResult(NamedTuple):
     expm_error: float | None = None
 
 
-def _check_sign(sign: int) -> int:
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return int(sign)
-
-
 def _check_args(h: Hamiltonian, psi: PureState, sign: int) -> int:
-    sign = _check_sign(sign)
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     if h.dim != psi.dim:
         raise ValueError(f"Hamiltonian dimension {h.dim} does not match state dimension {psi.dim}")
-    return sign
+    return int(sign)
 
 
 def _phases(w: np.ndarray, t: float) -> np.ndarray:
@@ -123,19 +116,6 @@ def _phases(w: np.ndarray, t: float) -> np.ndarray:
     return t * w
 
 
-def generator(h: Hamiltonian, k: int = 1, xz_qubit: int = 0) -> np.ndarray:
-    """Real antisymmetric generator J H' of the encoded evolution, H' the encoding of h.hermitian."""
-    return apply_xz(encode_operator(h.hermitian, k, xz_qubit), k, xz_qubit)
-
-
-def propagator(h: Hamiltonian, t: float, sign: int = 1) -> np.ndarray:
-    """Dense real 2n x 2n U(t) = exp(sign t J H') = cos(t H') + sign J sin(t H') from the spectrum of H'."""
-    sign = _check_sign(sign)
-    lam, v, jv = h.encoded_spectrum()
-    phase = _phases(lam, as_float(t, "t"))
-    return (v * np.cos(phase)) @ v.T + sign * (jv * np.sin(phase)) @ v.T
-
-
 def evolve(h: Hamiltonian, t: float, psi: PureState, k: int = 1, sign: int = 1) -> EvolutionResult:
     """Evolve one time step on both sides and compare.
 
@@ -143,15 +123,15 @@ def evolve(h: Hamiltonian, t: float, psi: PureState, k: int = 1, sign: int = 1) 
     side is W (e^{i s w t} * W^dagger psi) from the spectrum of H; the
     encoded side is V (cos(lambda t) * d) + s (J V) (sin(lambda t) * d)
     with d = V^T psi' from the spectrum of H', in real arithmetic only;
-    psi' with k ancilla qubits is read as a (2n, 2^(k-1)) matrix.
+    psi' with k ancilla qubits is read as a (2n, 2^(k-1)) matrix.  Both
+    spectra are those kept on h, decomposed here if h has none yet.
     """
     sign = _check_args(h, psi, sign)
     t = as_float(t, "t")
-    w, vecs = h.spectrum
+    w, vecs, lam, v, jv = h._spectra or _decompose(h)
     evolved = vecs @ (np.exp((1j * sign) * _phases(w, t)) * (vecs.conj().T @ psi.amplitudes))
 
     enc0 = encode_amplitudes(psi.amplitudes, psi.factor_dims, k)
-    lam, v, jv = h.encoded_spectrum()
     d = v.T @ enc0.reshape(2 * h.dim, -1)
     phase = _phases(lam, t)[:, None]
     out = (v @ (np.cos(phase) * d) + sign * (jv @ (np.sin(phase) * d))).ravel()
@@ -176,19 +156,19 @@ def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64, k:
                sign: int = 1) -> EvolutionResult:
     """Evolve on a uniform time grid, one `evolve` per point, and check the propagator once.
 
-    The grid is linspace(0, t_max, steps).  U(t_max) is built from the
-    spectrum of H', checked for orthogonality, and compared with the
-    dense exponential of the generator, at k = 1 whatever k the states
-    use.  H' is encoded once.  The eigendecompositions of H and H' run
-    on one worker thread, in numpy only, while this thread builds the
-    generator from the same H' and forms its dense exponential; numpy
-    releases the GIL in LAPACK and BLAS, so the two overlap.  Both are
-    kept on h for the `evolve` calls and the propagator, replacing any
-    kept before.  Each call gets the operands it would get in sequence,
-    so the results are the same bits.  Errors come in the sequential
-    order: arguments (k and the state's factors first), an exception of
-    the worker, phases on the grid, and only then a dense exponential
-    that is not finite.
+    The grid is linspace(0, t_max, steps).  U(t_max) = cos(t_max H') +
+    sign J sin(t_max H') is built from the spectrum of H', checked for
+    orthogonality, and compared with the dense exponential of the
+    generator J H', at k = 1 whatever k the states use.  H' is encoded
+    once.  The eigendecompositions of H and H' run on one worker thread,
+    in numpy only, while this thread builds the generator from the same
+    H' and forms its dense exponential; numpy releases the GIL in LAPACK
+    and BLAS, so the two overlap.  `_decompose` keeps both on h for the
+    `evolve` calls and U(t_max), replacing any kept before.  Each call
+    gets the operands it would get in sequence, so the results are the
+    same bits.  Errors come in the sequential order: arguments (k and the
+    state's factors first), an exception of the worker, phases on the
+    grid, and only then a dense exponential that is not finite.
     """
     _check_factors(psi.factor_dims, k)
     steps = as_int(steps, "steps")
@@ -197,7 +177,11 @@ def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64, k:
     sign, t_max = _check_args(h, psi, sign), as_float(t_max, "t_max")
     if not math.isfinite(t_max):
         raise ValueError(f"dynamics: t_max must be finite, got {t_max}")
-    times = tuple(float(t) for t in np.linspace(0.0, t_max, steps))
+    try:
+        grid = np.linspace(0.0, t_max, steps)
+    except ValueError:  # numpy's "Maximum allowed size exceeded"
+        raise ValueError(f"steps={steps} is more grid points than an array can hold") from None
+    times = tuple(float(t) for t in grid)
     h_enc = encode_operator(h.hermitian)
     out = []
     worker = threading.Thread(target=_eigh_each, args=([h.hermitian, h_enc], out))
@@ -212,13 +196,13 @@ def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64, k:
             dense = None
     finally:
         worker.join()
-    for key, result in zip(("H", "H'"), out):
-        if isinstance(result, Exception):
-            raise result
-        h._keep(key, result)
+    if isinstance(out[-1], Exception):  # the worker stops at its first exception
+        raise out[-1]
+    _, _, lam, v, jv = _decompose(h, out)
 
     results = [evolve(h, t, psi, k, sign) for t in times]
-    u = propagator(h, t_max, sign)
+    phase = _phases(lam, t_max)
+    u = (v * np.cos(phase)) @ v.T + sign * (jv * np.sin(phase)) @ v.T
     if dense is None:
         raise ValueError(f"dynamics: dense exponential of the generator is not finite at t={t_max}")
     orthogonality = float(np.max(np.abs(u.T @ u - np.eye(u.shape[0]))))

@@ -30,8 +30,8 @@ import math
 
 import numpy as np
 
-from .linalg import (INPUT_TOL, PSD_TOL, admit, admit_family, apply_on_axis, as_int, dagger, is_hermitian, is_identity,
-                     is_psd, is_unitary, kron)
+from .linalg import (DEFAULT_MAX_DIM, INPUT_TOL, PSD_TOL, admit, admit_family, apply_on_axis, as_int, dagger,
+                     is_hermitian, is_identity, is_psd, is_unitary, kron)
 
 XZ = np.array([[0.0, -1.0], [1.0, 0.0]])
 XZ.setflags(write=False)
@@ -320,6 +320,8 @@ def conjugation_operator(dim: int) -> np.ndarray:
     dim = as_int(dim, "dimension")
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
+    if 2 * dim > DEFAULT_MAX_DIM:
+        raise ValueError(f"dimension {dim} exceeds the size cap {DEFAULT_MAX_DIM // 2}")
     return kron(np.eye(dim), _Z)
 
 

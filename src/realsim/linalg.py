@@ -41,7 +41,10 @@ def as_float(value, what: str) -> float:
     """value as a float: a string or any other value that is not a real number is rejected, not parsed."""
     if not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the double range
+        raise ValueError(f"{what} must be finite: an integer beyond the double range") from None
 
 
 def _require_square(a: np.ndarray, what: str) -> None:
@@ -161,7 +164,7 @@ def is_unitary(a) -> bool:
 
 
 def is_hermitian(a, tol: float = INPUT_TOL) -> bool:
-    a = np.asarray(a)
+    a, tol = np.asarray(a), as_float(tol, "tol")
     _require_square(a, "is_hermitian input")
     # Halving is exact and keeps a - a^dagger from overflowing near the largest double.
     return bool(np.max(np.abs(a / 2.0 - dagger(a) / 2.0)) <= tol / 2.0)

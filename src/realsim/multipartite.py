@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .encoding import apply_xz, local_xz, logical_states
-from .linalg import RANK_TOL
+from .linalg import RANK_TOL, as_int
 
 
 class StabilizerReport(NamedTuple):
@@ -33,8 +33,9 @@ def stabilizer_check(k: int) -> StabilizerReport:
     then brute-forces the fixed subspace of the k - 1 independent
     generators by a null-space rank.
     """
+    k = as_int(k, "ancilla count k")
     if not 2 <= k <= 6:
-        raise ValueError(f"k={k} out of range [2, 6]")
+        raise ValueError(f"ancilla count k={k} out of range [2, 6]")
     basis = logical_states(k).T
     worst = 0.0
     for j in range(k):

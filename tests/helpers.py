@@ -1,12 +1,18 @@
 """Independent oracles and generators shared across the test suite.
 
 Everything here is deliberately written against plain numpy, not against
-the package under test, so the comparisons stay two-sided.
+the package under test, so the comparisons stay two-sided.  The
+exceptions are `generator`, which composes the package's own kernels
+into the dense matrix the package never builds beyond k = 1, and the
+fault `perturbed_decompose`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from realsim.dynamics import _decompose
+from realsim.encoding import apply_xz, encode_operator
 
 
 def matrix_obj(m) -> dict:
@@ -34,6 +40,34 @@ def eig_expm_hermitian(h, scale=1.0) -> np.ndarray:
     """exp(scale * i * h) for Hermitian h via eigendecomposition."""
     w, v = np.linalg.eigh(np.asarray(h, dtype=complex))
     return (v * np.exp(1j * scale * w)) @ v.conj().T
+
+
+def generator(h, k: int = 1, xz_qubit: int = 0) -> np.ndarray:
+    """Real antisymmetric generator J H' of the encoded evolution, H' the encoding of the Hamiltonian h.hermitian.
+
+    J and Im H both sit on ancilla qubit xz_qubit of k; `trajectory` builds the k = 1, qubit 0 case inline.
+    """
+    return apply_xz(encode_operator(h.hermitian, k, xz_qubit), k, xz_qubit)
+
+
+def spectral_propagator(spectra, t: float, sign: int = 1) -> np.ndarray:
+    """Dense U(t) = V cos(t lambda) V^T + sign (J V) sin(t lambda) V^T.
+
+    spectra is the (w, W, lambda, V, J V) that `dynamics._decompose` keeps on a Hamiltonian.
+    """
+    _, _, lam, v, jv = spectra
+    return (v * np.cos(t * lam)) @ v.T + sign * (jv * np.sin(t * lam)) @ v.T
+
+
+def perturbed_decompose(h, eighs=None):
+    """dynamics._decompose with the eigenvectors V and J V of H' scaled by 1 + 2e-11, kept on h as it keeps them.
+
+    Patched in for dynamics._decompose, it moves U^T U off the identity by about 8e-11, past the 1e-11
+    orthogonality gate, while the states and the dense comparison stay within 1e-10.
+    """
+    w, vecs, lam, v, jv = _decompose(h, eighs)
+    h._spectra = w, vecs, lam, v * (1.0 + 2e-11), jv * (1.0 + 2e-11)
+    return h._spectra
 
 
 def random_state(dim: int, seed) -> np.ndarray:

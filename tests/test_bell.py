@@ -117,6 +117,16 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=named):
             BellScenario(2, (1, 1), ((Z,), (Z,)), {(0, 0): coefficient}, *bounds)
 
+    @pytest.mark.parametrize("coefficient, bounds, named", [
+        (10 ** 400, (2.0,), r"^coefficient \(0, 0\) must be finite: an integer beyond the double range$"),
+        (1.0, (10 ** 400,), r"^classical_bound must be finite: an integer beyond the double range$"),
+        (1.0, (2.0, -10 ** 400), r"^quantum_target must be finite: an integer beyond the double range$"),
+    ], ids=["coefficient", "classical_bound", "quantum_target"])
+    def test_integers_beyond_the_double_range_are_rejected(self, coefficient, bounds, named):
+        # float() of such an integer raises OverflowError, which is not an input error type.
+        with pytest.raises(ValueError, match=named):
+            BellScenario(2, (1, 1), ((Z,), (Z,)), {(0, 0): coefficient}, *bounds)
+
     def test_numbers_are_stored_as_the_floats_checked(self):
         scenario = BellScenario(2, (1, 1), ((Z,), (Z,)), {(0, 0): np.int64(1)}, 2, np.float32(3.5))
         assert scenario.coefficients == {(0, 0): 1.0}

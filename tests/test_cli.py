@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import matrix_obj, random_hermitian
+from helpers import matrix_obj, perturbed_decompose, random_hermitian
 import realsim
 from realsim import cli, dynamics, encoding, linalg, multipartite
 from realsim.applications import bell, selftest
@@ -195,15 +195,9 @@ class TestEvolve:
 
     def test_perturbed_eigenvectors_fail_the_orthogonality_check(self, capsys, tmp_path, circular_state,
                                                                   monkeypatch):
-        # Scaling the cached eigenvectors of H' by 1 + 2e-11 moves U^T U off the identity by about
+        # Scaling the kept eigenvectors of H' by 1 + 2e-11 moves U^T U off the identity by about
         # 8e-11, while the states and the dense comparison stay within the 1e-10 default tolerance.
-        spectrum = dynamics.Hamiltonian.encoded_spectrum
-
-        def perturbed(h):
-            lam, v, jv = spectrum(h)
-            return lam, v * (1.0 + 2e-11), jv * (1.0 + 2e-11)
-
-        monkeypatch.setattr(dynamics.Hamiltonian, "encoded_spectrum", perturbed)
+        monkeypatch.setattr(dynamics, "_decompose", perturbed_decompose)
         ham = write(tmp_path, "ham.json", matrix_obj([[0.3, -1.0j], [1.0j, -0.2]]))
         code, out, _ = run(capsys, ["evolve", ham, circular_state, "--steps", "5"])
         assert code == 1

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 import realsim
-from helpers import eig_expm_hermitian, random_hermitian, random_state
+from helpers import (eig_expm_hermitian, generator, perturbed_decompose, random_hermitian, random_state,
+                     spectral_propagator)
 from realsim import dynamics, encoding, linalg
 from realsim.dynamics import (
     EvolutionResult,
     Hamiltonian,
+    _decompose,
     evolve,
-    generator,
-    propagator,
     trajectory,
 )
 from realsim.encoding import (
@@ -75,7 +75,7 @@ class TestHermitianPart:
         assert np.array_equal(h.matrix, m)
         assert np.array_equal(h.hermitian, [[0.3, 1.0], [1.0, -0.2]])
         assert not h.hermitian.flags.writeable
-        for ours, numpys in zip(h.spectrum, np.linalg.eigh(m)):
+        for ours, numpys in zip(_decompose(h)[:2], np.linalg.eigh(m)):
             assert np.array_equal(ours, numpys)
 
     def test_exactly_hermitian_input_is_its_own_hermitian_part(self):
@@ -193,26 +193,29 @@ class TestEvolve:
         h, psi = Hamiltonian(Z), state([S, S])
         with pytest.raises(ValueError, match=r"^t must be a real number, got '0\.5'$"):
             evolve(h, "0.5", psi)
-        with pytest.raises(ValueError, match=r"^t must be a real number, got '0\.5'$"):
-            propagator(h, "0.5")
         with pytest.raises(ValueError, match=r"^t_max must be a real number, got '1\.0'$"):
             trajectory(h, psi, "1.0")
         assert trajectory(h, psi, np.float32(1.0), steps=3).times == (0.0, 0.5, 1.0)
         assert evolve(h, np.int64(1), psi).times == (1.0,)
 
     def test_bad_sign_rejected(self):
-        with pytest.raises(ValueError):
-            evolve(Hamiltonian(np.eye(2)), 1.0, state([1.0, 0.0]), sign=2)
+        # A string sign is shown quoted: "got 1" would read as if the integer 1 had been refused.
+        h, psi = Hamiltonian(np.eye(2)), state([1.0, 0.0])
+        for sign, shown in [(2, "2"), ("1", "'1'"), (None, "None")]:
+            with pytest.raises(ValueError, match=rf"^sign must be \+1 or -1, got {shown}$"):
+                evolve(h, 1.0, psi, sign=sign)
+            with pytest.raises(ValueError, match=rf"^sign must be \+1 or -1, got {shown}$"):
+                trajectory(h, psi, 1.0, sign=sign)
 
     @pytest.mark.parametrize("h, t", [(np.full((2, 2), 1.7e308), 0.0), (np.diag([1.7e308, -1.7e308]), 2.5)],
                              ids=["infinite_eigenvalue", "phase_overflow"])
     def test_non_finite_phases_rejected(self, h, t):
         # eigh returns inf for the first H, so t*w is NaN even at t = 0; the second overflows.
-        h = Hamiltonian(h)
+        h, psi = Hamiltonian(h), state([S, 1j * S])
         with pytest.raises(ValueError, match=rf"^dynamics: phases t\*w of the spectrum are not finite at t={t}$"):
-            evolve(h, t, state([S, 1j * S]))
-        with pytest.raises(ValueError, match=rf"at t={t}$"):
-            propagator(h, t)
+            evolve(h, t, psi)
+        with pytest.raises(ValueError, match=rf"^dynamics: phases t\*w of the spectrum are not finite at t={t}$"):
+            trajectory(h, psi, t_max=t, steps=2)
 
 
 class TestTrajectory:
@@ -254,7 +257,8 @@ class TestTrajectory:
         res = trajectory(h, state(random_state(3, seed=34)), t_max=2.0, steps=5)
         assert within_tolerances(res)
         assert res.expm_error <= 1e-10
-        assert np.abs(propagator(h, 0.7) @ propagator(h, 1.3) - propagator(h, 2.0)).max() <= 1e-10
+        u = [spectral_propagator(h._spectra, t) for t in (0.7, 1.3, 2.0)]
+        assert np.abs(u[0] @ u[1] - u[2]).max() <= 1e-10
 
     def test_overflowing_hamiltonian_is_rejected_by_layer(self):
         # Finite entries, but the squarings of the dense exponential of the generator overflow;
@@ -274,7 +278,7 @@ class TestTrajectory:
         h = Hamiltonian(random_hermitian(8, seed=36))
         with pytest.raises(ValueError, match=message):
             trajectory(h, state(random_state(8, seed=37), (8,)), t_max=1.0, steps=4, k=k)
-        assert h._spectra == {}
+        assert h._spectra is None
 
     def test_too_few_steps_rejected(self):
         with pytest.raises(ValueError):
@@ -426,18 +430,26 @@ class TestSpectralPropagator:
                     h = Hamiltonian(random_hermitian(int(rng.integers(2, 9)), seed=int(rng.integers(2**32))))
                     yield h, k, float(rng.uniform(-10.0, 10.0)), sign
 
+    @staticmethod
+    def run(h, t, sign):
+        """trajectory on a two-point grid ending at t, which builds U(t) inline and keeps the spectra on h."""
+        return trajectory(h, PureState(random_state(h.dim, seed=h.dim)), t_max=t, steps=2, sign=sign)
+
     def test_matches_the_dense_exponential(self):
         # At k > 1 the dense side exponentiates the whole k-qubit generator, which evolve never builds:
         # it runs every layout through U_1, and this is where U_k = U_1 (x) I is checked.
         worst = 0.0
         for h, k, t, sign in self.cases():
+            worst = max(worst, self.run(h, t, sign).expm_error)
             dense = linalg.matexp(sign * t * generator(h, k))
-            worst = max(worst, float(np.abs(np.kron(propagator(h, t, sign), np.eye(2 ** (k - 1))) - dense).max()))
+            u = spectral_propagator(h._spectra, t, sign)
+            worst = max(worst, float(np.abs(np.kron(u, np.eye(2 ** (k - 1))) - dense).max()))
         assert worst <= 1e-12
 
     def test_real_and_orthogonal(self):
         for h, _, t, sign in self.cases():
-            u = propagator(h, t, sign)
+            assert self.run(h, t, sign).orthogonality_error <= 1e-11
+            u = spectral_propagator(h._spectra, t, sign)
             assert not np.iscomplexobj(u) and u.shape == (2 * h.dim, 2 * h.dim)
             assert np.abs(u.T @ u - np.eye(u.shape[0])).max() <= 1e-11
 
@@ -445,28 +457,41 @@ class TestSpectralPropagator:
     def test_group_law(self, which):
         rng = np.random.default_rng(41)
         for h, k, _, sign in self.cases():
-            g = sign * generator(h, k)
+            g, spectra = sign * generator(h, k), _decompose(h)
 
             def u(t):
-                return linalg.matexp(t * g) if which == "dense" else propagator(h, t, sign)
+                return linalg.matexp(t * g) if which == "dense" else spectral_propagator(spectra, t, sign)
 
             t1, t2 = rng.uniform(-5.0, 5.0, size=2)
             assert np.abs(u(t1) @ u(t2) - u(t1 + t2)).max() <= 1e-10
 
-    def test_spectra_are_computed_once_for_every_layout(self):
+    def test_spectra_are_computed_once_for_every_layout(self, monkeypatch):
         h = Hamiltonian(random_hermitian(4, seed=42))
         psi = state(random_state(4, seed=43), dims=(2, 2))
+        assert h._spectra is None
         assert within_tolerances(trajectory(h, psi, t_max=1.0, steps=4, k=2))
-        assert h.spectrum is h.spectrum
-        assert h.encoded_spectrum() is h.encoded_spectrum()
-        assert h.encoded_spectrum()[1].shape == (8, 8)
-        assert not any(a.flags.writeable for a in h.spectrum + h.encoded_spectrum())
+        spectra = h._spectra
+        assert [a.shape for a in spectra] == [(4,), (4, 4), (8,), (8, 8), (8, 8)]
+        assert not any(a.flags.writeable for a in spectra)
+        # evolve reads the kept spectra, at any k, and decomposes nothing.
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", None)
+            assert within_tolerances(evolve(h, 0.5, psi, k=2))
+            assert within_tolerances(evolve(h, 0.5, state(psi.amplitudes)))
+        assert h._spectra is spectra
+        # A fresh Hamiltonian's first evolve decomposes once, and the next one reads what it kept.
+        fresh = Hamiltonian(h.matrix)
+        assert within_tolerances(evolve(fresh, 0.5, psi, k=2))
+        kept = fresh._spectra
+        assert [a.tobytes() for a in kept] == [a.tobytes() for a in spectra]
+        assert within_tolerances(evolve(fresh, 1.0, state(psi.amplitudes))) and fresh._spectra is kept
+        # trajectory decomposes again, replacing what was kept.
         assert within_tolerances(trajectory(h, state(psi.amplitudes), t_max=1.0, steps=4))
-        assert len(h._spectra) == 2
+        assert h._spectra is not spectra and len(h._spectra) == 5
 
     def test_cached_j_v_is_the_ancilla_rotation_of_v(self):
         for h, _, _, _ in self.cases():
-            _, v, jv = h.encoded_spectrum()
+            _, _, _, v, jv = _decompose(h)
             j = np.kron(np.eye(h.dim), encoding_local_xz(1, 0))
             assert np.array_equal(jv, j @ v)
 
@@ -491,7 +516,7 @@ class TestSpectralPropagator:
         assert trajectory(Hamiltonian(m), psi, t_max=1.3).expm_error <= 1e-10
         monkeypatch.setattr(encoding, "XZ", np.abs(encoding.XZ))
         h = Hamiltonian(m)
-        _, v, jv = h.encoded_spectrum()
+        _, _, _, v, jv = _decompose(h)
         assert np.array_equal(jv, np.kron(np.eye(3), np.abs(encoding_local_xz(1, 0))) @ v)
         assert not trajectory(h, psi, t_max=1.3).expm_error <= 1e-10
 
@@ -499,18 +524,12 @@ class TestSpectralPropagator:
         h = Hamiltonian(random_hermitian(3, seed=45))
         psi = state(random_state(3, seed=46))
         assert trajectory(h, psi, t_max=2.0, steps=5).orthogonality_error <= linalg.ORTHOGONALITY_TOL
-        spectrum = Hamiltonian.encoded_spectrum
-
-        def perturbed(h):
-            lam, v, jv = spectrum(h)
-            return lam, v * (1.0 + 2e-11), jv * (1.0 + 2e-11)
-
-        monkeypatch.setattr(Hamiltonian, "encoded_spectrum", perturbed)
+        monkeypatch.setattr(dynamics, "_decompose", perturbed_decompose)
         res = trajectory(h, psi, t_max=2.0, steps=5)
         assert not res.orthogonality_error <= linalg.ORTHOGONALITY_TOL
         assert res.max_deviation <= linalg.AGREEMENT_TOL and res.expm_error <= linalg.AGREEMENT_TOL
-        # One step's norm drift alone shows the fault.
-        assert not evolve(h, 1.0, psi).orthogonality_error <= linalg.ORTHOGONALITY_TOL
+        # One step's norm drift alone shows the fault, on a Hamiltonian whose first evolve decomposes.
+        assert not evolve(Hamiltonian(h.matrix), 1.0, psi).orthogonality_error <= linalg.ORTHOGONALITY_TOL
 
     def test_input_norm_off_one_is_not_counted_against_the_propagator(self):
         # PureState accepts a norm within 1e-10 of 1 and never renormalizes; a

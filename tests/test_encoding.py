@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import block_encode, interleave, random_density, random_povm, random_state, random_unitary
+from helpers import block_encode, generator, interleave, random_density, random_povm, random_state, random_unitary
 from realsim import encoding, linalg
 from realsim.applications.bell import BellScenario
-from realsim.dynamics import Hamiltonian, evolve, generator, trajectory
+from realsim.dynamics import Hamiltonian, evolve, trajectory
 from realsim.encoding import (
     DensityOperator,
     Povm,

@@ -34,6 +34,13 @@ def seeded_state(seed, n):
     return {"dims": [n], "amplitudes": [[x / norm, y / norm] for x, y in zip(re, im)]}
 
 
+def seeded_hamiltonian(seed, n):
+    # (G + G^dagger) / 2 entry by entry: a sum and an exact halving, so the file bytes do not depend on the BLAS build.
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return matrix_obj((g + g.conj().T) / 2.0)
+
+
 def seeded_povm(seed, n, count):
     # E_i = U diag(w_i) U^dagger with U a Householder reflection and each weight row summing to 1.
     rng = np.random.default_rng(seed)
@@ -56,6 +63,8 @@ FILES = {
     "state_n256.json": seeded_state(5, 256),
     "state_n8.json": seeded_state(6, 8),
     "povm_8x8.json": seeded_povm(7, 8, 4),
+    # A dense H: every entry of U(t_max) and of the generator is nonzero.
+    "ham_8x8.json": seeded_hamiltonian(8, 8),
     # A gate with complex entries: the witness real part falls short of its modulus.
     "gate_complex.json": matrix_obj([[S, S * 1j], [S * 1j, S]]),
 }
@@ -71,6 +80,8 @@ JOBS = {
                   "ba8d56826dea3d3e287017c96536c45e863896b8afc3a9924b7a2984b680ba5f"),
     "evolve_k2": (["evolve", "ham_pair.json", "pair.json", "--t-max", "0.5", "--steps", "4", "--k", "2"],
                   "595e78b0d16a84a4ded884d7c1e813611e4a741d230f11c74de140e9531dcb19"),
+    "evolve_minus_8x8": (["evolve", "ham_8x8.json", "state_n8.json", "--sign", "minus", "--steps", "5"],
+                         "727e2d522e2f493ed8a9e4c9103e3789375d6a347ab4834157c4b2a8b749b42d"),
     "measure_pure": (["measure", "qubit.json", "povm.json"],
                      "26da12a800521f05abdb6a823efbea42d42bdf32aa1ee1a682b111e7da55a96b"),
     "measure_povm_8x8": (["measure", "state_n8.json", "povm_8x8.json"],

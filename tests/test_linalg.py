@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import eig_expm_hermitian, random_hermitian, random_state, random_unitary, series_expm
+from helpers import eig_expm_hermitian, generator, random_hermitian, random_state, random_unitary, series_expm
 from realsim import linalg
-from realsim.dynamics import Hamiltonian, generator
+from realsim.dynamics import Hamiltonian
 
 
 class TestKron:

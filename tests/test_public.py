@@ -1,5 +1,6 @@
 """The public surface of the package: the names `realsim` exports."""
 
+import re
 import types
 
 import numpy as np
@@ -18,7 +19,7 @@ PUBLIC = {
     # multipartite
     "StabilizerReport", "stabilizer_check",
     # dynamics
-    "EvolutionResult", "Hamiltonian", "evolve", "generator", "propagator", "trajectory",
+    "EvolutionResult", "Hamiltonian", "evolve", "trajectory",
     # applications
     "BellResult", "BellScenario", "bell_value", "chsh_scenario", "ghz3_state", "mermin3_scenario", "optimize_bell",
     "phi_plus_state", "SelfTestTranscript", "selftest_counterexample",
@@ -28,7 +29,7 @@ PUBLIC = {
 def test_exports_exactly_the_public_names():
     exported = {name for name in dir(realsim)
                 if not name.startswith("_") and not isinstance(getattr(realsim, name), types.ModuleType)}
-    assert len(PUBLIC) == 43
+    assert len(PUBLIC) == 41
     assert exported == PUBLIC
 
 
@@ -58,3 +59,77 @@ def test_containers_have_no_instance_dict(make):
     assert not hasattr(container, "__dict__")
     with pytest.raises(AttributeError):
         container.extra = None
+
+
+def test_hamiltonian_exposes_only_its_matrices_and_dimension():
+    assert {name for name in dir(realsim.Hamiltonian) if not name.startswith("_")} == {"matrix", "hermitian", "dim"}
+
+
+def _chsh_with(**changes):
+    chsh = realsim.chsh_scenario()
+    fields = dict(parties=chsh.parties, settings_per_party=chsh.settings_per_party, observables=chsh.observables,
+                  coefficients=chsh.coefficients, classical_bound=chsh.classical_bound)
+    return realsim.BellScenario(**{**fields, **changes})
+
+
+def _evolve(**changes):
+    args = dict(h=realsim.Hamiltonian(np.eye(2)), t=1.0, psi=realsim.PureState(np.array([1.0, 0.0])))
+    return realsim.evolve(**{**args, **changes})
+
+
+def _trajectory(**changes):
+    args = dict(h=realsim.Hamiltonian(np.eye(2)), psi=realsim.PureState(np.array([1.0, 0.0])), t_max=1.0, steps=3)
+    return realsim.trajectory(**{**args, **changes})
+
+
+# Every scalar numeric argument of an exported function or constructor:
+# (the name its errors give it, whether it is read as an int, a call that passes it the value).
+SCALAR_ARGUMENTS = {
+    "apply_lift.party": ("party index", True, lambda v: realsim.apply_lift(np.eye(2), np.zeros(16), (2, 2), v)),
+    "conjugation_operator.dim": ("dimension", True, realsim.conjugation_operator),
+    "decode_state.k": ("ancilla count k", True, lambda v: realsim.decode_state(np.zeros(4), v)),
+    "encode_operator.k": ("ancilla count k", True, lambda v: realsim.encode_operator(np.eye(2), v)),
+    "encode_operator.xz_qubit": ("qubit index", True, lambda v: realsim.encode_operator(np.eye(2), 2, v)),
+    "encode_state.k": ("ancilla count k", True,
+                       lambda v: realsim.encode_state(realsim.PureState(np.array([1.0, 0.0])), v)),
+    "encoded_povm_probabilities.k": ("ancilla count k", True, lambda v: realsim.encoded_povm_probabilities(
+        np.array([1.0, 0.0, 0.0, 0.0]), realsim.Povm([np.eye(2)]), v)),
+    "local_xz.k": ("ancilla count k", True, lambda v: realsim.local_xz(v, 0)),
+    "local_xz.qubit": ("qubit index", True, lambda v: realsim.local_xz(2, v)),
+    "logical_states.k": ("ancilla count k", True, realsim.logical_states),
+    "is_hermitian.tol": ("tol", False, lambda v: realsim.is_hermitian(np.eye(2), v)),
+    "stabilizer_check.k": ("ancilla count k", True, realsim.stabilizer_check),
+    "evolve.t": ("t", False, lambda v: _evolve(t=v)),
+    "evolve.k": ("ancilla count k", True, lambda v: _evolve(k=v)),
+    "evolve.sign": ("sign", True, lambda v: _evolve(sign=v)),
+    "trajectory.t_max": ("t_max", False, lambda v: _trajectory(t_max=v)),
+    "trajectory.steps": ("steps", True, lambda v: _trajectory(steps=v)),
+    "trajectory.k": ("ancilla count k", True, lambda v: _trajectory(k=v)),
+    "trajectory.sign": ("sign", True, lambda v: _trajectory(sign=v)),
+    "optimize_bell.iterations": ("iterations", True,
+                                 lambda v: realsim.optimize_bell(realsim.chsh_scenario(), [1], v)),
+    "BellScenario.parties": ("parties", True, lambda v: _chsh_with(parties=v)),
+    "BellScenario.classical_bound": ("classical_bound", False, lambda v: _chsh_with(classical_bound=v)),
+    "BellScenario.quantum_target": ("quantum_target", False, lambda v: _chsh_with(quantum_target=v)),
+}
+
+BAD_VALUES = {"string": "3", "non_integer": 2.5, "none": None, "huge": 10 ** 400}
+
+# Values that are admissible where they are passed: quantum_target is optional, and a see-saw stops
+# when its value settles, so an iteration cap beyond any float is still a cap.
+ADMISSIBLE = {("BellScenario.quantum_target", "none"), ("optimize_bell.iterations", "huge")}
+
+
+@pytest.mark.parametrize("argument, value", [
+    (argument, value) for argument, (_, reads_int, _) in SCALAR_ARGUMENTS.items() for value in BAD_VALUES
+    if reads_int or value != "non_integer"  # a non-integer float is a valid real number
+])
+def test_malformed_scalar_argument_raises_a_value_error_naming_it(argument, value):
+    name, _, call = SCALAR_ARGUMENTS[argument]
+    if (argument, value) in ADMISSIBLE:
+        call(BAD_VALUES[value])
+        return
+    with pytest.raises(ValueError) as raised:
+        call(BAD_VALUES[value])
+    assert type(raised.value) is ValueError
+    assert re.match(rf"{re.escape(name)}\b", str(raised.value)), str(raised.value)[:200]
