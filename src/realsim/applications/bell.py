@@ -42,7 +42,7 @@ class BellScenario:
         obs = []
         for j, family in enumerate(observables):
             if len(family) != settings[j]:
-                raise ValueError(f"party {j} has {len(family)} observables, expected {settings[j]}")
+                raise ValueError(f"party {j} has {len(family)} observables, settings_per_party gives {settings[j]}")
             stack = admit_family(family, f"party {j} observable")
             if stack.shape[1] < 2:
                 raise ValueError(f"party {j} has dimension {stack.shape[1]}; every party needs dimension >= 2")
@@ -59,14 +59,9 @@ class BellScenario:
             if len(key) != parties or any(not 0 <= key[j] < settings[j] for j in range(parties)):
                 raise ValueError(f"coefficient key {key} is outside the setting ranges")
             coeffs[key] = as_float(value, f"coefficient {key}")
-            if not np.isfinite(coeffs[key]):
-                raise ValueError(f"coefficient {key} must be finite, got {value}")
         classical_bound = as_float(classical_bound, "classical_bound")
         if quantum_target is not None:
             quantum_target = as_float(quantum_target, "quantum_target")
-        for name, value in (("classical_bound", classical_bound), ("quantum_target", quantum_target)):
-            if value is not None and not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
         self.parties, self.settings_per_party, self.observables = parties, settings, tuple(obs)
         self.coefficients, self.classical_bound, self.quantum_target = coeffs, classical_bound, quantum_target
 
@@ -259,6 +254,8 @@ def optimize_bell(scenario: BellScenario, seeds, iterations: int = 100) -> BellR
     seeds = [as_int(s, "seed") for s in seeds]
     if not seeds:
         raise ValueError("optimize_bell needs at least one seed")
+    if min(seeds) < 0:
+        raise ValueError(f"seed must be non-negative, got {min(seeds)}")
     iterations = as_int(iterations, "iterations")
     if iterations < 1:
         raise ValueError(f"iterations must be positive, got {iterations}")

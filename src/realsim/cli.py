@@ -10,7 +10,6 @@ import argparse
 import contextlib
 import functools
 import hashlib
-import math
 import sys
 
 import numpy as np
@@ -28,7 +27,7 @@ from .encoding import (
     povm_probabilities,
 )
 from .formats import FormatError
-from .linalg import AGREEMENT_TOL, EXACT_TOL, INPUT_TOL, ORTHOGONALITY_TOL, REACH_TOL
+from .linalg import AGREEMENT_TOL, EXACT_TOL, INPUT_TOL, ORTHOGONALITY_TOL, REACH_TOL, as_float
 from .multipartite import stabilizer_check
 
 
@@ -59,6 +58,7 @@ def cmd_encode(args):
 
 
 def cmd_evolve(args):
+    tol = as_float(args.tol, "--tol")
     h = Hamiltonian(formats.load_matrix(args.hamiltonian))
     state = formats.load_state(args.state)
     sign = 1 if args.sign == "plus" else -1
@@ -73,8 +73,8 @@ def cmd_evolve(args):
     }
     assertions = [
         _leq("propagator_orthogonal", res.orthogonality_error, ORTHOGONALITY_TOL),
-        _leq("matches_complex_evolution", res.max_deviation, args.tol),
-        _leq("matches_dense_expm", res.expm_error, args.tol),
+        _leq("matches_complex_evolution", res.max_deviation, tol),
+        _leq("matches_dense_expm", res.expm_error, tol),
     ]
     return results, assertions, [args.hamiltonian, args.state]
 
@@ -181,17 +181,6 @@ _COMMANDS = {
 }
 
 
-def _finite_float(text: str) -> float:
-    """argparse type of --tol: a report cannot carry a non-finite tolerance, so it is a usage error."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return value
-
-
 @functools.cache  # the parser never changes, and each parse_args call returns a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -212,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sign", choices=("plus", "minus"), default="plus",
                     help="sign convention: plus evolves with exp(+iHt), minus with exp(-iHt) (default plus)")
     sp.add_argument("--k", type=int, default=1, help="ancilla qubits, 1 to 12, one per party when > 1 (default 1)")
-    sp.add_argument("--tol", type=_finite_float, default=AGREEMENT_TOL,
+    sp.add_argument("--tol", type=float, default=AGREEMENT_TOL,
                     help="tolerance of the matches_complex_evolution and matches_dense_expm assertions"
                          f" (default {AGREEMENT_TOL:g}); propagator_orthogonal keeps {ORTHOGONALITY_TOL:g}")
 

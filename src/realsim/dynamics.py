@@ -101,11 +101,12 @@ class EvolutionResult(NamedTuple):
 
 
 def _check_args(h: Hamiltonian, psi: PureState, sign: int) -> int:
+    sign = as_int(sign, "sign")
     if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
     if h.dim != psi.dim:
         raise ValueError(f"Hamiltonian dimension {h.dim} does not match state dimension {psi.dim}")
-    return int(sign)
+    return sign
 
 
 def _phases(w: np.ndarray, t: float) -> np.ndarray:
@@ -175,8 +176,6 @@ def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64, k:
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
     sign, t_max = _check_args(h, psi, sign), as_float(t_max, "t_max")
-    if not math.isfinite(t_max):
-        raise ValueError(f"dynamics: t_max must be finite, got {t_max}")
     try:
         grid = np.linspace(0.0, t_max, steps)
     except ValueError:  # numpy's "Maximum allowed size exceeded"

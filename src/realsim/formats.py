@@ -8,6 +8,7 @@ are emitted with 17 significant digits so doubles round-trip exactly.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import json
 import math
@@ -17,6 +18,7 @@ import numpy as np
 
 from .applications.bell import BellScenario
 from .encoding import DensityOperator, Povm, PureState
+from .linalg import as_float, as_int
 
 
 class FormatError(ValueError):
@@ -26,12 +28,18 @@ class FormatError(ValueError):
 def load_json(path: str, convert=lambda tree: tree):
     """convert(tree) of the parsed JSON file; NaN and Infinity are rejected, not read.
 
-    Parsed JSON holds no reference cycles, yet its many small lists would set off collections that
-    scan it.  So the collector stays paused while the file is parsed and converted, and the tree is
-    dropped before the collector resumes: `convert` should return arrays, not parts of the tree.
+    Every error names the file: text that is not UTF-8 or not JSON, nesting
+    too deep to parse, and a value that `convert` rejects.  Parsed JSON holds
+    no reference cycles, yet its many small lists would set off collections
+    that scan it.  So the collector stays paused while the file is parsed and
+    converted, and the tree is dropped before the collector resumes: `convert`
+    should return arrays, not parts of the tree.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text at byte {e.start}: {e.reason}") from None
 
     def reject(literal):
         raise FormatError(f"{path}: non-finite number {literal} is not allowed")
@@ -43,11 +51,18 @@ def load_json(path: str, convert=lambda tree: tree):
             tree = json.loads(text, parse_constant=reject)
         except json.JSONDecodeError as e:
             raise FormatError(f"{path}: malformed JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+        except RecursionError:  # json's parser recurses once per nested list or object
+            raise FormatError(f"{path}: JSON nested too deeply to parse") from None
         except FormatError:  # from reject, already naming the file
             raise
         except ValueError as e:  # an integer literal longer than Python's int conversion limit
             raise FormatError(f"{path}: {e}") from e
-        value = convert(tree)
+        try:
+            value = convert(tree)
+        except FormatError:
+            raise
+        except ValueError as e:  # from linalg's number readers, given the field's JSON path
+            raise FormatError(str(e)) from None
         del tree
         return value
     finally:
@@ -66,81 +81,54 @@ def _require_keys(obj, required: tuple[str, ...], optional: tuple[str, ...] = ()
         raise FormatError(f"{where} has unknown keys {unknown}")
 
 
-def _int_list(value, where: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or any(not isinstance(v, int) or isinstance(v, bool) for v in value):
+def _ints(value, where: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
         raise FormatError(f"{where} must be a list of integers")
-    return tuple(value)
-
-
-def _float(value, where: str) -> float:
-    """float(value); an integer beyond the double range is rejected here, where it would become a float."""
-    try:
-        return float(value)
-    except OverflowError:  # an integer literal beyond the double range
-        raise FormatError(f"{where} must be finite: non-finite number, an integer beyond the double range") from None
-
-
-def _number(value, where: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise FormatError(f"{where} must be a number")
-    number = _float(value, where)
-    if not np.isfinite(number):
-        raise FormatError(f"{where} must be finite, got {value}")
-    return number
+    return tuple(as_int(v, f"{where}[{i}]") for i, v in enumerate(value))
 
 
 def _pairs_to_complex(entries, where: str) -> np.ndarray:
     """[[re, im], ...] as one complex vector.
 
     Shape and types are checked in whole-list passes and the numbers
-    converted in one array call; the per-pair scan runs only to name the
-    first bad pair.
+    converted in one array call; only when that fails does a per-pair
+    scan run, to name the first bad pair.
     """
     if not isinstance(entries, list):
         raise FormatError(f"{where} must be a list of [re, im] pairs")
-    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}):
-        _raise_on_first_bad_pair(entries, where)  # returns only for tuple pairs, which JSON never gives
-    flat = list(chain.from_iterable(entries))
-    if not set(map(type, flat)) <= {int, float}:  # bool, str, None and lists are other types
-        _raise_on_first_bad_pair(entries, where)  # returns only for number subclasses, which JSON never gives
-    try:
-        values = np.array(flat, dtype=float).view(complex)
-    except OverflowError:  # a float literal beyond the double range parses to inf, an integer one does not
-        for i, x in enumerate(flat):
-            _float(x, f"{where}[{i // 2}]")  # raises at the first such integer, naming its pair
-        raise
-    finite = np.isfinite(values)
-    if not finite.all():
-        raise FormatError(f"{where}[{int(np.argmin(finite))}] must be finite")
-    return values
-
-
-def _raise_on_first_bad_pair(entries: list, where: str) -> None:
+    if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}:
+        flat = list(chain.from_iterable(entries))
+        if set(map(type, flat)) <= {int, float}:  # bool, str, None and lists are other types
+            # An integer literal beyond the double range raises OverflowError; a float one parses to inf.
+            with contextlib.suppress(OverflowError):
+                values = np.array(flat, dtype=float).view(complex)
+                if np.isfinite(values).all():
+                    return values
     for i, pair in enumerate(entries):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise FormatError(f"{where}[{i}] must be a [re, im] pair")
-        re, im = pair
-        if not isinstance(re, (int, float)) or not isinstance(im, (int, float)) \
-                or isinstance(re, bool) or isinstance(im, bool):
-            raise FormatError(f"{where}[{i}] must hold two numbers")
+        for x in pair:
+            as_float(x, f"{where}[{i}]")
+    # Every pair holds two finite real numbers, yet not as JSON gives them: tuples or number subclasses.
+    return np.array(list(chain.from_iterable(entries)), dtype=float).view(complex)
 
 
 def parse_vector(obj, where: str = "vector") -> tuple[np.ndarray, tuple[int, ...]]:
     _require_keys(obj, ("dims", "amplitudes"), where=where)
-    dims = obj["dims"]
-    if not isinstance(dims, list) or not dims or any(not isinstance(d, int) or isinstance(d, bool) or d < 1 for d in dims):
+    dims = _ints(obj["dims"], f"{where}.dims")
+    if not dims or min(dims) < 1:
         raise FormatError(f"{where}.dims must be a nonempty list of positive integers")
     amps = _pairs_to_complex(obj["amplitudes"], f"{where}.amplitudes")
-    if amps.size != int(np.prod(dims)):
-        raise FormatError(f"{where} has {amps.size} amplitudes but dims {dims} require {int(np.prod(dims))}")
-    return amps, tuple(dims)
+    if amps.size != math.prod(dims):
+        raise FormatError(f"{where} has {amps.size} amplitudes but dims {list(dims)} require {math.prod(dims)}")
+    return amps, dims
 
 
 def parse_matrix(obj, where: str = "matrix") -> np.ndarray:
     _require_keys(obj, ("rows", "cols", "entries"), where=where)
-    rows, cols = obj["rows"], obj["cols"]
+    rows, cols = (as_int(obj[name], f"{where}.{name}") for name in ("rows", "cols"))
     for name, n in (("rows", rows), ("cols", cols)):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        if n < 1:
             raise FormatError(f"{where}.{name} must be a positive integer")
     entries = _pairs_to_complex(obj["entries"], f"{where}.entries")
     if entries.size != rows * cols:
@@ -189,13 +177,11 @@ def _scenario_args(obj, path: str) -> tuple:
         optional=("quantum_target",),
         where=path,
     )
-    parties = obj["parties"]
-    if not isinstance(parties, int) or isinstance(parties, bool):
-        raise FormatError(f"{path}.parties must be an integer")
+    parties = as_int(obj["parties"], f"{path}.parties")
     observables = obj["observables"]
     if not isinstance(observables, list) or len(observables) != parties \
             or any(not isinstance(family, list) for family in observables):
-        raise FormatError(f"{path}.observables must list one family of matrices per party")
+        raise FormatError(f"{path}.observables must list one family of matrices for each of the {parties} parties")
     families = [[parse_matrix(o, where=f"{path}.observables[{j}][{s}]") for s, o in enumerate(family)]
                 for j, family in enumerate(observables)]
     if not isinstance(obj["coefficients"], list):
@@ -204,17 +190,17 @@ def _scenario_args(obj, path: str) -> tuple:
     for i, entry in enumerate(obj["coefficients"]):
         where = f"{path}.coefficients[{i}]"
         _require_keys(entry, ("settings", "value"), where=where)
-        settings = _int_list(entry["settings"], f"{where}.settings")
+        settings = _ints(entry["settings"], f"{where}.settings")
         if settings in coeffs:  # each earlier entry added one key, so the key's index is its entry's
             raise FormatError(f"{where}.settings repeats {path}.coefficients[{list(coeffs).index(settings)}].settings")
-        coeffs[settings] = _number(entry["value"], f"{where}.value")
+        coeffs[settings] = as_float(entry["value"], f"{where}.value")
     return (
         parties,
-        _int_list(obj["settings_per_party"], f"{path}.settings_per_party"),
+        _ints(obj["settings_per_party"], f"{path}.settings_per_party"),
         families,
         coeffs,
-        _number(obj["classical_bound"], f"{path}.classical_bound"),
-        _number(obj["quantum_target"], f"{path}.quantum_target") if "quantum_target" in obj else None,
+        as_float(obj["classical_bound"], f"{path}.classical_bound"),
+        as_float(obj["quantum_target"], f"{path}.quantum_target") if "quantum_target" in obj else None,
     )
 
 

@@ -29,22 +29,28 @@ SEESAW_STOP_TOL = 1e-13  # a see-saw restart stops when its value moves by less 
 REACH_TOL = 1e-6  # how far below its quantum target a see-saw optimum may stop
 
 
+# The two readers of scalar numbers, for library arguments, file fields and flags alike.  Errors name `what`.
 def as_int(value, what: str) -> int:
-    """value as an int: a float, a string or any other non-integer is rejected, not truncated."""
+    """value as an int: a bool, a float, a string or any other non-integer is rejected, not truncated."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def as_float(value, what: str) -> float:
-    """value as a float: a string or any other value that is not a real number is rejected, not parsed."""
-    if not isinstance(value, numbers.Real):
+    """value as a finite float: a bool, a string, NaN, an infinity or an integer beyond the double range is rejected."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ValueError(f"{what} must be a real number, got {value!r}")
     try:
-        return float(value)
-    except OverflowError:  # an integer beyond the double range
+        x = float(value)
+    except OverflowError:
         raise ValueError(f"{what} must be finite: an integer beyond the double range") from None
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite, got {x}")
+    return x
 
 
 def _require_square(a: np.ndarray, what: str) -> None:

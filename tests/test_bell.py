@@ -326,6 +326,13 @@ class TestOptimizeBell:
         assert result == optimize_bell(chsh_scenario(), seeds=[1, 2], iterations=3)
         assert [type(seed) for seed, _, _ in result.restarts] == [int, int]
 
+    @pytest.mark.parametrize("seeds, shown", [([-5], -5), ([3, -1, 2], -1), ([np.int64(-2)], -2)])
+    def test_negative_seed_is_rejected_by_name(self, monkeypatch, seeds, shown):
+        # Rejected before any generator is seeded: numpy's own message names neither the seed nor the layer.
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(ValueError, match=rf"^seed must be non-negative, got {shown}$"):
+            optimize_bell(chsh_scenario(), seeds=seeds, iterations=3)
+
     def test_the_winner_is_evaluated_without_admitting_it_again(self, monkeypatch):
         scenario = mermin3_scenario()
 

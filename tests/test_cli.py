@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import functools
 import io
 import itertools
 import json
@@ -262,14 +263,13 @@ class TestEvolve:
             warnings.simplefilter("error", RuntimeWarning)
             code, out, err = run(capsys, ["evolve", ham, circular_state, f"--t-max={t_max}"])
         assert (code, out) == (2, "")
-        assert err == f"error: dynamics: t_max must be finite, got {t_max}\n"
+        assert err == f"error: t_max must be finite, got {t_max}\n"
 
-    # A negative tolerance fails the two assertions it bounds; a non-finite one is a usage error, which
-    # argparse prints after the usage and the program name.
+    # A negative tolerance fails the two assertions it bounds; a non-finite one is rejected as input.
     @pytest.mark.parametrize("option, value, code, message", [
         ("--t-max", "-1e-3", 0, ""), ("--t-max", "-1e5", 0, ""), ("--tol", "-1e-3", 1, ""),
-        ("--t-max", "-inf", 2, "error: dynamics: t_max must be finite, got -inf\n"),
-        ("--tol", "-inf", 2, "error: argument --tol: must be finite, got -inf\n"),
+        ("--t-max", "-inf", 2, "error: t_max must be finite, got -inf\n"),
+        ("--tol", "-inf", 2, "error: --tol must be finite, got -inf\n"),
     ])
     def test_negative_value_after_a_space_reads_as_after_equals(self, capsys, tmp_path, circular_state, option,
                                                                value, code, message):
@@ -278,8 +278,7 @@ class TestEvolve:
         joined = run(capsys, ["evolve", ham, circular_state, "--steps", "3", f"{option}={value}"])
         assert spaced == joined
         assert spaced[0] == code
-        err = spaced[2]
-        assert err == message or err.startswith("usage: realsim evolve") and err.endswith(f"\nrealsim evolve: {message}")
+        assert spaced[2] == message
 
     def test_non_hermitian_rejected(self, capsys, tmp_path, circular_state):
         ham = write(tmp_path, "ham.json", matrix_obj([[0.0, 1.0], [0.0, 0.0]]))
@@ -379,6 +378,12 @@ class TestBell:
         code, _, err = run(capsys, ["bell", "--scenario", "chsh"])
         assert code == 2
         assert "--seed is required" in err
+
+    @pytest.mark.parametrize("argv", [["--seed", "-5"], ["--seed=-5"], ["--seed", "-5", "--restarts", "8"]])
+    def test_negative_seed_is_rejected_by_name(self, capsys, argv):
+        # Restart r uses seed + r, so the base seed is the one named even when later restarts are non-negative.
+        code, out, err = run(capsys, ["bell", "--scenario", "chsh", *argv])
+        assert (code, out, err) == (2, "", "error: seed must be non-negative, got -5\n")
 
     def test_scenario_file(self, capsys, tmp_path):
         z = matrix_obj(np.diag([1.0, -1.0]))
@@ -539,7 +544,7 @@ class TestBell:
         code, out, err = run(capsys, ["bell", "--scenario-file", write(tmp_path, "s.json", obj), "--seed", "3"])
         assert code == 2
         assert out == ""
-        assert f"s.json.{named} must be finite: non-finite number" in err
+        assert err == f"error: {tmp_path / 's.json'}.{named} must be finite: an integer beyond the double range\n"
 
     @pytest.mark.parametrize("mode", ["both", "complex", "real_encoded"])
     def test_one_dimensional_party_rejected_in_every_mode(self, capsys, tmp_path, mode):
@@ -793,6 +798,32 @@ class TestOverflowingMatrixEntry:
         self.assert_rejected(proc, "v.json.amplitudes[1]")
 
 
+class TestUnreadableFiles:
+    """A file json cannot read as text or as a tree is rejected with one line naming it, in a fresh process."""
+
+    CONTENTS = {
+        # json's parser recurses once per nested list, so this many raise RecursionError.
+        "deep": ("[" * 100000).encode(),
+        "non_utf8": b'{"dims": [1], "amplitudes": [[1.0, 0.0]]}\xff',
+    }
+    MESSAGES = {"deep": "JSON nested too deeply to parse", "non_utf8": "not UTF-8 text at byte 41: invalid start byte"}
+
+    @pytest.mark.parametrize("content", sorted(CONTENTS))
+    @pytest.mark.parametrize("argv", [
+        ["encode", "BAD"], ["evolve", "BAD", "STATE"], ["evolve", "HAM", "BAD"], ["measure", "BAD", "POVM"],
+        ["measure", "STATE", "BAD"], ["bell", "--scenario-file", "BAD", "--seed", "1"], ["selftest", "BAD"],
+    ], ids=lambda argv: "_".join(a.lower().lstrip("-") for a in argv if not a.isdigit()))
+    def test_rejected_naming_the_file(self, tmp_path, circular_state, z_basis_povm, content, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(self.CONTENTS[content])
+        ham = write(tmp_path, "ham.json", matrix_obj(np.diag([1.0, -1.0])))
+        files = {"BAD": str(bad), "STATE": circular_state, "POVM": z_basis_povm, "HAM": ham}
+        proc = subprocess.run([sys.executable, "-m", "realsim", *[files.get(a, a) for a in argv]],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: {bad}: {self.MESSAGES[content]}\n"
+
+
 class TestHugeFiniteEntries:
     """Entries near the largest double are finite but overflow a square or a sum; no numpy warning reaches stderr."""
 
@@ -882,8 +913,7 @@ class TestTolFlag:
         tol = [f"--tol={value}"] if joined else ["--tol", value]
         code, out, err = run(capsys, ["evolve", missing, missing, *tol])
         assert (code, out) == (2, "")
-        assert err.startswith("usage: realsim evolve")
-        assert err.endswith(f"\nrealsim evolve: error: argument --tol: must be finite, got {value}\n")
+        assert err == f"error: --tol must be finite, got {value}\n"
 
     @pytest.mark.parametrize("argv", [
         ["encode", "STATE"], ["measure", "STATE", "POVM"], ["bell", "--seed", "1"], ["selftest"],
@@ -1133,12 +1163,82 @@ def at_the_admission_edge(draw, command):
     return {"state.json": state, "povm.json": povm}, ["measure", "state.json", "povm.json"]
 
 
+# One valid job per command, every number in its files and flags written as the type it is read as.
+_STATE, _Z_OBJ = {"dims": [2], "amplitudes": [[S, 0.0], [0.0, S]]}, matrix_obj(np.diag([1.0, -1.0]))
+NUMBER_JOBS = {
+    "encode": ({"state.json": _STATE}, ["encode", "state.json", "--k", "1"]),
+    "evolve": ({"h.json": _Z_OBJ, "state.json": _STATE},
+               ["evolve", "h.json", "state.json", "--t-max", "1.0", "--steps", "3", "--k", "1", "--tol", "1e-10"]),
+    "measure": ({"state.json": _STATE,
+                 "povm.json": {"elements": [matrix_obj(np.diag([1.0, 0.0])), matrix_obj(np.diag([0.0, 1.0]))]}},
+                ["measure", "state.json", "povm.json"]),
+    "bell": ({"scenario.json": {"parties": 2, "settings_per_party": [1, 1], "observables": [[_Z_OBJ], [_Z_OBJ]],
+                                "coefficients": [{"settings": [0, 0], "value": 1.0}],
+                                "classical_bound": 1.0, "quantum_target": 1.0}},
+             ["bell", "--scenario-file", "scenario.json", "--restarts", "2", "--seed", "1", "--iterations", "4"]),
+    "selftest": ({"gate.json": matrix_obj(np.diag([1.0, 1.0j]))}, ["selftest", "gate.json"]),
+    "stabilizer": ({}, ["stabilizer", "--k", "3"]),
+}
+
+# What the library calls a field or flag, where its errors may name it so.
+LIBRARY_NAMES = {"--k": "ancilla count k", "settings": "coefficient key"}
+# Counts and seeds with no upper bound: an integer beyond the double range is a valid value there.
+UNBOUNDED = {"--restarts", "--seed", "--iterations"}
+INFINITE = -7.0987654321e-07  # a marker replaced by the literal 1e999, which json parses to inf
+
+
+def _numbers(files, argv):
+    """Every number a job reads: (its field's key or its flag, (file name, *JSON path) or flag, read as an int)."""
+    for name, obj in files.items():
+        for path in _paths(obj):
+            leaf = functools.reduce(lambda node, key: node[key], path, obj)
+            if type(leaf) in (int, float):
+                yield [key for key in path if isinstance(key, str)][-1], (name, *path), type(leaf) is int
+    for flag, value in zip(argv, argv[1:]):
+        if flag.startswith("--") and value[0].isdigit():
+            yield flag, flag, value.isdigit()
+
+
+# Each (command, field key or flag) once, so that a matrix's many entries weigh no more than one flag.
+NUMBER_FIELDS = sorted({(command, key) for command, job in NUMBER_JOBS.items() for key, _, _ in _numbers(*job)})
+
+
+@st.composite
+def just_outside_the_number_edge(draw):
+    """A job with one number in a file or flag replaced by a value no reader takes, and the names that may call it.
+
+    The value is a bool, a non-integral float where an int is read, 1e999, an integer beyond the
+    double range, or a negative seed.
+    """
+    command, key = draw(st.sampled_from(NUMBER_FIELDS))
+    files, argv = copy.deepcopy(NUMBER_JOBS[command])
+    where, reads_int = draw(st.sampled_from([(w, i) for k, w, i in _numbers(files, argv) if k == key]))
+    kinds = ["bool", "1e999"] + ["non_integral"] * reads_int + ["beyond"] * (key not in UNBOUNDED)
+    kind = draw(st.sampled_from(kinds + ["negative"] * (key == "--seed")))
+    non_integral = draw(st.integers(-9, 9)) + draw(st.floats(0.01, 0.99))
+    beyond = draw(st.sampled_from([10 ** 400, -(10 ** 400), 2 ** 1024]))
+    if isinstance(where, str):
+        argv[argv.index(where) + 1] = {
+            "bool": draw(st.sampled_from(["true", "True", "false"])), "1e999": "1e999",
+            "non_integral": repr(non_integral), "beyond": str(beyond), "negative": str(draw(st.integers(max_value=-1))),
+        }[kind]
+    else:
+        name, *path = where
+        value = {"bool": draw(st.booleans()), "1e999": INFINITE, "non_integral": non_integral, "beyond": beyond}[kind]
+        functools.reduce(lambda node, key: node[key], path[:-1], files[name])[path[-1]] = value
+        files[name] = json.dumps(files[name]).replace(repr(INFINITE), "1e999")
+    return files, argv, (key, LIBRARY_NAMES.get(key, key.lstrip("-").replace("-", "_")))
+
+
 def run_job(files, argv):
-    """Write the job files in a fresh directory and run the command line on them: (code, stdout, stderr)."""
+    """Write the job files, JSON text or objects, in a fresh directory and run the command line on them.
+
+    Returns (code, stdout, stderr).
+    """
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         for name, obj in files.items():
-            (pathlib.Path(tmp) / name).write_text(json.dumps(obj))
+            (pathlib.Path(tmp) / name).write_text(obj if isinstance(obj, str) else json.dumps(obj))
         argv = [str(pathlib.Path(tmp) / a) if a in files else a for a in argv]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -1158,6 +1258,15 @@ class TestExitCodeContract:
         assert "Traceback" not in err
         if code in (0, 1):
             json.loads(out)
+
+    @settings(max_examples=100, deadline=timedelta(seconds=2))
+    @given(job=just_outside_the_number_edge())
+    def test_number_just_outside_the_edge_names_its_field_or_flag(self, job):
+        files, argv, names = job
+        code, out, err = run_job(files, argv)
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert (code, out) == (2, ""), err
+        assert len(errors) == 1 and any(name in errors[0] for name in names) and "Traceback" not in err, (names, err)
 
 
 class TestAdmissionEdge:

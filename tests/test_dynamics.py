@@ -199,12 +199,14 @@ class TestEvolve:
         assert evolve(h, np.int64(1), psi).times == (1.0,)
 
     def test_bad_sign_rejected(self):
-        # A string sign is shown quoted: "got 1" would read as if the integer 1 had been refused.
+        # The sign is read by linalg.as_int, which shows a string quoted: "got 1" would read as if the
+        # integer 1 had been refused.  A bool or a float is not an integer there, even one equal to 1.
         h, psi = Hamiltonian(np.eye(2)), state([1.0, 0.0])
-        for sign, shown in [(2, "2"), ("1", "'1'"), (None, "None")]:
-            with pytest.raises(ValueError, match=rf"^sign must be \+1 or -1, got {shown}$"):
+        for sign, message in [(2, r"\+1 or -1, got 2"), ("1", "an integer, got '1'"), (None, "an integer, got None"),
+                              (True, "an integer, got True"), (1.0, r"an integer, got 1\.0")]:
+            with pytest.raises(ValueError, match=rf"^sign must be {message}$"):
                 evolve(h, 1.0, psi, sign=sign)
-            with pytest.raises(ValueError, match=rf"^sign must be \+1 or -1, got {shown}$"):
+            with pytest.raises(ValueError, match=rf"^sign must be {message}$"):
                 trajectory(h, psi, 1.0, sign=sign)
 
     @pytest.mark.parametrize("h, t", [(np.full((2, 2), 1.7e308), 0.0), (np.diag([1.7e308, -1.7e308]), 2.5)],

@@ -113,7 +113,8 @@ SCALAR_ARGUMENTS = {
     "BellScenario.quantum_target": ("quantum_target", False, lambda v: _chsh_with(quantum_target=v)),
 }
 
-BAD_VALUES = {"string": "3", "non_integer": 2.5, "none": None, "huge": 10 ** 400}
+BAD_VALUES = {"string": "3", "non_integer": 2.5, "none": None, "huge": 10 ** 400, "bool": True, "nan": float("nan"),
+              "inf": float("inf")}
 
 # Values that are admissible where they are passed: quantum_target is optional, and a see-saw stops
 # when its value settles, so an iteration cap beyond any float is still a cap.
@@ -133,3 +134,28 @@ def test_malformed_scalar_argument_raises_a_value_error_naming_it(argument, valu
         call(BAD_VALUES[value])
     assert type(raised.value) is ValueError
     assert re.match(rf"{re.escape(name)}\b", str(raised.value)), str(raised.value)[:200]
+
+
+# The integer entries of every sequence argument: (the name its errors give it, a call that passes the entry).
+SEQUENCE_ENTRIES = {
+    "optimize_bell.seeds": ("seed", lambda v: realsim.optimize_bell(realsim.chsh_scenario(), [1, v], 1)),
+    "PureState.factor_dims": ("factor_dims", lambda v: realsim.PureState(np.array([1.0, 0.0]), (v,))),
+    "BellScenario.settings_per_party": ("settings_per_party", lambda v: _chsh_with(settings_per_party=(2, v))),
+    "BellScenario.coefficients": ("coefficient key", lambda v: _chsh_with(coefficients={(0, v): 1.0})),
+    "apply_lift.dims": ("dims", lambda v: realsim.apply_lift(np.eye(2), np.zeros(16), (2, v), 0)),
+}
+
+BAD_ENTRIES = {"string": "1", "non_integer": 1.5, "bool": True, "huge": 10 ** 400}
+
+
+@pytest.mark.parametrize("argument, value", [(a, v) for a in SEQUENCE_ENTRIES for v in BAD_ENTRIES])
+def test_malformed_sequence_entry_raises_a_value_error_naming_it(argument, value):
+    name, call = SEQUENCE_ENTRIES[argument]
+    if (argument, value) == ("optimize_bell.seeds", "huge"):  # numpy seeds a generator from any non-negative int
+        call(BAD_ENTRIES[value])
+        return
+    with pytest.raises(ValueError) as raised:
+        call(BAD_ENTRIES[value])
+    assert type(raised.value) is ValueError
+    # An out-of-range entry may be named after a check that reads the whole sequence, not first.
+    assert re.search(rf"\b{re.escape(name)}\b", str(raised.value)), str(raised.value)[:200]
