@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..encoding import PureState, apply_lift, encode_state, real_inner_product
+from ..encoding import apply_lift, encode_amplitudes
 from ..linalg import apply_on_axis, is_unitary
 
 _S2 = np.sqrt(0.5)
@@ -31,16 +31,19 @@ _PROBE_STATES = (
 
 
 class SelfTestTranscript(NamedTuple):
-    """Probe statistics of both sides per stage, and the witness pair whose encoded inner product loses the phase."""
+    """The witness pair whose encoded inner product loses the phase, and probe statistics of both sides per stage.
 
-    statistics_logical: np.ndarray
-    statistics_simulated: np.ndarray
+    The fields are in the order of the `selftest` report's keys.
+    """
+
     max_stat_gap: float
     witness_state_a: np.ndarray
     witness_state_b: np.ndarray
     witness_real_part: float
     witness_modulus: float
     product_state_gap: float
+    statistics_logical: np.ndarray
+    statistics_simulated: np.ndarray
 
 
 def probe_povm() -> list[np.ndarray]:
@@ -78,7 +81,7 @@ def selftest_counterexample(t_gate: np.ndarray | None = None) -> SelfTestTranscr
     after_a = apply_on_axis(t, phi_plus.reshape(2, 2), 0)
     logical = (phi_plus, after_a.reshape(-1), apply_on_axis(t.conj(), after_a, 1).reshape(-1))
 
-    enc0 = encode_state(PureState(phi_plus, (2, 2)), 2)
+    enc0 = encode_amplitudes(phi_plus, (2, 2), 2)
     enc_a = apply_lift(t, enc0, (2, 2), 0)
     simulated = (enc0, enc_a, apply_lift(t.conj(), enc_a, (2, 2), 1))
 
@@ -95,7 +98,9 @@ def selftest_counterexample(t_gate: np.ndarray | None = None) -> SelfTestTranscr
         stats_simulated[stage] = apply_lift(povm, zs, (2, 2), 0) @ apply_lift(povm, zs, (2, 2), 1).T
     gap = float(np.max(np.abs(stats_logical - stats_simulated)))
 
+    # The witness pair is computed here, not taken in, so it is encoded directly rather than admitted as states.
     plus = np.array([_S2, _S2], dtype=complex)
     t_plus = t @ plus
-    witness = (plus, t_plus, real_inner_product(PureState(plus), PureState(t_plus)), float(abs(np.vdot(plus, t_plus))))
-    return SelfTestTranscript(stats_logical, stats_simulated, gap, *witness, max(_product_gap(v) for v in simulated))
+    real_part = float(np.dot(encode_amplitudes(plus, (2,)), encode_amplitudes(t_plus, (2,))))
+    return SelfTestTranscript(gap, plus, t_plus, real_part, float(abs(np.vdot(plus, t_plus))),
+                              max(_product_gap(v) for v in simulated), stats_logical, stats_simulated)

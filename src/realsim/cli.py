@@ -45,9 +45,9 @@ def cmd_encode(args):
     enc = encode_state(state, args.k)
     decoded = decode_state(enc, args.k)
     results = {
-        "source_dims": list(state.factor_dims),
+        "source_dims": state.factor_dims,
         "layout_k": args.k,
-        "encoded_amplitudes": enc.tolist(),
+        "encoded_amplitudes": enc,
     }
     assertions = [
         _leq("norm_preserved", abs(float(np.linalg.norm(enc)) - float(np.linalg.norm(state.amplitudes))),
@@ -64,12 +64,12 @@ def cmd_evolve(args):
     sign = 1 if args.sign == "plus" else -1
     res = trajectory(h, state, args.t_max, args.steps, args.k, sign)
     results = {
-        "times": list(res.times),
+        "times": res.times,
         "orthogonality_error": res.orthogonality_error,
         "max_deviation": res.max_deviation,
         "expm_error": res.expm_error,
-        "final_complex": formats.complex_pairs(res.complex_states[-1]),
-        "final_encoded": res.encoded_states[-1].tolist(),
+        "final_complex": res.complex_states[-1],
+        "final_encoded": res.encoded_states[-1],
     }
     assertions = [
         _leq("propagator_orthogonal", res.orthogonality_error, ORTHOGONALITY_TOL),
@@ -92,10 +92,7 @@ def cmd_measure(args):
     else:
         encoded_probs = encoded_povm_probabilities(encode_state(state), povm)
         total = float(np.vdot(state.amplitudes, completeness @ state.amplitudes).real)
-    results = {
-        "probabilities": probs.tolist(),
-        "encoded_probabilities": encoded_probs.tolist(),
-    }
+    results = {"probabilities": probs, "encoded_probabilities": encoded_probs}
     assertions = [
         _leq("encoded_matches_complex", float(np.max(np.abs(probs - encoded_probs))), EXACT_TOL),
         _leq("complex_normalized", abs(float(np.sum(probs)) - total), INPUT_TOL),
@@ -125,8 +122,8 @@ def cmd_bell(args):
     if scenario.quantum_target is not None:
         results["quantum_target"] = scenario.quantum_target
     results.update((f"value_{mode}", value) for mode, value in values.items())
-    results["optimizer_trace"] = [[i, v] for i, v in result.optimizer_trace]
-    results["restarts"] = [[seed, v, n] for seed, v, n in result.restarts]
+    results["optimizer_trace"] = result.optimizer_trace
+    results["restarts"] = result.restarts
     assertions = []
     if len(values) == 2:
         assertions.append(_leq("modes_agree", abs(values["complex"] - values["real_encoded"]), AGREEMENT_TOL))
@@ -143,32 +140,17 @@ def cmd_selftest(args):
         gate = formats.load_matrix(args.gate)
         files.append(args.gate)
     transcript = selftest_counterexample(gate)
-    results = {
-        "max_stat_gap": transcript.max_stat_gap,
-        "witness_state_a": formats.complex_pairs(transcript.witness_state_a),
-        "witness_state_b": formats.complex_pairs(transcript.witness_state_b),
-        "witness_real_part": transcript.witness_real_part,
-        "witness_modulus": transcript.witness_modulus,
-        "product_state_gap": transcript.product_state_gap,
-        "statistics_logical": transcript.statistics_logical,
-        "statistics_simulated": transcript.statistics_simulated,
-    }
     assertions = [_leq("statistics_match", transcript.max_stat_gap, EXACT_TOL)]
-    return results, assertions, files
+    return transcript._asdict(), assertions, files
 
 
 def cmd_stabilizer(args):
     report = stabilizer_check(args.k)
-    results = {
-        "k": args.k,
-        "generator_error": report.generator_error,
-        "fixed_subspace_dim": report.fixed_subspace_dim,
-    }
     assertions = [
         _leq("generator_action", report.generator_error, EXACT_TOL),
         _leq("codespace_dimension_is_2", abs(report.fixed_subspace_dim - 2), 0.0),
     ]
-    return results, assertions, []
+    return {"k": args.k, **report._asdict()}, assertions, []
 
 
 _COMMANDS = {
@@ -279,6 +261,8 @@ def main(argv=None) -> int:
             "versions": __version__,
         })
     except (ValueError, OSError, MemoryError) as e:  # MemoryError: a size numpy cannot allocate, such as --steps 1e15
+        if isinstance(e, MemoryError) and not str(e):  # raised bare, as by a list too long to build
+            e = f"{args.command} ran out of memory"
         print(f"error: {e}", file=sys.stderr)
         return 2
     sys.stdout.write(text + "\n")

@@ -113,6 +113,12 @@ def _pairs_to_complex(entries, where: str) -> np.ndarray:
     return np.array(list(chain.from_iterable(entries)), dtype=float).view(complex)
 
 
+def _product(factors) -> str:
+    """The product in decimal, or its bound past 2**64: Python refuses to print an integer of over 4300 digits."""
+    n = math.prod(factors)
+    return str(n) if n < 2 ** 64 else "more than 2**64"
+
+
 def parse_vector(obj, where: str = "vector") -> tuple[np.ndarray, tuple[int, ...]]:
     _require_keys(obj, ("dims", "amplitudes"), where=where)
     dims = _ints(obj["dims"], f"{where}.dims")
@@ -120,7 +126,7 @@ def parse_vector(obj, where: str = "vector") -> tuple[np.ndarray, tuple[int, ...
         raise FormatError(f"{where}.dims must be a nonempty list of positive integers")
     amps = _pairs_to_complex(obj["amplitudes"], f"{where}.amplitudes")
     if amps.size != math.prod(dims):
-        raise FormatError(f"{where} has {amps.size} amplitudes but dims {list(dims)} require {math.prod(dims)}")
+        raise FormatError(f"{where} has {amps.size} amplitudes but dims {list(dims)} require {_product(dims)}")
     return amps, dims
 
 
@@ -132,7 +138,7 @@ def parse_matrix(obj, where: str = "matrix") -> np.ndarray:
             raise FormatError(f"{where}.{name} must be a positive integer")
     entries = _pairs_to_complex(obj["entries"], f"{where}.entries")
     if entries.size != rows * cols:
-        raise FormatError(f"{where} has {entries.size} entries but needs rows*cols = {rows * cols}")
+        raise FormatError(f"{where} has {entries.size} entries but needs rows*cols = {_product((rows, cols))}")
     return entries.reshape(rows, cols)
 
 
@@ -204,12 +210,6 @@ def _scenario_args(obj, path: str) -> tuple:
     )
 
 
-def complex_pairs(v) -> list[list[float]]:
-    """Complex vector as [re, im] pairs for serialization."""
-    v = np.asarray(v, dtype=complex)
-    return np.stack([v.real, v.imag], axis=-1).tolist()
-
-
 class _Unwritable(ValueError):
     """A report value that cannot be written, with the keys that lead to it."""
 
@@ -249,7 +249,7 @@ def _write(value, out: list) -> None:
             except _Unwritable as e:
                 raise _Unwritable(e.reason, (k,) + e.keys) from None
         out.append("}")
-    elif type(value) is list and set(map(type, value)) == {float} and all(map(math.isfinite, value)):
+    elif type(value) in (list, tuple) and set(map(type, value)) == {float} and all(map(math.isfinite, value)):
         out.append(("[" + ",".join(["%.17g"] * len(value)) + "]") % tuple(value))
     elif isinstance(value, (list, tuple)):
         out.append("[")
@@ -259,13 +259,15 @@ def _write(value, out: list) -> None:
             _write(v, out)
         out.append("]")
     elif isinstance(value, np.ndarray):
+        if np.iscomplexobj(value):  # each complex number as its [re, im] pair
+            value = np.stack([value.real, value.imag], axis=-1)
         _write(value.tolist(), out)
     else:
         raise _Unwritable(f"cannot serialize {type(value).__name__} in a report")
 
 
 def dumps(value) -> str:
-    """Deterministic JSON text: insertion order, 17 significant digits."""
+    """Deterministic JSON text: insertion order, 17 significant digits, complex arrays as [re, im] pairs."""
     out: list = []
     _write(value, out)
     return "".join(out)

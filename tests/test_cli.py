@@ -365,6 +365,15 @@ class TestBell:
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
 
+    def test_bare_memory_error_names_the_command(self, capsys, monkeypatch):
+        # A MemoryError raised without a message, as by a seed list too long to build, would print a bare "error: ".
+        def run_out_of_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "optimize_bell", run_out_of_memory)
+        code, out, err = run(capsys, ["bell", "--seed", "1", "--restarts", "2"])
+        assert (code, out, err) == (2, "", "error: bell ran out of memory\n")
+
     def test_report_lists_every_restart_after_the_trace(self, capsys):
         code, out, _ = run(capsys, ["bell", "--scenario", "mermin3", "--seed", "4", "--restarts", "3"])
         assert code == 0

@@ -154,6 +154,10 @@ class TestBulkFloatLists:
         expected = '{"results":{"encoded_amplitudes":[' + ",".join(formats.dumps(x) for x in values) + "]}}"
         assert formats.dumps(report) == expected
 
+    @given(st.lists(FLOATS, max_size=40))
+    def test_float_tuple_is_written_as_the_equal_list(self, values):
+        assert formats.dumps({"times": tuple(values)}) == formats.dumps({"times": values})
+
     def test_integers_in_a_list_stay_integers(self):
         assert formats.dumps([1, 2.0]) == "[1,2]"
 
@@ -296,6 +300,13 @@ class TestVector:
         with pytest.raises(formats.FormatError):
             formats.load_state(path)
 
+    def test_product_past_the_print_limit_is_not_printed(self, tmp_path):
+        # The product has 6001 digits, more than Python prints; each factor has 3001 and prints.
+        path = write(tmp_path, "v.json", {"dims": [10 ** 3000, 10 ** 3000], "amplitudes": [[1.0, 0.0]]})
+        message = rf"^{re.escape(path)} has 1 amplitudes but dims \[1(0{{3000}}), 1\1\] require more than 2\*\*64$"
+        with pytest.raises(formats.FormatError, match=message):
+            formats.load_state(path)
+
     def test_unknown_keys_rejected(self, tmp_path):
         path = write(tmp_path, "v.json", {"dims": [1], "amplitudes": [[1.0, 0.0]], "extra": 1})
         with pytest.raises(formats.FormatError, match="extra"):
@@ -320,8 +331,16 @@ class TestMatrix:
 
     def test_entry_count_checked(self, tmp_path):
         obj = {"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]}
-        with pytest.raises(formats.FormatError):
-            formats.load_matrix(write(tmp_path, "m.json", obj))
+        path = write(tmp_path, "m.json", obj)
+        with pytest.raises(formats.FormatError, match=rf"^{re.escape(path)} has 1 entries but needs rows\*cols = 4$"):
+            formats.load_matrix(path)
+
+    def test_product_past_the_print_limit_is_not_printed(self, tmp_path):
+        big = int("9" * 3001)
+        path = write(tmp_path, "m.json", {"rows": big, "cols": big, "entries": [[1.0, 0.0]]})
+        message = rf"^{re.escape(path)} has 1 entries but needs rows\*cols = more than 2\*\*64$"
+        with pytest.raises(formats.FormatError, match=message):
+            formats.load_matrix(path)
 
 
 class TestStateOrDensity:
@@ -375,26 +394,24 @@ class TestScenarioFile:
             formats.load_scenario(write(tmp_path, "sc.json", obj))
 
 
-class TestComplexPairs:
+class TestComplexArrays:
     @staticmethod
     def per_element(v):
-        """The per-element conversion complex_pairs replaced, as the oracle."""
-        return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
-
-    @staticmethod
-    def exact(pairs):
-        """Each number's type and bits, so -0.0 and 0.0 differ."""
-        return [[(type(x), x.hex()) for x in pair] for pair in pairs]
+        """Each complex number as a list of two Python floats, the oracle of the array writer."""
+        return [[float(z.real), float(z.imag)] for z in v]
 
     def test_round_trip(self):
-        v = np.array([1.0 + 2.0j, -0.5j])
-        assert formats.complex_pairs(v) == [[1.0, 2.0], [-0.0, -0.5]]
+        assert formats.dumps(np.array([1.0 + 2.0j, -0.5j])) == "[[1,2],[-0,-0.5]]"
 
     @pytest.mark.parametrize("v", [
         (np.arange(12.0) - 5.5).view(complex)[::2],  # a strided view, which .view(float) cannot take
-        np.array([0.5, -0.0, 3.0, 1.7e308]),  # real float64
         np.array([complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]),
         np.array([complex(5e-324, -5e-324), complex(1.7e308, -1.7e308), complex(-5e-324, 1.7e308)]),
-    ], ids=["strided", "real", "signed_zeros", "extremes"])
+    ], ids=["strided", "signed_zeros", "extremes"])
     def test_matches_the_per_element_conversion(self, v):
-        assert self.exact(formats.complex_pairs(v)) == self.exact(self.per_element(v))
+        # 17 significant digits and the sign of zero keep every bit, so equal text means equal numbers.
+        assert formats.dumps({"v": v}) == formats.dumps({"v": self.per_element(v)})
+
+    def test_matrix_rows_hold_pairs(self):
+        m = np.array([[1j, 2.0], [3.0, -4.5j]])
+        assert formats.dumps(m) == "[[[0,1],[2,0]],[[3,0],[-0,-4.5]]]"
