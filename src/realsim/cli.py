@@ -41,7 +41,7 @@ def _leq(name: str, measured, tolerance) -> dict:
 
 
 def cmd_encode(args):
-    state = formats.load_state(args.state)
+    state, digest = formats.load_state(args.state)
     enc = encode_state(state, args.k)
     decoded = decode_state(enc, args.k)
     results = {
@@ -54,13 +54,14 @@ def cmd_encode(args):
              EXACT_TOL),
         _leq("round_trip", float(np.max(np.abs(decoded - state.amplitudes))), EXACT_TOL),
     ]
-    return results, assertions, [args.state]
+    return results, assertions, [digest]
 
 
 def cmd_evolve(args):
     tol = as_float(args.tol, "--tol")
-    h = Hamiltonian(formats.load_matrix(args.hamiltonian))
-    state = formats.load_state(args.state)
+    matrix, h_digest = formats.load_matrix(args.hamiltonian)
+    h = Hamiltonian(matrix)
+    state, state_digest = formats.load_state(args.state)
     sign = 1 if args.sign == "plus" else -1
     res = trajectory(h, state, args.t_max, args.steps, args.k, sign)
     results = {
@@ -76,12 +77,12 @@ def cmd_evolve(args):
         _leq("matches_complex_evolution", res.max_deviation, tol),
         _leq("matches_dense_expm", res.expm_error, tol),
     ]
-    return results, assertions, [args.hamiltonian, args.state]
+    return results, assertions, [h_digest, state_digest]
 
 
 def cmd_measure(args):
-    state = formats.load_state_or_density(args.state)
-    povm = formats.load_povm(args.povm)
+    state, state_digest = formats.load_state_or_density(args.state)
+    povm, povm_digest = formats.load_povm(args.povm)
     probs = povm_probabilities(state, povm)
     # Probabilities sum to <psi|sum E|psi> or Re tr(sum E rho): the input's normalization and the POVM's
     # completeness may each differ from 1 by up to INPUT_TOL, and the sum is measured against both.
@@ -98,7 +99,7 @@ def cmd_measure(args):
         _leq("complex_normalized", abs(float(np.sum(probs)) - total), INPUT_TOL),
         _leq("encoded_normalized", abs(float(np.sum(encoded_probs)) - total), INPUT_TOL),
     ]
-    return results, assertions, [args.state, args.povm]
+    return results, assertions, [state_digest, povm_digest]
 
 
 _SCENARIOS = {"chsh": chsh_scenario, "mermin3": mermin3_scenario}
@@ -107,10 +108,12 @@ _SCENARIOS = {"chsh": chsh_scenario, "mermin3": mermin3_scenario}
 def cmd_bell(args):
     if args.seed is None:
         raise FormatError("--seed is required: bell restarts are stochastic and never seeded from the clock")
-    files = []
+    if args.restarts < 1:
+        raise FormatError(f"--restarts must be at least 1, got {args.restarts}")
+    digests = []
     if args.scenario_file is not None:
-        scenario = formats.load_scenario(args.scenario_file)
-        files.append(args.scenario_file)
+        scenario, digest = formats.load_scenario(args.scenario_file)
+        digests.append(digest)
         # The digest hashes the file's content; the path and the overridden scenario name enter as null.
         args.scenario = args.scenario_file = None
     else:
@@ -130,18 +133,18 @@ def cmd_bell(args):
     if scenario.quantum_target is not None:
         assertions += [_leq(f"reaches_target_{mode}", scenario.quantum_target - value, REACH_TOL)
                        for mode, value in values.items()]
-    return results, assertions, files
+    return results, assertions, digests
 
 
 def cmd_selftest(args):
-    files = []
+    digests = []
     gate = None
     if args.gate is not None:
-        gate = formats.load_matrix(args.gate)
-        files.append(args.gate)
+        gate, digest = formats.load_matrix(args.gate)
+        digests.append(digest)
     transcript = selftest_counterexample(gate)
     assertions = [_leq("statistics_match", transcript.max_stat_gap, EXACT_TOL)]
-    return transcript._asdict(), assertions, files
+    return transcript._asdict(), assertions, digests
 
 
 def cmd_stabilizer(args):
@@ -214,17 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _digest(command: str, options: dict, paths: list) -> str:
-    """sha256 of the command, its options and its files' contents."""
-    file_hashes = []
-    for path in paths:
-        with open(path, "rb") as fh:
-            file_hashes.append(hashlib.sha256(fh.read()).hexdigest())
-    payload = formats.dumps({
-        "command": command,
-        "options": dict(sorted(options.items())),
-        "files": file_hashes,
-    })
+def _digest(command: str, options: dict, file_hashes: list) -> str:
+    """sha256 of the command, its options and the sha256 of each input file's bytes, as formats read them."""
+    payload = formats.dumps({"command": command, "options": dict(sorted(options.items())), "files": file_hashes})
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -251,8 +246,8 @@ def main(argv=None) -> int:
         return int(e.code) if e.code else 0
     handler, option_keys = _COMMANDS[args.command]
     try:
-        results, assertions, files = handler(args)
-        digest = _digest(args.command, {k: getattr(args, k) for k in option_keys}, files)
+        results, assertions, file_hashes = handler(args)
+        digest = _digest(args.command, {k: getattr(args, k) for k in option_keys}, file_hashes)
         text = formats.dumps({
             "command": args.command,
             "inputs_digest": digest,

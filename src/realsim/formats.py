@@ -4,12 +4,16 @@ Complex vectors are stored as {"dims": [...], "amplitudes": [[re, im],
 ...]} in row-major order with the last factor fastest; matrices as
 {"rows": r, "cols": c, "entries": [[re, im], ...]} row-major.  Numbers
 are emitted with 17 significant digits so doubles round-trip exactly.
+Each `load_*` reads its file once and returns (value, sha256 hex of the
+bytes parsed): the digest a report carries is of what it ran on.
 """
 
 from __future__ import annotations
 
 import contextlib
 import gc
+import hashlib
+import io
 import json
 import math
 from itertools import chain
@@ -26,20 +30,23 @@ class FormatError(ValueError):
 
 
 def load_json(path: str, convert=lambda tree: tree):
-    """convert(tree) of the parsed JSON file; NaN and Infinity are rejected, not read.
+    """(convert(tree), sha256 hex of the file's bytes) for a JSON file; NaN and Infinity are rejected, not read.
 
-    Every error names the file: text that is not UTF-8 or not JSON, nesting
-    too deep to parse, and a value that `convert` rejects.  Parsed JSON holds
-    no reference cycles, yet its many small lists would set off collections
-    that scan it.  So the collector stays paused while the file is parsed and
-    converted, and the tree is dropped before the collector resumes: `convert`
-    should return arrays, not parts of the tree.
+    The file is read once, in binary, and its bytes are decoded as text mode would (UTF-8, universal
+    newlines): the digest is of the bytes parsed.  Every error names the file: text that is not UTF-8
+    or not JSON, nesting too deep to parse, and a value that `convert` rejects.  Parsed JSON holds
+    no reference cycles, yet its many small lists would set off collections that scan it.  So the
+    collector stays paused while the file is parsed and converted, and the tree is dropped before the
+    collector resumes: `convert` should return arrays, not parts of the tree.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    digest = hashlib.sha256(data).hexdigest()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except UnicodeDecodeError as e:
         raise FormatError(f"{path}: not UTF-8 text at byte {e.start}: {e.reason}") from None
+    del data  # json reads the text alone, so the bytes need not stay alive beside its tree
 
     def reject(literal):
         raise FormatError(f"{path}: non-finite number {literal} is not allowed")
@@ -64,7 +71,7 @@ def load_json(path: str, convert=lambda tree: tree):
         except ValueError as e:  # from linalg's number readers, given the field's JSON path
             raise FormatError(str(e)) from None
         del tree
-        return value
+        return value, digest
     finally:
         if collecting:
             gc.enable()
@@ -142,11 +149,12 @@ def parse_matrix(obj, where: str = "matrix") -> np.ndarray:
     return entries.reshape(rows, cols)
 
 
-def load_state(path: str) -> PureState:
-    return PureState(*load_json(path, lambda obj: parse_vector(obj, where=path)))
+def load_state(path: str) -> tuple[PureState, str]:
+    (amps, dims), digest = load_json(path, lambda obj: parse_vector(obj, where=path))
+    return PureState(amps, dims), digest
 
 
-def load_matrix(path: str) -> np.ndarray:
+def load_matrix(path: str) -> tuple[np.ndarray, str]:
     return load_json(path, lambda obj: parse_matrix(obj, where=path))
 
 
@@ -157,22 +165,24 @@ def load_state_or_density(path: str):
             return PureState, parse_vector(obj, where=path)
         return DensityOperator, (parse_matrix(obj, where=path),)
 
-    container, args = load_json(path, convert)
-    return container(*args)
+    (container, args), digest = load_json(path, convert)
+    return container(*args), digest
 
 
-def load_povm(path: str) -> Povm:
+def load_povm(path: str) -> tuple[Povm, str]:
     def convert(obj):
         _require_keys(obj, ("elements",), where=path)
         if not isinstance(obj["elements"], list) or not obj["elements"]:
             raise FormatError(f"{path}.elements must be a nonempty list of matrices")
         return [parse_matrix(e, where=f"{path}.elements[{i}]") for i, e in enumerate(obj["elements"])]
 
-    return Povm(load_json(path, convert))
+    elements, digest = load_json(path, convert)
+    return Povm(elements), digest
 
 
-def load_scenario(path: str) -> BellScenario:
-    return BellScenario(*load_json(path, lambda obj: _scenario_args(obj, path)))
+def load_scenario(path: str) -> tuple[BellScenario, str]:
+    args, digest = load_json(path, lambda obj: _scenario_args(obj, path))
+    return BellScenario(*args), digest
 
 
 def _scenario_args(obj, path: str) -> tuple:

@@ -394,6 +394,11 @@ class TestBell:
         code, out, err = run(capsys, ["bell", "--scenario", "chsh", *argv])
         assert (code, out, err) == (2, "", "error: seed must be non-negative, got -5\n")
 
+    @pytest.mark.parametrize("restarts", ["0", "-3"])
+    def test_fewer_than_one_restart_is_rejected_by_name(self, capsys, restarts):
+        code, out, err = run(capsys, ["bell", "--scenario", "chsh", "--seed", "1", "--restarts", restarts])
+        assert (code, out, err) == (2, "", f"error: --restarts must be at least 1, got {restarts}\n")
+
     def test_scenario_file(self, capsys, tmp_path):
         z = matrix_obj(np.diag([1.0, -1.0]))
         scenario = write(
@@ -1172,6 +1177,118 @@ def at_the_admission_edge(draw, command):
     return {"state.json": state, "povm.json": povm}, ["measure", "state.json", "povm.json"]
 
 
+OUTSIDE = 2.02 * linalg.INPUT_TOL  # a norm or trace this far from 1 is rejected, with room for the rounding
+OUTSIDE_JOBS = {
+    "encode": ["encode", "state.json"],
+    "evolve": ["evolve", "h.json", "state.json", "--steps", "3"],
+    "measure": ["measure", "state.json", "povm.json"],
+    "density": ["measure", "density.json", "povm.json"],
+    "bell": ["bell", "--scenario-file", "scenario.json", "--seed", "1", "--restarts", "2", "--iterations", "4"],
+    "selftest": ["selftest", "gate.json"],
+    "stabilizer": ["stabilizer"],
+}
+
+
+@st.composite
+def just_outside_the_admission_edge(draw):
+    """A job with one input just past one admission bound, and what its one error line says.
+
+    The mirror of at_the_admission_edge: a state norm or density trace of 1 +- OUTSIDE, a POVM whose
+    completeness is off by 2 INPUT_TOL, a Hamiltonian, density matrix, POVM element or Bell observable
+    just past its Hermiticity bound, a Bell observable just past its +-1 spectrum, a gate just past
+    unitarity, a density matrix or POVM element with an eigenvalue of -1.01 PSD_TOL, --steps 1, a --k
+    just outside its range, and a ragged POVM or observable family.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dims = draw(st.sampled_from([[2], [3], [4], [2, 2]]))
+    n = int(np.prod(dims))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    g = _operator(rng, n, "arbitrary")
+    rho = 0.9 * np.outer(v, v.conj()) + 0.1 * g @ g.conj().T / np.trace(g @ g.conj().T).real
+    u = _operator(rng, n, "unitary")
+    elements = [np.outer(u[:, i], u[:, i].conj()) for i in range(n)]
+    h = _operator(rng, n, "hermitian")
+    gate = _operator(rng, 2, "unitary")
+    observables = [[_operator(rng, 2, "observable") for _ in range(2)], [_operator(rng, 2, "observable")]]
+    off = (0, 1) if draw(st.booleans()) else (1, 0)  # an off-diagonal entry, moved away from its mirror's conjugate
+    phase = np.exp(2j * np.pi * rng.random())
+    flags = []
+    case = draw(st.sampled_from(["norm", "trace", "completeness", "hermitian", "psd", "unitary", "observable",
+                                 "steps", "k", "ragged"]))
+    if case == "norm":
+        job, message = draw(st.sampled_from(["encode", "evolve", "measure"])), "state norm"
+        v *= 1.0 + sign * OUTSIDE
+    elif case == "trace":
+        job, message = "density", "density matrix trace"
+        rho *= 1.0 + sign * OUTSIDE
+    elif case == "completeness":
+        job, message = "measure", "POVM elements do not sum to the identity"
+        elements[0] += sign * 2.0 * linalg.INPUT_TOL / np.max(np.abs(v)) ** 2 * np.outer(v, v.conj())
+    elif case == "hermitian":
+        job = draw(st.sampled_from(["evolve", "density", "measure"]))
+        if job == "evolve":
+            message = "Hamiltonian is not Hermitian"
+            h[off] += 1.01 * linalg.INPUT_TOL * phase
+        elif job == "density":
+            message = "density matrix is not Hermitian"
+            rho[off] += 1.01 * linalg.INPUT_TOL * phase
+        else:
+            message = "POVM element is not Hermitian"
+            elements[0][off] += 1.01 * linalg.PSD_TOL * phase
+    elif case == "psd":
+        job = draw(st.sampled_from(["density", "measure"]))
+        if job == "density":  # weight moved from the smallest eigenvalue to the largest, past the floor
+            message = "density matrix has an eigenvalue below the PSD floor"
+            lam, w = np.linalg.eigh(rho)
+            rho += (lam[0] + 1.01 * linalg.PSD_TOL) * (np.outer(w[:, -1], w[:, -1].conj())
+                                                        - np.outer(w[:, 0], w[:, 0].conj()))
+        else:  # E1 = u1 u1^dagger - 1.01 PSD_TOL u0 u0^dagger, E0 gains what E1 lost
+            message = "POVM element is not Hermitian with eigenvalues above"
+            floor = 1.01 * linalg.PSD_TOL * np.outer(u[:, 0], u[:, 0].conj())
+            elements[0] += floor
+            elements[1] -= floor
+    elif case == "unitary":  # |(1 + s)^2 - 1| is 1.02 INPUT_TOL for s = +-0.51 INPUT_TOL
+        job, message = "selftest", "t_gate must be unitary"
+        gate *= 1.0 + sign * 0.51 * linalg.INPUT_TOL
+    elif case == "observable":
+        job, (party, setting) = "bell", draw(st.sampled_from([(0, 0), (0, 1), (1, 0)]))
+        if draw(st.booleans()):
+            message = "observable is not Hermitian"
+            observables[party][setting][off] += 1.01 * linalg.OBSERVABLE_TOL * phase
+        else:
+            message = "observable eigenvalues must all be +-1"
+            observables[party][setting] *= 1.0 + sign * 1.01 * linalg.OBSERVABLE_TOL
+    elif case == "steps":
+        job, message, flags = "evolve", "steps must be at least 2, got 1", ["--steps", "1"]  # the last --steps counts
+    elif case == "k":  # encode and evolve take 1 to 12 ancilla qubits, stabilizer 2 to 6
+        job, k = draw(st.sampled_from([("encode", 0), ("encode", 13), ("evolve", 0), ("evolve", 13),
+                                       ("stabilizer", 1), ("stabilizer", 7)]))
+        message = f"ancilla count k={k} out of range {'[2, 6]' if job == 'stabilizer' else '[1, 12]'}"
+        flags = ["--k", str(k)]
+    else:
+        job = draw(st.sampled_from(["measure", "bell"]))
+        if job == "measure":  # one element a dimension larger
+            message = f"POVM elements must share one dimension, got {n} and {n + 1}"
+            elements[-1] = np.eye(n + 1)
+        else:  # party 0's second observable a dimension larger
+            message = "party 0 observables must share one dimension, got 2 and 3"
+            observables[0][1] = np.diag([1.0, -1.0, 1.0])
+    argv = OUTSIDE_JOBS[job] + flags
+    files = {
+        "state.json": {"dims": dims, "amplitudes": [[z.real, z.imag] for z in v.tolist()]},
+        "density.json": matrix_obj(rho),
+        "povm.json": {"elements": [matrix_obj(e) for e in elements]},
+        "h.json": matrix_obj(h),
+        "gate.json": matrix_obj(gate),
+        "scenario.json": {"parties": 2, "settings_per_party": [2, 1],
+                          "observables": [[matrix_obj(o) for o in family] for family in observables],
+                          "coefficients": [{"settings": [0, 0], "value": 1.0}], "classical_bound": 1.0},
+    }
+    return {name: obj for name, obj in files.items() if name in argv}, argv, message
+
+
 # One valid job per command, every number in its files and flags written as the type it is read as.
 _STATE, _Z_OBJ = {"dims": [2], "amplitudes": [[S, 0.0], [0.0, S]]}, matrix_obj(np.diag([1.0, -1.0]))
 NUMBER_JOBS = {
@@ -1278,6 +1395,16 @@ class TestExitCodeContract:
         assert len(errors) == 1 and any(name in errors[0] for name in names) and "Traceback" not in err, (names, err)
 
 
+    @settings(max_examples=100, deadline=timedelta(seconds=2))
+    @given(job=just_outside_the_admission_edge())
+    def test_input_just_outside_the_admission_edge_is_rejected(self, job):
+        files, argv, message = job
+        code, out, err = run_job(files, argv)
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert (code, out) == (2, ""), err
+        assert len(errors) == 1 and message in errors[0] and "Traceback" not in err, (message, err)
+
+
 class TestAdmissionEdge:
     """An input just inside every admission bound passes every assertion: nothing computed from it is admitted again."""
 
@@ -1303,3 +1430,68 @@ class TestAdmissionEdge:
             message = f"error: density matrix has an eigenvalue below the PSD floor -{linalg.PSD_TOL}\n"
         got, out, err = run_job({"state.json": state, "povm.json": povm}, ["measure", "state.json", "povm.json"])
         assert (got, err) == (code, "" if code == 0 else message), failed_assertions(out) if out else err
+
+
+class TestInputFilesReadOnce:
+    """formats reads each input file once, and the digest is of the bytes it parsed."""
+
+    COMMANDS = ["encode", "evolve", "measure", "bell", "selftest"]
+
+    @staticmethod
+    def job_in(tmp_path, command):
+        files, argv = NUMBER_JOBS[command]
+        paths = {name: write(tmp_path, name, obj) for name, obj in files.items()}
+        return paths, [paths.get(a, a) for a in argv]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_each_input_file_is_opened_once(self, capsys, tmp_path, monkeypatch, command):
+        paths, argv = self.job_in(tmp_path, command)
+        opened = []
+        builtin_open = open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return builtin_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        code, _, err = run(capsys, argv)
+        monkeypatch.undo()
+        assert (code, err) == (0, "")
+        assert sorted(p for p in opened if p in paths.values()) == sorted(paths.values())
+
+    @pytest.mark.parametrize("command, call", [("encode", "encode_state"), ("evolve", "trajectory"),
+                                               ("measure", "povm_probabilities"), ("bell", "optimize_bell"),
+                                               ("selftest", "selftest_counterexample")])
+    def test_a_file_rewritten_after_it_was_parsed_keeps_the_digest_of_what_was_parsed(
+            self, capsys, tmp_path, monkeypatch, command, call):
+        paths, argv = self.job_in(tmp_path, command)
+        clean = run(capsys, argv)
+        library_call = getattr(cli, call)
+
+        def rewrite_then_call(*args, **kwargs):
+            for path in paths.values():
+                pathlib.Path(path).write_text("rewritten while the job ran")
+            return library_call(*args, **kwargs)
+
+        monkeypatch.setattr(cli, call, rewrite_then_call)
+        assert run(capsys, argv) == clean
+        assert all(pathlib.Path(path).read_text() == "rewritten while the job ran" for path in paths.values())
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_line_ends_keep_the_json_error_position(self, capsys, tmp_path, newline):
+        # Text mode reads CRLF and a lone CR as LF, and json counts lines and columns in that text.
+        path = tmp_path / "state.json"
+        lines = ["{", '  "dims": [2],', '  "amplitudes": [[1.0, 0.0],, [0.0, 1.0]]', "}"]
+        path.write_bytes(newline.join(lines).encode())
+        code, out, err = run(capsys, ["encode", str(path)])
+        assert (code, out, err) == (2, "", f"error: {path}: malformed JSON at line 3 column 29: Expecting value\n")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_a_non_utf8_byte_keeps_its_offset_in_the_file(self, capsys, tmp_path, newline):
+        # The offset counts the bytes on disk, line ends included as written.
+        text = newline.join(["{", '  "dims": [1],', '  "amplitudes": [[1.0, 0.0]]', "}"]).encode()
+        path = tmp_path / "state.json"
+        path.write_bytes(text[:-1] + b"\xff}")
+        code, out, err = run(capsys, ["encode", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: not UTF-8 text at byte {len(text) - 1}: invalid start byte\n"
