@@ -8,7 +8,7 @@ goes through with purely real matrices.
 
 __version__ = "0.1.0"
 
-from .dynamics import EvolutionResult, Hamiltonian, evolve, trajectory
+from .dynamics import EvolutionResult, Hamiltonian, trajectory
 from .encoding import (
     XZ,
     DensityOperator,

@@ -20,6 +20,7 @@ from .applications.selftest import selftest_counterexample
 from .dynamics import Hamiltonian, trajectory
 from .encoding import (
     DensityOperator,
+    _check_factors,
     decode_state,
     encode_density,
     encode_state,
@@ -27,7 +28,7 @@ from .encoding import (
     povm_probabilities,
 )
 from .formats import FormatError
-from .linalg import AGREEMENT_TOL, EXACT_TOL, INPUT_TOL, ORTHOGONALITY_TOL, REACH_TOL, as_float
+from .linalg import AGREEMENT_TOL, DEFAULT_MAX_DIM, EXACT_TOL, INPUT_TOL, ORTHOGONALITY_TOL, REACH_TOL, as_float
 from .multipartite import stabilizer_check
 
 
@@ -62,6 +63,11 @@ def cmd_evolve(args):
     matrix, h_digest = formats.load_matrix(args.hamiltonian)
     h = Hamiltonian(matrix)
     state, state_digest = formats.load_state(args.state)
+    _check_factors(state.factor_dims, args.k)  # 2^k of a k out of range is itself unbounded
+    # The grid keeps steps encoded states of n 2^k entries: bounded as optimize_bell bounds its restarts' states.
+    most = DEFAULT_MAX_DIM ** 2 // (state.dim * 2 ** args.k)
+    if args.steps > most:
+        raise FormatError(f"--steps must be at most {most} for {state.dim} amplitudes at k={args.k}, got {args.steps}")
     sign = 1 if args.sign == "plus" else -1
     res = trajectory(h, state, args.t_max, args.steps, args.k, sign)
     results = {
@@ -182,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("hamiltonian", help="Hermitian matrix JSON file")
     sp.add_argument("state", help="complex vector JSON file")
     sp.add_argument("--t-max", type=float, default=1.0, help="end of the time grid (default 1.0)")
-    sp.add_argument("--steps", type=int, default=64, help="grid points (default 64)")
+    sp.add_argument("--steps", type=int, default=64,
+                    help=f"grid points, at most {DEFAULT_MAX_DIM ** 2} encoded amplitudes in all (default 64)")
     sp.add_argument("--sign", choices=("plus", "minus"), default="plus",
                     help="sign convention: plus evolves with exp(+iHt), minus with exp(-iHt) (default plus)")
     sp.add_argument("--k", type=int, default=1, help="ancilla qubits, 1 to 12, one per party when > 1 (default 1)")

@@ -14,8 +14,10 @@ reads of H.  J is never built: encoding's `apply_xz` acts on one ancilla
 axis.  J sits on ancilla qubit 0, so with k ancilla qubits H' becomes
 H' (x) I and the propagator U(t) (x) I: the other k - 1 qubits are
 spectators, and every eigh, exponential and check here is 2n x 2n.
-The functions return what they measure and raise only on malformed
-arguments; the caller (the CLI's assertions) judges the measurements.
+`trajectory` decomposes both matrices once per call and keeps nothing
+on the Hamiltonian.  The functions return what they measure and raise
+only on malformed arguments; the caller (the CLI's assertions) judges
+the measurements.
 """
 
 from __future__ import annotations
@@ -43,12 +45,10 @@ class Hamiltonian:
     Hermitian matrix by up to INPUT_TOL.  `hermitian`, read-only, is the
     matrix eigh(H) reads: the lower triangle of H, its conjugate above and
     Re diag H, selected rather than summed, so signed zeros keep their
-    bits.  Both sides simulate it.  `_decompose` keeps the
-    eigendecompositions of H and of its single-ancilla encoding H' in one
-    private slot; they serve every ancilla count k.
+    bits.  Both sides simulate it.
     """
 
-    __slots__ = ("matrix", "hermitian", "_spectra")
+    __slots__ = ("matrix", "hermitian")
 
     def __init__(self, matrix: np.ndarray):
         m = self.matrix = admit(matrix, "Hamiltonian", square=True)
@@ -58,24 +58,10 @@ class Hamiltonian:
         d = m.diagonal()
         np.fill_diagonal(h, np.where(d.imag == 0.0, d, d.real))
         self.hermitian = _read_only(h)[0]
-        self._spectra = None  # (w, W, lambda, V, J V) once decomposed
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-def _decompose(h: Hamiltonian, eighs=None) -> tuple[np.ndarray, ...]:
-    """Keep on h, read-only, and return (w, W, lambda, V, J V): H = W diag(w) W^dagger, H' = V diag(lambda) V^T.
-
-    H' is encode_operator(h.hermitian).  eighs, if given, are numpy's eigh
-    of h.hermitian and of H', in that order; otherwise they are computed here.
-    """
-    if eighs is None:
-        eighs = np.linalg.eigh(h.hermitian), np.linalg.eigh(encode_operator(h.hermitian))
-    (w, vecs), (lam, v) = eighs
-    h._spectra = _read_only(w, vecs, lam, v, apply_xz(v, 1))
-    return h._spectra
 
 
 class EvolutionResult(NamedTuple):
@@ -85,11 +71,11 @@ class EvolutionResult(NamedTuple):
     (T, n 2^k) array, one read-only row per time.  The rows are computed,
     not admitted as states: orthogonality_error is what judges their norms.
     orthogonality_error is the largest norm change the encoded propagator
-    makes to the state and, for a trajectory, also the largest entry of
-    |U^T U - I| of the spectral U(t_max).  max_deviation is the largest
-    distance between an encoded state and the encoding of the complex one.
-    expm_error is the largest entry of |U - expm(s t_max J H')|, None for a
-    single `evolve` step.  The maxima keep NaN, which fails a `<= tol` gate.
+    makes to the state and the largest entry of |U^T U - I| of the
+    spectral U(t_max).  max_deviation is the largest distance between an
+    encoded state and the encoding of the complex one.  expm_error is the
+    largest entry of |U - expm(s t_max J H')|.  The maxima keep NaN, which
+    fails a `<= tol` gate.
     """
 
     times: tuple[float, ...]
@@ -97,16 +83,7 @@ class EvolutionResult(NamedTuple):
     encoded_states: np.ndarray
     orthogonality_error: float
     max_deviation: float
-    expm_error: float | None = None
-
-
-def _check_args(h: Hamiltonian, psi: PureState, sign: int) -> int:
-    sign = as_int(sign, "sign")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if h.dim != psi.dim:
-        raise ValueError(f"Hamiltonian dimension {h.dim} does not match state dimension {psi.dim}")
-    return sign
+    expm_error: float
 
 
 def _phases(w: np.ndarray, t: float) -> np.ndarray:
@@ -117,29 +94,25 @@ def _phases(w: np.ndarray, t: float) -> np.ndarray:
     return t * w
 
 
-def evolve(h: Hamiltonian, t: float, psi: PureState, k: int = 1, sign: int = 1) -> EvolutionResult:
-    """Evolve one time step on both sides and compare.
+def evolve(t: float, complex_side: tuple, encoded_side: tuple, sign: int, factor_dims: tuple[int, ...],
+           k: int) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """One grid point of `trajectory`: (complex state, encoded state, norm change, deviation) at time t.
 
-    sign +1 evolves with exp(+iHt), sign -1 with exp(-iHt).  The complex
-    side is W (e^{i s w t} * W^dagger psi) from the spectrum of H; the
-    encoded side is V (cos(lambda t) * d) + s (J V) (sin(lambda t) * d)
-    with d = V^T psi' from the spectrum of H', in real arithmetic only;
-    psi' with k ancilla qubits is read as a (2n, 2^(k-1)) matrix.  Both
-    spectra are those kept on h, decomposed here if h has none yet.
+    complex_side is (w, W, W^dagger psi) with H = W diag(w) W^dagger, and
+    encoded_side is (lambda, V, J V, d, |psi'|) with H' = V diag(lambda) V^T
+    and d = V^T psi', psi' read as a (2n, 2^(k-1)) matrix; `trajectory`
+    forms both once.  The complex state is W (e^{i s w t} * W^dagger psi),
+    the encoded one V (cos(lambda t) * d) + s (J V) (sin(lambda t) * d), in
+    real arithmetic only.  Only the phases depend on t.
     """
-    sign = _check_args(h, psi, sign)
-    t = as_float(t, "t")
-    w, vecs, lam, v, jv = h._spectra or _decompose(h)
-    evolved = vecs @ (np.exp((1j * sign) * _phases(w, t)) * (vecs.conj().T @ psi.amplitudes))
-
-    enc0 = encode_amplitudes(psi.amplitudes, psi.factor_dims, k)
-    d = v.T @ enc0.reshape(2 * h.dim, -1)
+    w, vecs, c = complex_side
+    lam, v, jv, d, norm0 = encoded_side
+    evolved = vecs @ (np.exp((1j * sign) * _phases(w, t)) * c)
     phase = _phases(lam, t)[:, None]
     out = (v @ (np.cos(phase) * d) + sign * (jv @ (np.sin(phase) * d))).ravel()
     # Measured against the input's own norm, which PureState lets differ from 1 by up to INPUT_TOL.
-    drift = abs(float(np.linalg.norm(out)) - float(np.linalg.norm(enc0)))
-    deviation = float(np.linalg.norm(out - encode_amplitudes(evolved, psi.factor_dims, k)))
-    return EvolutionResult((t,), *_read_only(evolved[None], out[None]), drift, deviation)
+    drift = abs(float(np.linalg.norm(out)) - norm0)
+    return evolved, out, drift, float(np.linalg.norm(out - encode_amplitudes(evolved, factor_dims, k)))
 
 
 def _eigh_each(mats: list[np.ndarray], out: list) -> None:
@@ -155,27 +128,33 @@ def _eigh_each(mats: list[np.ndarray], out: list) -> None:
 
 def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64, k: int = 1,
                sign: int = 1) -> EvolutionResult:
-    """Evolve on a uniform time grid, one `evolve` per point, and check the propagator once.
+    """Evolve on a uniform time grid and check the propagator once.
 
-    The grid is linspace(0, t_max, steps).  U(t_max) = cos(t_max H') +
-    sign J sin(t_max H') is built from the spectrum of H', checked for
-    orthogonality, and compared with the dense exponential of the
-    generator J H', at k = 1 whatever k the states use.  H' is encoded
-    once.  The eigendecompositions of H and H' run on one worker thread,
-    in numpy only, while this thread builds the generator from the same
-    H' and forms its dense exponential; numpy releases the GIL in LAPACK
-    and BLAS, so the two overlap.  `_decompose` keeps both on h for the
-    `evolve` calls and U(t_max), replacing any kept before.  Each call
-    gets the operands it would get in sequence, so the results are the
-    same bits.  Errors come in the sequential order: arguments (k and the
-    state's factors first), an exception of the worker, phases on the
+    The grid is linspace(0, t_max, steps), so a single time t is the last
+    row of trajectory(h, psi, t, steps=2).  sign +1 evolves with exp(+iHt),
+    sign -1 with exp(-iHt).  H' is encoded once.  The eigendecompositions
+    H = W diag(w) W^dagger and H' = V diag(lambda) V^T run on one worker
+    thread, in numpy only, while this thread builds the generator J H' and
+    forms its dense exponential; numpy releases the GIL in LAPACK and BLAS,
+    so the two overlap.  Both decompositions stay in locals.  psi is then
+    projected onto W and, encoded with k ancilla qubits, onto V once, and
+    `evolve` turns the phases at each grid point.  U(t_max) = cos(t_max H')
+    + sign J sin(t_max H') is built from the spectrum of H', checked for
+    orthogonality, and compared with the dense exponential, at k = 1
+    whatever k the states use.  Errors come in this order: arguments (k and
+    the state's factors first), an exception of the worker, phases on the
     grid, and only then a dense exponential that is not finite.
     """
     _check_factors(psi.factor_dims, k)
     steps = as_int(steps, "steps")
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
-    sign, t_max = _check_args(h, psi, sign), as_float(t_max, "t_max")
+    sign = as_int(sign, "sign")
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    if h.dim != psi.dim:
+        raise ValueError(f"Hamiltonian dimension {h.dim} does not match state dimension {psi.dim}")
+    t_max = as_float(t_max, "t_max")
     try:
         grid = np.linspace(0.0, t_max, steps)
     except ValueError:  # numpy's "Maximum allowed size exceeded"
@@ -197,17 +176,22 @@ def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64, k:
         worker.join()
     if isinstance(out[-1], Exception):  # the worker stops at its first exception
         raise out[-1]
-    _, _, lam, v, jv = _decompose(h, out)
+    (w, vecs), (lam, v) = out
+    jv = apply_xz(v, 1)
+    enc0 = encode_amplitudes(psi.amplitudes, psi.factor_dims, k)
+    complex_side = w, vecs, vecs.conj().T @ psi.amplitudes
+    encoded_side = lam, v, jv, v.T @ enc0.reshape(2 * h.dim, -1), float(np.linalg.norm(enc0))
 
-    results = [evolve(h, t, psi, k, sign) for t in times]
+    complex_states, encoded_states = np.empty((steps, psi.dim), complex), np.empty((steps, enc0.size))
+    drifts, deviations = np.empty(steps), np.empty(steps)
+    for i, t in enumerate(times):
+        complex_states[i], encoded_states[i], drifts[i], deviations[i] = evolve(t, complex_side, encoded_side,
+                                                                                sign, psi.factor_dims, k)
     phase = _phases(lam, t_max)
     u = (v * np.cos(phase)) @ v.T + sign * (jv * np.sin(phase)) @ v.T
     if dense is None:
         raise ValueError(f"dynamics: dense exponential of the generator is not finite at t={t_max}")
     orthogonality = float(np.max(np.abs(u.T @ u - np.eye(u.shape[0]))))
-    expm_error = float(np.max(np.abs(u - dense)))
-    complex_states, encoded_states = _read_only(np.concatenate([r.complex_states for r in results]),
-                                                np.concatenate([r.encoded_states for r in results]))
-    return EvolutionResult(times, complex_states, encoded_states,
-                           float(np.max([orthogonality] + [r.orthogonality_error for r in results])),
-                           float(np.max([r.max_deviation for r in results])), expm_error)
+    return EvolutionResult(times, *_read_only(complex_states, encoded_states),
+                           float(np.max(np.append(drifts, orthogonality))), float(np.max(deviations)),
+                           float(np.max(np.abs(u - dense))))

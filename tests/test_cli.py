@@ -19,9 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import matrix_obj, perturbed_decompose, random_hermitian
+from helpers import matrix_obj, perturbed_eigh, random_hermitian
 import realsim
-from realsim import cli, dynamics, encoding, linalg, multipartite
+from realsim import cli, encoding, linalg, multipartite
 from realsim.applications import bell, selftest
 from realsim.cli import main
 
@@ -161,12 +161,40 @@ class TestEvolve:
         failed = {a["name"] for a in report["assertions"] if not a["passed"]}
         assert failed and failed <= {"matches_complex_evolution", "matches_dense_expm"}
 
-    def test_grid_too_large_to_allocate_is_rejected(self, capsys, tmp_path, circular_state):
-        # 10^15 grid points need 8 PB, which numpy refuses at once: exit 2 and one error line, not a traceback.
+    @pytest.mark.parametrize("steps, k", [(4194305, 1), (10 ** 15, 1), (1048577, 3), (10 ** 400, 12)])
+    def test_grid_past_the_entry_bound_is_rejected_by_name(self, capsys, tmp_path, monkeypatch, steps, k):
+        # steps x n 2^k encoded amplitudes above DEFAULT_MAX_DIM^2 = 2^24 (the bound optimize_bell's chunks keep):
+        # 10^15 points once ran into numpy's allocation error and a huge count a little below that ran for
+        # minutes before running out of memory.  Rejected after the files are read, before any grid is built.
+        def ran(*args, **kwargs):
+            raise AssertionError("evolve built a grid past the bound")
+
+        monkeypatch.setattr(cli, "trajectory", ran)
+        dims = [2] + [1] * (k - 1)
+        psi = write(tmp_path, "psi.json", {"dims": dims, "amplitudes": [[S, 0.0], [0.0, S]]})
         ham = write(tmp_path, "ham.json", matrix_obj(np.diag([1.0, -1.0])))
-        code, out, err = run(capsys, ["evolve", ham, circular_state, "--steps", str(10 ** 15)])
+        code, out, err = run(capsys, ["evolve", ham, psi, "--steps", str(steps), "--k", str(k)])
+        most = 2 ** 24 // (2 * 2 ** k)
         assert (code, out) == (2, "")
-        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert err == f"error: --steps must be at most {most} for 2 amplitudes at k={k}, got {steps}\n"
+
+    def test_grid_at_the_entry_bound_is_not_rejected_by_its_size(self, capsys, tmp_path, monkeypatch, circular_state):
+        # The largest admitted count reaches trajectory; the stand-in allocates nothing.
+        seen = []
+
+        def stand_in(h, psi, t_max, steps, k, sign):
+            seen.append(steps)
+            raise ValueError("stand-in")
+
+        monkeypatch.setattr(cli, "trajectory", stand_in)
+        ham = write(tmp_path, "ham.json", matrix_obj(np.diag([1.0, -1.0])))
+        assert run(capsys, ["evolve", ham, circular_state, "--steps", "4194304"]) == (2, "", "error: stand-in\n")
+        assert seen == [4194304]
+
+    def test_k_out_of_range_is_named_before_the_steps_bound(self, capsys, tmp_path, circular_state):
+        ham = write(tmp_path, "ham.json", matrix_obj(np.diag([1.0, -1.0])))
+        code, out, err = run(capsys, ["evolve", ham, circular_state, "--steps", "4194305", "--k", str(10 ** 9)])
+        assert (code, out, err) == (2, "", f"error: ancilla count k={10 ** 9} out of range [1, 12]\n")
 
     @pytest.mark.parametrize("dims", [[2] + [1] * 11, [1] * 10], ids=["k12", "k10_dimension_1"])
     def test_many_ancilla_qubits_evolve_through_the_single_ancilla_propagator(self, capsys, tmp_path, dims):
@@ -196,9 +224,10 @@ class TestEvolve:
 
     def test_perturbed_eigenvectors_fail_the_orthogonality_check(self, capsys, tmp_path, circular_state,
                                                                   monkeypatch):
-        # Scaling the kept eigenvectors of H' by 1 + 2e-11 moves U^T U off the identity by about
-        # 8e-11, while the states and the dense comparison stay within the 1e-10 default tolerance.
-        monkeypatch.setattr(dynamics, "_decompose", perturbed_decompose)
+        # Scaling the eigenvectors of H' by 1 + 2e-11 where the worker thread decomposes it moves U^T U off
+        # the identity by about 8e-11, while the states and the dense comparison stay within the 1e-10
+        # default tolerance.
+        monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh)
         ham = write(tmp_path, "ham.json", matrix_obj([[0.3, -1.0j], [1.0j, -0.2]]))
         code, out, _ = run(capsys, ["evolve", ham, circular_state, "--steps", "5"])
         assert code == 1
@@ -1196,8 +1225,8 @@ def just_outside_the_admission_edge(draw):
     The mirror of at_the_admission_edge: a state norm or density trace of 1 +- OUTSIDE, a POVM whose
     completeness is off by 2 INPUT_TOL, a Hamiltonian, density matrix, POVM element or Bell observable
     just past its Hermiticity bound, a Bell observable just past its +-1 spectrum, a gate just past
-    unitarity, a density matrix or POVM element with an eigenvalue of -1.01 PSD_TOL, --steps 1, a --k
-    just outside its range, and a ragged POVM or observable family.
+    unitarity, a density matrix or POVM element with an eigenvalue of -1.01 PSD_TOL, --steps 1 or one past
+    its bound, a --k just outside its range, and a ragged POVM or observable family.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     dims = draw(st.sampled_from([[2], [3], [4], [2, 2]]))
@@ -1260,8 +1289,15 @@ def just_outside_the_admission_edge(draw):
         else:
             message = "observable eigenvalues must all be +-1"
             observables[party][setting] *= 1.0 + sign * 1.01 * linalg.OBSERVABLE_TOL
-    elif case == "steps":
-        job, message, flags = "evolve", "steps must be at least 2, got 1", ["--steps", "1"]  # the last --steps counts
+    elif case == "steps":  # the last --steps counts
+        job = "evolve"
+        if draw(st.booleans()):
+            message, flags = "steps must be at least 2, got 1", ["--steps", "1"]
+        else:  # the first count whose grid holds more than DEFAULT_MAX_DIM^2 encoded amplitudes; nothing is allocated
+            k = len(dims)
+            most = linalg.DEFAULT_MAX_DIM ** 2 // (n * 2 ** k)
+            message = f"--steps must be at most {most} for {n} amplitudes at k={k}, got {most + 1}"
+            flags = ["--steps", str(most + 1), "--k", str(k)]
     elif case == "k":  # encode and evolve take 1 to 12 ancilla qubits, stabilizer 2 to 6
         job, k = draw(st.sampled_from([("encode", 0), ("encode", 13), ("evolve", 0), ("evolve", 13),
                                        ("stabilizer", 1), ("stabilizer", 7)]))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from helpers import block_encode, generator, interleave, random_density, random_povm, random_state, random_unitary
 from realsim import encoding, linalg
 from realsim.applications.bell import BellScenario
-from realsim.dynamics import Hamiltonian, evolve, trajectory
+from realsim.dynamics import Hamiltonian, trajectory
 from realsim.encoding import (
     DensityOperator,
     Povm,
@@ -69,10 +69,9 @@ class TestAncillaCount:
         lambda k: apply_xz(np.zeros((4, 1)), k),
         lambda k: encoded_povm_probabilities(np.array([1.0, 0.0, 0.0, 0.0]), Povm((np.eye(2),)), k),
         lambda k: generator(Hamiltonian(np.eye(2)), k),
-        lambda k: evolve(Hamiltonian(np.eye(2)), 1.0, state([1.0, 0.0]), k),
         lambda k: trajectory(Hamiltonian(np.eye(2)), state([1.0, 0.0]), 1.0, 4, k),
     ], ids=["logical_states", "local_xz", "encode_state", "decode_state", "encode_operator", "apply_xz",
-            "encoded_povm_probabilities", "generator", "evolve", "trajectory"])
+            "encoded_povm_probabilities", "generator", "trajectory"])
 
     @pytest.mark.parametrize("k", [0, -3, 13])
     @takes_k

@@ -3,12 +3,16 @@
 A refactor that keeps the mathematics must keep every report byte for
 byte.  The inputs are written fresh in a temporary directory; the report
 digest hashes file contents, not paths, so the stored hashes do not
-depend on where the files live.
+depend on where the files live.  Each report is also stored in
+golden/<job>.json, so a mismatch names the first field that differs and
+the largest numeric difference: a last-bit slip of 1e-15 reads apart
+from a real change of 0.41.
 """
 
 import hashlib
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from realsim.cli import main
 
 S = 0.7071067811865476
 H = 0.5
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def write(tmp_path, name, obj):
@@ -102,13 +107,70 @@ JOBS = {
 }
 
 
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def stored_report(name):
+    return (GOLDEN / f"{name}.json").read_bytes().decode("utf-8")
+
+
+def leaves(node, path="report"):
+    """(path, value) of every scalar of a parsed report, in document order."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaves(value, f"{path}.{key}")
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from leaves(value, f"{path}[{i}]")
+    else:
+        yield path, node
+
+
+def explain(want_text, got_text):
+    """The first field of the stored report that the new one changes or drops (else the first it adds), and the
+    largest difference between numbers that both reports hold at one path."""
+    want, got = dict(leaves(json.loads(want_text))), dict(leaves(json.loads(got_text)))
+    missing = object()
+    changed = [p for p, v in want.items() if got.get(p, missing) != v or type(got[p]) is not type(v)]
+    changed += [p for p in got if p not in want]
+    if not changed:
+        return "the reports parse to the same values; they differ in formatting only"
+    first = changed[0]
+    message = f"first differing field {first}: {want.get(first, '(absent)')!r} -> {got.get(first, '(absent)')!r}"
+    numeric = [(abs(got[p] - want[p]), p) for p in changed if p in want and p in got
+               and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (want[p], got[p]))]
+    if numeric:
+        size, where = max(numeric)
+        message += f"; largest numeric difference {size:.3g} at {where}"
+    return message
+
+
 @pytest.mark.parametrize("name", sorted(JOBS))
 def test_report_bytes_are_unchanged(name, capsys, tmp_path, monkeypatch):
     for file_name, obj in FILES.items():
         write(tmp_path, file_name, obj)
     monkeypatch.chdir(tmp_path)
     argv, expected = JOBS[name]
+    stored = stored_report(name)
+    assert sha256(stored) == expected, f"golden/{name}.json is not the report its hash pins"
     code = main(argv)
     out = capsys.readouterr().out
     assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
+    assert sha256(out) == expected, explain(stored, out)
+
+
+def test_a_mismatch_names_the_field_and_the_size_of_the_change():
+    stored = stored_report("evolve_k1")
+    report = json.loads(stored)
+    first = report["results"]["final_encoded"][1]
+    report["results"]["final_encoded"][1] = math.nextafter(first, math.inf)
+    assert explain(stored, json.dumps(report)) == (
+        f"first differing field report.results.final_encoded[1]: {first!r} -> {math.nextafter(first, math.inf)!r}"
+        f"; largest numeric difference {math.nextafter(first, math.inf) - first:.3g} at report.results.final_encoded[1]")
+    report["results"]["max_deviation"] += 0.41
+    report["assertions"].pop()
+    message = explain(stored, json.dumps(report))
+    assert message.startswith("first differing field report.results.max_deviation: ")
+    assert message.endswith("; largest numeric difference 0.41 at report.results.max_deviation")
+    assert explain(stored, json.dumps(json.loads(stored), indent=1)).endswith("formatting only")

@@ -19,7 +19,7 @@ PUBLIC = {
     # multipartite
     "StabilizerReport", "stabilizer_check",
     # dynamics
-    "EvolutionResult", "Hamiltonian", "evolve", "trajectory",
+    "EvolutionResult", "Hamiltonian", "trajectory",
     # applications
     "BellResult", "BellScenario", "bell_value", "chsh_scenario", "ghz3_state", "mermin3_scenario", "optimize_bell",
     "phi_plus_state", "SelfTestTranscript", "selftest_counterexample",
@@ -29,12 +29,12 @@ PUBLIC = {
 def test_exports_exactly_the_public_names():
     exported = {name for name in dir(realsim)
                 if not name.startswith("_") and not isinstance(getattr(realsim, name), types.ModuleType)}
-    assert len(PUBLIC) == 41
+    assert len(PUBLIC) == 40
     assert exported == PUBLIC
 
 
 @pytest.mark.parametrize("make", [
-    lambda: realsim.evolve(realsim.Hamiltonian(np.eye(2)), 1.0, realsim.PureState(np.array([1.0, 0.0]))),
+    lambda: realsim.trajectory(realsim.Hamiltonian(np.eye(2)), realsim.PureState(np.array([1.0, 0.0])), 1.0, 2),
     lambda: realsim.optimize_bell(realsim.chsh_scenario(), seeds=[1], iterations=1),
     lambda: realsim.stabilizer_check(2),
     lambda: realsim.selftest_counterexample(),
@@ -72,11 +72,6 @@ def _chsh_with(**changes):
     return realsim.BellScenario(**{**fields, **changes})
 
 
-def _evolve(**changes):
-    args = dict(h=realsim.Hamiltonian(np.eye(2)), t=1.0, psi=realsim.PureState(np.array([1.0, 0.0])))
-    return realsim.evolve(**{**args, **changes})
-
-
 def _trajectory(**changes):
     args = dict(h=realsim.Hamiltonian(np.eye(2)), psi=realsim.PureState(np.array([1.0, 0.0])), t_max=1.0, steps=3)
     return realsim.trajectory(**{**args, **changes})
@@ -99,9 +94,6 @@ SCALAR_ARGUMENTS = {
     "logical_states.k": ("ancilla count k", True, realsim.logical_states),
     "is_hermitian.tol": ("tol", False, lambda v: realsim.is_hermitian(np.eye(2), v)),
     "stabilizer_check.k": ("ancilla count k", True, realsim.stabilizer_check),
-    "evolve.t": ("t", False, lambda v: _evolve(t=v)),
-    "evolve.k": ("ancilla count k", True, lambda v: _evolve(k=v)),
-    "evolve.sign": ("sign", True, lambda v: _evolve(sign=v)),
     "trajectory.t_max": ("t_max", False, lambda v: _trajectory(t_max=v)),
     "trajectory.steps": ("steps", True, lambda v: _trajectory(steps=v)),
     "trajectory.k": ("ancilla count k", True, lambda v: _trajectory(k=v)),
