@@ -164,6 +164,20 @@ def interleave(z) -> np.ndarray:
     return out
 
 
+def logical_encode(z, k: int) -> np.ndarray:
+    """Reference k-ancilla encoding Re z (x) |0_L> + Im z (x) |1_L>, the ancilla qubits last.
+
+    |0_L> and |1_L> come from their closed form over the Hamming weight h of each ancilla bitstring:
+    (-1)^(h/2) on even h and (-1)^((h-1)/2) on odd h, over sqrt(2^(k-1)).  At k = 1 this is `interleave`.
+    """
+    z = np.asarray(z, dtype=complex)
+    weights = [bin(y).count("1") for y in range(2 ** k)]
+    zero = np.array([(-1.0) ** (h // 2) if h % 2 == 0 else 0.0 for h in weights])
+    one = np.array([(-1.0) ** ((h - 1) // 2) if h % 2 else 0.0 for h in weights])
+    norm = np.sqrt(2.0 ** (k - 1))
+    return np.kron(z.real, zero / norm) + np.kron(z.imag, one / norm)
+
+
 def block_encode(m) -> np.ndarray:
     """Reference operator encoding: entry-by-entry 2x2 block substitution."""
     m = np.asarray(m, dtype=complex)

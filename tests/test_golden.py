@@ -6,7 +6,9 @@ digest hashes file contents, not paths, so the stored hashes do not
 depend on where the files live.  Each report is also stored in
 golden/<job>.json, so a mismatch names the first field that differs and
 the largest numeric difference: a last-bit slip of 1e-15 reads apart
-from a real change of 0.41.
+from a real change of 0.41.  The stored reports are also checked by
+value against plain numpy, so a mistake that the hashes pinned when
+they were recorded does not stay pinned unseen.
 """
 
 import hashlib
@@ -17,7 +19,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from helpers import matrix_obj
+from helpers import eig_expm_hermitian, logical_encode, matrix_obj
 from realsim.cli import main
 
 S = 0.7071067811865476
@@ -174,3 +176,102 @@ def test_a_mismatch_names_the_field_and_the_size_of_the_change():
     assert message.startswith("first differing field report.results.max_deviation: ")
     assert message.endswith("; largest numeric difference 0.41 at report.results.max_deviation")
     assert explain(stored, json.dumps(json.loads(stored), indent=1)).endswith("formatting only")
+
+
+# How far a stored number may sit from its plain-numpy value: the encoding only copies and scales numbers,
+# the rest go through eigendecompositions and sums whose order differs from the package's.
+EXACT = 1e-15
+COMPUTED = 1e-12
+TSIRELSON = 2.0 * math.sqrt(2.0)
+PROBES = [np.array(p, dtype=complex) for p in ([1, 0], [0, 1], [S, S], [S, -S], [S, 1j * S], [S, -1j * S])]
+
+
+def amplitudes(obj):
+    return np.array([complex(re, im) for re, im in obj["amplitudes"]])
+
+
+def matrix(obj):
+    return np.array([complex(re, im) for re, im in obj["entries"]]).reshape(obj["rows"], obj["cols"])
+
+
+def complex_list(pairs):
+    return np.array([complex(re, im) for re, im in pairs])
+
+
+def close(name, got, want, tol):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape, f"{name}: shape {got.shape}, expected {want.shape}"
+    err = float(np.abs(got - want).max())
+    assert err <= tol, f"{name}: off by {err:.3g} (tolerance {tol:.0e})"
+
+
+def check_encode(results, files, flags):
+    psi, k = amplitudes(files[0]), int(flags.get("--k", 1))
+    assert (results["source_dims"], results["layout_k"]) == (files[0]["dims"], k)
+    close("encoded_amplitudes", results["encoded_amplitudes"], logical_encode(psi, k), EXACT)
+
+
+def check_evolve(results, files, flags):
+    h, psi, k = matrix(files[0]), amplitudes(files[1]), int(flags.get("--k", 1))
+    t_max, steps = float(flags.get("--t-max", 1.0)), int(flags.get("--steps", 64))
+    sign = -1.0 if flags.get("--sign") == "minus" else 1.0
+    final = eig_expm_hermitian(h, scale=sign * t_max) @ psi
+    close("times", results["times"], np.linspace(0.0, t_max, steps), EXACT)
+    close("final_complex", complex_list(results["final_complex"]), final, COMPUTED)
+    close("final_encoded", results["final_encoded"], logical_encode(final, k), COMPUTED)
+
+
+def check_measure(results, files, flags):
+    rho = matrix(files[0]) if "entries" in files[0] else np.outer(amplitudes(files[0]), amplitudes(files[0]).conj())
+    probabilities = [np.trace(matrix(e) @ rho).real for e in files[1]["elements"]]
+    close("probabilities", results["probabilities"], probabilities, COMPUTED)
+    close("encoded_probabilities", results["encoded_probabilities"], probabilities, COMPUTED)
+
+
+def check_bell(results, files, flags):
+    assert (results["classical_bound"], results["quantum_target"]) == (2, pytest.approx(TSIRELSON, abs=EXACT))
+    modes = [flags["--mode"]] if "--mode" in flags else ["complex", "real_encoded"]
+    for mode in modes:
+        assert TSIRELSON - 1e-6 <= results[f"value_{mode}"] <= TSIRELSON + 1e-9, mode
+    assert max(value for _, value in results["optimizer_trace"]) <= TSIRELSON + 1e-9
+
+
+def check_selftest(results, files, flags):
+    t = matrix(files[0]) if files else np.diag([1.0, 1.0j])
+    phi = np.array([S, 0.0, 0.0, S], dtype=complex)
+    stages = [phi, np.kron(t, np.eye(2)) @ phi, np.kron(t, t.conj()) @ phi]
+    povm = [np.outer(p, p.conj()) / 3.0 for p in PROBES]
+    stats = [[[np.vdot(z, np.kron(a, b) @ z).real for b in povm] for a in povm] for z in stages]
+    close("statistics_logical", results["statistics_logical"], stats, COMPUTED)
+    close("statistics_simulated", results["statistics_simulated"], stats, COMPUTED)
+    plus = np.array([S, S], dtype=complex)
+    overlap = np.vdot(plus, t @ plus)
+    close("witness_state_a", complex_list(results["witness_state_a"]), plus, EXACT)
+    close("witness_state_b", complex_list(results["witness_state_b"]), t @ plus, COMPUTED)
+    close("witness_real_part", results["witness_real_part"], overlap.real, COMPUTED)
+    close("witness_modulus", results["witness_modulus"], abs(overlap), COMPUTED)
+    tails = [np.sqrt(np.sum(np.linalg.svd(logical_encode(z, 2).reshape(4, 4), compute_uv=False)[1:] ** 2))
+             for z in stages]
+    close("product_state_gap", results["product_state_gap"], max(tails), COMPUTED)
+
+
+def check_stabilizer(results, files, flags):
+    assert (results["k"], results["fixed_subspace_dim"]) == (int(flags["--k"]), 2)
+    assert results["generator_error"] <= COMPUTED
+
+
+CHECKS = {"encode": check_encode, "evolve": check_evolve, "measure": check_measure, "bell": check_bell,
+          "selftest": check_selftest, "stabilizer": check_stabilizer}
+
+
+@pytest.mark.parametrize("name", sorted(JOBS))
+def test_stored_report_holds_what_plain_numpy_computes(name):
+    # test_report_bytes_are_unchanged ties each job's output to its stored report; this ties the stored
+    # report to the mathematics, recomputed from the job's input files without the package.
+    argv, _ = JOBS[name]
+    report = json.loads(stored_report(name))
+    assert report["command"] == argv[0]
+    assert [a["name"] for a in report["assertions"] if not a["passed"]] == []
+    files = [FILES[a] for a in argv[1:] if a.endswith(".json")]
+    flags = {a: v for a, v in zip(argv, argv[1:]) if a.startswith("--")}
+    CHECKS[argv[0]](report["results"], files, flags)
