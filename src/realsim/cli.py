@@ -20,14 +20,12 @@ from .applications.selftest import selftest_counterexample
 from .dynamics import Hamiltonian, trajectory
 from .encoding import (
     DensityOperator,
-    _check_factors,
     decode_state,
     encode_density,
     encode_state,
     encoded_povm_probabilities,
     povm_probabilities,
 )
-from .formats import FormatError
 from .linalg import AGREEMENT_TOL, DEFAULT_MAX_DIM, EXACT_TOL, INPUT_TOL, ORTHOGONALITY_TOL, REACH_TOL, as_float
 from .multipartite import stabilizer_check
 
@@ -63,11 +61,6 @@ def cmd_evolve(args):
     matrix, h_digest = formats.load_matrix(args.hamiltonian)
     h = Hamiltonian(matrix)
     state, state_digest = formats.load_state(args.state)
-    _check_factors(state.factor_dims, args.k)  # 2^k of a k out of range is itself unbounded
-    # The grid keeps steps encoded states of n 2^k entries: bounded as optimize_bell bounds its restarts' states.
-    most = DEFAULT_MAX_DIM ** 2 // (state.dim * 2 ** args.k)
-    if args.steps > most:
-        raise FormatError(f"--steps must be at most {most} for {state.dim} amplitudes at k={args.k}, got {args.steps}")
     sign = 1 if args.sign == "plus" else -1
     res = trajectory(h, state, args.t_max, args.steps, args.k, sign)
     results = {
@@ -113,9 +106,9 @@ _SCENARIOS = {"chsh": chsh_scenario, "mermin3": mermin3_scenario}
 
 def cmd_bell(args):
     if args.seed is None:
-        raise FormatError("--seed is required: bell restarts are stochastic and never seeded from the clock")
+        raise ValueError("--seed is required: bell restarts are stochastic and never seeded from the clock")
     if args.restarts < 1:
-        raise FormatError(f"--restarts must be at least 1, got {args.restarts}")
+        raise ValueError(f"--restarts must be at least 1, got {args.restarts}")
     digests = []
     if args.scenario_file is not None:
         scenario, digest = formats.load_scenario(args.scenario_file)

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .encoding import PureState, _check_factors, apply_xz, encode_amplitudes, encode_operator
-from .linalg import admit, as_float, as_int, is_hermitian, matexp
+from .linalg import DEFAULT_MAX_DIM, admit, as_float, as_int, is_hermitian, matexp
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -86,14 +86,6 @@ class EvolutionResult(NamedTuple):
     expm_error: float
 
 
-def _phases(w: np.ndarray, t: float) -> np.ndarray:
-    """The phases t w of eigenvalues w; near the largest double eigh can return inf, or t w overflow."""
-    # Every |t w| is finite if the largest is; in Python floats it overflows to inf, or 0 * inf is NaN, without a warning.
-    if not math.isfinite(abs(t) * float(np.abs(w).max())):
-        raise ValueError(f"dynamics: phases t*w of the spectrum are not finite at t={t}")
-    return t * w
-
-
 def evolve(t: float, complex_side: tuple, encoded_side: tuple, sign: int, factor_dims: tuple[int, ...],
            k: int) -> tuple[np.ndarray, np.ndarray, float, float]:
     """One grid point of `trajectory`: (complex state, encoded state, norm change, deviation) at time t.
@@ -103,12 +95,13 @@ def evolve(t: float, complex_side: tuple, encoded_side: tuple, sign: int, factor
     and d = V^T psi', psi' read as a (2n, 2^(k-1)) matrix; `trajectory`
     forms both once.  The complex state is W (e^{i s w t} * W^dagger psi),
     the encoded one V (cos(lambda t) * d) + s (J V) (sin(lambda t) * d), in
-    real arithmetic only.  Only the phases depend on t.
+    real arithmetic only.  Only the phases depend on t; `trajectory` has
+    checked that they are finite.
     """
     w, vecs, c = complex_side
     lam, v, jv, d, norm0 = encoded_side
-    evolved = vecs @ (np.exp((1j * sign) * _phases(w, t)) * c)
-    phase = _phases(lam, t)[:, None]
+    evolved = vecs @ (np.exp((1j * sign) * (t * w)) * c)
+    phase = (t * lam)[:, None]
     out = (v @ (np.cos(phase) * d) + sign * (jv @ (np.sin(phase) * d))).ravel()
     # Measured against the input's own norm, which PureState lets differ from 1 by up to INPUT_TOL.
     drift = abs(float(np.linalg.norm(out)) - norm0)
@@ -142,24 +135,25 @@ def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64, k:
     + sign J sin(t_max H') is built from the spectrum of H', checked for
     orthogonality, and compared with the dense exponential, at k = 1
     whatever k the states use.  Errors come in this order: arguments (k and
-    the state's factors first), an exception of the worker, phases on the
+    the state's factors first, then steps, at most DEFAULT_MAX_DIM^2 encoded
+    amplitudes on the grid), an exception of the worker, phases on the
     grid, and only then a dense exponential that is not finite.
     """
     _check_factors(psi.factor_dims, k)
     steps = as_int(steps, "steps")
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
+    # The grid keeps steps encoded states of n 2^k entries: bounded as optimize_bell bounds its restarts' states.
+    most = DEFAULT_MAX_DIM ** 2 // (psi.dim * 2 ** k)
+    if steps > most:
+        raise ValueError(f"steps must be at most {most} for {psi.dim} amplitudes at k={k}, got {steps}")
     sign = as_int(sign, "sign")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if h.dim != psi.dim:
         raise ValueError(f"Hamiltonian dimension {h.dim} does not match state dimension {psi.dim}")
     t_max = as_float(t_max, "t_max")
-    try:
-        grid = np.linspace(0.0, t_max, steps)
-    except ValueError:  # numpy's "Maximum allowed size exceeded"
-        raise ValueError(f"steps={steps} is more grid points than an array can hold") from None
-    times = tuple(float(t) for t in grid)
+    times = tuple(float(t) for t in np.linspace(0.0, t_max, steps))
     h_enc = encode_operator(h.hermitian)
     out = []
     worker = threading.Thread(target=_eigh_each, args=([h.hermitian, h_enc], out))
@@ -177,6 +171,12 @@ def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64, k:
     if isinstance(out[-1], Exception):  # the worker stops at its first exception
         raise out[-1]
     (w, vecs), (lam, v) = out
+    # Near the largest double eigh can return inf, or t w overflow.  |t| max|w| grows along the grid, so t_max
+    # decides.  Python floats overflow to inf, and 0 * inf is NaN, without a warning; np.maximum keeps NaN.
+    top = float(np.maximum(np.abs(w).max(), np.abs(lam).max()))
+    if not math.isfinite(abs(t_max) * top):
+        t = next(t for t in times if not math.isfinite(abs(t) * top))
+        raise ValueError(f"dynamics: phases t*w of the spectrum are not finite at t={t}")
     jv = apply_xz(v, 1)
     enc0 = encode_amplitudes(psi.amplitudes, psi.factor_dims, k)
     complex_side = w, vecs, vecs.conj().T @ psi.amplitudes
@@ -187,7 +187,7 @@ def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64, k:
     for i, t in enumerate(times):
         complex_states[i], encoded_states[i], drifts[i], deviations[i] = evolve(t, complex_side, encoded_side,
                                                                                 sign, psi.factor_dims, k)
-    phase = _phases(lam, t_max)
+    phase = t_max * lam
     u = (v * np.cos(phase)) @ v.T + sign * (jv * np.sin(phase)) @ v.T
     if dense is None:
         raise ValueError(f"dynamics: dense exponential of the generator is not finite at t={t_max}")

@@ -100,7 +100,7 @@ class PureState:
         if amps.ndim != 1 or amps.size == 0:
             raise ValueError("amplitudes must form a nonempty 1-d vector")
         dims = (amps.size,) if factor_dims is None else tuple(as_int(d, "factor_dims entry") for d in factor_dims)
-        if int(np.prod(dims)) != amps.size:
+        if math.prod(dims) != amps.size:
             raise ValueError(f"factor_dims {dims} do not multiply to dimension {amps.size}")
         if any(d < 1 for d in dims):
             raise ValueError(f"factor_dims {dims} must all be at least 1")

@@ -135,6 +135,10 @@ class TestScenarioValidation:
                                               scenario.quantum_target))
         assert BellScenario(2, (1, 1), ((Z,), (Z,)), {(0, 0): 1.0}, 2.0).quantum_target is None
 
+    def test_observables_must_list_one_family_per_party(self):
+        with pytest.raises(ValueError, match=r"^observables must list one family per party$"):
+            BellScenario(2, (1, 1), ((Z,),), {(0, 0): 1.0}, 2.0)
+
     def test_party_count_must_be_an_integer(self):
         with pytest.raises(ValueError, match=r"^parties must be an integer, got 2\.0$"):
             BellScenario(2.0, (1, 1), ((Z,), (Z,)), {(0, 0): 1.0}, 2.0)

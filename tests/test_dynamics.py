@@ -228,6 +228,21 @@ class TestSingleTime:
         with pytest.raises(ValueError, match=rf"^dynamics: phases t\*w of the spectrum are not finite at t={t}$"):
             at(Hamiltonian(h), t, state([S, 1j * S]))
 
+    @pytest.mark.parametrize("side", ["complex", "encoded"])
+    def test_a_nan_eigenvalue_on_either_side_is_a_phase_error(self, monkeypatch, side):
+        # The one phase check, at t_max, reads the largest |eigenvalue| of both spectra: NaN must not drop out.
+        eigh = np.linalg.eigh
+
+        def nan_first(a):
+            w, v = eigh(a)
+            if np.iscomplexobj(a) == (side == "complex"):
+                w = np.concatenate(([np.nan], w[1:]))
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", nan_first)
+        with pytest.raises(ValueError, match=r"^dynamics: phases t\*w of the spectrum are not finite at t=0\.0$"):
+            trajectory(Hamiltonian(Z), state([S, 1j * S]), t_max=1.0, steps=3)
+
 
 class TestTrajectory:
     def test_rabi_oscillation_probabilities(self):
@@ -313,6 +328,20 @@ class TestTrajectory:
         h = Hamiltonian(random_hermitian(8, seed=36))
         with pytest.raises(ValueError, match=message):
             trajectory(h, state(random_state(8, seed=37), (8,)), t_max=1.0, steps=4, k=k)
+
+    @pytest.mark.parametrize("k, steps", [(1, 4194305), (3, 1048577), (1, 10 ** 400)])
+    def test_grid_past_the_bound_is_rejected_before_any_work(self, monkeypatch, k, steps):
+        # steps x n 2^k encoded amplitudes above DEFAULT_MAX_DIM^2 = 2^24, the bound optimize_bell's chunks keep:
+        # the first count past it at k = 1 and 3, and one too large for numpy to allocate.
+        def ran(*args, **kwargs):
+            raise AssertionError("trajectory started work on a grid past the bound")
+
+        for owner, name in [(np.linalg, "eigh"), (dynamics, "matexp"), (np, "linspace")]:
+            monkeypatch.setattr(owner, name, ran)
+        most = linalg.DEFAULT_MAX_DIM ** 2 // (2 * 2 ** k)
+        assert steps == most + 1 or steps > 2 ** 64
+        with pytest.raises(ValueError, match=rf"^steps must be at most {most} for 2 amplitudes at k={k}, got {steps}$"):
+            trajectory(Hamiltonian(Z), state([S, 1j * S], (2,) + (1,) * (k - 1)), t_max=1.0, steps=steps, k=k)
 
     def test_too_few_steps_rejected(self):
         with pytest.raises(ValueError):

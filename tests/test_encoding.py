@@ -103,6 +103,9 @@ class TestPureState:
     def test_rejects_bad_factor_dims(self):
         with pytest.raises(ValueError):
             state([1.0, 0.0, 0.0, 0.0], dims=(2, 3))
+        # 3 x 6148914691236517206 is 2^64 + 2: a product taken in 64-bit integers wraps to the dimension 2.
+        with pytest.raises(ValueError, match=r"^factor_dims \(3, 6148914691236517206\) do not multiply to dimension 2$"):
+            state([1.0, 0.0], dims=(3, 6148914691236517206))
         # int() would truncate these to (2, 2), which multiply to the dimension.
         with pytest.raises(ValueError, match=r"^factor_dims entry must be an integer, got 2\.7$"):
             PureState(np.ones(4) / 2, (2.7, 2.2))
@@ -113,6 +116,11 @@ class TestPureState:
         # Their product is the dimension, so only this check stops them; k = 2 would then encode 16 amplitudes.
         with pytest.raises(ValueError, match=r"must all be at least 1$"):
             PureState(np.ones(4) / 2, dims)
+
+    @pytest.mark.parametrize("amplitudes", [np.array([]), np.eye(2)], ids=["empty", "matrix"])
+    def test_rejects_amplitudes_that_are_not_a_nonempty_vector(self, amplitudes):
+        with pytest.raises(ValueError, match=r"^amplitudes must form a nonempty 1-d vector$"):
+            PureState(amplitudes)
 
     def test_default_factorization_is_whole_system(self):
         assert state([0.0, 1.0, 0.0]).factor_dims == (3,)
@@ -378,6 +386,11 @@ class TestMeasurement:
             with pytest.raises(ValueError, match=rf"single ancilla qubit, got k={k}$"):
                 encoded_povm_probabilities(rho, povm, k)
 
+    def test_state_outside_the_containers_is_rejected(self):
+        povm = Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+        with pytest.raises(ValueError, match=r"^expected PureState or DensityOperator, got ndarray$"):
+            povm_probabilities(np.array([1.0, 0.0]), povm)
+
     def test_layout_mismatch_rejected(self):
         psi = state(random_state(2, seed=55))
         wrong_dim = Povm((np.eye(3, dtype=complex) / 3,) * 3)
@@ -428,6 +441,10 @@ class TestChannels:
         t = 1.0 + 0.99 * linalg.INPUT_TOL
         out = encoding.apply_kraus([np.sqrt(t) * np.eye(2)], DensityOperator(np.diag([t, 0.0])))
         assert abs(np.trace(out) - t * t) <= 1e-15
+
+    def test_kraus_operators_of_another_dimension_are_rejected(self):
+        with pytest.raises(ValueError, match=r"^Kraus operator shape \(2, 2\) does not match dimension 3$"):
+            encoding.apply_kraus([np.eye(2)], DensityOperator(np.eye(3) / 3))
 
     def test_kraus_completeness_overflow_rejected(self):
         # K^dagger K overflows to inf on a finite entry near the largest double; the sum then fails the identity test.

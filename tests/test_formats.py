@@ -85,6 +85,14 @@ class TestDumps:
         with pytest.raises(ValueError, match=r"^m: cannot serialize non-finite number inf$"):
             formats.dumps({"m": [[1.0, float("inf")]]})
 
+    def test_non_string_key_rejected(self):
+        with pytest.raises(ValueError, match=r"^report keys must be strings, got 1$"):
+            formats.dumps({"results": {1: 2.0}})
+
+    def test_unknown_type_rejected(self):
+        with pytest.raises(ValueError, match=r"^cannot serialize object in a report$"):
+            formats.dumps(object())
+
     def test_integers_stay_integers(self):
         assert formats.dumps({"n": 3}) == '{"n":3}'
 
