@@ -158,11 +158,15 @@ def encode_amplitudes(amplitudes: np.ndarray, factor_dims: tuple[int, ...], k: i
     """Map sum (a_x + i b_x)|x> to sum a_x |x>|0_L> + b_x |x>|1_L>, as a read-only real array.
 
     With k > 1 ancilla qubits the state must expose one tensor factor per
-    party; the single ancilla serves any factorization.
+    party; the single ancilla serves any factorization.  The amplitudes
+    run along the last axis, so a (T, n) stack of states encodes, in one
+    call, to the (T, n 2^k) stack of their encodings.
     """
     _check_factors(factor_dims, k)
     zero, one = logical_states(k)
-    enc = (amplitudes.real[:, None] * zero + amplitudes.imag[:, None] * one).ravel()
+    enc = amplitudes.real[..., None] * zero
+    enc += amplitudes.imag[..., None] * one
+    enc = enc.reshape(*amplitudes.shape[:-1], -1)
     enc.setflags(write=False)
     return enc
 

@@ -229,6 +229,13 @@ class _Unwritable(ValueError):
         self.keys = keys
 
 
+def _float_format(shape: tuple[int, ...]) -> str:
+    """%-format of a float array of this shape as nested JSON lists, each entry '%.17g'."""
+    if not shape:
+        return "%.17g"
+    return "[" + ",".join([_float_format(shape[1:])] * shape[0]) + "]"
+
+
 def _write(value, out: list) -> None:
     if value is None:
         out.append("null")
@@ -271,7 +278,10 @@ def _write(value, out: list) -> None:
     elif isinstance(value, np.ndarray):
         if np.iscomplexobj(value):  # each complex number as its [re, im] pair
             value = np.stack([value.real, value.imag], axis=-1)
-        _write(value.tolist(), out)
+        if value.dtype.kind == "f" and np.isfinite(value).all():  # one format pass, as the float lists take
+            out.append(_float_format(value.shape) % tuple(value.ravel().tolist()))
+        else:  # the per-entry path names a non-finite entry
+            _write(value.tolist(), out)
     else:
         raise _Unwritable(f"cannot serialize {type(value).__name__} in a report")
 

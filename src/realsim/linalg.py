@@ -95,7 +95,11 @@ def admit_family(ops, what: str) -> np.ndarray:
 
 
 def kron(a, b):
-    """Kronecker product of two vectors or two matrices, with a size guard at DEFAULT_MAX_DIM."""
+    """Kronecker product of two vectors or two matrices, with a size guard at DEFAULT_MAX_DIM.
+
+    Entry (i p, j q) is a[i, j] * b[p, q], the product np.kron forms, so the bits are np.kron's, signed
+    zeros included.  One multiply per entry of the smaller factor fills a strided view of the output.
+    """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != b.ndim or a.ndim not in (1, 2):
@@ -103,7 +107,16 @@ def kron(a, b):
     out_shape = tuple(da * db for da, db in zip(a.shape, b.shape))
     if max(out_shape) > DEFAULT_MAX_DIM:
         raise ValueError(f"kron output shape {out_shape} exceeds the size cap {DEFAULT_MAX_DIM}")
-    return np.kron(a, b)
+    out = np.empty(out_shape, np.result_type(a, b))
+    a2, b2 = (a, b) if a.ndim == 2 else (a[None], b[None])
+    blocks = out.reshape(a2.shape[0], b2.shape[0], a2.shape[1], b2.shape[1])  # blocks[i, p, j, q] = a[i, j] b[p, q]
+    if a.size <= b.size:
+        for i, j in np.ndindex(a2.shape):
+            np.multiply(a2[i:i + 1, j:j + 1], b2, out=blocks[i, :, j, :])
+    else:
+        for p, q in np.ndindex(b2.shape):
+            np.multiply(a2, b2[p:p + 1, q:q + 1], out=blocks[:, p, :, q])
+    return out
 
 
 def apply_on_axis(op, t: np.ndarray, axis: int) -> np.ndarray:

@@ -4,12 +4,16 @@ Everything here is deliberately written against plain numpy, not against
 the package under test, so the comparisons stay two-sided.  The
 exceptions are `generator` and `spectral_propagator`, which compose the
 package's own kernels into dense matrices the package never keeps, and
-the fault `perturbed_eigh`.
+the fault `perturbed_eigh`.  The report checkers at the end recompute a
+command's report from its input files alone.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+import pytest
 
 from realsim.encoding import apply_xz, encode_operator
 
@@ -286,3 +290,113 @@ def seesaw_sweep(state, obs, coefficients, dims) -> list:
             w, v = np.linalg.eigh(effective_operator(state, obs, coefficients, dims, j, t))
             obs[j][t] = (v * np.where(w >= 0.0, 1.0, -1.0)) @ v.conj().T
     return obs
+
+
+# Report checkers: each recomputes one command's results from its JSON input files with plain numpy, and
+# names the first field that differs.  How far a reported number may sit from its plain-numpy value:
+EXACT = 1e-15  # the encoding only copies numbers and scales them by +-2^(-(k-1)/2)
+COMPUTED = 1e-12  # the rest go through eigendecompositions and sums whose order differs from the package's
+# An evolved amplitude also carries the rounding of its phases t lambda, about eps ||H|| |t|; 1e-14 is 45 eps
+# per unit of ||H||_2 |t_max|.  It matters only where ||H|| |t_max| reaches the hundreds, as at the admission
+# edge (t_max up to 100), where the encoded amplitudes drift from plain numpy's by up to 1.3e-15 ||H|| |t_max|.
+PHASE = 1e-14
+S = 0.7071067811865476
+TSIRELSON = 2.0 * math.sqrt(2.0)
+PROBES = [np.array(p, dtype=complex) for p in ([1, 0], [0, 1], [S, S], [S, -S], [S, 1j * S], [S, -1j * S])]
+
+
+def amplitudes(obj):
+    return np.array([complex(re, im) for re, im in obj["amplitudes"]])
+
+
+def matrix(obj):
+    return np.array([complex(re, im) for re, im in obj["entries"]]).reshape(obj["rows"], obj["cols"])
+
+
+def complex_list(pairs):
+    return np.array([complex(re, im) for re, im in pairs])
+
+
+def hermitian_part(h) -> np.ndarray:
+    """The Hermitian matrix `Hamiltonian.hermitian` documents: h's lower triangle, its conjugate above, Re diag h."""
+    below = np.tril(h, -1)
+    return below + below.conj().T + np.diag(h.diagonal().real)
+
+
+def close(name, got, want, tol):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape, f"{name}: shape {got.shape}, expected {want.shape}"
+    err = float(np.abs(got - want).max())
+    assert err <= tol, f"{name}: off by {err:.3g} (tolerance {tol:.1e})"
+
+
+def check_encode(results, files, flags):
+    psi, k = amplitudes(files[0]), int(flags.get("--k", 1))
+    assert (results["source_dims"], results["layout_k"]) == (files[0]["dims"], k)
+    close("encoded_amplitudes", results["encoded_amplitudes"], logical_encode(psi, k), EXACT)
+
+
+def check_evolve(results, files, flags):
+    h, psi, k = hermitian_part(matrix(files[0])), amplitudes(files[1]), int(flags.get("--k", 1))
+    t_max, steps = float(flags.get("--t-max", 1.0)), int(flags.get("--steps", 64))
+    sign = -1.0 if flags.get("--sign") == "minus" else 1.0
+    final = eig_expm_hermitian(h, scale=sign * t_max) @ psi
+    tol = COMPUTED + PHASE * float(np.linalg.norm(h, 2)) * abs(t_max)
+    close("times", results["times"], np.linspace(0.0, t_max, steps), EXACT)
+    close("final_complex", complex_list(results["final_complex"]), final, tol)
+    close("final_encoded", results["final_encoded"], logical_encode(final, k), tol)
+
+
+def check_measure(results, files, flags):
+    rho = matrix(files[0]) if "entries" in files[0] else np.outer(amplitudes(files[0]), amplitudes(files[0]).conj())
+    probabilities = [np.trace(matrix(e) @ rho).real for e in files[1]["elements"]]
+    close("probabilities", results["probabilities"], probabilities, COMPUTED)
+    close("encoded_probabilities", results["encoded_probabilities"], probabilities, COMPUTED)
+
+
+def check_bell(results, files, flags):
+    assert (results["classical_bound"], results["quantum_target"]) == (2, pytest.approx(TSIRELSON, abs=EXACT))
+    modes = [flags["--mode"]] if "--mode" in flags else ["complex", "real_encoded"]
+    for mode in modes:
+        assert TSIRELSON - 1e-6 <= results[f"value_{mode}"] <= TSIRELSON + 1e-9, mode
+    assert max(value for _, value in results["optimizer_trace"]) <= TSIRELSON + 1e-9
+
+
+def check_selftest(results, files, flags):
+    t = matrix(files[0]) if files else np.diag([1.0, 1.0j])
+    phi = np.array([S, 0.0, 0.0, S], dtype=complex)
+    stages = [phi, np.kron(t, np.eye(2)) @ phi, np.kron(t, t.conj()) @ phi]
+    povm = [np.outer(p, p.conj()) / 3.0 for p in PROBES]
+    stats = [[[np.vdot(z, np.kron(a, b) @ z).real for b in povm] for a in povm] for z in stages]
+    close("statistics_logical", results["statistics_logical"], stats, COMPUTED)
+    close("statistics_simulated", results["statistics_simulated"], stats, COMPUTED)
+    plus = np.array([S, S], dtype=complex)
+    overlap = np.vdot(plus, t @ plus)
+    close("witness_state_a", complex_list(results["witness_state_a"]), plus, EXACT)
+    close("witness_state_b", complex_list(results["witness_state_b"]), t @ plus, COMPUTED)
+    close("witness_real_part", results["witness_real_part"], overlap.real, COMPUTED)
+    close("witness_modulus", results["witness_modulus"], abs(overlap), COMPUTED)
+    tails = [np.sqrt(np.sum(np.linalg.svd(logical_encode(z, 2).reshape(4, 4), compute_uv=False)[1:] ** 2))
+             for z in stages]
+    close("product_state_gap", results["product_state_gap"], max(tails), COMPUTED)
+
+
+def check_stabilizer(results, files, flags):
+    assert (results["k"], results["fixed_subspace_dim"]) == (int(flags["--k"]), 2)
+    assert results["generator_error"] <= COMPUTED
+
+
+CHECKS = {"encode": check_encode, "evolve": check_evolve, "measure": check_measure, "bell": check_bell,
+          "selftest": check_selftest, "stabilizer": check_stabilizer}
+
+
+def check_report(report, files, argv):
+    """Check a parsed report by value against plain numpy.
+
+    files maps each input file name on the command line argv to its JSON object; options are read from
+    argv as `--flag value` pairs.  A field off by more than its tolerance fails, naming the field.
+    """
+    assert report["command"] == argv[0]
+    inputs = [files[a] for a in argv[1:] if a in files]
+    flags = {a: v for a, v in zip(argv, argv[1:]) if a.startswith("--")}
+    CHECKS[argv[0]](report["results"], inputs, flags)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import matrix_obj, perturbed_eigh, random_hermitian
+from helpers import check_report, matrix_obj, perturbed_eigh, random_hermitian
 import realsim
 from realsim import cli, dynamics, encoding, linalg, multipartite
 from realsim.applications import bell, selftest
@@ -1464,14 +1464,20 @@ class TestExitCodeContract:
 
 
 class TestAdmissionEdge:
-    """An input just inside every admission bound passes every assertion: nothing computed from it is admitted again."""
+    """An input just inside every admission bound passes every assertion: nothing computed from it is admitted again.
+
+    Each report is also checked by value against plain numpy (helpers.check_report), so a mistake made the
+    same way on both sides of a command cannot pass here unseen.
+    """
 
     @pytest.mark.parametrize("command", ["encode", "evolve", "measure"])
     @settings(max_examples=20, deadline=timedelta(seconds=2))
     @given(data=st.data())
     def test_every_assertion_passes(self, command, data):
-        code, out, err = run_job(*data.draw(at_the_admission_edge(command)))
+        files, argv = data.draw(at_the_admission_edge(command))
+        code, out, err = run_job(files, argv)
         assert (code, err) == (0, ""), failed_assertions(out) if out else err
+        check_report(json.loads(out), files, argv)  # and the report holds what plain numpy computes from the files
 
     @pytest.mark.parametrize("factor, code", [(0.99, 0), (1.01, 2)])
     @pytest.mark.parametrize("operand", ["povm", "density"])

@@ -1,5 +1,7 @@
 """Encoded time evolution: generator structure, propagators, trajectories."""
 
+import collections
+import inspect
 import os
 import threading
 
@@ -297,7 +299,9 @@ class TestTrajectory:
         # bench/tests/test_bench.py:146 pins 32 calls of dynamics.evolve per benchmark evolve job, counted
         # by name at the module binding.  Until ROADMAP item 1 counts trajectory calls in their place, the
         # step stays a public function of dynamics that trajectory calls through that binding once per
-        # grid point; inlining or renaming it fails here, before the bench step of CI.
+        # grid point; inlining or renaming it fails here, before the bench step of CI.  The step only
+        # forms that point's two states: trajectory measures every row once the grid is done, so the
+        # work per point is the step's alone (see the next test).
         step, times = dynamics.evolve, []
 
         def counted(t, *args, **kwargs):
@@ -309,6 +313,63 @@ class TestTrajectory:
         res = trajectory(Hamiltonian(random_hermitian(4, seed=39)), psi, t_max=1.0, steps=steps, k=k)
         assert within_tolerances(res)
         assert len(times) == steps and tuple(times) == res.times
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_the_encoding_layer_is_called_as_often_whatever_the_grid(self, monkeypatch, k):
+        # Every function of encoding that dynamics binds is counted.  The grid's rows are encoded in one
+        # call after the loop, so no encoding call is made per grid point.
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        for name, fn in list(vars(dynamics).items()):
+            if inspect.isfunction(fn) and fn.__module__ == encoding.__name__:
+                monkeypatch.setattr(dynamics, name, counted(name, fn))
+        h, psi = Hamiltonian(random_hermitian(4, seed=40)), state(random_state(4, seed=41), (2, 2) if k == 2 else None)
+        per_grid = {}
+        for steps in (2, 7, 32):
+            calls.clear()
+            assert within_tolerances(trajectory(h, psi, t_max=1.0, steps=steps, k=k))
+            per_grid[steps] = dict(calls)
+        assert per_grid[2]["encode_amplitudes"] == 2
+        assert per_grid[2] == per_grid[7] == per_grid[32]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("k, dims", [(1, (6,)), (2, (2, 3)), (3, (2, 2, 2))])
+    def test_each_rows_norm_change_and_deviation_are_numpys_norms_of_that_row(self, monkeypatch, k, dims, sign):
+        # trajectory measures the rows together; each row must read as np.linalg.norm reads it alone, on a
+        # fresh copy, bit for bit, as the step measured it when it ran once per grid point.
+        measured, row_norms = [], dynamics._row_norms
+
+        def recorded(x):
+            measured.append(row_norms(x))
+            return measured[-1]
+
+        monkeypatch.setattr(dynamics, "_row_norms", recorded)
+        n = int(np.prod(dims))
+        psi = state(random_state(n, seed=42 + k), dims)
+        res = trajectory(Hamiltonian(random_hermitian(n, seed=45 + k)), psi, t_max=3.0, steps=7, k=k, sign=sign)
+        norm0 = float(np.linalg.norm(encoding.encode_state(psi, k)))
+        norms = [float(np.linalg.norm(row.copy())) for row in res.encoded_states]
+        deviations = [float(np.linalg.norm(row - encoding.encode_amplitudes(z.copy(), dims, k)))
+                      for row, z in zip(res.encoded_states, res.complex_states)]
+        assert len(measured) == 2
+        assert measured[0].tobytes() == np.array(norms).tobytes()
+        assert measured[1].tobytes() == np.array(deviations).tobytes()
+        assert np.float64(res.max_deviation).tobytes() == np.float64(max(deviations)).tobytes()
+        assert res.orthogonality_error >= max(abs(x - norm0) for x in norms)
+
+    def test_row_norms_are_numpys_norms_at_every_length(self):
+        # Lengths past and between the BLAS kernel's unrolled blocks, rows at every offset of their stack.
+        rng = np.random.default_rng(47)
+        for m in [*range(1, 70), 127, 128, 129, 1000]:
+            x = rng.standard_normal((5, m)) * 10.0 ** rng.integers(-3, 4, (5, m))
+            want = np.array([np.linalg.norm(row.copy()) for row in x])
+            assert dynamics._row_norms(x).tobytes() == want.tobytes(), m
 
     def test_overflowing_hamiltonian_is_rejected_by_layer(self):
         # Finite entries, but the squarings of the dense exponential of the generator overflow;

@@ -4,6 +4,7 @@ import contextlib
 import gc
 import hashlib
 import json
+import math
 import re
 
 import numpy as np
@@ -177,6 +178,58 @@ class TestBulkFloatLists:
         report = {"results": {"encoded_amplitudes": [0.5, float("nan"), 0.25]}}
         with pytest.raises(ValueError, match=r"^results\.encoded_amplitudes: cannot serialize non-finite number nan$"):
             formats.dumps(report)
+
+
+class TestBulkArrays:
+    """A finite float or complex array is written in one format pass, as dumps writes its nested lists."""
+
+    EDGES = [-0.0, 5e-324, 1e308, -1e308, 0.0, 1.0 / 3.0]
+
+    @staticmethod
+    def as_lists(z):
+        """The nested lists dumps writes for an array: complex entries as [re, im] pairs."""
+        return (np.stack([z.real, z.imag], axis=-1) if np.iscomplexobj(z) else z).tolist()
+
+    @given(shape=st.sampled_from([(0,), (1,), (7,), (3, 4), (0, 3), (3, 0), (2, 3, 2)]), data=st.data())
+    def test_float_array_equals_its_list(self, shape, data):
+        values = data.draw(st.lists(TestBulkFloatLists.FLOATS, min_size=math.prod(shape), max_size=math.prod(shape)))
+        z = np.array(values, dtype=float).reshape(shape)
+        assert formats.dumps(z) == formats.dumps(z.tolist())
+        assert formats.dumps({"results": {"x": z}}) == formats.dumps({"results": {"x": z.tolist()}})
+
+    @given(shape=st.sampled_from([(0,), (1,), (7,), (3, 4), (0, 3), (3, 0)]), data=st.data())
+    def test_complex_array_equals_its_pairs(self, shape, data):
+        size = 2 * math.prod(shape)
+        values = data.draw(st.lists(TestBulkFloatLists.FLOATS, min_size=size, max_size=size))
+        z = np.array(values, dtype=float).view(complex).reshape(shape)
+        assert formats.dumps(z) == formats.dumps(self.as_lists(z))
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 3), (3, 2, 2)])
+    def test_signed_zero_and_the_extremes_keep_their_digits(self, shape):
+        x = np.resize(np.array(self.EDGES), shape)
+        text = formats.dumps(x)
+        assert text == formats.dumps(x.tolist())
+        assert all(literal in text for literal in ("[-0,", "4.9406564584124654e-324", "1e+308", "-1e+308"))
+        z = np.stack([x, x[..., ::-1]], axis=-1).view(complex)[..., 0]  # both parts keep their sign of zero
+        assert formats.dumps(z) == formats.dumps(self.as_lists(z))
+
+    def test_zero_dimensional_array_is_a_number(self):
+        assert formats.dumps(np.array(0.1)) == formats.dumps(0.1) == "0.10000000000000001"
+
+    def test_integer_and_boolean_arrays_keep_their_own_literals(self):
+        assert formats.dumps({"n": np.arange(3), "b": np.array([True, False])}) == '{"n":[0,1,2],"b":[true,false]}'
+
+    @pytest.mark.parametrize("bad, named", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")])
+    @pytest.mark.parametrize("kind", ["real", "complex", "imaginary part"])
+    def test_non_finite_entry_names_its_key(self, bad, named, kind):
+        z = np.array([[0.5, 0.25], [1.0, -0.0]])
+        if kind == "real":
+            z[1, 0] = bad
+        else:
+            z = z + 0j
+            z[1, 0] = complex(bad, 0.0) if kind == "complex" else complex(1.0, bad)
+        with pytest.raises(ValueError, match=rf"^results\.final_complex: cannot serialize non-finite number {named}$"):
+            formats.dumps({"results": {"times": (0.0, 1.0), "final_complex": z}})
 
 
 class TestLoadJson:

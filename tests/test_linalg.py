@@ -3,6 +3,7 @@
 import ast
 import inspect
 import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -40,6 +41,48 @@ class TestKron:
     def test_mismatched_ndim_rejected(self):
         with pytest.raises(ValueError):
             linalg.kron(np.ones(2), np.eye(2))
+
+    @staticmethod
+    def signed_entries(rng, shape, kind):
+        """Gaussian entries with +0.0 and -0.0 mixed in, real or complex, so a product's sign of zero shows."""
+        def part():
+            x = rng.standard_normal(shape)
+            return np.where(rng.random(shape) < 0.3, rng.choice([0.0, -0.0], shape), x)
+
+        return np.stack([part(), part()], axis=-1).view(complex)[..., 0] if kind == "c" else part()
+
+    # Both loop branches: the first factor smaller, then the second; 1 x 1 with either side, empty factors,
+    # and the n x n by 2 x 2 shape that encode_operator gives it.
+    @pytest.mark.parametrize("shapes", [((3,), (5,)), ((5,), (3,)), ((1,), (4,)), ((4,), (1,)), ((2, 3), (4, 5)),
+                                        ((4, 5), (2, 3)), ((1, 1), (3, 2)), ((3, 2), (1, 1)), ((1, 7), (6, 1)),
+                                        ((0,), (3,)), ((2, 0), (2, 2)), ((64, 64), (2, 2)), ((2, 2), (33, 17))])
+    @pytest.mark.parametrize("kinds", ["rr", "rc", "cr", "cc"])
+    def test_products_are_numpys_bit_for_bit(self, shapes, kinds):
+        rng = np.random.default_rng(17)
+        a, b = (self.signed_entries(rng, shape, kind) for shape, kind in zip(shapes, kinds))
+        got, want = linalg.kron(a, b), np.kron(a, b)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert np.array_equal(got, want)
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+    @pytest.mark.parametrize("a, b", [((64,), (64,)), ((4096, 1), (1, 1)), ((1, 64), (1, 64))])
+    def test_output_at_the_cap_is_built(self, a, b):
+        rng = np.random.default_rng(18)
+        a, b = rng.standard_normal(a), rng.standard_normal(b)
+        assert linalg.kron(a, b).tobytes() == np.kron(a, b).tobytes()
+
+    @pytest.mark.parametrize("a, b, shape", [((17,), (241,), (4097,)), ((1, 65), (1, 64), (1, 4160)),
+                                             ((4097, 1), (1, 1), (4097, 1))])
+    def test_output_past_the_cap_is_rejected_before_it_is_allocated(self, monkeypatch, a, b, shape):
+        a, b = np.ones(a), np.ones(b)
+
+        def allocated(*args, **kwargs):
+            raise AssertionError("kron allocated an output past the cap")
+
+        monkeypatch.setattr(np, "empty", allocated)
+        with pytest.raises(ValueError, match=rf"^kron output shape {re.escape(str(shape))} exceeds the size cap 4096$"):
+            linalg.kron(a, b)
 
     @settings(deadline=None, max_examples=25)
     @given(st.integers(0, 2**32 - 1))
