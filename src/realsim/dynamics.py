@@ -196,9 +196,9 @@ def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64, k:
     # Measured against the input's own norm, which PureState lets differ from 1 by up to INPUT_TOL.
     drifts = np.abs(_row_norms(encoded_states) - float(np.linalg.norm(enc0)))
     # The encoding of the complex rows is a fresh array that nothing else holds: it takes the differences in place.
-    deviations = encode_amplitudes(complex_states, psi.factor_dims, k)
-    deviations.setflags(write=True)
-    deviations = _row_norms(np.subtract(encoded_states, deviations, out=deviations))
+    expected = encode_amplitudes(complex_states, psi.factor_dims, k)
+    expected.setflags(write=True)
+    deviations = _row_norms(np.subtract(encoded_states, expected, out=expected))
     phase = t_max * lam
     u = (v * np.cos(phase)) @ v.T + sign * (jv * np.sin(phase)) @ v.T
     if dense is None:
