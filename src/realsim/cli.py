@@ -172,12 +172,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate complex-amplitude quantum mechanics with real amplitudes only.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # One spelling per flag: argparse would read any unambiguous prefix, such as --t-m, as the flag.
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    sp = sub.add_parser("encode", help="encode a complex state file into real amplitudes")
+    sp = add("encode", help="encode a complex state file into real amplitudes")
     sp.add_argument("state", help="complex vector JSON file")
     sp.add_argument("--k", type=int, default=1, help="ancilla qubits, 1 to 12, one per party when > 1 (default 1)")
 
-    sp = sub.add_parser("evolve", help="evolve a state under a Hamiltonian on both sides")
+    sp = add("evolve", help="evolve a state under a Hamiltonian on both sides")
     sp.add_argument("hamiltonian", help="Hermitian matrix JSON file")
     sp.add_argument("state", help="complex vector JSON file")
     sp.add_argument("--t-max", type=float, default=1.0, help="end of the time grid (default 1.0)")
@@ -190,11 +192,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="tolerance of the matches_complex_evolution and matches_dense_expm assertions"
                          f" (default {AGREEMENT_TOL:g}); propagator_orthogonal keeps {ORTHOGONALITY_TOL:g}")
 
-    sp = sub.add_parser("measure", help="POVM statistics, complex versus encoded")
+    sp = add("measure", help="POVM statistics, complex versus encoded")
     sp.add_argument("state", help="complex vector or density matrix JSON file")
     sp.add_argument("povm", help="POVM JSON file ({\"elements\": [matrix, ...]})")
 
-    sp = sub.add_parser("bell", help="optimize a Bell expression by seeded see-saw restarts")
+    sp = add("bell", help="optimize a Bell expression by seeded see-saw restarts")
     sp.add_argument("--scenario", choices=tuple(_SCENARIOS), default="chsh",
                     help="built-in scenario (default chsh)")
     sp.add_argument("--scenario-file", default=None, help="scenario JSON file, overrides --scenario")
@@ -205,11 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=None, help="base seed, required (restart r uses seed + r)")
     sp.add_argument("--iterations", type=int, default=100, help="see-saw iterations per restart (default 100)")
 
-    sp = sub.add_parser("selftest", help="statistics-preserving real simulation of a gate protocol")
+    sp = add("selftest", help="statistics-preserving real simulation of a gate protocol")
     sp.add_argument("gate", nargs="?", default=None,
                     help="2x2 unitary JSON file (default diag(1, i))")
 
-    sp = sub.add_parser("stabilizer", help="check the logical ancilla codespace on k qubits")
+    sp = add("stabilizer", help="check the logical ancilla codespace on k qubits")
     sp.add_argument("--k", type=int, required=True, help="ancilla qubits, 2 to 6")
 
     for sp in sub.choices.values():

@@ -67,9 +67,10 @@ class Hamiltonian:
 class EvolutionResult(NamedTuple):
     """Matched complex and encoded trajectories with propagator diagnostics.
 
-    complex_states is a complex (T, n) array and encoded_states a real
-    (T, n 2^k) array, one read-only row per time.  The rows are computed,
-    not admitted as states: orthogonality_error is what judges their norms.
+    times is the read-only float64 grid, complex_states a complex (T, n)
+    array and encoded_states a real (T, n 2^k) array, one read-only row per
+    time.  The rows are computed, not admitted as states: orthogonality_error
+    is what judges their norms.
     orthogonality_error is the largest norm change the encoded propagator
     makes to the state and the largest entry of |U^T U - I| of the
     spectral U(t_max).  max_deviation is the largest distance between an
@@ -78,7 +79,7 @@ class EvolutionResult(NamedTuple):
     fails a `<= tol` gate.
     """
 
-    times: tuple[float, ...]
+    times: np.ndarray
     complex_states: np.ndarray
     encoded_states: np.ndarray
     orthogonality_error: float
@@ -161,7 +162,7 @@ def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64, k:
     if h.dim != psi.dim:
         raise ValueError(f"Hamiltonian dimension {h.dim} does not match state dimension {psi.dim}")
     t_max = as_float(t_max, "t_max")
-    times = tuple(float(t) for t in np.linspace(0.0, t_max, steps))
+    times = np.linspace(0.0, t_max, steps)
     h_enc = encode_operator(h.hermitian)
     out = []
     worker = threading.Thread(target=_eigh_each, args=([h.hermitian, h_enc], out))
@@ -183,7 +184,7 @@ def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64, k:
     # decides.  Python floats overflow to inf, and 0 * inf is NaN, without a warning; np.maximum keeps NaN.
     top = float(np.maximum(np.abs(w).max(), np.abs(lam).max()))
     if not math.isfinite(abs(t_max) * top):
-        t = next(t for t in times if not math.isfinite(abs(t) * top))
+        t = next(t for t in times.tolist() if not math.isfinite(abs(t) * top))
         raise ValueError(f"dynamics: phases t*w of the spectrum are not finite at t={t}")
     jv = apply_xz(v, 1)
     enc0 = encode_amplitudes(psi.amplitudes, psi.factor_dims, k)
@@ -191,7 +192,7 @@ def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64, k:
     encoded_side = lam, v, jv, v.T @ enc0.reshape(2 * h.dim, -1)
 
     complex_states, encoded_states = np.empty((steps, psi.dim), complex), np.empty((steps, enc0.size))
-    for i, t in enumerate(times):
+    for i, t in enumerate(times.tolist()):
         complex_states[i], encoded_states[i] = evolve(t, complex_side, encoded_side, sign)
     # Measured against the input's own norm, which PureState lets differ from 1 by up to INPUT_TOL.
     drifts = np.abs(_row_norms(encoded_states) - float(np.linalg.norm(enc0)))
@@ -204,6 +205,6 @@ def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64, k:
     if dense is None:
         raise ValueError(f"dynamics: dense exponential of the generator is not finite at t={t_max}")
     orthogonality = float(np.max(np.abs(u.T @ u - np.eye(u.shape[0]))))
-    return EvolutionResult(times, *_read_only(complex_states, encoded_states),
+    return EvolutionResult(*_read_only(times, complex_states, encoded_states),
                            float(np.max(np.append(drifts, orthogonality))), float(np.max(deviations)),
                            float(np.max(np.abs(u - dense))))

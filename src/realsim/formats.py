@@ -220,13 +220,9 @@ def _scenario_args(obj, path: str) -> tuple:
     )
 
 
-class _Unwritable(ValueError):
-    """A report value that cannot be written, with the keys that lead to it."""
-
-    def __init__(self, reason: str, keys: tuple[str, ...] = ()):
-        super().__init__(f"{'.'.join(keys)}: {reason}" if keys else reason)
-        self.reason = reason
-        self.keys = keys
+def _unwritable(reason: str, keys: tuple[str, ...]) -> ValueError:
+    """The error for a report value that cannot be written, named by the keys that lead to it."""
+    return ValueError(f"{'.'.join(keys)}: {reason}" if keys else reason)
 
 
 def _float_format(shape: tuple[int, ...]) -> str:
@@ -236,7 +232,8 @@ def _float_format(shape: tuple[int, ...]) -> str:
     return "[" + ",".join([_float_format(shape[1:])] * shape[0]) + "]"
 
 
-def _write(value, out: list) -> None:
+def _write(value, out: list, keys: tuple[str, ...] = ()) -> None:
+    """Append the JSON text of value to out; keys, the dict keys that lead to value, name it if it is unwritable."""
     if value is None:
         out.append("null")
     elif value is True:
@@ -250,7 +247,7 @@ def _write(value, out: list) -> None:
     elif isinstance(value, (float, np.floating)):
         f = float(value)
         if not np.isfinite(f):
-            raise _Unwritable(f"cannot serialize non-finite number {f}")
+            raise _unwritable(f"cannot serialize non-finite number {f}", keys)
         out.append(format(f, ".17g"))
     elif isinstance(value, dict):
         out.append("{")
@@ -261,29 +258,24 @@ def _write(value, out: list) -> None:
                 out.append(",")
             out.append(json.dumps(k))
             out.append(":")
-            try:
-                _write(v, out)
-            except _Unwritable as e:
-                raise _Unwritable(e.reason, (k,) + e.keys) from None
+            _write(v, out, keys + (k,))
         out.append("}")
-    elif type(value) in (list, tuple) and set(map(type, value)) == {float} and all(map(math.isfinite, value)):
-        out.append(("[" + ",".join(["%.17g"] * len(value)) + "]") % tuple(value))
     elif isinstance(value, (list, tuple)):
         out.append("[")
         for i, v in enumerate(value):
             if i:
                 out.append(",")
-            _write(v, out)
+            _write(v, out, keys)
         out.append("]")
     elif isinstance(value, np.ndarray):
         if np.iscomplexobj(value):  # each complex number as its [re, im] pair
             value = np.stack([value.real, value.imag], axis=-1)
-        if value.dtype.kind == "f" and np.isfinite(value).all():  # one format pass, as the float lists take
+        if value.dtype.kind == "f" and np.isfinite(value).all():  # one format pass, the text the per-entry path writes
             out.append(_float_format(value.shape) % tuple(value.ravel().tolist()))
         else:  # the per-entry path names a non-finite entry
-            _write(value.tolist(), out)
+            _write(value.tolist(), out, keys)
     else:
-        raise _Unwritable(f"cannot serialize {type(value).__name__} in a report")
+        raise _unwritable(f"cannot serialize {type(value).__name__} in a report", keys)
 
 
 def dumps(value) -> str:

@@ -317,6 +317,22 @@ class TestEvolve:
         assert spaced[0] == code
         assert spaced[2] == message
 
+    @pytest.mark.parametrize("flag", [["--t-m", "-1e-3"], ["--to", "1e-9"], ["--ste", "4"]])
+    def test_an_abbreviated_flag_is_a_usage_error(self, capsys, tmp_path, circular_state, flag):
+        # One spelling per flag: argparse would otherwise read an unambiguous prefix as the full flag.
+        ham = write(tmp_path, "ham.json", matrix_obj(np.diag([1.0, -1.0])))
+        code, out, err = run(capsys, ["evolve", ham, circular_state, *flag])
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {' '.join(flag)}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("shape, named", [((0, 0), "rows"), ((1, -1), "cols")])
+    def test_a_matrix_without_rows_or_columns_is_rejected_by_name(self, capsys, tmp_path, circular_state, shape,
+                                                                  named):
+        rows, cols = shape
+        ham = write(tmp_path, "ham.json", {"rows": rows, "cols": cols, "entries": []})
+        code, out, err = run(capsys, ["evolve", ham, circular_state])
+        assert (code, out, err) == (2, "", f"error: {ham}.{named} must be a positive integer\n")
+
     def test_non_hermitian_rejected(self, capsys, tmp_path, circular_state):
         ham = write(tmp_path, "ham.json", matrix_obj([[0.0, 1.0], [0.0, 0.0]]))
         code, _, err = run(capsys, ["evolve", ham, circular_state])

@@ -86,9 +86,22 @@ class TestDumps:
         with pytest.raises(ValueError, match=r"^m: cannot serialize non-finite number inf$"):
             formats.dumps({"m": [[1.0, float("inf")]]})
 
+    def test_lists_and_tuples_add_no_segment_to_the_named_keys(self):
+        with pytest.raises(ValueError, match=r"^a\.b: cannot serialize non-finite number nan$"):
+            formats.dumps({"a": [{"b": float("nan")}]})
+        restarts = ((11, 2.5, 4), (12, float("nan"), 9))
+        with pytest.raises(ValueError, match=r"^results\.restarts: cannot serialize non-finite number nan$"):
+            formats.dumps({"command": "bell", "results": {"restarts": restarts}})
+
+    def test_unknown_type_under_a_key_names_the_keys(self):
+        with pytest.raises(ValueError, match=r"^results\.trace: cannot serialize object in a report$"):
+            formats.dumps({"results": {"trace": [1.0, object()]}})
+
     def test_non_string_key_rejected(self):
-        with pytest.raises(ValueError, match=r"^report keys must be strings, got 1$"):
-            formats.dumps({"results": {1: 2.0}})
+        # The message names no keys, however deep the offending dict sits.
+        for report in ({"results": {1: 2.0}}, {"results": {"trace": [{1: 2.0}]}}):
+            with pytest.raises(ValueError, match=r"^report keys must be strings, got 1$"):
+                formats.dumps(report)
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError, match=r"^cannot serialize object in a report$"):
