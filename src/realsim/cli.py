@@ -2,6 +2,8 @@
 
 Exit codes: 0 when every assertion passes, 1 when an assertion fails,
 2 on malformed input (bad JSON, schema violations, bad flags, sizes that cannot be allocated).
+
+Each handler builds a file's container as soon as `formats` has read it, before it reads the next file.
 """
 
 from __future__ import annotations
@@ -15,11 +17,13 @@ import sys
 import numpy as np
 
 from . import __version__, formats
-from .applications.bell import MODES, chsh_scenario, mermin3_scenario, optimize_bell
+from .applications.bell import MODES, BellScenario, chsh_scenario, mermin3_scenario, optimize_bell
 from .applications.selftest import selftest_counterexample
 from .dynamics import Hamiltonian, trajectory
 from .encoding import (
     DensityOperator,
+    Povm,
+    PureState,
     decode_state,
     encode_density,
     encode_state,
@@ -40,7 +44,8 @@ def _leq(name: str, measured, tolerance) -> dict:
 
 
 def cmd_encode(args):
-    state, digest = formats.load_state(args.state)
+    vector, digest = formats.load_json(args.state, formats.parse_vector)
+    state = PureState(*vector)
     enc = encode_state(state, args.k)
     decoded = decode_state(enc, args.k)
     results = {
@@ -58,9 +63,10 @@ def cmd_encode(args):
 
 def cmd_evolve(args):
     tol = as_float(args.tol, "--tol")
-    matrix, h_digest = formats.load_matrix(args.hamiltonian)
+    matrix, h_digest = formats.load_json(args.hamiltonian, formats.parse_matrix)
     h = Hamiltonian(matrix)
-    state, state_digest = formats.load_state(args.state)
+    vector, state_digest = formats.load_json(args.state, formats.parse_vector)
+    state = PureState(*vector)
     sign = 1 if args.sign == "plus" else -1
     res = trajectory(h, state, args.t_max, args.steps, args.k, sign)
     results = {
@@ -80,8 +86,10 @@ def cmd_evolve(args):
 
 
 def cmd_measure(args):
-    state, state_digest = formats.load_state_or_density(args.state)
-    povm, povm_digest = formats.load_povm(args.povm)
+    parsed, state_digest = formats.load_json(args.state, formats.parse_state)
+    state = PureState(*parsed) if isinstance(parsed, tuple) else DensityOperator(parsed)
+    elements, povm_digest = formats.load_json(args.povm, formats.parse_povm)
+    povm = Povm(elements)
     probs = povm_probabilities(state, povm)
     # Probabilities sum to <psi|sum E|psi> or Re tr(sum E rho): the input's normalization and the POVM's
     # completeness may each differ from 1 by up to INPUT_TOL, and the sum is measured against both.
@@ -111,7 +119,8 @@ def cmd_bell(args):
         raise ValueError(f"--restarts must be at least 1, got {args.restarts}")
     digests = []
     if args.scenario_file is not None:
-        scenario, digest = formats.load_scenario(args.scenario_file)
+        fields, digest = formats.load_json(args.scenario_file, formats.parse_scenario)
+        scenario = BellScenario(*fields)
         digests.append(digest)
         # The digest hashes the file's content; the path and the overridden scenario name enter as null.
         args.scenario = args.scenario_file = None
@@ -139,7 +148,7 @@ def cmd_selftest(args):
     digests = []
     gate = None
     if args.gate is not None:
-        gate, digest = formats.load_matrix(args.gate)
+        gate, digest = formats.load_json(args.gate, formats.parse_matrix)
         digests.append(digest)
     transcript = selftest_counterexample(gate)
     assertions = [_leq("statistics_match", transcript.max_stat_gap, EXACT_TOL)]

@@ -4,8 +4,10 @@ Complex vectors are stored as {"dims": [...], "amplitudes": [[re, im],
 ...]} in row-major order with the last factor fastest; matrices as
 {"rows": r, "cols": c, "entries": [[re, im], ...]} row-major.  Numbers
 are emitted with 17 significant digits so doubles round-trip exactly.
-Each `load_*` reads its file once and returns (value, sha256 hex of the
-bytes parsed): the digest a report carries is of what it ran on.
+`load_json` reads a file once and returns (value, sha256 hex of the
+bytes parsed): the digest a report carries is of what it ran on.  The
+value is what a `parse_*` function makes of the tree, arrays and numbers
+for the caller's containers to admit: this module imports only `linalg`.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from itertools import chain
 
 import numpy as np
 
-from .applications.bell import BellScenario
-from .encoding import DensityOperator, Povm, PureState
 from .linalg import as_float, as_int
 
 
@@ -29,15 +29,16 @@ class FormatError(ValueError):
     """Input violates the documented JSON schema."""
 
 
-def load_json(path: str, convert=lambda tree: tree):
-    """(convert(tree), sha256 hex of the file's bytes) for a JSON file; NaN and Infinity are rejected, not read.
+def load_json(path: str, convert=lambda tree, path: tree):
+    """(convert(tree, path), sha256 hex of the file's bytes) for a JSON file; each parse_* function is a convert.
 
-    The file is read once, in binary, and its bytes are decoded as text mode would (UTF-8, universal
-    newlines): the digest is of the bytes parsed.  Every error names the file: text that is not UTF-8
-    or not JSON, nesting too deep to parse, and a value that `convert` rejects.  Parsed JSON holds
-    no reference cycles, yet its many small lists would set off collections that scan it.  So the
-    collector stays paused while the file is parsed and converted, and the tree is dropped before the
-    collector resumes: `convert` should return arrays, not parts of the tree.
+    NaN and Infinity are rejected, not read, and so is a key repeated within one object.  The file is read
+    once, in binary, and its bytes are decoded as text mode would (UTF-8, universal newlines): the digest is
+    of the bytes parsed.  Every error names the file: text that is not UTF-8 or not JSON, nesting too deep
+    to parse, and a value that `convert` rejects.  Parsed JSON holds no reference cycles, yet its many small
+    lists would set off collections that scan it.  So the collector stays paused while the file is parsed
+    and converted, and the tree is dropped before the collector resumes: `convert` should return arrays,
+    not parts of the tree.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -51,21 +52,29 @@ def load_json(path: str, convert=lambda tree: tree):
     def reject(literal):
         raise FormatError(f"{path}: non-finite number {literal} is not allowed")
 
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [k for k, _ in pairs]
+            repeated = next(k for i, k in enumerate(keys) if k in keys[:i])
+            raise FormatError(f"{path}: key {repeated!r} is repeated in one object")
+        return obj
+
     collecting = gc.isenabled()
     gc.disable()
     try:
         try:
-            tree = json.loads(text, parse_constant=reject)
+            tree = json.loads(text, parse_constant=reject, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as e:
             raise FormatError(f"{path}: malformed JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
         except RecursionError:  # json's parser recurses once per nested list or object
             raise FormatError(f"{path}: JSON nested too deeply to parse") from None
-        except FormatError:  # from reject, already naming the file
+        except FormatError:  # from reject or unique_keys, already naming the file
             raise
         except ValueError as e:  # an integer literal longer than Python's int conversion limit
             raise FormatError(f"{path}: {e}") from e
         try:
-            value = convert(tree)
+            value = convert(tree, path)
         except FormatError:
             raise
         except ValueError as e:  # from linalg's number readers, given the field's JSON path
@@ -149,43 +158,21 @@ def parse_matrix(obj, where: str = "matrix") -> np.ndarray:
     return entries.reshape(rows, cols)
 
 
-def load_state(path: str) -> tuple[PureState, str]:
-    (amps, dims), digest = load_json(path, lambda obj: parse_vector(obj, where=path))
-    return PureState(amps, dims), digest
+def parse_state(obj, where: str = "state"):
+    """A state file's value: (amplitudes, dims) for a vector object, else the matrix of a density operator."""
+    if isinstance(obj, dict) and "amplitudes" in obj:
+        return parse_vector(obj, where)
+    return parse_matrix(obj, where)
 
 
-def load_matrix(path: str) -> tuple[np.ndarray, str]:
-    return load_json(path, lambda obj: parse_matrix(obj, where=path))
+def parse_povm(obj, where: str = "povm") -> list[np.ndarray]:
+    _require_keys(obj, ("elements",), where=where)
+    if not isinstance(obj["elements"], list) or not obj["elements"]:
+        raise FormatError(f"{where}.elements must be a nonempty list of matrices")
+    return [parse_matrix(e, f"{where}.elements[{i}]") for i, e in enumerate(obj["elements"])]
 
 
-def load_state_or_density(path: str):
-    """A state file holds either a complex vector or a density matrix."""
-    def convert(obj):
-        if isinstance(obj, dict) and "amplitudes" in obj:
-            return PureState, parse_vector(obj, where=path)
-        return DensityOperator, (parse_matrix(obj, where=path),)
-
-    (container, args), digest = load_json(path, convert)
-    return container(*args), digest
-
-
-def load_povm(path: str) -> tuple[Povm, str]:
-    def convert(obj):
-        _require_keys(obj, ("elements",), where=path)
-        if not isinstance(obj["elements"], list) or not obj["elements"]:
-            raise FormatError(f"{path}.elements must be a nonempty list of matrices")
-        return [parse_matrix(e, where=f"{path}.elements[{i}]") for i, e in enumerate(obj["elements"])]
-
-    elements, digest = load_json(path, convert)
-    return Povm(elements), digest
-
-
-def load_scenario(path: str) -> tuple[BellScenario, str]:
-    args, digest = load_json(path, lambda obj: _scenario_args(obj, path))
-    return BellScenario(*args), digest
-
-
-def _scenario_args(obj, path: str) -> tuple:
+def parse_scenario(obj, path: str = "scenario") -> tuple:
     """The arguments of BellScenario, converted from a parsed scenario file."""
     _require_keys(
         obj,

@@ -1577,6 +1577,59 @@ class TestInputFilesReadOnce:
         assert err == f"error: {path}: not UTF-8 text at byte {len(text) - 1}: invalid start byte\n"
 
 
+class TestRepeatedKeys:
+    """json keeps the last value of a repeated key; every file kind rejects one instead, naming the file and the key."""
+
+    @staticmethod
+    def rejected(capsys, argv, path, key):
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (2, "", f"error: {path}: key '{key}' is repeated in one object\n")
+
+    def test_vector(self, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text('{"dims": [2], "dims": [1], "amplitudes": [[1, 0]]}')
+        self.rejected(capsys, ["encode", str(path)], path, "dims")
+
+    def test_matrix(self, capsys, tmp_path, circular_state):
+        path = tmp_path / "ham.json"
+        path.write_text(json.dumps(matrix_obj(np.diag([1.0, -1.0]))).replace('"rows": 2', '"rows": 1, "rows": 2'))
+        self.rejected(capsys, ["evolve", str(path), circular_state], path, "rows")
+
+    def test_povm_wrapper(self, capsys, tmp_path, circular_state):
+        elements = json.dumps([matrix_obj(np.diag([1.0, 0.0])), matrix_obj(np.diag([0.0, 1.0]))])
+        path = tmp_path / "povm.json"
+        path.write_text('{"elements": %s, "elements": %s}' % (elements, elements))
+        self.rejected(capsys, ["measure", circular_state, str(path)], path, "elements")
+
+    def test_scenario_coefficient_entry(self, capsys, tmp_path):
+        z = matrix_obj(np.diag([1.0, -1.0]))
+        obj = {"parties": 2, "settings_per_party": [1, 1], "observables": [[z], [z]],
+               "coefficients": [{"settings": [0, 0], "value": 1.0}], "classical_bound": 1.0}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(obj).replace('"value": 1.0', '"value": 1.0, "value": 2.0'))
+        self.rejected(capsys, ["bell", "--scenario-file", str(path), "--seed", "3", "--restarts", "2"], path, "value")
+
+
+class TestFirstFileAdmittedFirst:
+    """Each file's container is admitted before the next file is read, so a bad first file beats a missing second."""
+
+    def test_evolve_rejects_the_hamiltonian_before_reading_the_state(self, capsys, tmp_path):
+        ham = write(tmp_path, "ham.json", matrix_obj([[0.0, 1.0], [0.0, 0.0]]))
+        code, out, err = run(capsys, ["evolve", ham, str(tmp_path / "missing.json")])
+        assert (code, out, err) == (2, "", "error: Hamiltonian is not Hermitian\n")
+
+    def test_measure_rejects_the_pure_state_before_reading_the_povm(self, capsys, tmp_path):
+        psi = write(tmp_path, "psi.json", {"dims": [2], "amplitudes": [[0.5, 0.0], [0.5, 0.0]]})
+        code, out, err = run(capsys, ["measure", psi, str(tmp_path / "missing.json")])
+        message = f"state norm {np.sqrt(0.5)} is not 1 within {linalg.INPUT_TOL}; inputs are never renormalized"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_measure_rejects_the_density_matrix_before_reading_the_povm(self, capsys, tmp_path):
+        rho = write(tmp_path, "rho.json", matrix_obj([[0.5, 0.5], [0.0, 0.5]]))
+        code, out, err = run(capsys, ["measure", rho, str(tmp_path / "missing.json")])
+        assert (code, out, err) == (2, "", "error: density matrix is not Hermitian\n")
+
+
 def test_cli_uses_neither_a_private_name_nor_the_file_error_of_another_module():
     # FormatError means a file broke the JSON schema, so the CLI's own flags raise ValueError; and the CLI reaches
     # the library through public names only.  Read from the source: imports and attributes of imported modules.

@@ -1,10 +1,12 @@
 """JSON job files and the deterministic report serializer."""
 
+import ast
 import contextlib
 import gc
 import hashlib
 import json
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -14,7 +16,8 @@ from hypothesis import strategies as st
 
 from helpers import matrix_obj
 from realsim import formats
-from realsim.encoding import DensityOperator, PureState
+from realsim.applications.bell import BellScenario
+from realsim.encoding import DensityOperator, Povm, PureState
 
 
 def write(tmp_path, name, obj):
@@ -259,7 +262,7 @@ class TestLoadJson:
         path.write_text('{"dims": [1], "amplitudes": [[%s, 0]]}' % literal)
         message = r"amplitudes\[0\] must be finite: an integer beyond the double range$"
         with pytest.raises(formats.FormatError, match=message):
-            formats.load_state(str(path))
+            formats.load_json(str(path), formats.parse_vector)
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_literal_names_the_file_once(self, tmp_path, literal):
@@ -273,7 +276,7 @@ class TestLoadJson:
         path = tmp_path / "huge.json"
         path.write_text('{"dims": [1], "amplitudes": [[%s, 0]]}' % ("1" * 5000))
         with pytest.raises(formats.FormatError, match=r"huge\.json"):
-            formats.load_state(str(path))
+            formats.load_json(str(path), formats.parse_vector)
 
     @pytest.mark.parametrize("text", ['{"dims": [2]}', '{"dims": [2,}', "[NaN]", "[%s]" % ("1" * 5000)],
                              ids=["good", "malformed", "nan_literal", "past_the_conversion_limit"])
@@ -328,19 +331,22 @@ class TestLoadJson:
         (gc.enable if collecting else gc.disable)()
         try:
             with contextlib.nullcontext() if error is None else pytest.raises(ValueError, match=error):
-                formats.load_povm(str(path))
+                Povm(formats.load_json(str(path), formats.parse_povm)[0])
             assert gc.isenabled() is collecting
         finally:
             (gc.enable if before else gc.disable)()
 
-    @pytest.mark.parametrize("loader", ["load_povm", "load_state", "load_state_or_density"])
-    def test_no_collection_scans_a_parse_tree(self, tmp_path, loader):
+    @pytest.mark.parametrize("kind", ["povm", "vector", "density"])
+    def test_no_collection_scans_a_parse_tree(self, tmp_path, kind):
         # The pair lists are dropped before the collector resumes, so the first allocation after the
-        # pause does not set off a pass over them.
+        # pause, such as the container's admission, does not set off a pass over them.
         n = 128
-        obj = {"load_povm": {"elements": [matrix_obj(np.eye(n) / 2.0)] * 2},
-               "load_state": {"dims": [n * n], "amplitudes": [[1.0 / n, 0.0]] * (n * n)},
-               "load_state_or_density": matrix_obj(np.eye(n) / n)}[loader]
+        obj, parse, admit = {
+            "povm": ({"elements": [matrix_obj(np.eye(n) / 2.0)] * 2}, formats.parse_povm, Povm),
+            "vector": ({"dims": [n * n], "amplitudes": [[1.0 / n, 0.0]] * (n * n)}, formats.parse_vector,
+                       lambda vector: PureState(*vector)),
+            "density": (matrix_obj(np.eye(n) / n), formats.parse_state, DensityOperator),
+        }[kind]
         path = write(tmp_path, "big.json", obj)
         starts = []
 
@@ -352,23 +358,37 @@ class TestLoadJson:
         gc.collect()
         gc.callbacks.append(count)
         try:
-            getattr(formats, loader)(path)
+            admit(formats.load_json(path, parse)[0])
         finally:
             gc.callbacks.remove(count)
             (gc.enable if before else gc.disable)()
         assert not any(starts)
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"dims": [2], "dims": [1], "amplitudes": [[1, 0]]}', "dims"),
+        ('{"elements": [{"rows": 1, "cols": 1, "rows": 1, "entries": [[1, 0]]}]}', "rows"),
+        ('{"a": 1, "b": 2, "b": 3, "a": 4}', "b"),
+    ], ids=["top_level", "nested", "first_repeat"])
+    def test_a_repeated_key_is_rejected_naming_the_file_and_the_key(self, tmp_path, text, key):
+        # json would keep the last value; a file is read as written or not at all.
+        path = tmp_path / "v.json"
+        path.write_text(text)
+        message = rf"^{re.escape(str(path))}: key '{key}' is repeated in one object$"
+        with pytest.raises(formats.FormatError, match=message):
+            formats.load_json(str(path))
+
     def test_ordinary_integers_are_still_integers(self, tmp_path):
         path = write(tmp_path, "v.json", {"dims": [2], "amplitudes": [[1, 0], [0, 0]]})
         assert formats.load_json(path)[0]["dims"] == [2]
-        assert formats.load_state(path)[0].factor_dims == (2,)
+        assert PureState(*formats.load_json(path, formats.parse_vector)[0]).factor_dims == (2,)
 
-    @pytest.mark.parametrize("loader", ["load_json", "load_state", "load_state_or_density"])
-    def test_digest_is_the_sha256_of_the_file_bytes(self, tmp_path, loader):
+    @pytest.mark.parametrize("convert", [None, "parse_vector", "parse_state"], ids=["tree", "vector", "state"])
+    def test_digest_is_the_sha256_of_the_file_bytes(self, tmp_path, convert):
         # CRLF line ends are parsed as LF, yet the digest is of the bytes on disk.
         path = tmp_path / "v.json"
         path.write_bytes(b'{"dims": [1],\r\n "amplitudes": [[1.0, 0.0]]}\r\n')
-        _, digest = getattr(formats, loader)(str(path))
+        args = (getattr(formats, convert),) if convert else ()
+        _, digest = formats.load_json(str(path), *args)
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -376,68 +396,70 @@ class TestVector:
     def test_round_trip(self, tmp_path):
         s = 0.7071067811865476
         path = write(tmp_path, "v.json", {"dims": [2], "amplitudes": [[s, 0.0], [0.0, s]]})
-        state, _ = formats.load_state(path)
-        assert isinstance(state, PureState)
+        state = PureState(*formats.load_json(path, formats.parse_vector)[0])
         assert np.allclose(state.amplitudes, [s, 1j * s], atol=1e-15)
         assert state.factor_dims == (2,)
 
     def test_dims_must_match_length(self, tmp_path):
         path = write(tmp_path, "v.json", {"dims": [3], "amplitudes": [[1.0, 0.0]]})
         with pytest.raises(formats.FormatError):
-            formats.load_state(path)
+            formats.load_json(path, formats.parse_vector)
 
     def test_product_past_the_print_limit_is_not_printed(self, tmp_path):
         # The product has 6001 digits, more than Python prints; each factor has 3001 and prints.
         path = write(tmp_path, "v.json", {"dims": [10 ** 3000, 10 ** 3000], "amplitudes": [[1.0, 0.0]]})
         message = rf"^{re.escape(path)} has 1 amplitudes but dims \[1(0{{3000}}), 1\1\] require more than 2\*\*64$"
         with pytest.raises(formats.FormatError, match=message):
-            formats.load_state(path)
+            formats.load_json(path, formats.parse_vector)
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = write(tmp_path, "v.json", {"dims": [1], "amplitudes": [[1.0, 0.0]], "extra": 1})
         with pytest.raises(formats.FormatError, match="extra"):
-            formats.load_state(path)
+            formats.load_json(path, formats.parse_vector)
 
     def test_booleans_are_not_numbers(self, tmp_path):
         path = write(tmp_path, "v.json", {"dims": [1], "amplitudes": [[True, 0.0]]})
         with pytest.raises(formats.FormatError):
-            formats.load_state(path)
+            formats.load_json(path, formats.parse_vector)
 
     def test_missing_key_named_in_error(self, tmp_path):
         path = write(tmp_path, "v.json", {"amplitudes": [[1.0, 0.0]]})
         with pytest.raises(formats.FormatError, match="dims"):
-            formats.load_state(path)
+            formats.load_json(path, formats.parse_vector)
 
 
 class TestMatrix:
     def test_round_trip(self, tmp_path):
         obj = {"rows": 2, "cols": 2, "entries": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]}
-        m, _ = formats.load_matrix(write(tmp_path, "m.json", obj))
+        m, _ = formats.load_json(write(tmp_path, "m.json", obj), formats.parse_matrix)
         assert np.array_equal(m, np.diag([1.0, -1.0]).astype(complex))
 
     def test_entry_count_checked(self, tmp_path):
         obj = {"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]}
         path = write(tmp_path, "m.json", obj)
         with pytest.raises(formats.FormatError, match=rf"^{re.escape(path)} has 1 entries but needs rows\*cols = 4$"):
-            formats.load_matrix(path)
+            formats.load_json(path, formats.parse_matrix)
 
     def test_product_past_the_print_limit_is_not_printed(self, tmp_path):
         big = int("9" * 3001)
         path = write(tmp_path, "m.json", {"rows": big, "cols": big, "entries": [[1.0, 0.0]]})
         message = rf"^{re.escape(path)} has 1 entries but needs rows\*cols = more than 2\*\*64$"
         with pytest.raises(formats.FormatError, match=message):
-            formats.load_matrix(path)
+            formats.load_json(path, formats.parse_matrix)
 
 
 class TestStateOrDensity:
     def test_vector_file_loads_as_pure_state(self, tmp_path):
         path = write(tmp_path, "s.json", {"dims": [1], "amplitudes": [[1.0, 0.0]]})
-        assert isinstance(formats.load_state_or_density(path)[0], PureState)
+        parsed, _ = formats.load_json(path, formats.parse_state)
+        assert isinstance(parsed, tuple)
+        assert PureState(*parsed).factor_dims == (1,)
 
     def test_matrix_file_loads_as_density(self, tmp_path):
         obj = {"rows": 2, "cols": 2, "entries": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]}
-        loaded, _ = formats.load_state_or_density(write(tmp_path, "rho.json", obj))
-        assert isinstance(loaded, DensityOperator)
+        matrix, _ = formats.load_json(write(tmp_path, "rho.json", obj), formats.parse_state)
+        assert isinstance(matrix, np.ndarray)
+        assert DensityOperator(matrix).dim == 2
 
 
 class TestPovmFile:
@@ -448,12 +470,12 @@ class TestPovmFile:
                 {"rows": 2, "cols": 2, "entries": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]},
             ]
         }
-        povm, _ = formats.load_povm(write(tmp_path, "p.json", obj))
-        assert len(povm.elements) == 2
+        elements, _ = formats.load_json(write(tmp_path, "p.json", obj), formats.parse_povm)
+        assert len(Povm(elements).elements) == 2
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(formats.FormatError):
-            formats.load_povm(write(tmp_path, "p.json", {"elements": []}))
+            formats.load_json(write(tmp_path, "p.json", {"elements": []}), formats.parse_povm)
 
 
 class TestScenarioFile:
@@ -468,7 +490,8 @@ class TestScenarioFile:
         }
 
     def test_load(self, tmp_path):
-        scenario, _ = formats.load_scenario(write(tmp_path, "sc.json", self.scenario_obj()))
+        fields, _ = formats.load_json(write(tmp_path, "sc.json", self.scenario_obj()), formats.parse_scenario)
+        scenario = BellScenario(*fields)
         assert scenario.parties == 2
         assert scenario.coefficients == {(0, 0): 1.0}
         assert scenario.quantum_target is None
@@ -477,7 +500,13 @@ class TestScenarioFile:
         obj = self.scenario_obj()
         obj["bound"] = 3.0
         with pytest.raises(formats.FormatError):
-            formats.load_scenario(write(tmp_path, "sc.json", obj))
+            formats.load_json(write(tmp_path, "sc.json", obj), formats.parse_scenario)
+
+
+def test_formats_imports_no_layer_but_linalg():
+    # formats turns JSON into arrays; the containers, and the layers that define them, are the CLI's to import.
+    tree = ast.parse(pathlib.Path(formats.__file__).read_text(encoding="utf-8"))
+    assert [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level] == ["linalg"]
 
 
 class TestComplexArrays:
