@@ -243,14 +243,18 @@ def _seesaw(scenario: BellScenario, seeds, iterations: int):
 
 
 def optimize_bell(scenario: BellScenario, seeds, iterations: int = 100) -> BellResult:
-    """Maximize the Bell value by see-saw alternation, one restart per seed.
+    """Maximize the Bell value by see-saw alternation, one restart per seed of the sequence seeds, a range say.
 
-    For fixed observables the best state is the top eigenvector of the
-    Bell operator; for a fixed state the best observable per setting is
-    the sign rounding of its effective operator.  All restarts advance
-    together on stacked arrays, in chunks whose Bell operators hold at
-    most DEFAULT_MAX_DIM**2 entries.  Deterministic given the seed list.
+    For fixed observables the best state is the top eigenvector of the Bell operator; for a fixed state the
+    best observable per setting is the sign rounding of its effective operator.  All restarts advance together
+    on stacked arrays, in chunks whose Bell operators hold at most DEFAULT_MAX_DIM**2 entries, as do the states
+    and observables kept until the winner is chosen: their count is checked before any seed is read.
+    Deterministic given the seed list.
     """
+    dims, settings = scenario.party_dims, scenario.settings_per_party
+    most = DEFAULT_MAX_DIM ** 2 // (int(np.prod(dims)) + sum(o.size for o in scenario.observables))
+    if len(seeds[most:most + 1]):  # len(seeds) would overflow for a range past sys.maxsize
+        raise ValueError(f"restarts must be at most {most} for party dimensions {dims}, settings {settings}")
     seeds = [as_int(s, "seed") for s in seeds]
     if not seeds:
         raise ValueError("optimize_bell needs at least one seed")
@@ -259,7 +263,7 @@ def optimize_bell(scenario: BellScenario, seeds, iterations: int = 100) -> BellR
     iterations = as_int(iterations, "iterations")
     if iterations < 1:
         raise ValueError(f"iterations must be positive, got {iterations}")
-    chunk = max(1, DEFAULT_MAX_DIM ** 2 // int(np.prod(scenario.party_dims)) ** 2)
+    chunk = max(1, DEFAULT_MAX_DIM ** 2 // int(np.prod(dims)) ** 2)
     runs = []
     for start in range(0, len(seeds), chunk):
         runs.extend(_seesaw(scenario, seeds[start:start + chunk], iterations))

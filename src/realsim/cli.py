@@ -126,8 +126,7 @@ def cmd_bell(args):
         args.scenario = args.scenario_file = None
     else:
         scenario = _SCENARIOS[args.scenario]()
-    seeds = [args.seed + i for i in range(args.restarts)]
-    result = optimize_bell(scenario, seeds, args.iterations)
+    result = optimize_bell(scenario, range(args.seed, args.seed + args.restarts), args.iterations)
     values = {mode: getattr(result, f"value_{mode}") for mode in MODES if args.mode in (mode, "both")}
     results = {"classical_bound": scenario.classical_bound}
     if scenario.quantum_target is not None:
@@ -212,7 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("complex", "real_encoded", "both"), default="both",
                     help="which values the report carries and which assertions run; both sides are always"
                          " evaluated (default both)")
-    sp.add_argument("--restarts", type=int, default=20, help="optimizer restarts (default 20)")
+    sp.add_argument("--restarts", type=int, default=20,
+                    help=f"optimizer restarts, whose states and observables hold at most {DEFAULT_MAX_DIM ** 2} entries"
+                         " (default 20)")
     sp.add_argument("--seed", type=int, default=None, help="base seed, required (restart r uses seed + r)")
     sp.add_argument("--iterations", type=int, default=100, help="see-saw iterations per restart (default 100)")
 

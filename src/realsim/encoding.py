@@ -187,16 +187,13 @@ def decode_state(enc: np.ndarray, k: int) -> np.ndarray:
     return pairs @ zero + 1j * (pairs @ one)
 
 
-def encode_operator(m, k: int = 1, xz_qubit: int = 0) -> np.ndarray:
-    """Per-entry substitution a + i b -> a*I + b*(XZ on ancilla qubit xz_qubit).
+def encode_operator(m) -> np.ndarray:
+    """Per-entry substitution a + i b -> a*I + b*XZ on the single ancilla, as a real (2n, 2n) matrix.
 
-    Returns the real (n 2^k, n 2^k) matrix.  It is an algebra homomorphism
-    image on the codespace: sums, products and daggers commute with the
-    encoding.  Any single ancilla qubit realizes the logical XZ, so one
-    designated qubit carries the whole imaginary part.
+    An algebra homomorphism: sums, products and daggers commute with it.  At k > 1 operators act by `apply_lift`.
     """
     m = admit(m, "encode_operator input", square=True)
-    return kron(m.real, np.eye(_ancilla_dim(k))) + kron(m.imag, local_xz(k, xz_qubit))
+    return kron(m.real, np.eye(2)) + kron(m.imag, XZ)
 
 
 def apply_xz(x: np.ndarray, k: int, qubit: int = 0) -> np.ndarray:

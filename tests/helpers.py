@@ -48,11 +48,11 @@ def eig_expm_hermitian(h, scale=1.0) -> np.ndarray:
 
 
 def generator(h, k: int = 1, xz_qubit: int = 0) -> np.ndarray:
-    """Real antisymmetric generator J H' of the encoded evolution, H' the encoding of the Hamiltonian h.hermitian.
+    """Real antisymmetric generator J H' of the encoded evolution, H' the `dense_encode` of h.hermitian.
 
     J and Im H both sit on ancilla qubit xz_qubit of k; `trajectory` builds the k = 1, qubit 0 case inline.
     """
-    return apply_xz(encode_operator(h.hermitian, k, xz_qubit), k, xz_qubit)
+    return apply_xz(dense_encode(h.hermitian, k, xz_qubit), k, xz_qubit)
 
 
 def spectral_propagator(h, t: float, sign: int = 1) -> np.ndarray:
@@ -204,22 +204,25 @@ def apply_local(vec, op, dims, party) -> np.ndarray:
     return t.reshape(-1)
 
 
-def lift_local_operator(m, dims, party) -> np.ndarray:
-    """Reference dense lift of one party's operator: Re M (x) I + Im M (x) XZ_party.
+def dense_encode(m, k: int = 1, xz_qubit: int = 0) -> np.ndarray:
+    """Reference dense encoding on k ancilla qubits: Re m (x) I + Im m (x) XZ on ancilla qubit xz_qubit.
 
-    M is m embedded in the whole system and XZ_party is XZ on ancilla qubit
-    `party` of len(dims), qubit 0 the most significant; both are built from
-    Kronecker products.
+    Qubit 0 is the most significant; the (n 2^k, n 2^k) matrix is built from Kronecker products.  On the
+    codespace XZ on any qubit is the logical i, so only a vector off it shows which qubit carries Im m.
+    At k = 1 this is `encode_operator`.
     """
     m = np.asarray(m, dtype=complex)
-    k = len(dims)
+    xz = np.kron(np.eye(2 ** xz_qubit), np.kron([[0.0, -1.0], [1.0, 0.0]], np.eye(2 ** (k - xz_qubit - 1))))
+    return np.kron(m.real, np.eye(2 ** k)) + np.kron(m.imag, xz)
 
-    def embed(a, before, after):
-        return np.kron(np.eye(before), np.kron(a, np.eye(after)))
 
+def lift_local_operator(m, dims, party) -> np.ndarray:
+    """Reference dense lift of one party's operator: `dense_encode` of m embedded in the whole system.
+
+    XZ sits on ancilla qubit `party` of len(dims).
+    """
     before, after = int(np.prod(dims[:party])), int(np.prod(dims[party + 1:]))
-    xz = embed(np.array([[0.0, -1.0], [1.0, 0.0]]), 2 ** party, 2 ** (k - party - 1))
-    return np.kron(embed(m.real, before, after), np.eye(2 ** k)) + np.kron(embed(m.imag, before, after), xz)
+    return dense_encode(np.kron(np.eye(before), np.kron(m, np.eye(after))), len(dims), party)
 
 
 def bell_operator(coefficients, obs, dims) -> np.ndarray:

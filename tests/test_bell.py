@@ -89,6 +89,21 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="eigenvalues"):
             BellScenario(2, (1, 1), ((Z + X,), (Z,)), {(0, 0): 1.0}, 2.0)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("factor, admitted", [(0.99, True), (1.01, False)])
+    def test_spectrum_gate_sits_at_the_observable_tolerance(self, factor, admitted, sign):
+        # Z scaled by 1 +- factor OBSERVABLE_TOL has eigenvalues that far from +-1.
+        scaled = Z * (1.0 + sign * factor * linalg.OBSERVABLE_TOL)
+
+        def build():
+            return BellScenario(2, (1, 1), ((scaled,), (Z,)), {(0, 0): 1.0}, 2.0)
+
+        if admitted:
+            build()
+        else:
+            with pytest.raises(ValueError, match=r"^observable eigenvalues must all be \+-1$"):
+                build()
+
     def test_observables_must_be_hermitian(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
@@ -329,6 +344,28 @@ class TestOptimizeBell:
         result = optimize_bell(chsh_scenario(), seeds=[np.int64(1), np.int32(2)], iterations=3)
         assert result == optimize_bell(chsh_scenario(), seeds=[1, 2], iterations=3)
         assert [type(seed) for seed, _, _ in result.restarts] == [int, int]
+
+    def test_restart_count_is_bounded_before_any_seed_is_read(self, monkeypatch):
+        # Every restart keeps its state of D entries and its observables of sum_j S_j d_j^2 entries until the
+        # best one is chosen.  Two parties of dimension 64 with one setting each keep 3 x 4096 entries a restart.
+        z64 = np.diag(np.resize([1.0, -1.0], 64))
+        scenario = BellScenario(2, (1, 1), ((z64,), (z64,)), {(0, 0): 1.0}, 1.0)
+        most = linalg.DEFAULT_MAX_DIM ** 2 // (3 * 64 * 64)
+        def unread(value, what):
+            raise AssertionError(f"{what} read past the bound")
+
+        monkeypatch.setattr(bell, "as_int", unread)
+        for seeds in (range(most + 1), list(range(most + 1)), range(10 ** 400)):
+            with pytest.raises(ValueError, match=rf"^restarts must be at most {most} for party dimensions "
+                                                 r"\(64, 64\), settings \(1, 1\)$"):
+                optimize_bell(scenario, seeds)
+        # The bound itself is admitted: every seed is read and the zero iteration count stops it before the see-saw.
+        read = []
+        monkeypatch.setattr(bell, "as_int", lambda value, what: read.append(what) or value)
+        monkeypatch.setattr(bell, "_seesaw", None)
+        with pytest.raises(ValueError, match=r"^iterations must be positive, got 0$"):
+            optimize_bell(scenario, range(most), iterations=0)
+        assert read == ["seed"] * most + ["iterations"]
 
     @pytest.mark.parametrize("seeds, shown", [([-5], -5), ([3, -1, 2], -1), ([np.int64(-2)], -2)])
     def test_negative_seed_is_rejected_by_name(self, monkeypatch, seeds, shown):

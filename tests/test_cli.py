@@ -457,6 +457,19 @@ class TestBell:
         code, out, err = run(capsys, ["bell", "--scenario", "chsh", "--seed", "1", "--restarts", restarts])
         assert (code, out, err) == (2, "", f"error: --restarts must be at least 1, got {restarts}\n")
 
+    @pytest.mark.parametrize("restarts", [838861, 10 ** 400], ids=["one_past", "10**400"])
+    def test_restarts_past_the_bound_are_rejected_by_name_before_any_seed_is_read(self, capsys, monkeypatch,
+                                                                                    restarts):
+        # A CHSH restart keeps a state of 4 amplitudes and 16 observable entries: 2^24 // 20 = 838860 restarts.
+        def read(value, what):
+            assert what != "seed", "a seed was read past the bound"
+            return linalg.as_int(value, what)
+
+        monkeypatch.setattr(bell, "as_int", read)
+        code, out, err = run(capsys, ["bell", "--scenario", "chsh", "--seed", "1", "--restarts", str(restarts)])
+        assert (code, out) == (2, "")
+        assert err == "error: restarts must be at most 838860 for party dimensions (2, 2), settings (2, 2)\n"
+
     def test_scenario_file_with_a_party_of_no_settings_is_rejected(self, capsys, tmp_path):
         z = matrix_obj(np.diag([1.0, -1.0]))
         scenario = write(tmp_path, "scenario.json", {
@@ -1264,7 +1277,8 @@ def just_outside_the_admission_edge(draw):
     completeness is off by 2 INPUT_TOL, a Hamiltonian, density matrix, POVM element or Bell observable
     just past its Hermiticity bound, a Bell observable just past its +-1 spectrum, a gate just past
     unitarity, a density matrix or POVM element with an eigenvalue of -1.01 PSD_TOL, --steps 1 or one past
-    its bound, a --k just outside its range, and a ragged POVM or observable family.
+    its bound, --restarts one past its bound, a --k just outside its range, and a ragged POVM or observable
+    family.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     dims = draw(st.sampled_from([[2], [3], [4], [2, 2]]))
@@ -1283,7 +1297,7 @@ def just_outside_the_admission_edge(draw):
     phase = np.exp(2j * np.pi * rng.random())
     flags = []
     case = draw(st.sampled_from(["norm", "trace", "completeness", "hermitian", "psd", "unitary", "observable",
-                                 "steps", "k", "ragged"]))
+                                 "steps", "restarts", "k", "ragged"]))
     if case == "norm":
         job, message = draw(st.sampled_from(["encode", "evolve", "measure"])), "state norm"
         v *= 1.0 + sign * OUTSIDE
@@ -1336,6 +1350,10 @@ def just_outside_the_admission_edge(draw):
             most = linalg.DEFAULT_MAX_DIM ** 2 // (n * 2 ** k)
             message = f"steps must be at most {most} for {n} amplitudes at k={k}, got {most + 1}"
             flags = ["--steps", str(most + 1), "--k", str(k)]
+    elif case == "restarts":  # the last --restarts counts; a restart keeps 4 amplitudes and 12 observable entries
+        job, most = "bell", linalg.DEFAULT_MAX_DIM ** 2 // (4 + 2 * 4 + 1 * 4)
+        message = f"restarts must be at most {most} for party dimensions (2, 2), settings (2, 1)"
+        flags = ["--restarts", str(most + 1)]
     elif case == "k":  # encode and evolve take 1 to 12 ancilla qubits, stabilizer 2 to 6
         job, k = draw(st.sampled_from([("encode", 0), ("encode", 13), ("evolve", 0), ("evolve", 13),
                                        ("stabilizer", 1), ("stabilizer", 7)]))
@@ -1383,7 +1401,7 @@ NUMBER_JOBS = {
 # What the library calls a field or flag, where its errors may name it so.
 LIBRARY_NAMES = {"--k": "ancilla count k", "settings": "coefficient key"}
 # Counts and seeds with no upper bound: an integer beyond the double range is a valid value there.
-UNBOUNDED = {"--restarts", "--seed", "--iterations"}
+UNBOUNDED = {"--seed", "--iterations"}
 INFINITE = -7.0987654321e-07  # a marker replaced by the literal 1e999, which json parses to inf
 
 

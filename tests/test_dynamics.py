@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import realsim
-from helpers import eig_expm_hermitian, generator, perturbed_eigh, random_hermitian, random_state, spectral_propagator
+from helpers import (dense_encode, eig_expm_hermitian, generator, perturbed_eigh, random_hermitian, random_state,
+                     spectral_propagator)
 from realsim import dynamics, encoding, linalg
 from realsim.dynamics import EvolutionResult, Hamiltonian, trajectory
 from realsim.encoding import (
@@ -140,7 +141,7 @@ class TestGenerator:
             for q in range(k):
                 j = np.kron(np.eye(6), encoding_local_xz(k, q))
                 for xz_qubit in range(k):
-                    h_enc = encode_operator(h, k, xz_qubit)
+                    h_enc = dense_encode(h, k, xz_qubit)
                     assert np.abs(j @ h_enc - h_enc @ j).max() == 0.0
 
     def test_wrong_ancilla_action_does_not_commute(self):
@@ -156,7 +157,7 @@ class TestGenerator:
         h = Hamiltonian(random_hermitian(3, seed=12 + k))
         for q in range(k):
             dense_j = np.kron(np.eye(3), encoding_local_xz(k, q))
-            dense = dense_j @ encode_operator(h.matrix, k, q)
+            dense = dense_j @ dense_encode(h.matrix, k, q)
             assert np.abs(generator(h, k, q) - dense).max() == 0.0
 
 
@@ -620,7 +621,7 @@ class TestSpectralPropagator:
         spectators = np.eye(2 ** (k - 1))
         for seed in range(4):
             h = Hamiltonian(random_hermitian(2 + seed, seed=90 + 10 * k + seed))
-            assert np.array_equal(encode_operator(h.hermitian, k),
+            assert np.array_equal(dense_encode(h.hermitian, k),
                                   np.kron(encode_operator(h.hermitian), spectators))
             assert np.array_equal(generator(h, k), np.kron(generator(h), spectators))
 

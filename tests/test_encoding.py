@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import block_encode, generator, interleave, random_density, random_povm, random_state, random_unitary
+from helpers import block_encode, dense_encode, interleave, random_density, random_povm, random_state, random_unitary
 from realsim import encoding, linalg
 from realsim.applications.bell import BellScenario
 from realsim.dynamics import Hamiltonian, trajectory
@@ -65,13 +65,11 @@ class TestAncillaCount:
         lambda k: local_xz(k, 0),
         lambda k: encode_state(state([S, S * 1j]), k),
         lambda k: decode_state(np.zeros(4), k),
-        lambda k: encode_operator(np.eye(2), k),
         lambda k: apply_xz(np.zeros((4, 1)), k),
         lambda k: encoded_povm_probabilities(np.array([1.0, 0.0, 0.0, 0.0]), Povm((np.eye(2),)), k),
-        lambda k: generator(Hamiltonian(np.eye(2)), k),
         lambda k: trajectory(Hamiltonian(np.eye(2)), state([1.0, 0.0]), 1.0, 4, k),
-    ], ids=["logical_states", "local_xz", "encode_state", "decode_state", "encode_operator", "apply_xz",
-            "encoded_povm_probabilities", "generator", "trajectory"])
+    ], ids=["logical_states", "local_xz", "encode_state", "decode_state", "apply_xz", "encoded_povm_probabilities",
+            "trajectory"])
 
     @pytest.mark.parametrize("k", [0, -3, 13])
     @takes_k
@@ -236,13 +234,11 @@ class TestEncodeOperator:
     def test_encoders_return_real_arrays(self):
         n = 3
         u = random_unitary(n, seed=15)
-        single = [encode_density(DensityOperator(random_density(n, seed=16))), conjugation_operator(n),
-                  encode_antiunitary(u), *encode_kraus([u])]
-        layouts = [encode_operator(u, k, q) for k in (1, 2, 3) for q in range(k)]
-        for out in single + layouts:
+        outs = [encode_operator(u), encode_density(DensityOperator(random_density(n, seed=16))),
+                conjugation_operator(n), encode_antiunitary(u), *encode_kraus([u])]
+        for out in outs:
             assert type(out) is np.ndarray and out.dtype == np.float64
-        assert all(out.shape == (2 * n, 2 * n) for out in single)
-        assert [out.shape for out in layouts] == [(n * 2 ** k, n * 2 ** k) for k in (1, 2, 3) for _ in range(k)]
+        assert all(out.shape == (2 * n, 2 * n) for out in outs)
 
     @settings(deadline=None, max_examples=40)
     @given(seeds)
@@ -361,7 +357,7 @@ class TestMeasurement:
         psi = PureState(random_state(6, seed=56), factor_dims=(2, 3))
         povm = Povm(tuple(random_povm(6, 3, seed=57)))
         enc = encode_state(psi, 2)
-        dense = np.array([enc @ encode_operator(e, 2) @ enc for e in povm.elements])
+        dense = np.array([enc @ dense_encode(e, 2) @ enc for e in povm.elements])
         encoded = encoded_povm_probabilities(enc, povm, 2)
         assert np.abs(encoded - dense).max() <= linalg.EXACT_TOL
         assert np.abs(encoded - povm_probabilities(psi, povm)).max() <= 1e-12

@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from helpers import block_encode, interleave, lift_local_operator, random_povm, random_state, random_unitary
+from helpers import (block_encode, dense_encode, interleave, lift_local_operator, random_povm, random_state,
+                     random_unitary)
 from realsim import linalg, multipartite
 from realsim.cli import main
 from realsim.encoding import PureState, apply_lift, apply_xz, encode_operator, encode_state
@@ -226,7 +227,8 @@ class TestLogicalEncodeOperator:
     def test_single_qubit_matches_plain_encoding(self):
         rng = np.random.default_rng(30)
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert np.array_equal(encode_operator(m, 1), block_encode(m))
+        assert np.array_equal(encode_operator(m), block_encode(m))
+        assert np.array_equal(dense_encode(m, 1), block_encode(m))
         psi = random_state(3, seed=35)
         assert np.array_equal(encode_state(PureState(psi), 1), interleave(psi))
 
@@ -236,7 +238,7 @@ class TestLogicalEncodeOperator:
         u, _ = np.linalg.qr(m)
         psi = random_state(4, seed=32)
         enc = encode_state(multi_state(psi, (2, 2)), 2)
-        got = encode_operator(u, 2) @ enc
+        got = dense_encode(u, 2) @ enc
         want = encode_state(multi_state(u @ psi, (2, 2)), 2)
         assert np.abs(got - want).max() <= 1e-13
 
@@ -247,9 +249,21 @@ class TestLogicalEncodeOperator:
         total = np.kron(a, np.eye(2)) + np.kron(np.eye(2), b)
         psi = random_state(4, seed=34)
         enc = encode_state(multi_state(psi, (2, 2)), 2)
-        whole = encode_operator(total, 2) @ enc
+        whole = dense_encode(total, 2) @ enc
         parts = apply_lift(a, enc, (2, 2), 0) + apply_lift(b, enc, (2, 2), 1)
         assert np.abs(whole - parts).max() <= 1e-12
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_dense_form_matches_apply_lift_off_the_codespace_on_every_qubit(self, k):
+        # On the codespace XZ on any qubit is the logical i, so only vectors off it, such as random
+        # columns, show which qubit carries Im m.  With every other factor of dimension 1, party q's
+        # lift is the dense form with XZ on qubit q.
+        rng = np.random.default_rng(36 + k)
+        m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        x = rng.standard_normal((3 * 2 ** k, 4))
+        for q in range(k):
+            dims = (1,) * q + (3,) + (1,) * (k - q - 1)
+            assert np.abs(dense_encode(m, k, q) @ x - apply_lift(m, x, dims, q)).max() <= linalg.EXACT_TOL
 
 
 class TestStabilizer:
@@ -266,15 +280,27 @@ class TestStabilizer:
         assert np.array_equal(g @ e00, [0.0, 0.0, 0.0, -1.0])
         assert np.abs(g @ e00 - e00).max() > 0.9
 
+    # The ancilla qubits on which a broken apply_xz does nothing: every one, the first or the last.  Each
+    # generator -(XZ)_0 (XZ)_j reaches qubit 0, and only the last one reaches qubit k - 1.
+    DEAD = {"every": lambda k: range(k), "first": lambda k: (0,), "last": lambda k: (k - 1,)}
+
+    def kill(self, monkeypatch, dead):
+        def kernel(x, k, qubit=0):
+            return x if qubit in self.DEAD[dead](k) else apply_xz(x, k, qubit)
+
+        monkeypatch.setattr(multipartite, "apply_xz", kernel)
+
+    @pytest.mark.parametrize("dead", DEAD)
     @pytest.mark.parametrize("k", range(2, 7))
-    def test_generator_action_fails_when_the_kernel_does_nothing(self, monkeypatch, k):
-        monkeypatch.setattr(multipartite, "apply_xz", lambda x, k, qubit=0: x)
+    def test_generator_action_fails_when_the_kernel_does_nothing(self, monkeypatch, k, dead):
+        self.kill(monkeypatch, dead)
         report = stabilizer_check(k)
         assert report.generator_error >= 1
         assert report.fixed_subspace_dim == 2
 
-    def test_cli_reports_the_failed_generator_action(self, monkeypatch, capsys):
-        monkeypatch.setattr(multipartite, "apply_xz", lambda x, k, qubit=0: x)
+    @pytest.mark.parametrize("dead", DEAD)
+    def test_cli_reports_the_failed_generator_action(self, monkeypatch, capsys, dead):
+        self.kill(monkeypatch, dead)
         assert main(["stabilizer", "--k", "3"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert [a["name"] for a in report["assertions"] if not a["passed"]] == ["generator_action"]

@@ -83,8 +83,6 @@ SCALAR_ARGUMENTS = {
     "apply_lift.party": ("party index", True, lambda v: realsim.apply_lift(np.eye(2), np.zeros(16), (2, 2), v)),
     "conjugation_operator.dim": ("dimension", True, realsim.conjugation_operator),
     "decode_state.k": ("ancilla count k", True, lambda v: realsim.decode_state(np.zeros(4), v)),
-    "encode_operator.k": ("ancilla count k", True, lambda v: realsim.encode_operator(np.eye(2), v)),
-    "encode_operator.xz_qubit": ("qubit index", True, lambda v: realsim.encode_operator(np.eye(2), 2, v)),
     "encode_state.k": ("ancilla count k", True,
                        lambda v: realsim.encode_state(realsim.PureState(np.array([1.0, 0.0])), v)),
     "encoded_povm_probabilities.k": ("ancilla count k", True, lambda v: realsim.encoded_povm_probabilities(
