@@ -82,6 +82,13 @@ class TestAncillaCount:
         with pytest.raises(ValueError, match=r"^ancilla count k must be an integer, got 2\.5$"):
             call(2.5)
 
+    def test_encode_operator_takes_no_ancilla_count(self):
+        # It is the single-ancilla encoding; a k > 1 caller must fail loudly, not get the (2n, 2n) form.
+        with pytest.raises(TypeError):
+            encode_operator(np.eye(2), 2)
+        with pytest.raises(TypeError):
+            encode_operator(np.eye(2), k=2)
+
     def test_qubit_that_is_not_an_integer_is_rejected(self):
         with pytest.raises(ValueError, match=r"^qubit index must be an integer, got 0\.5$"):
             local_xz(2, 0.5)

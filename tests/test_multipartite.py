@@ -253,17 +253,19 @@ class TestLogicalEncodeOperator:
         parts = apply_lift(a, enc, (2, 2), 0) + apply_lift(b, enc, (2, 2), 1)
         assert np.abs(whole - parts).max() <= 1e-12
 
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_dense_form_matches_apply_lift_off_the_codespace_on_every_qubit(self, k):
         # On the codespace XZ on any qubit is the logical i, so only vectors off it, such as random
         # columns, show which qubit carries Im m.  With every other factor of dimension 1, party q's
-        # lift is the dense form with XZ on qubit q.
+        # lift is the dense form with XZ on qubit q; at k = 1 that form is `encode_operator`.
         rng = np.random.default_rng(36 + k)
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         x = rng.standard_normal((3 * 2 ** k, 4))
         for q in range(k):
             dims = (1,) * q + (3,) + (1,) * (k - q - 1)
             assert np.abs(dense_encode(m, k, q) @ x - apply_lift(m, x, dims, q)).max() <= linalg.EXACT_TOL
+        if k == 1:
+            assert np.abs(encode_operator(m) @ x - apply_lift(m, x, (3,), 0)).max() <= linalg.EXACT_TOL
 
 
 class TestStabilizer:
