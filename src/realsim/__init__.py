@@ -35,7 +35,6 @@ from .linalg import (
     is_hermitian,
     is_psd,
     is_unitary,
-    kron,
     matexp,
 )
 from .multipartite import StabilizerReport, stabilizer_check

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..encoding import PureState, apply_lift, encode_amplitudes
-from ..linalg import (DEFAULT_MAX_DIM, OBSERVABLE_TOL, SEESAW_STOP_TOL, admit_family, apply_on_axis, as_float, as_int,
+from ..linalg import (DEFAULT_MAX_DIM, SEESAW_STOP_TOL, SPECTRUM_TOL, admit_family, apply_on_axis, as_float, as_int,
                       is_hermitian)
 
 MODES = ("complex", "real_encoded")
@@ -46,9 +46,9 @@ class BellScenario:
             stack = admit_family(family, f"party {j} observable")
             if stack.shape[1] < 2:
                 raise ValueError(f"party {j} has dimension {stack.shape[1]}; every party needs dimension >= 2")
-            if not all(is_hermitian(o, OBSERVABLE_TOL) for o in stack):
+            if not all(is_hermitian(o, SPECTRUM_TOL) for o in stack):
                 raise ValueError("observable is not Hermitian")
-            if not np.max(np.abs(np.abs(np.linalg.eigvalsh(stack)) - 1.0)) <= OBSERVABLE_TOL:
+            if not np.max(np.abs(np.abs(np.linalg.eigvalsh(stack)) - 1.0)) <= SPECTRUM_TOL:
                 raise ValueError("observable eigenvalues must all be +-1")
             obs.append(stack)
         coeffs = {}

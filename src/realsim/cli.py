@@ -163,14 +163,10 @@ def cmd_stabilizer(args):
     return {"k": args.k, **report._asdict()}, assertions, []
 
 
-_COMMANDS = {
-    "encode": (cmd_encode, ("k",)),
-    "evolve": (cmd_evolve, ("t_max", "steps", "sign", "k", "tol")),
-    "measure": (cmd_measure, ()),
-    "bell": (cmd_bell, ("scenario", "scenario_file", "mode", "restarts", "seed", "iterations")),
-    "selftest": (cmd_selftest, ()),
-    "stabilizer": (cmd_stabilizer, ("k",)),
-}
+_COMMANDS = {"encode": cmd_encode, "evolve": cmd_evolve, "measure": cmd_measure, "bell": cmd_bell,
+             "selftest": cmd_selftest, "stabilizer": cmd_stabilizer}
+# Every other parsed argument enters the digest as an option.  Input files enter by the hash of their bytes.
+_NOT_OPTIONS = frozenset({"command", "verbose", "state", "hamiltonian", "povm", "gate"})
 
 
 @functools.cache  # the parser never changes, and each parse_args call returns a fresh Namespace
@@ -256,10 +252,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(_attach_float_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return int(e.code) if e.code else 0
-    handler, option_keys = _COMMANDS[args.command]
     try:
-        results, assertions, file_hashes = handler(args)
-        digest = _digest(args.command, {k: getattr(args, k) for k in option_keys}, file_hashes)
+        results, assertions, file_hashes = _COMMANDS[args.command](args)
+        digest = _digest(args.command, {k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS}, file_hashes)
         text = formats.dumps({
             "command": args.command,
             "inputs_digest": digest,

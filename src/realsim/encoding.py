@@ -30,14 +30,11 @@ import math
 
 import numpy as np
 
-from .linalg import (DEFAULT_MAX_DIM, INPUT_TOL, PSD_TOL, admit, admit_family, apply_on_axis, as_int, dagger,
-                     is_hermitian, is_identity, is_psd, is_unitary, kron)
+from .linalg import (DEFAULT_MAX_DIM, INPUT_TOL, SPECTRUM_TOL, admit, admit_family, apply_on_axis, as_int, dagger,
+                     is_hermitian, is_identity, is_psd, is_unitary)
 
 XZ = np.array([[0.0, -1.0], [1.0, 0.0]])
 XZ.setflags(write=False)
-
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-_Z.setflags(write=False)
 
 
 def _ancilla_dim(k: int, qubit: int = 0) -> int:
@@ -129,7 +126,7 @@ class DensityOperator:
         if not abs(tr - 1.0) <= INPUT_TOL:
             raise ValueError(f"density matrix trace {tr} is not 1")
         if not is_psd(self.matrix):
-            raise ValueError(f"density matrix has an eigenvalue below the PSD floor -{PSD_TOL}")
+            raise ValueError(f"density matrix has an eigenvalue below the PSD floor -{SPECTRUM_TOL}")
 
     @property
     def dim(self) -> int:
@@ -144,7 +141,7 @@ class Povm:
     def __init__(self, elements):
         self.elements = admit_family(elements, "POVM element")
         if not all(map(is_psd, self.elements)):
-            raise ValueError(f"POVM element is not Hermitian with eigenvalues above -{PSD_TOL}")
+            raise ValueError(f"POVM element is not Hermitian with eigenvalues above -{SPECTRUM_TOL}")
         with np.errstate(over="ignore", invalid="ignore"):  # huge elements sum to inf or NaN, which is_identity rejects
             if not is_identity(self.elements.sum(axis=0)):
                 raise ValueError("POVM elements do not sum to the identity")
@@ -191,9 +188,18 @@ def encode_operator(m) -> np.ndarray:
     """Per-entry substitution a + i b -> a*I + b*XZ on the single ancilla, as a real (2n, 2n) matrix.
 
     An algebra homomorphism: sums, products and daggers commute with it.  At k > 1 operators act by `apply_lift`.
+    Each block is the sum that Re m (x) I + Im m (x) XZ forms, products by 0.0 included: signed zeros are np.kron's.
     """
     m = admit(m, "encode_operator input", square=True)
-    return kron(m.real, np.eye(2)) + kron(m.imag, XZ)
+    n = m.shape[0]
+    if 2 * n > DEFAULT_MAX_DIM:
+        raise ValueError(f"encode_operator input dimension {n} exceeds the size cap {DEFAULT_MAX_DIM // 2}")
+    a, b = m.real, m.imag
+    out = np.empty((n, 2, n, 2))
+    out[:, 0, :, 0] = out[:, 1, :, 1] = a + b * 0.0
+    out[:, 0, :, 1] = a * 0.0 - b
+    out[:, 1, :, 0] = a * 0.0 + b
+    return out.reshape(2 * n, 2 * n)
 
 
 def apply_xz(x: np.ndarray, k: int, qubit: int = 0) -> np.ndarray:
@@ -323,12 +329,12 @@ def conjugation_operator(dim: int) -> np.ndarray:
         raise ValueError(f"dimension must be positive, got {dim}")
     if 2 * dim > DEFAULT_MAX_DIM:
         raise ValueError(f"dimension {dim} exceeds the size cap {DEFAULT_MAX_DIM // 2}")
-    return kron(np.eye(dim), _Z)
+    return np.diag(np.tile([1.0, -1.0], dim))
 
 
 def encode_antiunitary(u) -> np.ndarray:
-    """Encoding of psi -> u conj(psi) for a unitary u."""
+    """Encoding of psi -> u conj(psi) for a unitary u: the encoding of u with every odd column negated."""
     u = np.asarray(u, dtype=complex)
     if not is_unitary(u):
         raise ValueError("encode_antiunitary requires a unitary matrix")
-    return encode_operator(u) @ conjugation_operator(u.shape[0])
+    return encode_operator(u) * np.tile([1.0, -1.0], u.shape[0])

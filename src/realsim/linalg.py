@@ -1,6 +1,5 @@
-"""Dense linear algebra kernel: input admission, tensor products,
-operators applied along one tensor axis, matrix exponentials and
-structural predicates.
+"""Dense linear algebra kernel: input admission, operators applied along
+one tensor axis, matrix exponentials and structural predicates.
 
 Everything downstream treats matrices and vectors as plain numpy arrays,
 complex128 on the complex side and float64 on the encoded side.
@@ -23,8 +22,7 @@ ORTHOGONALITY_TOL = 1e-11  # norm change and |U^T U - I| of the encoded propagat
 AGREEMENT_TOL = 1e-10  # one result by two algorithms: evolution against the complex side and dense expm, Bell modes
 INPUT_TOL = 1e-10  # input admission: norms, traces, Hermiticity, unitarity, completeness; inputs are never repaired
 RANK_TOL = 1e-10  # singular values counted as zero; the stabilizer matrices have integer entries
-PSD_TOL = 1e-8  # eigenvalue floor of density matrices and POVM elements, and POVM Hermiticity: 8-digit inputs
-OBSERVABLE_TOL = 1e-8  # Hermiticity and +-1 spectrum of Bell observables, also 8-digit inputs
+SPECTRUM_TOL = 1e-8  # Hermiticity and spectrum of density matrices, POVM elements and Bell observables: 8-digit inputs
 SEESAW_STOP_TOL = 1e-13  # a see-saw restart stops when its value moves by less than this
 REACH_TOL = 1e-6  # how far below its quantum target a see-saw optimum may stop
 
@@ -92,31 +90,6 @@ def admit_family(ops, what: str) -> np.ndarray:
         if o.shape != ops[0].shape:
             raise ValueError(f"{what}s must share one dimension, got {ops[0].shape[0]} and {o.shape[0]}")
     return admit(ops, what)
-
-
-def kron(a, b):
-    """Kronecker product of two vectors or two matrices, with a size guard at DEFAULT_MAX_DIM.
-
-    Entry (i p, j q) is a[i, j] * b[p, q], the product np.kron forms, so the bits are np.kron's, signed
-    zeros included.  One multiply per entry of the smaller factor fills a strided view of the output.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != b.ndim or a.ndim not in (1, 2):
-        raise ValueError(f"kron needs two vectors or two matrices, got shapes {a.shape} and {b.shape}")
-    out_shape = tuple(da * db for da, db in zip(a.shape, b.shape))
-    if max(out_shape) > DEFAULT_MAX_DIM:
-        raise ValueError(f"kron output shape {out_shape} exceeds the size cap {DEFAULT_MAX_DIM}")
-    out = np.empty(out_shape, np.result_type(a, b))
-    a2, b2 = (a, b) if a.ndim == 2 else (a[None], b[None])
-    blocks = out.reshape(a2.shape[0], b2.shape[0], a2.shape[1], b2.shape[1])  # blocks[i, p, j, q] = a[i, j] b[p, q]
-    if a.size <= b.size:
-        for i, j in np.ndindex(a2.shape):
-            np.multiply(a2[i:i + 1, j:j + 1], b2, out=blocks[i, :, j, :])
-    else:
-        for p, q in np.ndindex(b2.shape):
-            np.multiply(a2, b2[p:p + 1, q:q + 1], out=blocks[:, p, :, q])
-    return out
 
 
 def apply_on_axis(op, t: np.ndarray, axis: int) -> np.ndarray:
@@ -190,18 +163,18 @@ def is_hermitian(a, tol: float = INPUT_TOL) -> bool:
 
 
 def is_psd(a) -> bool:
-    """Positive semi-definiteness: Hermitian within PSD_TOL, with every eigenvalue above -PSD_TOL.
+    """Positive semi-definiteness: Hermitian within SPECTRUM_TOL, with every eigenvalue above -SPECTRUM_TOL.
 
-    The floor is tested by factorization, not by an eigenvalue solve: the Hermitian part plus PSD_TOL I
-    has a Cholesky factor exactly when the Hermitian part's smallest eigenvalue exceeds -PSD_TOL, up to
+    The floor is tested by factorization, not by an eigenvalue solve: the Hermitian part plus SPECTRUM_TOL I
+    has a Cholesky factor exactly when the Hermitian part's smallest eigenvalue exceeds -SPECTRUM_TOL, up to
     rounding at that boundary.
     """
     a = np.asarray(a)
     _require_square(a, "is_psd input")
-    if not is_hermitian(a, PSD_TOL):
+    if not is_hermitian(a, SPECTRUM_TOL):
         return False
     shifted = a / 2.0 + dagger(a) / 2.0
-    shifted[np.diag_indices_from(shifted)] += PSD_TOL
+    shifted[np.diag_indices_from(shifted)] += SPECTRUM_TOL
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:

@@ -92,8 +92,8 @@ class TestScenarioValidation:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("factor, admitted", [(0.99, True), (1.01, False)])
     def test_spectrum_gate_sits_at_the_observable_tolerance(self, factor, admitted, sign):
-        # Z scaled by 1 +- factor OBSERVABLE_TOL has eigenvalues that far from +-1.
-        scaled = Z * (1.0 + sign * factor * linalg.OBSERVABLE_TOL)
+        # Z scaled by 1 +- factor SPECTRUM_TOL has eigenvalues that far from +-1.
+        scaled = Z * (1.0 + sign * factor * linalg.SPECTRUM_TOL)
 
         def build():
             return BellScenario(2, (1, 1), ((scaled,), (Z,)), {(0, 0): 1.0}, 2.0)

@@ -1,5 +1,6 @@
 """End-to-end command-line runs against temporary job files."""
 
+import argparse
 import ast
 import contextlib
 import copy
@@ -207,7 +208,7 @@ class TestEvolve:
     @pytest.mark.parametrize("dims", [[2] + [1] * 11, [1] * 10], ids=["k12", "k10_dimension_1"])
     def test_many_ancilla_qubits_evolve_through_the_single_ancilla_propagator(self, capsys, tmp_path, dims):
         # Only ancilla qubit 0 carries i, so the propagator is U_1 (x) I and no n 2^k square matrix is built:
-        # at k = 12 the k-qubit H' alone would be 8192 x 8192, past kron's size cap.
+        # at k = 12 the k-qubit H' alone would be 8192 x 8192, past DEFAULT_MAX_DIM = 4096.
         n, k = int(np.prod(dims)), len(dims)
         rng = np.random.default_rng(k)
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -1208,7 +1209,7 @@ def malformed(draw, files):
 
 
 EDGE = 0.99 * linalg.INPUT_TOL  # just inside the admission bound, with room for the rounding of the checks
-PSD_EDGE = 0.99 * linalg.PSD_TOL  # an eigenvalue this far below 0 is just inside the PSD floor
+PSD_EDGE = 0.99 * linalg.SPECTRUM_TOL  # an eigenvalue this far below 0 is just inside the PSD floor
 
 
 @st.composite
@@ -1276,7 +1277,7 @@ def just_outside_the_admission_edge(draw):
     The mirror of at_the_admission_edge: a state norm or density trace of 1 +- OUTSIDE, a POVM whose
     completeness is off by 2 INPUT_TOL, a Hamiltonian, density matrix, POVM element or Bell observable
     just past its Hermiticity bound, a Bell observable just past its +-1 spectrum, a gate just past
-    unitarity, a density matrix or POVM element with an eigenvalue of -1.01 PSD_TOL, --steps 1 or one past
+    unitarity, a density matrix or POVM element with an eigenvalue of -1.01 SPECTRUM_TOL, --steps 1 or one past
     its bound, --restarts one past its bound, a --k just outside its range, and a ragged POVM or observable
     family.
     """
@@ -1317,17 +1318,17 @@ def just_outside_the_admission_edge(draw):
             rho[off] += 1.01 * linalg.INPUT_TOL * phase
         else:
             message = "POVM element is not Hermitian"
-            elements[0][off] += 1.01 * linalg.PSD_TOL * phase
+            elements[0][off] += 1.01 * linalg.SPECTRUM_TOL * phase
     elif case == "psd":
         job = draw(st.sampled_from(["density", "measure"]))
         if job == "density":  # weight moved from the smallest eigenvalue to the largest, past the floor
             message = "density matrix has an eigenvalue below the PSD floor"
             lam, w = np.linalg.eigh(rho)
-            rho += (lam[0] + 1.01 * linalg.PSD_TOL) * (np.outer(w[:, -1], w[:, -1].conj())
+            rho += (lam[0] + 1.01 * linalg.SPECTRUM_TOL) * (np.outer(w[:, -1], w[:, -1].conj())
                                                         - np.outer(w[:, 0], w[:, 0].conj()))
-        else:  # E1 = u1 u1^dagger - 1.01 PSD_TOL u0 u0^dagger, E0 gains what E1 lost
+        else:  # E1 = u1 u1^dagger - 1.01 SPECTRUM_TOL u0 u0^dagger, E0 gains what E1 lost
             message = "POVM element is not Hermitian with eigenvalues above"
-            floor = 1.01 * linalg.PSD_TOL * np.outer(u[:, 0], u[:, 0].conj())
+            floor = 1.01 * linalg.SPECTRUM_TOL * np.outer(u[:, 0], u[:, 0].conj())
             elements[0] += floor
             elements[1] -= floor
     elif case == "unitary":  # |(1 + s)^2 - 1| is 1.02 INPUT_TOL for s = +-0.51 INPUT_TOL
@@ -1337,10 +1338,10 @@ def just_outside_the_admission_edge(draw):
         job, (party, setting) = "bell", draw(st.sampled_from([(0, 0), (0, 1), (1, 0)]))
         if draw(st.booleans()):
             message = "observable is not Hermitian"
-            observables[party][setting][off] += 1.01 * linalg.OBSERVABLE_TOL * phase
+            observables[party][setting][off] += 1.01 * linalg.SPECTRUM_TOL * phase
         else:
             message = "observable eigenvalues must all be +-1"
-            observables[party][setting] *= 1.0 + sign * 1.01 * linalg.OBSERVABLE_TOL
+            observables[party][setting] *= 1.0 + sign * 1.01 * linalg.SPECTRUM_TOL
     elif case == "steps":  # the last --steps counts
         job = "evolve"
         if draw(st.booleans()):
@@ -1516,16 +1517,16 @@ class TestAdmissionEdge:
     @pytest.mark.parametrize("factor, code", [(0.99, 0), (1.01, 2)])
     @pytest.mark.parametrize("operand", ["povm", "density"])
     def test_eigenvalue_at_the_psd_floor(self, operand, factor, code):
-        # E0 = diag(1, -factor PSD_TOL) and E1 = I - E0, or rho = diag(1 + factor PSD_TOL, -factor PSD_TOL).
-        low = factor * linalg.PSD_TOL
+        # E0 = diag(1, -f SPECTRUM_TOL) and E1 = I - E0, or rho = diag(1 + f SPECTRUM_TOL, -f SPECTRUM_TOL), f = factor.
+        low = factor * linalg.SPECTRUM_TOL
         if operand == "povm":
             state = {"dims": [2], "amplitudes": [[S, 0.0], [0.0, S]]}
             povm = {"elements": [matrix_obj(np.diag([1.0, -low])), matrix_obj(np.diag([0.0, 1.0 + low]))]}
-            message = f"error: POVM element is not Hermitian with eigenvalues above -{linalg.PSD_TOL}\n"
+            message = f"error: POVM element is not Hermitian with eigenvalues above -{linalg.SPECTRUM_TOL}\n"
         else:
             state = matrix_obj(np.diag([1.0 + low, -low]))
             povm = {"elements": [matrix_obj(np.diag([1.0, 0.0])), matrix_obj(np.diag([0.0, 1.0]))]}
-            message = f"error: density matrix has an eigenvalue below the PSD floor -{linalg.PSD_TOL}\n"
+            message = f"error: density matrix has an eigenvalue below the PSD floor -{linalg.SPECTRUM_TOL}\n"
         got, out, err = run_job({"state.json": state, "povm.json": povm}, ["measure", "state.json", "povm.json"])
         assert (got, err) == (code, "" if code == 0 else message), failed_assertions(out) if out else err
 
@@ -1593,6 +1594,81 @@ class TestInputFilesReadOnce:
         code, out, err = run(capsys, ["encode", str(path)])
         assert (code, out) == (2, "")
         assert err == f"error: {path}: not UTF-8 text at byte {len(text) - 1}: invalid start byte\n"
+
+
+class TestDigestOptions:
+    """Every flag enters inputs_digest, and each input file enters by its bytes, whatever its name."""
+
+    _STATE_2X2 = {"dims": [2, 2], "amplitudes": [[0.5, 0.0], [0.0, 0.5], [0.5, 0.0], [0.0, -0.5]]}
+    BASE = {
+        "encode": ({"state.json": _STATE_2X2}, ["encode", "state.json"]),
+        "evolve": ({"h.json": matrix_obj(np.diag([1.0, -1.0, -1.0, 1.0])), "state.json": _STATE_2X2},
+                   ["evolve", "h.json", "state.json"]),
+        "bell": (NUMBER_JOBS["bell"][0], ["bell", "--seed", "1", "--restarts", "1", "--iterations", "2"]),
+        "stabilizer": ({}, ["stabilizer", "--k", "2"]),
+    }
+    # Two values of each flag, appended to the command's base job; None leaves the flag out.
+    VALUES = {
+        ("encode", "--k"): ("1", "2"),
+        ("evolve", "--t-max"): ("1.0", "0.5"),
+        ("evolve", "--steps"): ("3", "4"),
+        ("evolve", "--sign"): ("plus", "minus"),
+        ("evolve", "--k"): ("1", "2"),
+        ("evolve", "--tol"): ("1e-10", "1e-9"),
+        ("bell", "--scenario"): ("chsh", "mermin3"),
+        ("bell", "--scenario-file"): (None, "scenario.json"),
+        ("bell", "--mode"): ("both", "complex"),
+        ("bell", "--restarts"): ("1", "2"),
+        ("bell", "--seed"): ("1", "2"),
+        ("bell", "--iterations"): ("2", "3"),
+        ("stabilizer", "--k"): ("2", "3"),
+    }
+
+    def test_the_table_holds_every_flag_but_verbose(self):
+        (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {(command, flag) for command, parser in sub.choices.items() for action in parser._actions
+                 for flag in action.option_strings if flag not in ("-h", "--help", "--verbose")}
+        assert flags == set(self.VALUES)
+
+    @pytest.mark.parametrize("command, flag", sorted(VALUES))
+    def test_two_values_of_a_flag_give_two_digests(self, command, flag):
+        files, base = self.BASE[command]
+        digests = []
+        for value in self.VALUES[command, flag]:
+            code, out, err = run_job(files, base + ([] if value is None else [flag, value]))
+            assert code in (0, 1), err
+            digests.append(report_of(out)["inputs_digest"])
+        assert digests[0] != digests[1]
+
+    @pytest.mark.parametrize("command", ["encode", "evolve", "measure", "bell", "selftest"])
+    def test_a_copy_of_each_input_file_under_another_name_keeps_the_report(self, command):
+        files, argv = NUMBER_JOBS[command]
+        renamed = {f"copy of {name}": obj for name, obj in files.items()}
+        first = run_job(files, argv)
+        assert first[0] == 0
+        assert run_job(renamed, [f"copy of {a}" if a in files else a for a in argv]) == first
+
+
+class TestEncodedOperatorCap:
+    """evolve encodes the Hamiltonian, and measure a density matrix, as one dense (2n, 2n) matrix under a cap."""
+
+    @pytest.mark.parametrize("n", [4, 5], ids=["at_the_cap", "past_the_cap"])
+    @pytest.mark.parametrize("command", ["evolve", "measure"])
+    def test_past_the_cap_exits_2_naming_encode_operator(self, capsys, tmp_path, monkeypatch, command, n):
+        monkeypatch.setattr(encoding, "DEFAULT_MAX_DIM", 9)
+        if command == "evolve":
+            argv = ["evolve", write(tmp_path, "ham.json", matrix_obj(random_hermitian(n, seed=n))),
+                    write(tmp_path, "psi.json", {"dims": [n], "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * (n - 1)}),
+                    "--steps", "3"]
+        else:
+            argv = ["measure", write(tmp_path, "rho.json", matrix_obj(np.eye(n) / n)),
+                    write(tmp_path, "povm.json", {"elements": [matrix_obj(np.eye(n))]})]
+        code, out, err = run(capsys, argv)
+        if n == 4:
+            assert (code, err) == (0, "")
+            assert not failed_assertions(out)
+        else:
+            assert (code, out, err) == (2, "", "error: encode_operator input dimension 5 exceeds the size cap 4\n")
 
 
 class TestRepeatedKeys:

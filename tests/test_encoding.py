@@ -247,6 +247,48 @@ class TestEncodeOperator:
             assert type(out) is np.ndarray and out.dtype == np.float64
         assert all(out.shape == (2 * n, 2 * n) for out in outs)
 
+    @staticmethod
+    def signed_entries(rng, n, kind):
+        """n x n Gaussian entries with +-0.0, 1e-300 and -1e308 mixed in, real or complex, so a sign of zero shows."""
+        def part():
+            x = rng.standard_normal((n, n))
+            return np.where(rng.random((n, n)) < 0.4, rng.choice([0.0, -0.0, 1e-300, -1e308], (n, n)), x)
+
+        if kind == "real":
+            return part()
+        m = np.empty((n, n), complex)
+        m.real, m.imag = part(), part()
+        return m
+
+    @staticmethod
+    def kronecker_form(m):
+        return np.kron(m.real, np.eye(2)) + np.kron(m.imag, encoding.XZ)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 33, 64])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_bits_are_the_kronecker_forms(self, n, kind):
+        m = self.signed_entries(np.random.default_rng(n), n, kind)
+        got, want = encode_operator(m), self.kronecker_form(m)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("max_dim", [8, 9])
+    def test_largest_input_at_the_cap_is_built(self, monkeypatch, max_dim):
+        monkeypatch.setattr(encoding, "DEFAULT_MAX_DIM", max_dim)
+        m = self.signed_entries(np.random.default_rng(4), 4, "complex")
+        assert encode_operator(m).tobytes() == self.kronecker_form(m).tobytes()
+
+    @pytest.mark.parametrize("max_dim", [8, 9])
+    def test_input_past_the_cap_is_rejected_by_name_before_it_is_allocated(self, monkeypatch, max_dim):
+        monkeypatch.setattr(encoding, "DEFAULT_MAX_DIM", max_dim)
+
+        def allocated(*args, **kwargs):
+            raise AssertionError("encode_operator allocated an output past the cap")
+
+        monkeypatch.setattr(np, "empty", allocated)
+        with pytest.raises(ValueError, match=r"^encode_operator input dimension 5 exceeds the size cap 4$"):
+            encode_operator(np.eye(5))
+
     @settings(deadline=None, max_examples=40)
     @given(seeds)
     def test_homomorphism_property(self, seed):
@@ -482,6 +524,12 @@ class TestConjugation:
         got = a @ encode_state(state(psi))
         want = encode_state(state(u @ psi.conj()))
         assert np.allclose(got, want, atol=1e-13)
+
+    def test_dense_forms(self):
+        # The conjugation is I (x) Z, and the antiunitary's encoding is the product of the two dense matrices.
+        u = random_unitary(4, seed=72)
+        assert np.array_equal(conjugation_operator(4), np.kron(np.eye(4), Z))
+        assert np.array_equal(encode_antiunitary(u), encode_operator(u) @ conjugation_operator(4))
 
     def test_antiunitary_requires_unitary(self):
         with pytest.raises(ValueError):

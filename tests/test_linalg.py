@@ -1,9 +1,8 @@
-"""Kernel layer: products, exponentials, predicates, seeded sampling."""
+"""Kernel layer: exponentials, predicates, admission, the tolerance table, seeded sampling."""
 
 import ast
 import inspect
 import pathlib
-import re
 import warnings
 
 import numpy as np
@@ -14,86 +13,6 @@ from hypothesis import strategies as st
 from helpers import eig_expm_hermitian, generator, random_hermitian, random_state, random_unitary, series_expm
 from realsim import linalg
 from realsim.dynamics import Hamiltonian
-
-
-class TestKron:
-    def test_identity_factor(self):
-        a = np.arange(4.0).reshape(2, 2)
-        assert np.array_equal(linalg.kron(np.eye(1), a), a)
-
-    def test_mixed_product(self):
-        rng = np.random.default_rng(3)
-        a, b, c, d = (rng.standard_normal((3, 3)) for _ in range(4))
-        left = linalg.kron(a, b) @ linalg.kron(c, d)
-        right = linalg.kron(a @ c, b @ d)
-        assert np.allclose(left, right, atol=1e-12)
-
-    def test_matches_numpy_on_vectors(self):
-        u = np.array([1.0, 2.0])
-        v = np.array([0.0, 1.0, -1.0])
-        assert np.array_equal(linalg.kron(u, v), np.kron(u, v))
-
-    def test_size_cap(self):
-        big = np.eye(100)
-        with pytest.raises(ValueError):
-            linalg.kron(big, big)
-
-    def test_mismatched_ndim_rejected(self):
-        with pytest.raises(ValueError):
-            linalg.kron(np.ones(2), np.eye(2))
-
-    @staticmethod
-    def signed_entries(rng, shape, kind):
-        """Gaussian entries with +0.0 and -0.0 mixed in, real or complex, so a product's sign of zero shows."""
-        def part():
-            x = rng.standard_normal(shape)
-            return np.where(rng.random(shape) < 0.3, rng.choice([0.0, -0.0], shape), x)
-
-        return np.stack([part(), part()], axis=-1).view(complex)[..., 0] if kind == "c" else part()
-
-    # Both loop branches: the first factor smaller, then the second; 1 x 1 with either side, empty factors,
-    # and the n x n by 2 x 2 shape that encode_operator gives it.
-    @pytest.mark.parametrize("shapes", [((3,), (5,)), ((5,), (3,)), ((1,), (4,)), ((4,), (1,)), ((2, 3), (4, 5)),
-                                        ((4, 5), (2, 3)), ((1, 1), (3, 2)), ((3, 2), (1, 1)), ((1, 7), (6, 1)),
-                                        ((0,), (3,)), ((2, 0), (2, 2)), ((64, 64), (2, 2)), ((2, 2), (33, 17))])
-    @pytest.mark.parametrize("kinds", ["rr", "rc", "cr", "cc"])
-    def test_products_are_numpys_bit_for_bit(self, shapes, kinds):
-        rng = np.random.default_rng(17)
-        a, b = (self.signed_entries(rng, shape, kind) for shape, kind in zip(shapes, kinds))
-        got, want = linalg.kron(a, b), np.kron(a, b)
-        assert (got.dtype, got.shape) == (want.dtype, want.shape)
-        assert np.array_equal(got, want)
-        for part in (np.real, np.imag):
-            assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
-
-    @pytest.mark.parametrize("a, b", [((64,), (64,)), ((4096, 1), (1, 1)), ((1, 64), (1, 64))])
-    def test_output_at_the_cap_is_built(self, a, b):
-        rng = np.random.default_rng(18)
-        a, b = rng.standard_normal(a), rng.standard_normal(b)
-        assert linalg.kron(a, b).tobytes() == np.kron(a, b).tobytes()
-
-    @pytest.mark.parametrize("a, b, shape", [((17,), (241,), (4097,)), ((1, 65), (1, 64), (1, 4160)),
-                                             ((4097, 1), (1, 1), (4097, 1))])
-    def test_output_past_the_cap_is_rejected_before_it_is_allocated(self, monkeypatch, a, b, shape):
-        a, b = np.ones(a), np.ones(b)
-
-        def allocated(*args, **kwargs):
-            raise AssertionError("kron allocated an output past the cap")
-
-        monkeypatch.setattr(np, "empty", allocated)
-        with pytest.raises(ValueError, match=rf"^kron output shape {re.escape(str(shape))} exceeds the size cap 4096$"):
-            linalg.kron(a, b)
-
-    @settings(deadline=None, max_examples=25)
-    @given(st.integers(0, 2**32 - 1))
-    def test_mixed_product_property(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b, c, d = (
-            rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            for _ in range(4)
-        )
-        left = linalg.kron(a, b) @ linalg.kron(c, d)
-        assert np.allclose(left, linalg.kron(a @ c, b @ d), atol=1e-12)
 
 
 class TestMatexp:
@@ -197,14 +116,14 @@ class TestPredicates:
     @settings(deadline=None, max_examples=200)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.floats(-2.0, 8.0), st.booleans())
     def test_is_psd_agrees_with_the_eigenvalue_floor(self, seed, n, log_gap, above):
-        # Cholesky of the shifted matrix against eigvalsh, with the smallest eigenvalue at least 1% of PSD_TOL
-        # away from -PSD_TOL, on either side: rounding at the exact boundary is all that may tell them apart.
+        # Cholesky of the shifted matrix against eigvalsh, with the smallest eigenvalue at least 1% of SPECTRUM_TOL
+        # away from -SPECTRUM_TOL, on either side: rounding at the exact boundary is all that may tell them apart.
         rng = np.random.default_rng(seed)
-        gap = linalg.PSD_TOL * 10.0 ** log_gap
-        lam = -linalg.PSD_TOL + (gap if above else -gap) + np.concatenate([[0.0], rng.uniform(0.0, 10.0, n - 1)])
+        gap = linalg.SPECTRUM_TOL * 10.0 ** log_gap
+        lam = -linalg.SPECTRUM_TOL + (gap if above else -gap) + np.concatenate([[0.0], rng.uniform(0.0, 10.0, n - 1)])
         u = random_unitary(n, rng)
         h = (u * lam) @ u.conj().T
-        floor_admits = float(np.linalg.eigvalsh(h).min()) >= -linalg.PSD_TOL
+        floor_admits = float(np.linalg.eigvalsh(h).min()) >= -linalg.SPECTRUM_TOL
         assert floor_admits is above
         assert linalg.is_psd(h) is floor_admits
 
@@ -277,11 +196,9 @@ class TestAdmitFamily:
             linalg.admit_family(family, "K")
 
 
-@pytest.mark.parametrize("fn, gone", [
-    (linalg.kron, "max_dim"), (linalg.is_identity, "tol"), (linalg.is_unitary, "tol"), (linalg.is_psd, "tol"),
-])
+@pytest.mark.parametrize("fn, gone", [(linalg.is_identity, "tol"), (linalg.is_unitary, "tol"), (linalg.is_psd, "tol")])
 def test_fixed_bounds_are_not_parameters(fn, gone):
-    # Each had one value in use; is_hermitian keeps tol, which takes three.
+    # Each had one value in use; is_hermitian keeps tol, which takes two: INPUT_TOL and SPECTRUM_TOL.
     assert gone not in inspect.signature(fn).parameters
 
 
@@ -295,6 +212,18 @@ def test_every_tolerance_lives_in_the_linalg_table():
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Constant) and isinstance(node.value, float) and 0 < abs(node.value) < 1e-3:
                 found.append(f"{path.relative_to(root)}:{node.lineno}: {node.value!r}")
+    assert not found
+
+
+def test_no_module_builds_a_kronecker_product():
+    # Lifts act along one tensor axis and encode_operator fills its 2 x 2 blocks, so no module defines, imports,
+    # calls or passes on a Kronecker product, the way a dense whole-system matrix would come back.
+    root = pathlib.Path(linalg.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if "kron" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
+                found.append(f"{path.relative_to(root)}:{getattr(node, 'lineno', '?')}")
     assert not found
 
 

@@ -15,7 +15,7 @@ PUBLIC = {
     "encoded_povm_probabilities", "gauge_orbit", "local_xz", "logical_states", "povm_probabilities",
     "real_inner_product",
     # linalg
-    "dagger", "is_hermitian", "is_psd", "is_unitary", "kron", "matexp",
+    "dagger", "is_hermitian", "is_psd", "is_unitary", "matexp",
     # multipartite
     "StabilizerReport", "stabilizer_check",
     # dynamics
@@ -29,7 +29,7 @@ PUBLIC = {
 def test_exports_exactly_the_public_names():
     exported = {name for name in dir(realsim)
                 if not name.startswith("_") and not isinstance(getattr(realsim, name), types.ModuleType)}
-    assert len(PUBLIC) == 40
+    assert len(PUBLIC) == 39
     assert exported == PUBLIC
 
 
