@@ -289,6 +289,42 @@ class TestEncodeOperator:
         with pytest.raises(ValueError, match=r"^encode_operator input dimension 5 exceeds the size cap 4$"):
             encode_operator(np.eye(5))
 
+    # Each way an input may arrive is admitted as its complex128 copy, whose Kronecker form it must match bit for bit.
+    SOURCES = {
+        "bool": lambda m: m.real > 0,
+        "int64": lambda m: np.trunc(8 * m.real).astype(np.int64),
+        "float32": lambda m: m.real.astype(np.float32),
+        "complex64": lambda m: m.astype(np.complex64),
+        "nested_list": lambda m: m.tolist(),
+        "transposed_view": lambda m: m.T,
+        "strided_view": lambda m: np.repeat(m, 2, axis=1)[:, ::2],
+    }
+
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    def test_bits_of_any_input_are_those_of_its_complex_copy(self, source):
+        m = self.signed_entries(np.random.default_rng(5), 6, "complex")
+        m[np.abs(m) > 1e300] = -0.0  # -1e308 has no float32 or int64 copy
+        given = self.SOURCES[source](m)
+        assert encode_operator(given).tobytes() == self.kronecker_form(np.array(given, dtype=complex)).tobytes()
+
+    # Every library route to a dense encoded matrix builds it with encode_operator, and so meets its cap.
+    ROUTES = {
+        "encode_density": lambda n: encode_density(DensityOperator(np.eye(n) / n)),
+        "encode_kraus": lambda n: encode_kraus([np.eye(n)]),
+        "encode_antiunitary": lambda n: encode_antiunitary(np.eye(n)),
+        "trajectory": lambda n: trajectory(Hamiltonian(np.eye(n)), state(np.eye(n)[0]), 1.0, steps=3),
+    }
+
+    @pytest.mark.parametrize("n", [4, 5], ids=["at_the_cap", "past_the_cap"])
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_every_route_to_a_dense_encoding_meets_the_cap(self, monkeypatch, route, n):
+        monkeypatch.setattr(encoding, "DEFAULT_MAX_DIM", 9)
+        if n == 4:
+            self.ROUTES[route](n)
+        else:
+            with pytest.raises(ValueError, match=r"^encode_operator input dimension 5 exceeds the size cap 4$"):
+                self.ROUTES[route](n)
+
     @settings(deadline=None, max_examples=40)
     @given(seeds)
     def test_homomorphism_property(self, seed):
@@ -525,11 +561,29 @@ class TestConjugation:
         want = encode_state(state(u @ psi.conj()))
         assert np.allclose(got, want, atol=1e-13)
 
-    def test_dense_forms(self):
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 33, 64])
+    def test_dense_forms(self, n):
         # The conjugation is I (x) Z, and the antiunitary's encoding is the product of the two dense matrices.
-        u = random_unitary(4, seed=72)
+        u = random_unitary(n, seed=72)
+        assert np.array_equal(conjugation_operator(n), np.kron(np.eye(n), Z))
+        assert np.array_equal(encode_antiunitary(u), encode_operator(u) @ conjugation_operator(n))
+
+    @pytest.mark.parametrize("max_dim", [8, 9])
+    def test_largest_dimension_at_the_cap_is_built(self, monkeypatch, max_dim):
+        monkeypatch.setattr(encoding, "DEFAULT_MAX_DIM", max_dim)
         assert np.array_equal(conjugation_operator(4), np.kron(np.eye(4), Z))
-        assert np.array_equal(encode_antiunitary(u), encode_operator(u) @ conjugation_operator(4))
+
+    @pytest.mark.parametrize("max_dim", [8, 9])
+    def test_dimension_past_the_cap_is_rejected_before_it_is_built(self, monkeypatch, max_dim):
+        monkeypatch.setattr(encoding, "DEFAULT_MAX_DIM", max_dim)
+
+        def built(*args, **kwargs):
+            raise AssertionError("conjugation_operator built an output past the cap")
+
+        monkeypatch.setattr(np, "tile", built)
+        monkeypatch.setattr(np, "diag", built)
+        with pytest.raises(ValueError, match=r"^dimension 5 exceeds the size cap 4$"):
+            conjugation_operator(5)
 
     def test_antiunitary_requires_unitary(self):
         with pytest.raises(ValueError):
