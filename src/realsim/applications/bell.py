@@ -10,6 +10,7 @@ correlator expectations are real.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -111,7 +112,7 @@ def _value(coefficients: dict, observables, amplitudes: np.ndarray, dims: tuple[
 
     settings, keys = tuple(len(stack) for stack in observables), list(coefficients)
     split = len(dims)
-    while split > 0 and int(np.prod(settings[split - 1:])) * v.size <= DEFAULT_MAX_DIM ** 2:
+    while split > 0 and math.prod(settings[split - 1:]) * v.size <= DEFAULT_MAX_DIM ** 2:
         split -= 1
     inner = np.empty(len(keys))
     for head in dict.fromkeys(key[:split] for key in keys):
@@ -162,7 +163,7 @@ def _contract(c: np.ndarray, families) -> np.ndarray:
     t = t.reshape(t.shape[0], batch, *(d for d in dims for _ in range(2)))
     rows = [2 + 2 * l for l in range(m)]
     t = t.transpose(0, 1, *rows, *(i + 1 for i in rows))
-    size = int(np.prod(dims))
+    size = math.prod(dims)
     return t.reshape(t.shape[0], batch, size, size)
 
 
@@ -175,7 +176,7 @@ def _effective_operators(c: np.ndarray, obs, states: np.ndarray, dims: tuple[int
     """
     k = _contract(np.moveaxis(c, party, 0), obs[:party] + obs[party + 1:])
     r, d = states.shape[0], dims[party]
-    psi = states.reshape(r, int(np.prod(dims[:party])), d, -1)
+    psi = states.reshape(r, math.prod(dims[:party]), d, -1)
     psi = np.swapaxes(psi, 2, 3).reshape(r, 1, -1, d)
     x = np.swapaxes(psi.conj(), -1, -2) @ k @ psi
     return np.swapaxes(x, -1, -2) / 2.0 + x.conj() / 2.0  # halving first is exact and cannot overflow
@@ -248,11 +249,19 @@ def optimize_bell(scenario: BellScenario, seeds, iterations: int = 100) -> BellR
     For fixed observables the best state is the top eigenvector of the Bell operator; for a fixed state the
     best observable per setting is the sign rounding of its effective operator.  All restarts advance together
     on stacked arrays, in chunks whose Bell operators hold at most DEFAULT_MAX_DIM**2 entries, as do the states
-    and observables kept until the winner is chosen: their count is checked before any seed is read.
-    Deterministic given the seed list.
+    and observables kept until the winner is chosen.  Before any seed is read, each of these sizes is checked
+    against that cap: the Bell operator of D = prod(d_j) squared entries, the dense coefficient table of
+    prod(S_j) entries, and then the restart count.  Deterministic given the seed list.
     """
     dims, settings = scenario.party_dims, scenario.settings_per_party
-    most = DEFAULT_MAX_DIM ** 2 // (int(np.prod(dims)) + sum(o.size for o in scenario.observables))
+    size, terms = math.prod(dims), math.prod(settings)
+    if size > DEFAULT_MAX_DIM:
+        raise ValueError(f"Bell operator dimension {size} of party dimensions {dims} exceeds the size cap "
+                         f"{DEFAULT_MAX_DIM}")
+    if terms > DEFAULT_MAX_DIM ** 2:
+        raise ValueError(f"coefficient table of {terms} entries for settings {settings} exceeds the size cap "
+                         f"{DEFAULT_MAX_DIM ** 2}")
+    most = DEFAULT_MAX_DIM ** 2 // (size + sum(o.size for o in scenario.observables))
     if len(seeds[most:most + 1]):  # len(seeds) would overflow for a range past sys.maxsize
         raise ValueError(f"restarts must be at most {most} for party dimensions {dims}, settings {settings}")
     seeds = [as_int(s, "seed") for s in seeds]
@@ -263,7 +272,7 @@ def optimize_bell(scenario: BellScenario, seeds, iterations: int = 100) -> BellR
     iterations = as_int(iterations, "iterations")
     if iterations < 1:
         raise ValueError(f"iterations must be positive, got {iterations}")
-    chunk = max(1, DEFAULT_MAX_DIM ** 2 // int(np.prod(dims)) ** 2)
+    chunk = DEFAULT_MAX_DIM ** 2 // size ** 2
     runs = []
     for start in range(0, len(seeds), chunk):
         runs.extend(_seesaw(scenario, seeds[start:start + chunk], iterations))

@@ -72,8 +72,9 @@ class EvolutionResult(NamedTuple):
     time.  The rows are computed, not admitted as states: orthogonality_error
     is what judges their norms.
     orthogonality_error is the largest norm change the encoded propagator
-    makes to the state and the largest entry of |U^T U - I| of the
-    spectral U(t_max).  max_deviation is the largest distance between an
+    makes to the state, the largest entry of |U^T U - I| of the spectral
+    U(t_max), and the largest split of a pair of eigenvalues of H' over
+    max(1, max |lambda|).  max_deviation is the largest distance between an
     encoded state and the encoding of the complex one.  expm_error is the
     largest entry of |U - expm(s t_max J H')|.  The maxima keep NaN, which
     fails a `<= tol` gate.
@@ -140,10 +141,11 @@ def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64, k:
     `evolve` turns the phases at each grid point.  The grid's rows are then
     measured together: all complex rows are encoded in one call, and each
     row's norm change and deviation is the norm of one row, as
-    np.linalg.norm takes it.  U(t_max) = cos(t_max H')
-    + sign J sin(t_max H') is built from the spectrum of H', checked for
-    orthogonality, and compared with the dense exponential, at k = 1
-    whatever k the states use.  Errors come in this order: arguments (k and
+    np.linalg.norm takes it.  The states and U(t_max) = cos(t_max H')
+    + sign J sin(t_max H') are built from the spectrum of H', each pair of
+    eigenvalues at its mean; U(t_max) is checked for orthogonality and
+    compared with the dense exponential, at k = 1 whatever k the states
+    use.  Errors come in this order: arguments (k and
     the state's factors first, then steps, at most DEFAULT_MAX_DIM^2 encoded
     amplitudes on the grid), an exception of the worker, phases on the
     grid, and only then a dense exponential that is not finite.
@@ -186,6 +188,12 @@ def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64, k:
     if not math.isfinite(abs(t_max) * top):
         t = next(t for t in times.tolist() if not math.isfinite(abs(t) * top))
         raise ValueError(f"dynamics: phases t*w of the spectrum are not finite at t={t}")
+    # Every eigenvalue of H' comes twice (J commutes with it, J^2 = -I), but eigh splits each ascending pair by
+    # about eps max|lambda|, and U(t) off orthogonal by t times that.  Each pair takes its mean, halved first to
+    # stay finite; the split, over max(1, max|lambda|), joins orthogonality_error: an unpaired H' still fails.
+    half = lam / 2.0
+    split = float(np.max(half[1::2] - half[0::2])) / max(0.5, float(np.abs(half).max()))
+    lam = np.repeat(half[0::2] + half[1::2], 2)
     jv = apply_xz(v, 1)
     enc0 = encode_amplitudes(psi.amplitudes, psi.factor_dims, k)
     complex_side = w, vecs, vecs.conj().T @ psi.amplitudes
@@ -196,15 +204,12 @@ def trajectory(h: Hamiltonian, psi: PureState, t_max: float, steps: int = 64, k:
         complex_states[i], encoded_states[i] = evolve(t, complex_side, encoded_side, sign)
     # Measured against the input's own norm, which PureState lets differ from 1 by up to INPUT_TOL.
     drifts = np.abs(_row_norms(encoded_states) - float(np.linalg.norm(enc0)))
-    # The encoding of the complex rows is a fresh array that nothing else holds: it takes the differences in place.
-    expected = encode_amplitudes(complex_states, psi.factor_dims, k)
-    expected.setflags(write=True)
-    deviations = _row_norms(np.subtract(encoded_states, expected, out=expected))
+    deviations = _row_norms(encoded_states - encode_amplitudes(complex_states, psi.factor_dims, k))
     phase = t_max * lam
     u = (v * np.cos(phase)) @ v.T + sign * (jv * np.sin(phase)) @ v.T
     if dense is None:
         raise ValueError(f"dynamics: dense exponential of the generator is not finite at t={t_max}")
     orthogonality = float(np.max(np.abs(u.T @ u - np.eye(u.shape[0]))))
     return EvolutionResult(*_read_only(times, complex_states, encoded_states),
-                           float(np.max(np.append(drifts, orthogonality))), float(np.max(deviations)),
+                           float(np.max(np.append(drifts, (orthogonality, split)))), float(np.max(deviations)),
                            float(np.max(np.abs(u - dense))))

@@ -30,8 +30,8 @@ import math
 
 import numpy as np
 
-from .linalg import (DEFAULT_MAX_DIM, INPUT_TOL, SPECTRUM_TOL, admit, admit_family, apply_on_axis, as_int, dagger,
-                     is_hermitian, is_identity, is_psd, is_unitary)
+from .linalg import (DEFAULT_MAX_DIM, INPUT_TOL, SPECTRUM_TOL, _above_floor, admit, admit_family, apply_on_axis, as_int,
+                     dagger, is_hermitian, is_identity, is_psd, is_unitary)
 
 XZ = np.array([[0.0, -1.0], [1.0, 0.0]])
 XZ.setflags(write=False)
@@ -125,7 +125,7 @@ class DensityOperator:
             tr = complex(np.trace(self.matrix))
         if not abs(tr - 1.0) <= INPUT_TOL:
             raise ValueError(f"density matrix trace {tr} is not 1")
-        if not is_psd(self.matrix):
+        if not _above_floor(self.matrix):  # Hermitian within INPUT_TOL, so only the floor is left to judge
             raise ValueError(f"density matrix has an eigenvalue below the PSD floor -{SPECTRUM_TOL}")
 
     @property

@@ -22,7 +22,7 @@ ORTHOGONALITY_TOL = 1e-11  # norm change and |U^T U - I| of the encoded propagat
 AGREEMENT_TOL = 1e-10  # one result by two algorithms: evolution against the complex side and dense expm, Bell modes
 INPUT_TOL = 1e-10  # input admission: norms, traces, Hermiticity, unitarity, completeness; inputs are never repaired
 RANK_TOL = 1e-10  # singular values counted as zero; the stabilizer matrices have integer entries
-SPECTRUM_TOL = 1e-8  # Hermiticity and spectrum of density matrices, POVM elements and Bell observables: 8-digit inputs
+SPECTRUM_TOL = 1e-8  # 8-digit inputs: POVM elements' and Bell observables' Hermiticity and spectrum; density floor
 SEESAW_STOP_TOL = 1e-13  # a see-saw restart stops when its value moves by less than this
 REACH_TOL = 1e-6  # how far below its quantum target a see-saw optimum may stop
 
@@ -163,16 +163,19 @@ def is_hermitian(a, tol: float = INPUT_TOL) -> bool:
 
 
 def is_psd(a) -> bool:
-    """Positive semi-definiteness: Hermitian within SPECTRUM_TOL, with every eigenvalue above -SPECTRUM_TOL.
+    """Positive semi-definiteness: Hermitian within SPECTRUM_TOL, with every eigenvalue above -SPECTRUM_TOL."""
+    a = np.asarray(a)
+    _require_square(a, "is_psd input")
+    return is_hermitian(a, SPECTRUM_TOL) and _above_floor(a)
+
+
+def _above_floor(a: np.ndarray) -> bool:
+    """Whether the Hermitian part of the square matrix a has every eigenvalue above -SPECTRUM_TOL.
 
     The floor is tested by factorization, not by an eigenvalue solve: the Hermitian part plus SPECTRUM_TOL I
     has a Cholesky factor exactly when the Hermitian part's smallest eigenvalue exceeds -SPECTRUM_TOL, up to
-    rounding at that boundary.
+    rounding at that boundary.  The caller has judged the Hermiticity of a, against its own tolerance.
     """
-    a = np.asarray(a)
-    _require_square(a, "is_psd input")
-    if not is_hermitian(a, SPECTRUM_TOL):
-        return False
     shifted = a / 2.0 + dagger(a) / 2.0
     shifted[np.diag_indices_from(shifted)] += SPECTRUM_TOL
     try:

@@ -58,10 +58,11 @@ def generator(h, k: int = 1, xz_qubit: int = 0) -> np.ndarray:
 def spectral_propagator(h, t: float, sign: int = 1) -> np.ndarray:
     """Dense U(t) = V cos(t lambda) V^T + sign (J V) sin(t lambda) V^T from numpy's eigh of H' = V diag(lambda) V^T.
 
-    H' is the single-ancilla encoding of h.hermitian, decomposed as `trajectory` decomposes it, so U(t_max) is
-    the matrix `trajectory` checks.
+    H' is the single-ancilla encoding of h.hermitian, decomposed as `trajectory` decomposes it, each pair of
+    eigenvalues replaced by its mean as there, so U(t_max) is the matrix `trajectory` checks.
     """
     lam, v = np.linalg.eigh(encode_operator(h.hermitian))
+    lam = np.repeat(lam[0::2] / 2.0 + lam[1::2] / 2.0, 2)
     jv = apply_xz(v, 1)
     return (v * np.cos(t * lam)) @ v.T + sign * (jv * np.sin(t * lam)) @ v.T
 

@@ -385,6 +385,62 @@ class TestOptimizeBell:
         result = optimize_bell(scenario, seeds=[5, 6])
         assert abs(result.value_complex - result.value_real_encoded) <= 1e-10
 
+    @staticmethod
+    def diagonal_scenario(dims, settings):
+        """diag(1, -1, 1, ...) for every setting of every party, and one coefficient, on the all-zero settings."""
+        obs = tuple((np.diag(np.resize([1.0, -1.0], d)),) * s for d, s in zip(dims, settings))
+        return BellScenario(len(dims), settings, obs, {(0,) * len(dims): 1.0}, 1.0)
+
+    @staticmethod
+    def refuse_before_the_see_saw(monkeypatch):
+        """Make reading a seed, building the coefficient table or contracting a Bell operator fail the test."""
+        def refuse(*args):
+            raise AssertionError("the see-saw's inputs were read past a size cap")
+
+        for name in ("as_int", "_coefficient_tensor", "_contract"):
+            monkeypatch.setattr(bell, name, refuse)
+
+    @pytest.mark.parametrize("dims, cap, admitted", [((2, 4), 8, True), ((3, 3), 8, False),
+                                                     ((2, 2, 3), 12, True), ((2, 3, 2), 11, False)])
+    def test_bell_operator_past_the_size_cap_is_rejected_before_any_seed_is_read(self, monkeypatch, dims, cap,
+                                                                                  admitted):
+        # D = prod(d_j) at most DEFAULT_MAX_DIM: the (D, D) Bell operator of one restart fits the cap squared.
+        monkeypatch.setattr(bell, "DEFAULT_MAX_DIM", cap)
+        scenario = self.diagonal_scenario(dims, (1,) * len(dims))
+        if admitted:
+            result = optimize_bell(scenario, seeds=[1], iterations=2)
+            assert result.value_complex == pytest.approx(1.0) and len(result.restarts) == 1
+            return
+        self.refuse_before_the_see_saw(monkeypatch)
+        for seeds in ([1], range(10 ** 400)):  # checked before the restart bound too
+            with pytest.raises(ValueError, match=rf"^Bell operator dimension {cap + 1} of party dimensions "
+                                                 rf"\({', '.join(map(str, dims))}\) exceeds the size cap {cap}$"):
+                optimize_bell(scenario, seeds)
+
+    @pytest.mark.parametrize("settings, admitted", [((18, 18), True), ((13, 25), False),
+                                                    ((6, 6, 9), True), ((5, 5, 13), False)])
+    def test_coefficient_table_past_the_size_cap_is_rejected_before_any_seed_is_read(self, monkeypatch, settings,
+                                                                                      admitted):
+        # prod(S_j) at most DEFAULT_MAX_DIM^2 = 324 entries in the dense coefficient table.
+        monkeypatch.setattr(bell, "DEFAULT_MAX_DIM", 18)
+        scenario = self.diagonal_scenario((2,) * len(settings), settings)
+        if admitted:
+            assert optimize_bell(scenario, seeds=[1], iterations=2).value_complex == pytest.approx(1.0)
+            return
+        self.refuse_before_the_see_saw(monkeypatch)
+        with pytest.raises(ValueError, match=rf"^coefficient table of 325 entries for settings "
+                                             rf"\({', '.join(map(str, settings))}\) exceeds the size cap 324$"):
+            optimize_bell(scenario, [1])
+
+    @pytest.mark.parametrize("parties", [13, 63, 64])
+    def test_many_qubit_parties_are_rejected_by_the_exact_size(self, monkeypatch, parties):
+        # An int64 product wraps to 0 at 64 qubits and goes negative at 63; the exact one names the cap.
+        scenario = self.diagonal_scenario((2,) * parties, (1,) * parties)
+        self.refuse_before_the_see_saw(monkeypatch)
+        with pytest.raises(ValueError, match=rf"^Bell operator dimension {2 ** parties} of party dimensions "
+                                             rf"\(2(, 2){{{parties - 1}}}\) exceeds the size cap 4096$"):
+            optimize_bell(scenario, range(1, 3))
+
     # Pinned values.  At iterations = 2 seed 5 converges at iteration 1; every other restart stops at
     # the cap, where a last eigh brings its value up to date with its final observables.
     @pytest.mark.parametrize("name, iterations, trace, restarts", [

@@ -243,6 +243,33 @@ class TestEvolve:
         failed = {a["name"] for a in report_of(out)["assertions"] if not a["passed"]}
         assert failed == {"propagator_orthogonal"}
 
+    def test_unpaired_encoded_spectrum_fails_the_orthogonality_check(self, capsys, tmp_path, circular_state,
+                                                                      monkeypatch):
+        # H' + 5e-11 (I (x) |0><0|) for a real H: each eigenvector pair u (x) |0>, u (x) |1> of H' stays one, but
+        # its eigenvalues split by 5e-11.  The paired mean keeps U(t) orthogonal and moves the states by only
+        # about 2.5e-11 t, so the split itself, folded into orthogonality_error, is what fails.
+        exact = dynamics.encode_operator
+        monkeypatch.setattr(dynamics, "encode_operator", lambda m: exact(m) + np.diag(np.tile([5e-11, 0.0], len(m))))
+        ham = write(tmp_path, "ham.json", matrix_obj([[0.3, 1.0], [1.0, -0.2]]))
+        code, out, _ = run(capsys, ["evolve", ham, circular_state, "--steps", "5"])
+        assert code == 1
+        assert failed_assertions(out) == {"propagator_orthogonal"}
+        assert report_of(out)["results"]["orthogonality_error"] >= 4e-11
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_long_times_keep_the_propagator_orthogonal(self, capsys, tmp_path, n):
+        # H = (G + G^dagger) / 2 with G standard complex normal, seeds 1 to 6, at t_max = 1e4: eigh splits each
+        # eigenvalue pair of H' by about eps |H|, and unpaired, every one of these failed propagator_orthogonal.
+        for seed in range(1, 7):
+            rng = np.random.default_rng(seed)
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            v /= np.linalg.norm(v)
+            ham = write(tmp_path, "ham.json", matrix_obj((g + g.conj().T) / 2.0))
+            psi = write(tmp_path, "psi.json", {"dims": [n], "amplitudes": [[z.real, z.imag] for z in v.tolist()]})
+            code, out, err = run(capsys, ["evolve", ham, psi, "--steps", "4", "--t-max", "10000"])
+            assert (code, err) == (0, ""), (seed, failed_assertions(out))
+
     def test_input_norm_off_one_passes_the_orthogonality_check(self, capsys, tmp_path):
         # Ten-digit amplitudes give norm 1 + 1.9e-11: accepted as a state (within 1e-10), and the
         # propagator keeps that norm, so the 1e-11 orthogonality gate must not count it.
@@ -1237,7 +1264,7 @@ def at_the_admission_edge(draw, command):
         h[np.diag_indices(n)] += 1j * (EDGE / 2.0) * rng.choice([-1.0, 1.0], n)
         side = np.triu(np.ones((n, n), dtype=bool), 1)
         h[side if draw(st.booleans()) else side.T] += EDGE * np.exp(2j * np.pi * rng.random(n * (n - 1) // 2))
-        t_max = draw(st.sampled_from(["1", "10", "100"]))
+        t_max = draw(st.sampled_from(["1", "10", "100", "1000", "10000"]))
         files = {"h.json": matrix_obj(h), "state.json": state}
         return files, ["evolve", "h.json", "state.json", "--t-max", t_max, "--steps", "3", *k]
     if draw(st.booleans()):
@@ -1278,8 +1305,8 @@ def just_outside_the_admission_edge(draw):
     completeness is off by 2 INPUT_TOL, a Hamiltonian, density matrix, POVM element or Bell observable
     just past its Hermiticity bound, a Bell observable just past its +-1 spectrum, a gate just past
     unitarity, a density matrix or POVM element with an eigenvalue of -1.01 SPECTRUM_TOL, --steps 1 or one past
-    its bound, --restarts one past its bound, a --k just outside its range, and a ragged POVM or observable
-    family.
+    its bound, --restarts one past its bound, a scenario of 13 or 64 qubit parties past the Bell operator's
+    size cap, a --k just outside its range, and a ragged POVM or observable family.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     dims = draw(st.sampled_from([[2], [3], [4], [2, 2]]))
@@ -1297,8 +1324,10 @@ def just_outside_the_admission_edge(draw):
     off = (0, 1) if draw(st.booleans()) else (1, 0)  # an off-diagonal entry, moved away from its mirror's conjugate
     phase = np.exp(2j * np.pi * rng.random())
     flags = []
+    scenario = {"parties": 2, "settings_per_party": [2, 1], "coefficients": [{"settings": [0, 0], "value": 1.0}],
+                "classical_bound": 1.0}
     case = draw(st.sampled_from(["norm", "trace", "completeness", "hermitian", "psd", "unitary", "observable",
-                                 "steps", "restarts", "k", "ragged"]))
+                                 "steps", "restarts", "parties", "k", "ragged"]))
     if case == "norm":
         job, message = draw(st.sampled_from(["encode", "evolve", "measure"])), "state norm"
         v *= 1.0 + sign * OUTSIDE
@@ -1355,6 +1384,13 @@ def just_outside_the_admission_edge(draw):
         job, most = "bell", linalg.DEFAULT_MAX_DIM ** 2 // (4 + 2 * 4 + 1 * 4)
         message = f"restarts must be at most {most} for party dimensions (2, 2), settings (2, 1)"
         flags = ["--restarts", str(most + 1)]
+    elif case == "parties":  # 13 qubits are the first count past the cap; at 64 an int64 product of 2s wraps to 0
+        job, parties = "bell", draw(st.sampled_from([13, 64]))
+        message = (f"Bell operator dimension {2 ** parties} of party dimensions ({', '.join(['2'] * parties)}) "
+                   f"exceeds the size cap {linalg.DEFAULT_MAX_DIM}")
+        observables = [[np.diag([1.0, -1.0])]] * parties
+        scenario = {"parties": parties, "settings_per_party": [1] * parties,
+                    "coefficients": [{"settings": [0] * parties, "value": 1.0}], "classical_bound": 1.0}
     elif case == "k":  # encode and evolve take 1 to 12 ancilla qubits, stabilizer 2 to 6
         job, k = draw(st.sampled_from([("encode", 0), ("encode", 13), ("evolve", 0), ("evolve", 13),
                                        ("stabilizer", 1), ("stabilizer", 7)]))
@@ -1375,9 +1411,7 @@ def just_outside_the_admission_edge(draw):
         "povm.json": {"elements": [matrix_obj(e) for e in elements]},
         "h.json": matrix_obj(h),
         "gate.json": matrix_obj(gate),
-        "scenario.json": {"parties": 2, "settings_per_party": [2, 1],
-                          "observables": [[matrix_obj(o) for o in family] for family in observables],
-                          "coefficients": [{"settings": [0, 0], "value": 1.0}], "classical_bound": 1.0},
+        "scenario.json": {**scenario, "observables": [[matrix_obj(o) for o in family] for family in observables]},
     }
     return {name: obj for name, obj in files.items() if name in argv}, argv, message
 

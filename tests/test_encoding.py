@@ -365,6 +365,24 @@ class TestEncodeDensity:
         with pytest.raises(ValueError):
             DensityOperator(np.array([[1.5, 0.0], [0.0, -0.5]], dtype=complex))
 
+    def test_hermiticity_is_judged_once(self, monkeypatch):
+        # The INPUT_TOL gate implies is_psd's looser SPECTRUM_TOL one, so a density matrix meets only the first,
+        # and then the floor test that is_psd shares.  A POVM element still meets is_psd's own gate.
+        calls = []
+        judge = linalg.is_hermitian
+
+        def counted(a, tol=linalg.INPUT_TOL):
+            calls.append(tol)
+            return judge(a, tol)
+
+        for module in (encoding, linalg):
+            monkeypatch.setattr(module, "is_hermitian", counted)
+        DensityOperator(random_density(4, seed=23))
+        assert calls == [linalg.INPUT_TOL]
+        calls.clear()
+        Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        assert calls == [linalg.SPECTRUM_TOL] * 2
+
 
 class TestGaugeOrbit:
     def test_basis_state_orbit(self):

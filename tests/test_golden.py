@@ -89,7 +89,7 @@ JOBS = {
     "evolve_k2": (["evolve", "ham_pair.json", "pair.json", "--t-max", "0.5", "--steps", "4", "--k", "2"],
                   "595e78b0d16a84a4ded884d7c1e813611e4a741d230f11c74de140e9531dcb19"),
     "evolve_minus_8x8": (["evolve", "ham_8x8.json", "state_n8.json", "--sign", "minus", "--steps", "5"],
-                         "727e2d522e2f493ed8a9e4c9103e3789375d6a347ab4834157c4b2a8b749b42d"),
+                         "10cc65bb0a6d6270ea36f4fd236506a392a3a204fdb6c93c338409c5acfc2d14"),
     "measure_pure": (["measure", "qubit.json", "povm.json"],
                      "26da12a800521f05abdb6a823efbea42d42bdf32aa1ee1a682b111e7da55a96b"),
     "measure_povm_8x8": (["measure", "state_n8.json", "povm_8x8.json"],

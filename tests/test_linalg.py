@@ -227,6 +227,17 @@ def test_no_module_builds_a_kronecker_product():
     assert not found
 
 
+def test_every_size_is_an_exact_integer():
+    # np.prod multiplies in int64, which wraps past 2**63 (64 qubit parties gave a size of 0); math.prod does not.
+    root = pathlib.Path(linalg.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "prod" and getattr(node.value, "id", None) != "math":
+                found.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert not found
+
+
 class TestSampling:
     def test_state_normalized_and_deterministic(self):
         a = random_state(9, seed=42)
