@@ -149,19 +149,22 @@ def _contract(c: np.ndarray, families) -> np.ndarray:
 
     c has shape (B, S_0, ..., S_m-1) and is shared by all restarts; family l
     has shape (R, S_l, d_l, d_l).  The parties are summed out one at a time,
-    so no array ever holds one operator per setting combination.  Returns
-    shape (R, B, D, D) with D = prod(d_l), factors in family order.
+    in ascending order of d_l^2 / S_l (a stable sort), which swaps S_l
+    settings for d_l^2 operator entries.  So every intermediate holds at
+    most max(prod(S_l), D^2) entries per restart and batch entry, and none
+    holds one operator per setting combination.  Returns shape
+    (R, B, D, D) with D = prod(d_l), factors in family order.
     """
     batch = c.shape[0]
-    t = c.reshape(1, batch, c.shape[1], -1)
+    order = sorted(range(len(families)), key=lambda l: families[l].shape[2] ** 2 / families[l].shape[1])
+    t = c.transpose(0, *(1 + l for l in order))[None]
     dims = []
-    for a in families:
-        r, s, d, _ = a.shape
-        t = np.swapaxes(t.reshape(t.shape[0], batch, s, -1), -1, -2) @ a.reshape(r, 1, s, d * d)
+    for l in order:
+        r, s, d, _ = families[l].shape
+        t = np.swapaxes(t.reshape(t.shape[0], batch, s, -1), -1, -2) @ families[l].reshape(r, 1, s, d * d)
         dims.append(d)
-    m = len(dims)
     t = t.reshape(t.shape[0], batch, *(d for d in dims for _ in range(2)))
-    rows = [2 + 2 * l for l in range(m)]
+    rows = [2 + 2 * order.index(l) for l in range(len(order))]
     t = t.transpose(0, 1, *rows, *(i + 1 for i in rows))
     size = math.prod(dims)
     return t.reshape(t.shape[0], batch, size, size)
@@ -248,19 +251,19 @@ def optimize_bell(scenario: BellScenario, seeds, iterations: int = 100) -> BellR
 
     For fixed observables the best state is the top eigenvector of the Bell operator; for a fixed state the
     best observable per setting is the sign rounding of its effective operator.  All restarts advance together
-    on stacked arrays, in chunks whose Bell operators hold at most DEFAULT_MAX_DIM**2 entries, as do the states
-    and observables kept until the winner is chosen.  Before any seed is read, each of these sizes is checked
-    against that cap: the Bell operator of D = prod(d_j) squared entries, the dense coefficient table of
-    prod(S_j) entries, and then the restart count.  Deterministic given the seed list.
+    on stacked arrays, in chunks whose every array holds at most DEFAULT_MAX_DIM**2 entries, as do the states
+    and observables kept until the winner is chosen.  Before any seed is read, the largest array of one restart
+    is checked against that cap, and then the restart count.  It is the largest of the dense coefficient table
+    of prod(S_j) entries, the Bell operator of D**2 entries with D = prod(d_j), and party j's S_j effective
+    operators of (D / d_j)**2 entries each; _contract's intermediates hold no more.  Deterministic given the
+    seed list.
     """
     dims, settings = scenario.party_dims, scenario.settings_per_party
-    size, terms = math.prod(dims), math.prod(settings)
-    if size > DEFAULT_MAX_DIM:
-        raise ValueError(f"Bell operator dimension {size} of party dimensions {dims} exceeds the size cap "
-                         f"{DEFAULT_MAX_DIM}")
-    if terms > DEFAULT_MAX_DIM ** 2:
-        raise ValueError(f"coefficient table of {terms} entries for settings {settings} exceeds the size cap "
-                         f"{DEFAULT_MAX_DIM ** 2}")
+    size = math.prod(dims)
+    largest = max(math.prod(settings), size ** 2, *(s * (size // d) ** 2 for d, s in zip(dims, settings)))
+    if largest > DEFAULT_MAX_DIM ** 2:
+        raise ValueError(f"see-saw arrays of {largest} entries per restart for party dimensions {dims}, "
+                         f"settings {settings} exceed the size cap {DEFAULT_MAX_DIM ** 2}")
     most = DEFAULT_MAX_DIM ** 2 // (size + sum(o.size for o in scenario.observables))
     if len(seeds[most:most + 1]):  # len(seeds) would overflow for a range past sys.maxsize
         raise ValueError(f"restarts must be at most {most} for party dimensions {dims}, settings {settings}")
@@ -272,7 +275,7 @@ def optimize_bell(scenario: BellScenario, seeds, iterations: int = 100) -> BellR
     iterations = as_int(iterations, "iterations")
     if iterations < 1:
         raise ValueError(f"iterations must be positive, got {iterations}")
-    chunk = DEFAULT_MAX_DIM ** 2 // size ** 2
+    chunk = DEFAULT_MAX_DIM ** 2 // largest
     runs = []
     for start in range(0, len(seeds), chunk):
         runs.extend(_seesaw(scenario, seeds[start:start + chunk], iterations))

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__, formats
-from .applications.bell import MODES, BellScenario, chsh_scenario, mermin3_scenario, optimize_bell
+from .applications.bell import BellScenario, chsh_scenario, mermin3_scenario, optimize_bell
 from .applications.selftest import selftest_counterexample
 from .dynamics import Hamiltonian, trajectory
 from .encoding import (
@@ -30,7 +30,7 @@ from .encoding import (
     encoded_povm_probabilities,
     povm_probabilities,
 )
-from .linalg import AGREEMENT_TOL, DEFAULT_MAX_DIM, EXACT_TOL, INPUT_TOL, ORTHOGONALITY_TOL, REACH_TOL, as_float
+from .linalg import AGREEMENT_TOL, DEFAULT_MAX_DIM, EXACT_TOL, INPUT_TOL, ORTHOGONALITY_TOL, REACH_TOL
 from .multipartite import stabilizer_check
 
 
@@ -62,7 +62,6 @@ def cmd_encode(args):
 
 
 def cmd_evolve(args):
-    tol = as_float(args.tol, "--tol")
     matrix, h_digest = formats.load_json(args.hamiltonian, formats.parse_matrix)
     h = Hamiltonian(matrix)
     vector, state_digest = formats.load_json(args.state, formats.parse_vector)
@@ -79,8 +78,8 @@ def cmd_evolve(args):
     }
     assertions = [
         _leq("propagator_orthogonal", res.orthogonality_error, ORTHOGONALITY_TOL),
-        _leq("matches_complex_evolution", res.max_deviation, tol),
-        _leq("matches_dense_expm", res.expm_error, tol),
+        _leq("matches_complex_evolution", res.max_deviation, AGREEMENT_TOL),
+        _leq("matches_dense_expm", res.expm_error, AGREEMENT_TOL),
     ]
     return results, assertions, [h_digest, state_digest]
 
@@ -127,19 +126,15 @@ def cmd_bell(args):
     else:
         scenario = _SCENARIOS[args.scenario]()
     result = optimize_bell(scenario, range(args.seed, args.seed + args.restarts), args.iterations)
-    values = {mode: getattr(result, f"value_{mode}") for mode in MODES if args.mode in (mode, "both")}
+    target = scenario.quantum_target
     results = {"classical_bound": scenario.classical_bound}
-    if scenario.quantum_target is not None:
-        results["quantum_target"] = scenario.quantum_target
-    results.update((f"value_{mode}", value) for mode, value in values.items())
-    results["optimizer_trace"] = result.optimizer_trace
-    results["restarts"] = result.restarts
-    assertions = []
-    if len(values) == 2:
-        assertions.append(_leq("modes_agree", abs(values["complex"] - values["real_encoded"]), AGREEMENT_TOL))
-    if scenario.quantum_target is not None:
-        assertions += [_leq(f"reaches_target_{mode}", scenario.quantum_target - value, REACH_TOL)
-                       for mode, value in values.items()]
+    if target is not None:
+        results["quantum_target"] = target
+    results.update(result._asdict())  # value_complex, value_real_encoded, optimizer_trace, restarts
+    assertions = [_leq("modes_agree", abs(result.value_complex - result.value_real_encoded), AGREEMENT_TOL)]
+    if target is not None:
+        assertions += [_leq("reaches_target_complex", target - result.value_complex, REACH_TOL),
+                       _leq("reaches_target_real_encoded", target - result.value_real_encoded, REACH_TOL)]
     return results, assertions, digests
 
 
@@ -192,9 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sign", choices=("plus", "minus"), default="plus",
                     help="sign convention: plus evolves with exp(+iHt), minus with exp(-iHt) (default plus)")
     sp.add_argument("--k", type=int, default=1, help="ancilla qubits, 1 to 12, one per party when > 1 (default 1)")
-    sp.add_argument("--tol", type=float, default=AGREEMENT_TOL,
-                    help="tolerance of the matches_complex_evolution and matches_dense_expm assertions"
-                         f" (default {AGREEMENT_TOL:g}); propagator_orthogonal keeps {ORTHOGONALITY_TOL:g}")
 
     sp = add("measure", help="POVM statistics, complex versus encoded")
     sp.add_argument("state", help="complex vector or density matrix JSON file")
@@ -204,9 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scenario", choices=tuple(_SCENARIOS), default="chsh",
                     help="built-in scenario (default chsh)")
     sp.add_argument("--scenario-file", default=None, help="scenario JSON file, overrides --scenario")
-    sp.add_argument("--mode", choices=("complex", "real_encoded", "both"), default="both",
-                    help="which values the report carries and which assertions run; both sides are always"
-                         " evaluated (default both)")
     sp.add_argument("--restarts", type=int, default=20,
                     help=f"optimizer restarts, whose states and observables hold at most {DEFAULT_MAX_DIM ** 2} entries"
                          " (default 20)")
@@ -232,14 +221,14 @@ def _digest(command: str, options: dict, file_hashes: list) -> str:
 
 
 def _attach_float_values(argv: list) -> list:
-    """Join --t-max or --tol and a value such as -1e-3 or -inf, which argparse reads as an option after a space.
+    """Join --t-max and a value such as -1e-3 or -inf, which argparse reads as an option after a space.
 
     argparse reads only plain decimals such as -1 or -0.5 as negative numbers; --t-max=-1e-3 is its form for the rest.
     """
     out = []
     for token in argv:
         out.append(token)
-        if len(out) > 1 and out[-2] in ("--t-max", "--tol") and token.startswith("-"):
+        if len(out) > 1 and out[-2] == "--t-max" and token.startswith("-"):
             with contextlib.suppress(ValueError):  # float() rejects the token: argparse judges it as it stands
                 float(token)
                 out[-2:] = [f"{out[-2]}={token}"]

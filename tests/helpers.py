@@ -360,8 +360,7 @@ def check_measure(results, files, flags):
 
 def check_bell(results, files, flags):
     assert (results["classical_bound"], results["quantum_target"]) == (2, pytest.approx(TSIRELSON, abs=EXACT))
-    modes = [flags["--mode"]] if "--mode" in flags else ["complex", "real_encoded"]
-    for mode in modes:
+    for mode in ("complex", "real_encoded"):
         assert TSIRELSON - 1e-6 <= results[f"value_{mode}"] <= TSIRELSON + 1e-9, mode
     assert max(value for _, value in results["optimizer_trace"]) <= TSIRELSON + 1e-9
 

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -405,6 +406,7 @@ class TestOptimizeBell:
     def test_bell_operator_past_the_size_cap_is_rejected_before_any_seed_is_read(self, monkeypatch, dims, cap,
                                                                                   admitted):
         # D = prod(d_j) at most DEFAULT_MAX_DIM: the (D, D) Bell operator of one restart fits the cap squared.
+        # One setting a party: the Bell operator is the largest array.
         monkeypatch.setattr(bell, "DEFAULT_MAX_DIM", cap)
         scenario = self.diagonal_scenario(dims, (1,) * len(dims))
         if admitted:
@@ -413,8 +415,9 @@ class TestOptimizeBell:
             return
         self.refuse_before_the_see_saw(monkeypatch)
         for seeds in ([1], range(10 ** 400)):  # checked before the restart bound too
-            with pytest.raises(ValueError, match=rf"^Bell operator dimension {cap + 1} of party dimensions "
-                                                 rf"\({', '.join(map(str, dims))}\) exceeds the size cap {cap}$"):
+            with pytest.raises(ValueError, match=rf"^see-saw arrays of {(cap + 1) ** 2} entries per restart for "
+                                                 rf"party dimensions \({', '.join(map(str, dims))}\), settings "
+                                                 rf"\(1(, 1)+\) exceed the size cap {cap ** 2}$"):
                 optimize_bell(scenario, seeds)
 
     @pytest.mark.parametrize("settings, admitted", [((18, 18), True), ((13, 25), False),
@@ -428,17 +431,58 @@ class TestOptimizeBell:
             assert optimize_bell(scenario, seeds=[1], iterations=2).value_complex == pytest.approx(1.0)
             return
         self.refuse_before_the_see_saw(monkeypatch)
-        with pytest.raises(ValueError, match=rf"^coefficient table of 325 entries for settings "
-                                             rf"\({', '.join(map(str, settings))}\) exceeds the size cap 324$"):
+        with pytest.raises(ValueError, match=rf"^see-saw arrays of 325 entries per restart for party dimensions "
+                                             rf"\(2(, 2)+\), settings \({', '.join(map(str, settings))}\) exceed "
+                                             r"the size cap 324$"):
             optimize_bell(scenario, [1])
+
+    @pytest.mark.parametrize("dims, settings, admitted", [((2, 2, 2), (1, 64, 64), True), ((2, 32), (4, 1), True),
+                                                          ((2, 32), (5, 1), False), ((2, 32), (64, 1), False)])
+    def test_effective_operators_past_the_size_cap_are_rejected_before_any_seed_is_read(self, monkeypatch, dims,
+                                                                                        settings, admitted):
+        # At a patched cap of 64, 4,096 entries: (1, 64, 64) fills the coefficient table, and (4, 1) fills party
+        # 0's four 32 x 32 effective operators.  Five or 64 settings there make 5,120 or 65,536 entries.
+        monkeypatch.setattr(bell, "DEFAULT_MAX_DIM", 64)
+        scenario = self.diagonal_scenario(dims, settings)
+        if admitted:
+            assert optimize_bell(scenario, seeds=[1, 2], iterations=2).value_complex == pytest.approx(1.0)
+            return
+        self.refuse_before_the_see_saw(monkeypatch)
+        largest = settings[0] * 32 ** 2
+        with pytest.raises(ValueError, match=rf"^see-saw arrays of {largest} entries per restart for party "
+                                             rf"dimensions \(2, 32\), settings \({settings[0]}, 1\) exceed the "
+                                             r"size cap 4096$"):
+            optimize_bell(scenario, range(10 ** 400))
+
+    def test_contraction_intermediates_stay_within_the_size_cap(self, monkeypatch):
+        # Summed out in family order, party 0's one setting would leave a 64 x 64 x 4 intermediate, four times
+        # the patched cap's 4,096 entries.  Ordered by d^2 / S, parties 1 and 2 go first and shrink it.
+        monkeypatch.setattr(bell, "DEFAULT_MAX_DIM", 64)
+        scenario = self.diagonal_scenario((2, 2, 2), (1, 64, 64))
+        c, obs = bell._coefficient_tensor(scenario), bell._initial_observables(scenario, [1])
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            ops = bell._contract(c[None], obs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        # The table cast to complex, and the intermediates, each at most 4,096 complex entries.
+        assert peak <= 2 * 64 ** 2 * 16
+        want = helpers.bell_operator(scenario.coefficients, [o[0] for o in obs], scenario.party_dims)
+        assert np.abs(ops[0, 0] - want).max() <= 1e-13
 
     @pytest.mark.parametrize("parties", [13, 63, 64])
     def test_many_qubit_parties_are_rejected_by_the_exact_size(self, monkeypatch, parties):
         # An int64 product wraps to 0 at 64 qubits and goes negative at 63; the exact one names the cap.
         scenario = self.diagonal_scenario((2,) * parties, (1,) * parties)
         self.refuse_before_the_see_saw(monkeypatch)
-        with pytest.raises(ValueError, match=rf"^Bell operator dimension {2 ** parties} of party dimensions "
-                                             rf"\(2(, 2){{{parties - 1}}}\) exceeds the size cap 4096$"):
+        with pytest.raises(ValueError, match=rf"^see-saw arrays of {4 ** parties} entries per restart for party "
+                                             rf"dimensions \(2(, 2){{{parties - 1}}}\), "
+                                             rf"settings \(1(, 1){{{parties - 1}}}\) exceed the size cap {4096 ** 2}$"):
             optimize_bell(scenario, range(1, 3))
 
     # Pinned values.  At iterations = 2 seed 5 converges at iteration 1; every other restart stops at
@@ -466,9 +510,10 @@ class TestOptimizeBell:
 class TestBatchedSeesaw:
     """The stacked contractions against the term-by-term oracle in tests/helpers."""
 
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    # The random cases sum their parties out in several orders of d^2 / S.
+    @pytest.mark.parametrize("name", sorted(TestStackedBellValue.CASES))
     def test_contractions_match_the_term_by_term_oracle(self, name):
-        scenario = SCENARIOS[name]()
+        scenario = TestStackedBellValue.CASES[name]()
         dims = scenario.party_dims
         c = bell._coefficient_tensor(scenario)
         obs = bell._initial_observables(scenario, range(6))

@@ -10,6 +10,7 @@ import itertools
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -161,13 +162,26 @@ class TestEvolve:
         code, _, _ = run(capsys, ["evolve", ham, circular_state, "--sign", "minus"])
         assert code == 0
 
-    def test_zero_tolerance_fails_the_assertion(self, capsys, tmp_path, circular_state):
+    @pytest.mark.parametrize("side, failed", [("complex_states", "matches_complex_evolution"),
+                                              ("dense_exponential", "matches_dense_expm")])
+    def test_a_slip_on_one_side_fails_its_agreement_assertion(self, capsys, tmp_path, circular_state, monkeypatch,
+                                                               side, failed):
+        # A relative slip of 1e-9, ten times AGREEMENT_TOL, in the complex states or in the dense exponential.
+        if side == "complex_states":
+            exact = dynamics.evolve
+
+            def slipped(*args):
+                complex_state, encoded_state = exact(*args)
+                return complex_state * (1.0 + 1e-9), encoded_state
+
+            monkeypatch.setattr(dynamics, "evolve", slipped)
+        else:
+            exact = dynamics.matexp
+            monkeypatch.setattr(dynamics, "matexp", lambda a: exact(a) * (1.0 + 1e-9))
         ham = write(tmp_path, "ham.json", matrix_obj([[0.0, -1.0j], [1.0j, 0.0]]))
-        code, out, _ = run(capsys, ["evolve", ham, circular_state, "--t-max", "1.7", "--tol", "0.0"])
+        code, out, _ = run(capsys, ["evolve", ham, circular_state, "--t-max", "1.7"])
         assert code == 1
-        report = report_of(out)
-        failed = {a["name"] for a in report["assertions"] if not a["passed"]}
-        assert failed and failed <= {"matches_complex_evolution", "matches_dense_expm"}
+        assert failed_assertions(out) == {failed}
 
     @pytest.mark.parametrize("steps, k", [(4194305, 1), (10 ** 15, 1), (1048577, 3), (10 ** 400, 12)])
     def test_grid_past_the_entry_bound_is_rejected_by_name(self, capsys, tmp_path, monkeypatch, steps, k):
@@ -330,11 +344,10 @@ class TestEvolve:
         assert (code, out) == (2, "")
         assert err == f"error: t_max must be finite, got {t_max}\n"
 
-    # A negative tolerance fails the two assertions it bounds; a non-finite one is rejected as input.
+    # A negative time runs backwards; a non-finite one is rejected as input.
     @pytest.mark.parametrize("option, value, code, message", [
-        ("--t-max", "-1e-3", 0, ""), ("--t-max", "-1e5", 0, ""), ("--tol", "-1e-3", 1, ""),
+        ("--t-max", "-1e-3", 0, ""), ("--t-max", "-1e5", 0, ""),
         ("--t-max", "-inf", 2, "error: t_max must be finite, got -inf\n"),
-        ("--tol", "-inf", 2, "error: --tol must be finite, got -inf\n"),
     ])
     def test_negative_value_after_a_space_reads_as_after_equals(self, capsys, tmp_path, circular_state, option,
                                                                value, code, message):
@@ -345,7 +358,7 @@ class TestEvolve:
         assert spaced[0] == code
         assert spaced[2] == message
 
-    @pytest.mark.parametrize("flag", [["--t-m", "-1e-3"], ["--to", "1e-9"], ["--ste", "4"]])
+    @pytest.mark.parametrize("flag", [["--t-m", "-1e-3"], ["--si", "minus"], ["--ste", "4"]])
     def test_an_abbreviated_flag_is_a_usage_error(self, capsys, tmp_path, circular_state, flag):
         # One spelling per flag: argparse would otherwise read an unambiguous prefix as the full flag.
         ham = write(tmp_path, "ham.json", matrix_obj(np.diag([1.0, -1.0])))
@@ -557,25 +570,6 @@ class TestBell:
             outs.append(out)
         assert outs[0] == outs[1]
 
-    def test_digest_tells_modes_apart_whatever_the_file_is_named(self, capsys, tmp_path, monkeypatch):
-        # The Mermin-3 scenario as a file, saved as "both" and as "complex": a path equal to the --mode value
-        # must not make two jobs with different results share a digest.
-        x, y = matrix_obj([[0.0, 1.0], [1.0, 0.0]]), matrix_obj([[0.0, -1.0j], [1.0j, 0.0]])
-        mermin3 = {"parties": 3, "settings_per_party": [2, 2, 2], "observables": [[x, y]] * 3,
-                   "coefficients": [{"settings": s, "value": v} for s, v in
-                                    [([0, 0, 1], 1.0), ([0, 1, 0], 1.0), ([1, 0, 0], 1.0), ([1, 1, 1], -1.0)]],
-                   "classical_bound": 2.0, "quantum_target": 4.0}
-        monkeypatch.chdir(tmp_path)
-        reports = []
-        for mode in ("both", "complex"):
-            write(tmp_path, mode, mermin3)
-            code, out, _ = run(capsys, ["bell", "--scenario-file", mode, "--mode", mode, "--seed", "1",
-                                        "--restarts", "5"])
-            assert code == 0
-            reports.append(report_of(out))
-        assert reports[0]["results"] != reports[1]["results"]
-        assert reports[0]["inputs_digest"] != reports[1]["inputs_digest"]
-
     def test_repeated_coefficient_settings_exit_2(self, capsys, tmp_path):
         z = matrix_obj(np.diag([1.0, -1.0]))
         obj = {"parties": 2, "settings_per_party": [1, 1], "observables": [[z], [z]],
@@ -668,8 +662,7 @@ class TestBell:
         assert out == ""
         assert err == f"error: {tmp_path / 's.json'}.{named} must be finite: an integer beyond the double range\n"
 
-    @pytest.mark.parametrize("mode", ["both", "complex", "real_encoded"])
-    def test_one_dimensional_party_rejected_in_every_mode(self, capsys, tmp_path, mode):
+    def test_one_dimensional_party_is_rejected(self, capsys, tmp_path):
         scenario = write(
             tmp_path,
             "scenario.json",
@@ -681,7 +674,7 @@ class TestBell:
                 "classical_bound": 1.0,
             },
         )
-        code, out, err = run(capsys, ["bell", "--scenario-file", scenario, "--seed", "3", "--mode", mode])
+        code, out, err = run(capsys, ["bell", "--scenario-file", scenario, "--seed", "3"])
         assert code == 2
         assert out == ""
         assert "party 1 has dimension 1" in err
@@ -799,12 +792,11 @@ class TestLiftFaults:
 class TestAssertionFaults:
     """Faults in one layer each, for the assertions no other test fails."""
 
-    def test_see_saw_that_never_moves_misses_the_complex_target(self, capsys, monkeypatch):
+    def test_see_saw_that_never_moves_misses_the_target_on_both_sides(self, capsys, monkeypatch):
         monkeypatch.setattr(bell, "_sweep", lambda c, obs, states, dims: obs)
-        code, out, _ = run(capsys, ["bell", "--scenario", "chsh", "--mode", "complex", "--seed", "3",
-                                    "--restarts", "2"])
+        code, out, _ = run(capsys, ["bell", "--scenario", "chsh", "--seed", "3", "--restarts", "2"])
         assert code == 1
-        assert failed_assertions(out) == {"reaches_target_complex"}
+        assert failed_assertions(out) == {"reaches_target_complex", "reaches_target_real_encoded"}
 
     def test_sign_flip_in_the_logical_zero_breaks_the_generator_action(self, capsys, monkeypatch):
         exact = multipartite.logical_states
@@ -1019,37 +1011,6 @@ class TestHugeFiniteEntries:
         assert err == f"error: dynamics: {message}\n"
 
 
-class TestTolFlag:
-    def test_evolve_reports_the_tolerance_it_is_given(self, capsys, tmp_path, circular_state):
-        ham = write(tmp_path, "ham.json", matrix_obj(np.diag([1.0, -1.0])))
-        code, out, _ = run(capsys, ["evolve", ham, circular_state, "--steps", "3", "--tol", "1e-9"])
-        assert code == 0
-        tolerances = {a["name"]: a["tolerance"] for a in report_of(out)["assertions"]}
-        assert tolerances == {"propagator_orthogonal": 1e-11, "matches_complex_evolution": 1e-9,
-                              "matches_dense_expm": 1e-9}
-
-    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
-    @pytest.mark.parametrize("joined", [False, True], ids=["space", "equals"])
-    def test_non_finite_tol_is_rejected_before_any_file_is_read(self, capsys, tmp_path, value, joined):
-        missing = str(tmp_path / "missing.json")
-        tol = [f"--tol={value}"] if joined else ["--tol", value]
-        code, out, err = run(capsys, ["evolve", missing, missing, *tol])
-        assert (code, out) == (2, "")
-        assert err == f"error: --tol must be finite, got {value}\n"
-
-    @pytest.mark.parametrize("argv", [
-        ["encode", "STATE"], ["measure", "STATE", "POVM"], ["bell", "--seed", "1"], ["selftest"],
-        ["stabilizer", "--k", "3"],
-    ])
-    def test_no_other_subcommand_takes_tol(self, capsys, circular_state, z_basis_povm, argv):
-        argv = [{"STATE": circular_state, "POVM": z_basis_povm}.get(a, a) for a in argv]
-        code, out, err = run(capsys, [*argv, "--tol", "1e-9"])
-        assert code == 2
-        assert out == ""
-        assert "unrecognized arguments: --tol" in err and "usage:" in err
-        assert "Traceback" not in err
-
-
 class TestDiagnostics:
     def test_verbose_table_goes_to_stderr(self, capsys, circular_state):
         code, out, err = run(capsys, ["encode", circular_state, "--verbose"])
@@ -1167,11 +1128,8 @@ def job_files(draw, command):
     if command == "evolve":
         h = _operator(rng, draw(st.one_of(st.just(n), st.integers(1, 4))), draw(kind("hermitian")))
         files = {"h.json": matrix_obj(h), "state.json": _vector_obj(rng, dims)}
-        options = []
-        for flag, values in (("--t-max", ["1", "5", "-1e-3", "inf", "-inf", "nan"]),
-                             ("--tol", ["1e-10", "0", "-1e-3", "inf", "-inf", "nan"])):
-            value = draw(st.sampled_from(values))
-            options += draw(st.sampled_from([[f"{flag}={value}"], [flag, value]]))
+        t_max = draw(st.sampled_from(["1", "5", "-1e-3", "inf", "-inf", "nan"]))
+        options = draw(st.sampled_from([[f"--t-max={t_max}"], ["--t-max", t_max]]))
         return files, ["evolve", "h.json", "state.json", "--steps", "3", *options, *k]
     if command == "measure":
         if draw(st.booleans()):
@@ -1386,8 +1344,9 @@ def just_outside_the_admission_edge(draw):
         flags = ["--restarts", str(most + 1)]
     elif case == "parties":  # 13 qubits are the first count past the cap; at 64 an int64 product of 2s wraps to 0
         job, parties = "bell", draw(st.sampled_from([13, 64]))
-        message = (f"Bell operator dimension {2 ** parties} of party dimensions ({', '.join(['2'] * parties)}) "
-                   f"exceeds the size cap {linalg.DEFAULT_MAX_DIM}")
+        message = (f"see-saw arrays of {4 ** parties} entries per restart for party dimensions "
+                   f"({', '.join(['2'] * parties)}), settings ({', '.join(['1'] * parties)}) exceed the size cap "
+                   f"{linalg.DEFAULT_MAX_DIM ** 2}")
         observables = [[np.diag([1.0, -1.0])]] * parties
         scenario = {"parties": parties, "settings_per_party": [1] * parties,
                     "coefficients": [{"settings": [0] * parties, "value": 1.0}], "classical_bound": 1.0}
@@ -1421,7 +1380,7 @@ _STATE, _Z_OBJ = {"dims": [2], "amplitudes": [[S, 0.0], [0.0, S]]}, matrix_obj(n
 NUMBER_JOBS = {
     "encode": ({"state.json": _STATE}, ["encode", "state.json", "--k", "1"]),
     "evolve": ({"h.json": _Z_OBJ, "state.json": _STATE},
-               ["evolve", "h.json", "state.json", "--t-max", "1.0", "--steps", "3", "--k", "1", "--tol", "1e-10"]),
+               ["evolve", "h.json", "state.json", "--t-max", "1.0", "--steps", "3", "--k", "1"]),
     "measure": ({"state.json": _STATE,
                  "povm.json": {"elements": [matrix_obj(np.diag([1.0, 0.0])), matrix_obj(np.diag([0.0, 1.0]))]}},
                 ["measure", "state.json", "povm.json"]),
@@ -1630,6 +1589,49 @@ class TestInputFilesReadOnce:
         assert err == f"error: {path}: not UTF-8 text at byte {len(text) - 1}: invalid start byte\n"
 
 
+class TestFixedGates:
+    """Each command runs one fixed set of assertions, each gated by a named constant of linalg; no flag sets one."""
+
+    # codespace_dimension_is_2 compares an integer count exactly.
+    GATES = {"norm_preserved": linalg.EXACT_TOL, "round_trip": linalg.EXACT_TOL,
+             "propagator_orthogonal": linalg.ORTHOGONALITY_TOL, "matches_complex_evolution": linalg.AGREEMENT_TOL,
+             "matches_dense_expm": linalg.AGREEMENT_TOL, "encoded_matches_complex": linalg.EXACT_TOL,
+             "complex_normalized": linalg.INPUT_TOL, "encoded_normalized": linalg.INPUT_TOL,
+             "modes_agree": linalg.AGREEMENT_TOL, "reaches_target_complex": linalg.REACH_TOL,
+             "reaches_target_real_encoded": linalg.REACH_TOL, "statistics_match": linalg.EXACT_TOL,
+             "generator_action": linalg.EXACT_TOL, "codespace_dimension_is_2": 0.0}
+
+    def test_every_assertion_of_every_command_reports_its_named_gate(self):
+        seen = set()
+        for command, (files, argv) in NUMBER_JOBS.items():
+            code, out, err = run_job(files, argv)
+            assert (code, err) == (0, ""), command
+            for a in report_of(out)["assertions"]:
+                assert a["tolerance"] == self.GATES[a["name"]], a
+                seen.add(a["name"])
+        assert seen == set(self.GATES)
+
+    @pytest.mark.parametrize("flag, value", [("--tol", "1e-9"), ("--mode", "both")])
+    @pytest.mark.parametrize("joined", [False, True], ids=["space", "equals"])
+    @pytest.mark.parametrize("command", sorted(NUMBER_JOBS))
+    def test_no_subcommand_takes_tol_or_mode(self, command, joined, flag, value):
+        files, argv = NUMBER_JOBS[command]
+        code, out, err = run_job(files, [*argv, *([f"{flag}={value}"] if joined else [flag, value])])
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {flag}" in err and "usage:" in err
+        assert "Traceback" not in err
+
+
+def test_every_readme_command_line_parses():
+    # The code block under README's "Command line" heading, comments dropped: an example cannot keep a removed flag.
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Command line\n.*?^```\n(.*?)^```", readme, re.S | re.M).group(1)
+    lines = [line.split("#")[0].split() for line in block.splitlines()]
+    assert len(lines) == 9 and all(words[0] == "realsim" for words in lines)
+    for words in lines:
+        cli.build_parser().parse_args(words[1:])  # a usage error raises SystemExit
+
+
 class TestDigestOptions:
     """Every flag enters inputs_digest, and each input file enters by its bytes, whatever its name."""
 
@@ -1648,10 +1650,8 @@ class TestDigestOptions:
         ("evolve", "--steps"): ("3", "4"),
         ("evolve", "--sign"): ("plus", "minus"),
         ("evolve", "--k"): ("1", "2"),
-        ("evolve", "--tol"): ("1e-10", "1e-9"),
         ("bell", "--scenario"): ("chsh", "mermin3"),
         ("bell", "--scenario-file"): (None, "scenario.json"),
-        ("bell", "--mode"): ("both", "complex"),
         ("bell", "--restarts"): ("1", "2"),
         ("bell", "--seed"): ("1", "2"),
         ("bell", "--iterations"): ("2", "3"),

@@ -85,11 +85,11 @@ JOBS = {
     "encode_k2": (["encode", "pair.json", "--k", "2"],
                   "bf31e417672681f6c9194ebb9c017801e553adcac41fa2b531f557f926ac13db"),
     "evolve_k1": (["evolve", "ham_y.json", "qubit.json", "--t-max", "1.5", "--steps", "5"],
-                  "ba8d56826dea3d3e287017c96536c45e863896b8afc3a9924b7a2984b680ba5f"),
+                  "2f6fcfedefd5efb1bd662f0c3a3aa5899d8d4566e472b930716c61ec79c6d10b"),
     "evolve_k2": (["evolve", "ham_pair.json", "pair.json", "--t-max", "0.5", "--steps", "4", "--k", "2"],
-                  "595e78b0d16a84a4ded884d7c1e813611e4a741d230f11c74de140e9531dcb19"),
+                  "2158f818eb1c809cf80377fb70790d21be06cc19c8f19d97468da68e62f49538"),
     "evolve_minus_8x8": (["evolve", "ham_8x8.json", "state_n8.json", "--sign", "minus", "--steps", "5"],
-                         "10cc65bb0a6d6270ea36f4fd236506a392a3a204fdb6c93c338409c5acfc2d14"),
+                         "e799ca4be78908761f50b938007544690d4c565b414e7a9c7634be2d16a8e428"),
     "measure_pure": (["measure", "qubit.json", "povm.json"],
                      "26da12a800521f05abdb6a823efbea42d42bdf32aa1ee1a682b111e7da55a96b"),
     "measure_povm_8x8": (["measure", "state_n8.json", "povm_8x8.json"],
@@ -97,10 +97,7 @@ JOBS = {
     "measure_density": (["measure", "rho.json", "povm.json"],
                         "282233891220a1a1af622daa69707bb6e643abf07d9ab9caf425bb286b86b2ca"),
     "bell_chsh": (["bell", "--scenario", "chsh", "--restarts", "2", "--seed", "3"],
-                  "06dea3eb64c7c7587ee40fb541f82e115606fd709611f5b6987ef479bb1dde6f"),
-    "bell_chsh_real_encoded": (["bell", "--scenario", "chsh", "--mode", "real_encoded", "--restarts", "2",
-                                "--seed", "3"],
-                               "0b34d7299e32ec5f77fa7def13a4a3e771a759fcd739265d72899cd67f99d040"),
+                  "45d520499e89a30706b8e79fb08e5976e0dc74c4ee7d435fb136d28aabed6496"),
     "selftest": (["selftest"],
                  "492c7f13a99a3cddf96ec5f04b08163d5558aac0a8b53bc8ef1dfcb759e0c8d4"),
     "selftest_complex_gate": (["selftest", "gate_complex.json"],
